@@ -5,9 +5,10 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "src/core/dumbbell.hpp"
 #include "src/net/flow_monitor.hpp"
 #include "src/stats/correlation.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -32,8 +33,8 @@ DependencyResult measure(Transport transport, int n, Time duration) {
   opts.cwnd_sample_period = 0.1;
 
   Simulator sim(sc.seed);
-  Dumbbell net(sim, sc);
-  FlowMonitor monitor(net.bottleneck_queue(), /*event_gap=*/0.002);
+  TopoNet net(sim, make_dumbbell_spec(sc));
+  FlowMonitor monitor(net.measured_queue(), /*event_gap=*/0.002);
 
   // Run via the library pieces directly so the monitor sees this run.
   std::vector<TraceSeries> traces;

@@ -13,8 +13,9 @@
 
 #include "bench/common.hpp"
 #include "src/app/bulk_source.hpp"
-#include "src/core/dumbbell.hpp"
 #include "src/net/flow_monitor.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -35,8 +36,8 @@ HogResult run_hog(GatewayQueue q, Time duration) {
   sc.duration = duration;
 
   Simulator sim(sc.seed);
-  Dumbbell net(sim, sc);
-  FlowMonitor monitor(net.bottleneck_queue(), 0.002);
+  TopoNet net(sim, make_dumbbell_spec(sc));
+  FlowMonitor monitor(net.measured_queue(), 0.002);
   // Client 0 becomes a greedy bulk transfer; the rest stay Poisson.
   BulkSource hog(sim, net.sender(0), 0);
   hog.start();

@@ -7,8 +7,9 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "src/core/tandem.hpp"
 #include "src/stats/binned_counter.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -23,34 +24,33 @@ struct HopCovs {
 };
 
 HopCovs run_tandem(Transport t, int n) {
-  TandemConfig cfg;
-  cfg.base = bench::paper_base();
-  cfg.base.transport = t;
-  cfg.base.num_clients = n;
-  cfg.second_hop_ratio = 0.9;
+  Scenario sc = bench::paper_base();
+  sc.transport = t;
+  sc.num_clients = n;
 
-  Simulator sim(cfg.base.seed);
-  Tandem net(sim, cfg);
-  BinnedCounter bins1(cfg.base.rtt_prop(), cfg.base.warmup);
-  BinnedCounter bins2(cfg.base.rtt_prop(), cfg.base.warmup);
-  net.first_queue().taps().add_arrival_listener(
-      [&](const Packet& p, Time now) {
-        if (p.type == PacketType::kData) bins1.record(now);
-      });
-  net.second_queue().taps().add_arrival_listener(
-      [&](const Packet& p, Time now) {
-        if (p.type == PacketType::kData) bins2.record(now);
-      });
+  Simulator sim(sc.seed);
+  // Link statement 0 is the first hop (gw1 -> gw2), 1 the second.
+  TopoNet net(sim, make_tandem_spec(sc, /*second_hop_ratio=*/0.9));
+  Queue& hop1 = net.link(0).queue();
+  Queue& hop2 = net.link(1).queue();
+  BinnedCounter bins1(sc.rtt_prop(), sc.warmup);
+  BinnedCounter bins2(sc.rtt_prop(), sc.warmup);
+  hop1.taps().add_arrival_listener([&](const Packet& p, Time now) {
+    if (p.type == PacketType::kData) bins1.record(now);
+  });
+  hop2.taps().add_arrival_listener([&](const Packet& p, Time now) {
+    if (p.type == PacketType::kData) bins2.record(now);
+  });
   net.start_sources();
-  sim.run(cfg.base.duration);
+  sim.run(sc.duration);
 
   HopCovs out;
-  out.hop1 = bins1.stats_until(cfg.base.duration).cov();
-  out.hop2 = bins2.stats_until(cfg.base.duration).cov();
-  out.poisson = poisson_aggregate_cov(n, 1.0 / cfg.base.mean_interarrival,
-                                      cfg.base.rtt_prop());
-  out.loss1 = 100.0 * net.first_queue().stats().loss_fraction();
-  out.loss2 = 100.0 * net.second_queue().stats().loss_fraction();
+  out.hop1 = bins1.stats_until(sc.duration).cov();
+  out.hop2 = bins2.stats_until(sc.duration).cov();
+  out.poisson =
+      poisson_aggregate_cov(n, 1.0 / sc.mean_interarrival, sc.rtt_prop());
+  out.loss1 = 100.0 * hop1.stats().loss_fraction();
+  out.loss2 = 100.0 * hop2.stats().loss_fraction();
   return out;
 }
 

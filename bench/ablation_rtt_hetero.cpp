@@ -5,9 +5,10 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "src/core/dumbbell.hpp"
 #include "src/stats/correlation.hpp"
 #include "src/stats/fairness.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -25,7 +26,7 @@ HeteroResult run_hetero(Transport t, int n) {
   sc.client_delay_spread = 0.8;  // delays span 4..36 ms around 20 ms
 
   Simulator sim(sc.seed);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
 

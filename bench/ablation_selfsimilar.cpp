@@ -10,10 +10,11 @@
 
 #include "bench/common.hpp"
 #include "src/app/pareto_on_off_source.hpp"
-#include "src/core/dumbbell.hpp"
 #include "src/stats/binned_counter.hpp"
 #include "src/stats/hurst.hpp"
 #include "src/stats/time_series.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -37,9 +38,9 @@ AggregateResult run_aggregate(Transport transport, bool pareto_sources,
   sc.duration = duration;
 
   Simulator sim(sc.seed);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   BinnedCounter bins(sc.rtt_prop(), sc.warmup);
-  net.bottleneck_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
+  net.measured_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
     if (p.type == PacketType::kData) bins.record(sim.now());
   });
 

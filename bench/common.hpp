@@ -37,10 +37,9 @@ std::vector<int> fig2_clients();
 /// Client counts for Figs 3, 4 and 13 (the paper starts these at 30).
 std::vector<int> fig34_clients();
 
-/// Runs one named figure sweep through the campaign runner: identical
-/// numbers to sweep_clients, but cache-backed when BURST_CACHE_DIR is set
-/// (and shared across figure binaries, since seeds key on config name and
-/// client count rather than loop indices).
+/// Runs one named figure sweep through the campaign runner: cache-backed
+/// when BURST_CACHE_DIR is set (and shared across figure binaries, since
+/// seeds key on config name and client count rather than loop indices).
 std::vector<SweepSeries> figure_sweep(const std::string& name,
                                       const Scenario& base,
                                       const std::vector<int>& client_counts,

@@ -4,11 +4,12 @@
 
 #include <memory>
 
-#include "src/core/dumbbell.hpp"
 #include "src/core/experiment.hpp"
 #include "src/net/drop_tail_queue.hpp"
 #include "src/net/red_queue.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -77,7 +78,7 @@ void BM_EndToEndSimulation(benchmark::State& state) {
     sc.num_clients = clients;
     sc.duration = 2.0;
     Simulator sim(sc.seed);
-    Dumbbell net(sim, sc);
+    TopoNet net(sim, make_dumbbell_spec(sc));
     net.start_sources();
     sim.run(sc.duration);
     events += sim.events_run();

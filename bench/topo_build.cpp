@@ -2,12 +2,12 @@
 //
 // The builder sits on the experiment setup path, so campaigns pay it
 // once per point — this bench answers "how much does a .topo scenario
-// cost over the hard-coded constructor?" for the dumbbell at N=60:
+// cost over building from a Scenario?" for the dumbbell at N=60:
 //
 //   parse_n60        parse + validate the dumbbell text (no build)
 //   fingerprint_n60  canonical rendering + 128-bit key
-//   build_hardcoded  Dumbbell(sim, sc): the legacy constructor (itself a
-//                    TopoNet facade since the refactor)
+//   build_scenario   TopoNet(sim, make_dumbbell_spec(sc)): the spec
+//                    generated from a Scenario, then built
 //   build_toponet    TopoNet(sim, spec) from the parsed spec
 //
 // All stages are deterministic; wall time is best-of 5 over `iters`
@@ -19,11 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "src/core/dumbbell.hpp"
 #include "src/core/report.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/topo/builder.hpp"
 #include "src/topo/parser.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
   });
   const double key_s =
       best_of(5, iters, [&] { (void)topo_key(*spec); });
-  const double hard_s = best_of(5, iters, [&] {
+  const double scenario_s = best_of(5, iters, [&] {
     Simulator sim(sc.seed);
-    Dumbbell net(sim, sc);
+    TopoNet net(sim, make_dumbbell_spec(sc));
     (void)net;
   });
   const double topo_s = best_of(5, iters, [&] {
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
               {
                   {"parse_n60", fmt(parse_s * 1e6, 1)},
                   {"fingerprint_n60", fmt(key_s * 1e6, 1)},
-                  {"build_hardcoded", fmt(hard_s * 1e6, 1)},
+                  {"build_scenario", fmt(scenario_s * 1e6, 1)},
                   {"build_toponet", fmt(topo_s * 1e6, 1)},
               });
   return 0;

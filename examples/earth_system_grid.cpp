@@ -10,10 +10,11 @@
 #include <vector>
 
 #include "src/app/bulk_source.hpp"
-#include "src/core/dumbbell.hpp"
 #include "src/core/report.hpp"
 #include "src/stats/binned_counter.hpp"
 #include "src/stats/fairness.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -35,10 +36,10 @@ GridResult run_grid(Transport transport) {
   sc.duration = 30.0;
 
   Simulator sim(42);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
 
   BinnedCounter bins(sc.rtt_prop(), sc.warmup);
-  net.bottleneck_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
+  net.measured_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
     if (p.type == PacketType::kData) bins.record(sim.now());
   });
 
@@ -61,7 +62,7 @@ GridResult run_grid(Transport transport) {
   }
   out.bulk_goodput_pps = bulk_total / sc.duration;
   out.fairness = jain_fairness(bulk_delivered);
-  out.interactive_loss = 100.0 * net.bottleneck_queue().stats().loss_fraction();
+  out.interactive_loss = 100.0 * net.measured_queue().stats().loss_fraction();
   out.cov = bins.stats_until(sc.duration).cov();
   for (int i = 0; i < 32; ++i) out.timeouts += net.tcp_sender(i)->stats().timeouts;
   return out;

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   base.num_clients = argc > 1 ? std::atoi(argv[1]) : 40;
   base.duration = 60.0;  // 3x the paper's run, for tighter c.o.v. estimates
 
-  std::cout << "Dumbbell: " << base.num_clients << " Poisson clients ("
+  std::cout << "Paper dumbbell: " << base.num_clients << " Poisson clients ("
             << 1.0 / base.mean_interarrival << " pkt/s each) -> gateway -> "
             << base.bottleneck_bw_bps / 1e6 << " Mbps bottleneck ("
             << fmt(base.bottleneck_pps(), 1) << " pkt/s, saturates at N="

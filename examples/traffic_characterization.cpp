@@ -11,12 +11,13 @@
 #include <memory>
 
 #include "src/app/pareto_on_off_source.hpp"
-#include "src/core/dumbbell.hpp"
 #include "src/core/report.hpp"
 #include "src/stats/binned_counter.hpp"
 #include "src/stats/correlation.hpp"
 #include "src/stats/hurst.hpp"
 #include "src/stats/time_series.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -37,9 +38,9 @@ Characterization characterize(Transport transport, bool heavy_tailed) {
   sc.duration = 120.0;
 
   Simulator sim(7);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   BinnedCounter bins(sc.rtt_prop(), sc.warmup);
-  net.bottleneck_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
+  net.measured_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
     if (p.type == PacketType::kData) bins.record(sim.now());
   });
 

@@ -16,6 +16,7 @@
 namespace burst {
 
 class FlightRecorder;
+struct TopoSpec;
 
 struct ExperimentOptions {
   /// Client indices whose congestion windows should be traced.
@@ -24,7 +25,7 @@ struct ExperimentOptions {
   /// change). The figures sample in units of 0.1 s like the paper's x-axis.
   Time cwnd_sample_period = 0.0;
   /// Structured event-trace sink. When non-null, every tap point in the
-  /// dumbbell (queue, bottleneck link, TCP sinks, sources, transport
+  /// topology (queue, measured link, TCP sinks, sources, transport
   /// transitions, drop clustering) emits into it; the simulation itself is
   /// bit-identical either way (no extra events, no RNG draws) — the
   /// result-identity pins and the differential test enforce this.
@@ -155,7 +156,20 @@ struct ExperimentResult {
   std::vector<LpWindowPhase> lp_windows;
 };
 
-/// Builds the dumbbell, runs for scenario.duration and collects metrics.
+/// Builds @p spec (sequentially, or sharded across options.lp_shards
+/// LPs when the partitioner can cut it), runs for spec.scenario.duration
+/// and collects metrics, with the spec's measured link standing in for
+/// the gateway bottleneck. The one run body behind every entry point.
+///
+/// Naming rule: a spec that is canonically the paper dumbbell
+/// (is_canonical_dumbbell) reports under its historical trace-site and
+/// metric names (`queue:gateway`, `queue.gateway.*`, `link.bottleneck.*`)
+/// at every shard count; any other graph uses `queue:measured`,
+/// `queue.measured.*` and `link.measured.*`.
+ExperimentResult run_experiment(const TopoSpec& spec,
+                                const ExperimentOptions& options = {});
+
+/// The paper dumbbell for @p scenario: run_experiment(make_dumbbell_spec).
 ExperimentResult run_experiment(const Scenario& scenario,
                                 const ExperimentOptions& options = {});
 

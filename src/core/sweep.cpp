@@ -1,11 +1,5 @@
 #include "src/core/sweep.hpp"
 
-#include <algorithm>
-#include <thread>
-
-#include "src/run/executor.hpp"
-#include "src/run/scenario_key.hpp"
-
 namespace burst {
 
 std::vector<SweepConfig> paper_protocol_set(bool include_udp) {
@@ -28,46 +22,6 @@ std::vector<SweepConfig> paper_protocol_set(bool include_udp) {
                        s.delayed_ack = true;
                      }});
   return configs;
-}
-
-std::vector<SweepSeries> sweep_clients(
-    const Scenario& base, const std::vector<int>& client_counts,
-    const std::vector<SweepConfig>& configs) {
-  // Materialize the full task list, then run it on a small thread pool.
-  struct Task {
-    std::size_t series;
-    std::size_t point;
-    Scenario scenario;
-  };
-  std::vector<SweepSeries> out(configs.size());
-  std::vector<Task> tasks;
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    out[c].name = configs[c].name;
-    out[c].points.resize(client_counts.size());
-    for (std::size_t p = 0; p < client_counts.size(); ++p) {
-      Scenario sc = base;
-      sc.num_clients = client_counts[p];
-      configs[c].apply(sc);
-      // Decorrelate per-point seeds with a splitmix64 mix keyed on the
-      // config *name* and client *count* (not loop indices), so the same
-      // scenario gets the same seed in every sweep and in the campaign
-      // runner's cached path.
-      sc.seed = derive_seed(base.seed, configs[c].name, client_counts[p]);
-      out[c].points[p].num_clients = client_counts[p];
-      tasks.push_back(Task{c, p, sc});
-    }
-  }
-
-  if (tasks.empty()) return out;
-  // No point spinning up more workers than tasks.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  Executor executor(
-      static_cast<unsigned>(std::min<std::size_t>(hw, tasks.size())));
-  executor.run(tasks.size(), [&](std::size_t i) {
-    const Task& t = tasks[i];
-    out[t.series].points[t.point].result = run_experiment(t.scenario);
-  });
-  return out;
 }
 
 std::vector<int> range(int lo, int hi, int step) {

@@ -1,6 +1,7 @@
-// Client-count sweeps over protocol/queue configurations: the engine
-// behind Figures 2, 3, 4 and 13, which all plot a metric against the
-// number of clients for each transport variant.
+// Client-count sweeps over protocol/queue configurations: the shape of
+// Figures 2, 3, 4 and 13, which all plot a metric against the number of
+// clients for each transport variant. run_campaign (src/run/campaign.hpp)
+// runs them.
 #pragma once
 
 #include <functional>
@@ -31,12 +32,6 @@ struct SweepSeries {
   std::string name;
   std::vector<SweepPoint> points;
 };
-
-/// Runs @p base over every n in @p client_counts for every config. Runs
-/// are independent and executed in parallel across hardware threads.
-std::vector<SweepSeries> sweep_clients(const Scenario& base,
-                                       const std::vector<int>& client_counts,
-                                       const std::vector<SweepConfig>& configs);
 
 /// Convenience: inclusive integer range with stride.
 std::vector<int> range(int lo, int hi, int step = 1);

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/core/report.hpp"
 #include "src/run/result_store.hpp"
@@ -22,13 +23,6 @@
 
 namespace burst {
 namespace {
-
-struct PlannedPoint {
-  std::size_t sweep = 0;
-  std::size_t config = 0;
-  std::size_t point = 0;
-  std::size_t unique_index = 0;  // into the deduplicated task list
-};
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -48,72 +42,63 @@ std::uint64_t campaign_point_seed(const Scenario& base,
   return derive_seed(base.seed, config_name, num_clients);
 }
 
-CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
-                            const CampaignOptions& opts) {
-  const auto t0 = std::chrono::steady_clock::now();
-  CampaignOutput out;
-
+ExperimentOptions campaign_run_options(const CampaignOptions& opts) {
   // Every point of a parallel campaign runs (and is keyed) with the same
   // shard count; the salted key keeps lp>1 results out of sequential
   // caches and vice versa.
   ExperimentOptions eopts;
   eopts.lp_shards = opts.lp_shards;
+  return eopts;
+}
 
-  // ---- Plan: expand every sweep and dedup identical scenarios. --------
-  std::vector<PlannedPoint> plan;
-  std::vector<Scenario> unique_scenarios;
-  std::vector<ScenarioKey> unique_keys;
+std::vector<ExperimentResult> run_campaign_points(
+    const std::vector<CampaignPoint>& points, const CampaignOptions& opts,
+    CampaignStats* stats) {
+  CampaignStats& st = *stats;
+  const ExperimentOptions eopts = campaign_run_options(opts);
+
+  // ---- Dedup: one simulation per key, represented by its first point. --
+  std::vector<std::size_t> unique_points;
+  std::vector<std::size_t> point_to_unique(points.size());
   std::unordered_map<ScenarioKey, std::size_t, ScenarioKeyHash> by_key;
-  for (std::size_t s = 0; s < sweeps.size(); ++s) {
-    const CampaignSweep& sweep = sweeps[s];
-    for (std::size_t c = 0; c < sweep.configs.size(); ++c) {
-      for (std::size_t p = 0; p < sweep.client_counts.size(); ++p) {
-        Scenario sc = sweep.base;
-        sc.num_clients = sweep.client_counts[p];
-        sweep.configs[c].apply(sc);
-        sc.seed = campaign_point_seed(sweep.base, sweep.configs[c].name,
-                                      sweep.client_counts[p]);
-        const ScenarioKey key = scenario_key(sc, eopts);
-        const auto [it, inserted] = by_key.emplace(key, unique_scenarios.size());
-        if (inserted) {
-          unique_scenarios.push_back(sc);
-          unique_keys.push_back(key);
-        }
-        plan.push_back(PlannedPoint{s, c, p, it->second});
-      }
-    }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto [it, inserted] =
+        by_key.emplace(points[i].key, unique_points.size());
+    if (inserted) unique_points.push_back(i);
+    point_to_unique[i] = it->second;
   }
-  out.stats.planned = plan.size();
-  out.stats.unique = unique_scenarios.size();
+  st.planned = points.size();
+  st.unique = unique_points.size();
+  const auto spec_of = [&](std::size_t u) -> const TopoSpec& {
+    return points[unique_points[u]].spec;
+  };
+  const auto key_of = [&](std::size_t u) -> const ScenarioKey& {
+    return points[unique_points[u]].key;
+  };
 
   // ---- Probe the cache. -----------------------------------------------
   std::unique_ptr<ResultStore> store;
   if (opts.use_cache && !opts.cache_dir.empty()) {
     store = std::make_unique<ResultStore>(opts.cache_dir);
-    out.stats.store_skipped = store->skipped_entries();
+    st.store_skipped = store->skipped_entries();
   }
-  std::vector<ExperimentResult> results(unique_scenarios.size());
+  std::vector<ExperimentResult> results(unique_points.size());
   std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < unique_scenarios.size(); ++i) {
-    bool hit = false;
+  for (std::size_t u = 0; u < unique_points.size(); ++u) {
     if (store) {
-      if (auto cached = store->get(unique_keys[i])) {
-        results[i] = std::move(*cached);
-        results[i].scenario = unique_scenarios[i];
-        hit = true;
+      if (auto cached = store->get(key_of(u))) {
+        results[u] = std::move(*cached);
+        results[u].scenario = spec_of(u).scenario;
+        ++st.cache_hits;
+        continue;
       }
     }
-    if (hit) {
-      ++out.stats.cache_hits;
-    } else {
-      misses.push_back(i);
-    }
+    misses.push_back(u);
   }
   if (opts.log) {
-    *opts.log << "campaign: " << out.stats.planned << " points, "
-              << out.stats.unique << " unique scenarios, "
-              << out.stats.cache_hits << " cache hits, " << misses.size()
-              << " to simulate" << std::endl;
+    *opts.log << "campaign: " << st.planned << " points, " << st.unique
+              << " unique scenarios, " << st.cache_hits << " cache hits, "
+              << misses.size() << " to simulate" << std::endl;
   }
 
   // ---- Simulate the misses. -------------------------------------------
@@ -157,12 +142,12 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
       if (opts.profile) {
         Profiler prof;
         Profiler* prev = Profiler::install(&prof);
-        results[ui] = run_experiment(unique_scenarios[ui], eopts);
+        results[ui] = run_experiment(spec_of(ui), eopts);
         Profiler::install(prev);
         std::lock_guard<std::mutex> lk(profile_mu);
         profile_total.absorb(prof);
       } else {
-        results[ui] = run_experiment(unique_scenarios[ui], eopts);
+        results[ui] = run_experiment(spec_of(ui), eopts);
       }
       if (!results[ui].lp_phases.empty()) {
         std::lock_guard<std::mutex> lk(profile_mu);
@@ -204,16 +189,16 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
             // the campaign farm) simulates each point; the rest wait for
             // its published result instead of duplicating the work.
             for (bool settled = false; !settled;) {
-              switch (store->try_claim(unique_keys[ui])) {
+              switch (store->try_claim(key_of(ui))) {
                 case ClaimStatus::kAcquired:
                   simulate_point(ui);
-                  store->publish(unique_keys[ui], results[ui]);
+                  store->publish(key_of(ui), results[ui]);
                   settled = true;
                   break;
                 case ClaimStatus::kDone:
-                  if (auto cached = store->get(unique_keys[ui])) {
+                  if (auto cached = store->get(key_of(ui))) {
                     results[ui] = std::move(*cached);
-                    results[ui].scenario = unique_scenarios[ui];
+                    results[ui].scenario = spec_of(ui).scenario;
                     farmed.fetch_add(1, std::memory_order_relaxed);
                   } else {
                     // Entry vanished between claim check and get (should
@@ -234,7 +219,7 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
         },
         opts.log ? progress : std::function<void(const ExecutorProgress&)>{});
     for (std::size_t ph = 0; ph < kProfilePhases; ++ph) {
-      out.stats.phase_seconds[ph] =
+      st.phase_seconds[ph] =
           profile_total.seconds(static_cast<ProfilePhase>(ph));
     }
     for (std::size_t lp = 0; lp < lp_totals.size(); ++lp) {
@@ -243,46 +228,45 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
             static_cast<double>(lp_scenarios[lp]);
       }
     }
-    out.stats.lp_phases = std::move(lp_totals);
-    out.stats.simulated = simulated.load();
-    out.stats.farmed_out = farmed.load();
-    if (opts.log && out.stats.farmed_out > 0) {
-      *opts.log << "campaign: " << out.stats.farmed_out
+    st.lp_phases = std::move(lp_totals);
+    st.simulated = simulated.load();
+    st.farmed_out = farmed.load();
+    if (opts.log && st.farmed_out > 0) {
+      *opts.log << "campaign: " << st.farmed_out
                 << " points simulated by other workers sharing "
                 << store->dir() << std::endl;
     }
     // Aggregate the scheduler perf counters over what was actually run
     // (cache hits carry no fresh wall-clock data).
     for (const std::size_t ui : misses) {
-      out.stats.sim_events += results[ui].sim_events;
-      out.stats.peak_pending_max =
-          std::max(out.stats.peak_pending_max, results[ui].peak_pending);
-      out.stats.sim_wall_s += results[ui].sim_wall_s;
+      st.sim_events += results[ui].sim_events;
+      st.peak_pending_max =
+          std::max(st.peak_pending_max, results[ui].peak_pending);
+      st.sim_wall_s += results[ui].sim_wall_s;
     }
-    if (out.stats.sim_wall_s > 0.0) {
-      out.stats.events_per_sec =
-          static_cast<double>(out.stats.sim_events) / out.stats.sim_wall_s;
+    if (st.sim_wall_s > 0.0) {
+      st.events_per_sec = static_cast<double>(st.sim_events) / st.sim_wall_s;
     }
-    if (opts.log && out.stats.sim_events > 0) {
-      *opts.log << "campaign: " << out.stats.sim_events << " events, peak heap "
-                << out.stats.peak_pending_max << ", "
-                << fmt(out.stats.events_per_sec / 1e6, 2) << " M events/s"
+    if (opts.log && st.sim_events > 0) {
+      *opts.log << "campaign: " << st.sim_events << " events, peak heap "
+                << st.peak_pending_max << ", "
+                << fmt(st.events_per_sec / 1e6, 2) << " M events/s"
                 << std::endl;
     }
     if (opts.log && opts.profile) {
       double total = 0.0;
-      for (const double s : out.stats.phase_seconds) total += s;
+      for (const double s : st.phase_seconds) total += s;
       *opts.log << "campaign: profile";
       for (std::size_t ph = 0; ph < kProfilePhases; ++ph) {
-        const double s = out.stats.phase_seconds[ph];
+        const double s = st.phase_seconds[ph];
         *opts.log << (ph ? ", " : ": ") << to_string(static_cast<ProfilePhase>(ph))
                   << " " << fmt(s, 2) << " s ("
                   << fmt(total > 0.0 ? 100.0 * s / total : 0.0, 1) << "%)";
       }
       *opts.log << std::endl;
     }
-    if (opts.log && !out.stats.lp_phases.empty()) {
-      for (const LpPhase& p : out.stats.lp_phases) {
+    if (opts.log && !st.lp_phases.empty()) {
+      for (const LpPhase& p : st.lp_phases) {
         *opts.log << "campaign: lp " << p.lp << ": " << p.events
                   << " events, " << p.msgs_in << "/" << p.msgs_out
                   << " msgs in/out, run " << fmt(p.run_s, 2)
@@ -292,22 +276,48 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
     }
   }
 
-  // ---- Assemble per-sweep series. -------------------------------------
+  std::vector<ExperimentResult> per_point(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    per_point[i] = results[point_to_unique[i]];
+  }
+  return per_point;
+}
+
+CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
+                            const CampaignOptions& opts) {
+  const auto t0 = std::chrono::steady_clock::now();
+  CampaignOutput out;
+  const ExperimentOptions eopts = campaign_run_options(opts);
+
+  // ---- Plan: one dumbbell point per (sweep, config, client count). ----
+  std::vector<CampaignPoint> points;
+  for (const CampaignSweep& sweep : sweeps) {
+    for (const SweepConfig& config : sweep.configs) {
+      for (const int n : sweep.client_counts) {
+        Scenario sc = sweep.base;
+        sc.num_clients = n;
+        config.apply(sc);
+        sc.seed = campaign_point_seed(sweep.base, config.name, n);
+        const ScenarioKey key = scenario_key(sc, eopts);
+        points.push_back({make_dumbbell_spec(sc), key});
+      }
+    }
+  }
+  const std::vector<ExperimentResult> results =
+      run_campaign_points(points, opts, &out.stats);
+
+  // ---- Assemble per-sweep series, in planning order. -------------------
+  std::size_t next = 0;
   out.sweeps.reserve(sweeps.size());
   for (const CampaignSweep& sweep : sweeps) {
     std::vector<SweepSeries> series(sweep.configs.size());
     for (std::size_t c = 0; c < sweep.configs.size(); ++c) {
       series[c].name = sweep.configs[c].name;
-      series[c].points.resize(sweep.client_counts.size());
-      for (std::size_t p = 0; p < sweep.client_counts.size(); ++p) {
-        series[c].points[p].num_clients = sweep.client_counts[p];
+      for (const int n : sweep.client_counts) {
+        series[c].points.push_back({n, results[next++]});
       }
     }
     out.sweeps.emplace_back(sweep.name, std::move(series));
-  }
-  for (const PlannedPoint& pt : plan) {
-    out.sweeps[pt.sweep].second[pt.config].points[pt.point].result =
-        results[pt.unique_index];
   }
   out.stats.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -315,6 +325,15 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
 
   // ---- Artifacts. ------------------------------------------------------
   if (!opts.artifact_dir.empty()) {
+    // The first point of every key, in planning order: one row (and one
+    // metrics total) per unique scenario.
+    std::vector<std::size_t> unique;
+    {
+      std::unordered_set<ScenarioKey, ScenarioKeyHash> seen;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (seen.insert(points[i].key).second) unique.push_back(i);
+      }
+    }
     std::error_code ec;
     std::filesystem::create_directories(opts.artifact_dir, ec);
     if (ec) {
@@ -339,8 +358,8 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
       // campaigns still produce a rectangular CSV.
       {
         std::map<std::string, MetricKind> columns;
-        for (const ExperimentResult& r : results) {
-          for (const MetricPoint& m : r.metrics.points) {
+        for (const std::size_t i : unique) {
+          for (const MetricPoint& m : results[i].metrics.points) {
             columns.emplace(m.name, m.kind);
           }
         }
@@ -361,9 +380,9 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
         }
         mcsv << '\n';
         mcsv.precision(17);
-        for (std::size_t i = 0; i < results.size(); ++i) {
+        for (const std::size_t i : unique) {
           const ExperimentResult& r = results[i];
-          mcsv << unique_keys[i].hex() << ',' << r.scenario.num_clients << ','
+          mcsv << points[i].key.hex() << ',' << r.scenario.num_clients << ','
                << r.scenario.seed << ',' << hw_threads << ','
                << opts.lp_shards;
           for (const auto& [name, kind] : columns) {
@@ -402,7 +421,9 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
          << ",\n"
          << "  \"wall_s\": " << out.stats.wall_s << ",\n"
          << "  \"cache_dir\": \"" << json_escape(opts.cache_dir) << "\",\n"
-         << "  \"cache_enabled\": " << (store ? "true" : "false") << ",\n"
+         << "  \"cache_enabled\": "
+         << (opts.use_cache && !opts.cache_dir.empty() ? "true" : "false")
+         << ",\n"
          << "  \"stats\": {\"planned\": " << out.stats.planned
          << ", \"unique\": " << out.stats.unique
          << ", \"cache_hits\": " << out.stats.cache_hits
@@ -443,8 +464,8 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
       // hits included — the store round-trips the snapshot).
       {
         std::map<std::string, std::uint64_t> totals;
-        for (const ExperimentResult& r : results) {
-          for (const MetricPoint& m : r.metrics.points) {
+        for (const std::size_t i : unique) {
+          for (const MetricPoint& m : results[i].metrics.points) {
             if (m.kind == MetricKind::kCounter) {
               totals[m.name] += static_cast<std::uint64_t>(m.value);
             }
@@ -495,6 +516,39 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
   return out;
 }
 
+double (*campaign_metric(const std::string& name))(const ExperimentResult&) {
+  using R = const ExperimentResult&;
+  if (name == "cov") return +[](R r) { return r.cov; };
+  if (name == "poisson_cov") return +[](R r) { return r.poisson_cov; };
+  if (name == "mean_per_bin") return +[](R r) { return r.mean_per_bin; };
+  if (name == "loss_pct") return +[](R r) { return r.loss_pct; };
+  if (name == "delivered") {
+    return +[](R r) { return static_cast<double>(r.delivered); };
+  }
+  if (name == "gw_arrivals") {
+    return +[](R r) { return static_cast<double>(r.gw_arrivals); };
+  }
+  if (name == "gw_drops") {
+    return +[](R r) { return static_cast<double>(r.gw_drops); };
+  }
+  if (name == "timeouts") {
+    return +[](R r) { return static_cast<double>(r.timeouts); };
+  }
+  if (name == "fast_retransmits") {
+    return +[](R r) { return static_cast<double>(r.fast_retransmits); };
+  }
+  if (name == "retransmits") {
+    return +[](R r) { return static_cast<double>(r.retransmits); };
+  }
+  if (name == "timeout_dupack_ratio") {
+    return +[](R r) { return r.timeout_dupack_ratio; };
+  }
+  if (name == "fairness") return +[](R r) { return r.fairness; };
+  if (name == "mean_delay") return +[](R r) { return r.delay.mean(); };
+  if (name == "max_delay") return +[](R r) { return r.delay.max(); };
+  return nullptr;
+}
+
 std::vector<CampaignSweep> paper_figure_campaign(const Scenario& base) {
   // The bench harnesses' client grids (bench/common.cpp mirrors these).
   std::vector<int> fig2 = range(4, 36, 4);
@@ -503,21 +557,15 @@ std::vector<CampaignSweep> paper_figure_campaign(const Scenario& base) {
 
   std::vector<CampaignSweep> sweeps;
   sweeps.push_back({"fig02_cov", "c.o.v. of per-RTT gateway arrivals", base,
-                    fig2, paper_protocol_set(true),
-                    [](const ExperimentResult& r) { return r.cov; }});
+                    fig2, paper_protocol_set(true), campaign_metric("cov")});
   sweeps.push_back({"fig03_throughput", "packets successfully transmitted",
                     base, fig34, paper_protocol_set(false),
-                    [](const ExperimentResult& r) {
-                      return static_cast<double>(r.delivered);
-                    }});
+                    campaign_metric("delivered")});
   sweeps.push_back({"fig04_loss", "packet loss percentage", base, fig34,
-                    paper_protocol_set(false),
-                    [](const ExperimentResult& r) { return r.loss_pct; }});
+                    paper_protocol_set(false), campaign_metric("loss_pct")});
   sweeps.push_back({"fig13_timeout_dupack", "timeouts / duplicate ACKs", base,
                     fig34, paper_protocol_set(false),
-                    [](const ExperimentResult& r) {
-                      return r.timeout_dupack_ratio;
-                    }});
+                    campaign_metric("timeout_dupack_ratio")});
   return sweeps;
 }
 

@@ -1,14 +1,17 @@
-// Campaigns: declarative batches of client-count sweeps that run once
-// per *unique* scenario instead of once per figure.
+// Campaigns: batches of keyed topology points that run once per *unique*
+// scenario instead of once per figure.
 //
-// A campaign is planned as the union of (sweep × config × client-count)
-// points; identical scenarios (same fingerprint, see scenario_key.hpp)
-// are deduplicated across sweeps, looked up in an optional on-disk
-// ResultStore, and only the misses are simulated — through the shared
-// Executor, with per-point seeds derived from values (not loop indices)
-// so the cached and uncached paths are bit-identical. Artifacts are a
-// per-sweep CSV plus a manifest.json recording seeds, cache hit/miss
-// counts, wall time and the build version.
+// One engine (run_campaign_points) serves both front ends: the figure
+// sweeps below (base scenario × configs × client counts, the paper's
+// Figs 2/3/4/13) and `.camp` files (src/topo/campaign.hpp). It
+// deduplicates points by fingerprint (scenario_key.hpp), looks them up in
+// an optional on-disk ResultStore, and simulates only the misses —
+// through the shared Executor, under the store's claim protocol so worker
+// processes sharing a cache split the work. Per-point seeds are derived
+// from values (not loop indices), so the cached and uncached paths are
+// bit-identical. The figure front end writes a per-sweep CSV plus a
+// manifest.json recording seeds, cache hit/miss counts, wall time and the
+// build version.
 #pragma once
 
 #include <array>
@@ -20,6 +23,7 @@
 #include "src/core/sweep.hpp"
 #include "src/obs/profile.hpp"
 #include "src/run/executor.hpp"
+#include "src/topo/spec.hpp"
 
 namespace burst {
 
@@ -35,7 +39,8 @@ struct CampaignSweep {
 };
 
 struct CampaignOptions {
-  /// Directory holding the ResultStore shard; empty disables caching.
+  /// Directory holding the ResultStore; empty disables caching and
+  /// cross-worker claim coordination.
   std::string cache_dir;
   /// --no-cache: when false, the store is neither read nor written.
   bool use_cache = true;
@@ -61,8 +66,8 @@ struct CampaignOptions {
 };
 
 struct CampaignStats {
-  std::size_t planned = 0;     // sweep × config × count points
-  std::size_t unique = 0;      // after cross-sweep dedup
+  std::size_t planned = 0;     // points planned (sweep × config × count)
+  std::size_t unique = 0;      // after dedup by key
   std::size_t cache_hits = 0;  // unique scenarios served from the store
   std::size_t simulated = 0;   // unique scenarios actually run HERE
   std::size_t farmed_out = 0;  // misses another worker simulated for us
@@ -87,21 +92,51 @@ struct CampaignStats {
 };
 
 struct CampaignOutput {
-  /// Per-sweep results, in input order, in sweep_clients's shape.
+  /// Per-sweep results, in input order: one series per config, one point
+  /// per client count.
   std::vector<std::pair<std::string, std::vector<SweepSeries>>> sweeps;
   CampaignStats stats;
 };
 
-/// Plans, runs and (optionally) persists a campaign. Blocking.
+/// One simulation a campaign plans: the topology to run and the key its
+/// result is stored under. Points with equal keys are run once.
+struct CampaignPoint {
+  TopoSpec spec;
+  ScenarioKey key;
+};
+
+/// The options every point of a campaign runs with — and must be keyed
+/// with (topo_key / scenario_key), so lp>1 results never share entries
+/// with sequential ones.
+ExperimentOptions campaign_run_options(const CampaignOptions& opts);
+
+/// The campaign engine: dedups @p points by key, serves what it can from
+/// the store, simulates the misses on the executor (claim-aware when a
+/// cache is in use) and fills every @p stats field except wall_s — the
+/// point/hit/simulated counts, perf totals, profile and LP totals — while
+/// logging progress to opts.log. Returns one result per point, in input
+/// order, each carrying its point's Scenario. Blocking.
+std::vector<ExperimentResult> run_campaign_points(
+    const std::vector<CampaignPoint>& points, const CampaignOptions& opts,
+    CampaignStats* stats);
+
+/// Plans @p sweeps as dumbbell points, runs them through
+/// run_campaign_points and (optionally) writes the artifacts. Blocking.
 CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
                             const CampaignOptions& opts = {});
+
+/// Looks up a scalar ExperimentResult metric by name (cov, poisson_cov,
+/// loss_pct, delivered, timeouts, fairness, mean_delay, ...): the `.camp`
+/// `metric` statement and the paper figure set share this table. Returns
+/// nullptr for unknown names.
+double (*campaign_metric(const std::string& name))(const ExperimentResult&);
 
 /// The full paper figure set (Figs 2, 3, 4, 13) over @p base. Figures 3,
 /// 4 and 13 share every simulation (same scenarios, different metric
 /// column), so the campaign runs ~half the naive task count.
 std::vector<CampaignSweep> paper_figure_campaign(const Scenario& base);
 
-/// The seed a campaign (and sweep_clients) assigns to one point.
+/// The seed a figure campaign assigns to one point.
 std::uint64_t campaign_point_seed(const Scenario& base,
                                   const std::string& config_name,
                                   int num_clients);

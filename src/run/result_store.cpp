@@ -477,10 +477,6 @@ std::string ResultStore::segment_path(const ScenarioKey& key) const {
   return segment_path(segment_of(key));
 }
 
-std::string ResultStore::legacy_shard_path() const {
-  return dir_ + "/results.jsonl";
-}
-
 std::string ResultStore::claim_path(const ScenarioKey& key) const {
   return dir_ + "/claims/" + key.hex() + ".claim";
 }
@@ -493,7 +489,6 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
               << " (cache disabled for reads)\n";
     return;
   }
-  load_legacy();
   for (int seg = 0; seg < kNumSegments; ++seg) {
     refresh_segment(seg, /*keep_dirty=*/false);
   }
@@ -507,33 +502,6 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
 ResultStore::~ResultStore() {
   std::lock_guard<std::mutex> lk(mu_);
   if (!dirty_keys_.empty()) flush_locked();
-}
-
-void ResultStore::load_legacy() {
-  std::ifstream in(legacy_shard_path());
-  if (!in) return;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ScenarioKey key;
-    std::uint64_t schema = 0;
-    std::string payload;
-    if (!parse_envelope(line, &key, &schema, &payload)) {
-      ++skipped_;
-      continue;
-    }
-    // A wrong-schema entry is not corruption, but it is unusable: skip.
-    if (schema != kResultSchemaVersion) {
-      ++skipped_;
-      continue;
-    }
-    ExperimentResult parsed;
-    if (!result_from_json(payload, &parsed)) {
-      ++skipped_;
-      continue;
-    }
-    entries_[key] = std::move(payload);
-  }
 }
 
 void ResultStore::refresh_segment(int seg, bool keep_dirty) {

@@ -3,9 +3,8 @@
 //
 // Layout: 16 JSON-lines segments per store directory, `shard-<x>.jsonl`
 // with x = the first hex digit of the key (key.hi >> 60), each line
-// `{"key":"<32 hex>","schema":N,"result":{...}}`. A pre-sharding
-// `results.jsonl` is still read (last-wins, read-only) so old caches keep
-// working. Segments are APPEND-ONLY under an advisory exclusive flock;
+// `{"key":"<32 hex>","schema":N,"result":{...}}`. Segments are
+// APPEND-ONLY under an advisory exclusive flock;
 // loading takes a shared flock and tolerates a torn final line (the next
 // writer heals it by prefixing a newline), so a crashed writer can never
 // poison the cache. Corrupt or wrong-schema lines are counted and
@@ -110,12 +109,9 @@ class ResultStore {
   /// `dir/shard-<x>.jsonl` for @p key's segment.
   std::string segment_path(const ScenarioKey& key) const;
   std::string segment_path(int segment) const;
-  /// The pre-sharding single-shard path (read-only compatibility).
-  std::string legacy_shard_path() const;
   std::string claim_path(const ScenarioKey& key) const;
 
  private:
-  void load_legacy();
   /// Reads segment @p seg from its saved offset under a shared flock.
   /// @p keep_dirty: don't let absorbed lines overwrite unflushed puts.
   void refresh_segment(int seg, bool keep_dirty);

@@ -31,8 +31,8 @@ std::unique_ptr<Queue> make_port_queue(const TopoLinkSpec& l,
       red.max_p = q.red_max_p;
       red.weight = q.red_weight;
       red.capacity = q.capacity;
-      // Averaging clock follows THIS link's rate (the hard-coded Tandem
-      // already did this per hop; for the dumbbell it equals the
+      // Averaging clock follows THIS link's rate (the hard-coded parking
+      // lot already did this per hop; for the dumbbell it equals the
       // bottleneck rate, preserving identity).
       red.mean_pkt_tx_time = transmission_time(sc.wire_bytes(), l.rate_bps);
       red.ecn = q.red_ecn;

@@ -1,9 +1,10 @@
 // TopoNet: builds the live Node/SimplexLink/queue graph described by a
-// TopoSpec. This is the generalized back end of the hard-coded Dumbbell
-// and Tandem classes, which now delegate to it.
+// TopoSpec. Every topology — the paper dumbbell (make_dumbbell_spec), the
+// parking lot (make_tandem_spec) and any parsed `.topo` file — is built
+// here.
 //
-// Determinism contract (what makes a TopoNet-built dumbbell bit-identical
-// to the historical hard-coded one):
+// Determinism contract (what keeps a TopoNet-built dumbbell bit-identical
+// to the historical hard-coded one the identity pins were taken on):
 //   * Nodes are created in id order 0..total_nodes()-1.
 //   * Link statements expand in declaration order; a group endpoint
 //     expands member-by-member within the statement.
@@ -36,8 +37,8 @@
 
 namespace burst {
 
-/// Trace-site labels used by TopoNet::attach_trace. The Dumbbell wrapper
-/// passes its historical names so trace files stay stable.
+/// Trace-site labels used by TopoNet::attach_trace. run_experiment passes
+/// the paper dumbbell's historical names so its trace files stay stable.
 struct TopoTraceNames {
   const char* queue_site = "queue:measured";
   const char* link_site = "link:measured";

@@ -1,19 +1,9 @@
 #include "src/topo/campaign.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <sstream>
-#include <thread>
-#include <unordered_map>
-
-#include "src/run/executor.hpp"
-#include "src/run/result_store.hpp"
-#include "src/topo/runner.hpp"
 
 namespace burst {
 namespace {
@@ -85,7 +75,7 @@ bool parse_camp(const std::string& text, const std::string& default_name,
       if (tok.size() != 2) {
         return camp_fail(err, lineno, tok[0].col, "expected: metric NAME");
       }
-      if (!topo_campaign_metric(tok[1].text)) {
+      if (!campaign_metric(tok[1].text)) {
         return camp_fail(err, lineno, tok[1].col,
                          "unknown metric '" + tok[1].text + "'");
       }
@@ -135,50 +125,18 @@ bool load_camp_file(const std::string& path, TopoCampaignSpec* out,
                     out, err);
 }
 
-double (*topo_campaign_metric(const std::string& name))(
-    const ExperimentResult&) {
-  using R = const ExperimentResult&;
-  if (name == "cov") return +[](R r) { return r.cov; };
-  if (name == "poisson_cov") return +[](R r) { return r.poisson_cov; };
-  if (name == "mean_per_bin") return +[](R r) { return r.mean_per_bin; };
-  if (name == "loss_pct") return +[](R r) { return r.loss_pct; };
-  if (name == "delivered") {
-    return +[](R r) { return static_cast<double>(r.delivered); };
-  }
-  if (name == "gw_arrivals") {
-    return +[](R r) { return static_cast<double>(r.gw_arrivals); };
-  }
-  if (name == "gw_drops") {
-    return +[](R r) { return static_cast<double>(r.gw_drops); };
-  }
-  if (name == "timeouts") {
-    return +[](R r) { return static_cast<double>(r.timeouts); };
-  }
-  if (name == "fast_retransmits") {
-    return +[](R r) { return static_cast<double>(r.fast_retransmits); };
-  }
-  if (name == "retransmits") {
-    return +[](R r) { return static_cast<double>(r.retransmits); };
-  }
-  if (name == "timeout_dupack_ratio") {
-    return +[](R r) { return r.timeout_dupack_ratio; };
-  }
-  if (name == "fairness") return +[](R r) { return r.fairness; };
-  if (name == "mean_delay") return +[](R r) { return r.delay.mean(); };
-  if (name == "max_delay") return +[](R r) { return r.delay.max(); };
-  return nullptr;
-}
-
 std::optional<TopoCampaignOutput> run_topo_campaign(
-    const TopoCampaignSpec& spec, const TopoCampaignOptions& opts,
+    const TopoCampaignSpec& spec, const CampaignOptions& opts,
     TopoError* err) {
+  const auto t0 = std::chrono::steady_clock::now();
   TopoCampaignOutput out;
   out.name = spec.name;
-  double (*metric)(const ExperimentResult&) = topo_campaign_metric(spec.metric);
+  double (*metric)(const ExperimentResult&) = campaign_metric(spec.metric);
   if (!metric) {
     camp_fail(err, 0, 0, "unknown metric '" + spec.metric + "'");
     return std::nullopt;
   }
+  const ExperimentOptions eopts = campaign_run_options(opts);
 
   // Does the campaign pin the seed itself? Then honor it verbatim.
   bool seed_fixed = false;
@@ -191,7 +149,7 @@ std::optional<TopoCampaignOutput> run_topo_campaign(
 
   // ---- Expand: files x cartesian sweep product; re-parse per point so
   // $field substitution sees each point's overrides. ---------------------
-  std::vector<TopoSpec> specs;
+  std::vector<CampaignPoint> points;
   for (const std::string& file : spec.scenario_files) {
     std::vector<std::size_t> idx(spec.sweeps.size(), 0);
     for (;;) {
@@ -220,9 +178,9 @@ std::optional<TopoCampaignOutput> run_topo_campaign(
       }
       pt.seed = parsed->scenario.seed;
       pt.num_clients = parsed->scenario.num_clients;
-      pt.key = topo_key(*parsed);
+      pt.key = topo_key(*parsed, eopts);
+      points.push_back({std::move(*parsed), pt.key});
       out.points.push_back(std::move(pt));
-      specs.push_back(std::move(*parsed));
 
       std::size_t a = 0;
       for (; a < idx.size(); ++a) {
@@ -232,95 +190,15 @@ std::optional<TopoCampaignOutput> run_topo_campaign(
       if (idx.empty() || a == idx.size()) break;
     }
   }
-  out.stats.planned = out.points.size();
 
-  // ---- Dedup identical fingerprints across points. ---------------------
-  std::vector<std::size_t> point_to_unique(out.points.size());
-  std::vector<std::size_t> unique_points;  // representative point index
-  std::unordered_map<ScenarioKey, std::size_t, ScenarioKeyHash> by_key;
+  std::vector<ExperimentResult> results =
+      run_campaign_points(points, opts, &out.stats);
   for (std::size_t i = 0; i < out.points.size(); ++i) {
-    const auto [it, inserted] =
-        by_key.emplace(out.points[i].key, unique_points.size());
-    if (inserted) unique_points.push_back(i);
-    point_to_unique[i] = it->second;
+    out.points[i].result = std::move(results[i]);
   }
-  out.stats.unique = unique_points.size();
-
-  // ---- Probe the store, then farm the misses. --------------------------
-  std::unique_ptr<ResultStore> store;
-  if (opts.use_cache && !opts.cache_dir.empty()) {
-    store = std::make_unique<ResultStore>(opts.cache_dir);
-    out.stats.store_skipped = store->skipped_entries();
-  }
-  std::vector<ExperimentResult> results(unique_points.size());
-  std::vector<std::size_t> misses;
-  for (std::size_t u = 0; u < unique_points.size(); ++u) {
-    const ScenarioKey& key = out.points[unique_points[u]].key;
-    if (store) {
-      if (auto cached = store->get(key)) {
-        results[u] = std::move(*cached);
-        results[u].scenario = specs[unique_points[u]].scenario;
-        ++out.stats.cache_hits;
-        continue;
-      }
-    }
-    misses.push_back(u);
-  }
-  if (opts.log) {
-    *opts.log << "campaign " << spec.name << ": " << out.stats.planned
-              << " points, " << out.stats.unique << " unique, "
-              << out.stats.cache_hits << " cache hits, " << misses.size()
-              << " to simulate" << std::endl;
-  }
-  if (!misses.empty()) {
-    unsigned threads = opts.threads;
-    if (threads == 0) {
-      threads = static_cast<unsigned>(std::min<std::size_t>(
-          std::max(1u, std::thread::hardware_concurrency()), misses.size()));
-    }
-    std::atomic<std::size_t> simulated{0};
-    std::atomic<std::size_t> farmed{0};
-    Executor executor(threads);
-    executor.run(misses.size(), [&](std::size_t i) {
-      const std::size_t u = misses[i];
-      const TopoSpec& ts = specs[unique_points[u]];
-      const ScenarioKey& key = out.points[unique_points[u]].key;
-      if (!store) {
-        results[u] = run_topo_experiment(ts);
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      for (bool settled = false; !settled;) {
-        switch (store->try_claim(key)) {
-          case ClaimStatus::kAcquired:
-            results[u] = run_topo_experiment(ts);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            store->publish(key, results[u]);
-            settled = true;
-            break;
-          case ClaimStatus::kDone:
-            if (auto cached = store->get(key)) {
-              results[u] = std::move(*cached);
-              results[u].scenario = ts.scenario;
-              farmed.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              results[u] = run_topo_experiment(ts);
-              simulated.fetch_add(1, std::memory_order_relaxed);
-            }
-            settled = true;
-            break;
-          case ClaimStatus::kBusy:
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            break;
-        }
-      }
-    });
-    out.stats.simulated = simulated.load();
-    out.stats.farmed_out = farmed.load();
-  }
-  for (std::size_t i = 0; i < out.points.size(); ++i) {
-    out.points[i].result = results[point_to_unique[i]];
-  }
+  out.stats.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 
   // ---- CSV artifact: one row per point, grouped-by-scenario friendly
   // (scripts/plot_figures.py splits series on the scenario column). ------

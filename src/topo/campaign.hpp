@@ -1,8 +1,8 @@
 // Scenario-file campaigns: a `.camp` spec sweeps fields over one or more
-// `.topo` topology files and farms the points through the shared
-// ResultStore claim protocol, so any number of worker processes can chew
-// on the same campaign concurrently with zero duplicated simulations and
-// crash-safe resume.
+// `.topo` topology files and runs the points through the shared campaign
+// engine (run_campaign_points), whose ResultStore claim protocol lets any
+// number of worker processes chew on the same campaign concurrently with
+// zero duplicated simulations and crash-safe resume.
 //
 // Grammar (one statement per line, `#` comments):
 //
@@ -21,13 +21,13 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/experiment.hpp"
+#include "src/run/campaign.hpp"
 #include "src/run/scenario_key.hpp"
 #include "src/topo/parser.hpp"
 
@@ -59,12 +59,6 @@ bool parse_camp(const std::string& text, const std::string& default_name,
 bool load_camp_file(const std::string& path, TopoCampaignSpec* out,
                     TopoError* err);
 
-/// Looks up a scalar ExperimentResult metric by `.camp` metric name
-/// (cov, poisson_cov, loss_pct, delivered, timeouts, fairness,
-/// mean_delay, ...). Returns nullptr for unknown names.
-double (*topo_campaign_metric(const std::string& name))(
-    const ExperimentResult&);
-
 struct TopoCampaignPoint {
   std::string scenario;  // topo file stem
   std::string label;     // "field=v field=v" sweep assignment, "" if none
@@ -75,39 +69,21 @@ struct TopoCampaignPoint {
   ExperimentResult result;
 };
 
-struct TopoCampaignOptions {
-  /// ResultStore directory shared by every worker; empty disables both
-  /// caching and cross-worker claim coordination.
-  std::string cache_dir;
-  bool use_cache = true;
-  unsigned threads = 0;  // 0 = hardware concurrency
-  /// Where `<name>.csv` goes; empty disables the artifact.
-  std::string artifact_dir;
-  std::ostream* log = nullptr;
-};
-
-struct TopoCampaignStats {
-  std::size_t planned = 0;
-  std::size_t unique = 0;
-  std::size_t cache_hits = 0;   // served from the store at probe time
-  std::size_t simulated = 0;    // run by THIS worker
-  std::size_t farmed_out = 0;   // run by a concurrent worker, absorbed
-  std::size_t store_skipped = 0;
-};
-
 struct TopoCampaignOutput {
   std::string name;
   std::vector<TopoCampaignPoint> points;
-  TopoCampaignStats stats;
+  CampaignStats stats;
   std::string csv_path;  // "" unless the artifact was written
 };
 
-/// Expands, validates, simulates (claim-aware when a cache_dir is set)
-/// and optionally persists a campaign. Returns nullopt and fills *err on
-/// any spec/topology error; the error's file context is already rendered
-/// into err->message where it concerns a scenario file.
+/// Expands and validates a campaign, runs its points through
+/// run_campaign_points (claim-aware when a cache_dir is set; keyed and run
+/// with opts.lp_shards, profiled with opts.profile) and optionally writes
+/// `<artifact_dir>/<name>.csv`. Returns nullopt and fills *err on any
+/// spec/topology error; the error's file context is already rendered into
+/// err->message where it concerns a scenario file.
 std::optional<TopoCampaignOutput> run_topo_campaign(
-    const TopoCampaignSpec& spec, const TopoCampaignOptions& opts,
+    const TopoCampaignSpec& spec, const CampaignOptions& opts,
     TopoError* err);
 
 }  // namespace burst

@@ -64,9 +64,9 @@ std::string TopoSpec::canonical() const {
 }
 
 /// The gateway discipline of @p sc as an explicit per-port queue spec —
-/// explicit even for DropTail, because the hard-coded Dumbbell consumes
-/// one RNG fork for the gateway queue unconditionally and the builder's
-/// fork discipline is "one fork per explicit queue".
+/// explicit even for DropTail, because the historical hard-coded dumbbell
+/// consumed one RNG fork for the gateway queue unconditionally and the
+/// builder's fork discipline is "one fork per explicit queue".
 PortQueueSpec gateway_port_queue(const Scenario& sc) {
   PortQueueSpec q;
   switch (sc.gateway) {
@@ -106,13 +106,13 @@ TopoSpec make_dumbbell_spec(const Scenario& sc) {
   spec.name = "dumbbell";
   spec.scenario = sc;
   // Node ids: client i = i, gateway = N, server = N+1 — declaration order
-  // fixes the same layout the hard-coded Dumbbell uses.
+  // fixes the layout the historical hard-coded dumbbell used.
   spec.nodes.push_back({"client", sc.num_clients, 0});
   spec.nodes.push_back({"gateway", 1, 0});
   spec.nodes.push_back({"server", 1, 0});
   const int client = 0, gateway = 1, server = 2;
 
-  // Link statement order mirrors Dumbbell's construction: bottleneck
+  // Link statement order mirrors the hard-coded construction: bottleneck
   // first (its explicit queue takes the first RNG fork), then the ACK
   // reverse path, then the client edges.
   TopoLinkSpec bottleneck;

@@ -110,8 +110,14 @@ struct TopoSpec {
 /// bit-for-bit.
 Time topo_member_delay(const TopoLinkSpec& l, int j, int count);
 
-/// The paper's Figure 1 dumbbell for @p sc, as a spec. Building this
-/// through TopoNet is bit-identical to the hard-coded Dumbbell class.
+/// The paper's Figure 1 dumbbell for @p sc, as a spec:
+///
+///   clients 0..N-1  --(mu_c, tau_c)-->  gateway  --(mu_s, tau_s)-->  server
+///
+/// Node ids: client i = i, gateway = N, server = N+1; flow id = client
+/// index; the gateway->server queue is the measured bottleneck. Building
+/// it through TopoNet reproduces the historical hard-coded dumbbell bit
+/// for bit.
 TopoSpec make_dumbbell_spec(const Scenario& sc);
 
 /// @p sc's gateway discipline (DropTail/RED/DRR + its parameters) as an
@@ -119,8 +125,13 @@ TopoSpec make_dumbbell_spec(const Scenario& sc);
 /// .topo files, and what the generated dumbbell/tandem bottlenecks use.
 PortQueueSpec gateway_port_queue(const Scenario& sc);
 
-/// The two-bottleneck parking-lot (Tandem) topology: hop2 rate is
-/// sc.bottleneck_bw_bps * second_hop_ratio.
+/// The two-bottleneck parking-lot topology, the multi-gateway extension
+/// of Figure 1 used by the multihop ablation:
+///
+///   clients --(mu_c)--> gw1 --(mu_s)--> gw2 --(r*mu_s)--> server
+///
+/// with r = @p second_hop_ratio, so both queues are exercised. Link
+/// statement 0 (gw1->gw2) is measured; statement 1 is the second hop.
 TopoSpec make_tandem_spec(const Scenario& sc, double second_hop_ratio);
 
 /// True iff @p spec's graph is canonically the paper dumbbell for its own

@@ -1,12 +1,18 @@
 // Campaign determinism and cache robustness: the same campaign must
 // produce bit-identical metrics with 1 thread, N threads, and from a
-// warm cache; a damaged cache must fall back to re-simulation.
+// warm cache; a damaged cache must fall back to re-simulation. The
+// engine (run_campaign_points) dedups by key, keeps input order and
+// totals only what it simulated; the metric table serves both the
+// figure set and `.camp` files.
 #include "src/run/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <utility>
 
 #include "src/run/result_store.hpp"
 
@@ -95,13 +101,25 @@ TEST(Campaign, ThreadCountAndWarmCacheAreBitIdentical) {
   expect_identical_series(a.sweeps[0].second, c.sweeps[0].second);
 }
 
-TEST(Campaign, MatchesSweepClientsExactly) {
-  // The campaign path and the classic sweep_clients path must assign the
-  // same derived seeds and therefore the same numbers.
-  const Scenario base = quick_base();
-  const std::vector<int> ns{6, 12};
-  const auto direct = sweep_clients(base, ns, two_configs());
-  const auto campaign = run_campaign({quick_sweep("match")}, {});
+TEST(Campaign, PointsMatchRunExperimentAtTheirSeed) {
+  // Every campaign point is exactly run_experiment of its scenario at
+  // campaign_point_seed — the seed the manifest records and the bench
+  // figures rely on.
+  const CampaignSweep sweep = quick_sweep("match");
+  std::vector<SweepSeries> direct;
+  for (const SweepConfig& config : sweep.configs) {
+    SweepSeries series;
+    series.name = config.name;
+    for (const int n : sweep.client_counts) {
+      Scenario sc = sweep.base;
+      sc.num_clients = n;
+      config.apply(sc);
+      sc.seed = campaign_point_seed(sweep.base, config.name, n);
+      series.points.push_back({n, run_experiment(sc)});
+    }
+    direct.push_back(std::move(series));
+  }
+  const auto campaign = run_campaign({sweep}, {});
   expect_identical_series(direct, campaign.sweeps[0].second);
 }
 
@@ -219,6 +237,242 @@ TEST(Campaign, PaperFigureCampaignShape) {
       EXPECT_EQ(point_key(sweeps[1], c, p), point_key(sweeps[3], c, p));
     }
   }
+}
+
+// A result whose every scalar the metric table can read is distinct, so
+// a table entry reading the wrong field cannot pass by coincidence.
+ExperimentResult distinct_result() {
+  ExperimentResult r;
+  r.cov = 0.11;
+  r.poisson_cov = 0.12;
+  r.mean_per_bin = 13.0;
+  r.loss_pct = 1.4;
+  r.delivered = 15;
+  r.gw_arrivals = 16;
+  r.gw_drops = 17;
+  r.timeouts = 18;
+  r.fast_retransmits = 19;
+  r.retransmits = 20;
+  r.timeout_dupack_ratio = 0.21;
+  r.fairness = 0.22;
+  r.delay.add(0.5);
+  r.delay.add(1.5);
+  return r;
+}
+
+TEST(CampaignMetric, ResolvesEveryTableName) {
+  const ExperimentResult r = distinct_result();
+  const std::vector<std::pair<std::string, double>> table{
+      {"cov", 0.11},          {"poisson_cov", 0.12},
+      {"mean_per_bin", 13.0}, {"loss_pct", 1.4},
+      {"delivered", 15.0},    {"gw_arrivals", 16.0},
+      {"gw_drops", 17.0},     {"timeouts", 18.0},
+      {"fast_retransmits", 19.0}, {"retransmits", 20.0},
+      {"timeout_dupack_ratio", 0.21}, {"fairness", 0.22},
+      {"mean_delay", 1.0},    {"max_delay", 1.5}};
+  for (const auto& [name, expected] : table) {
+    const auto metric = campaign_metric(name);
+    ASSERT_NE(metric, nullptr) << name;
+    EXPECT_EQ(metric(r), expected) << name;
+  }
+  EXPECT_EQ(campaign_metric("nope"), nullptr);
+  EXPECT_EQ(campaign_metric(""), nullptr);
+  EXPECT_EQ(campaign_metric("COV"), nullptr);  // names are case-sensitive
+}
+
+TEST(Campaign, PaperFiguresReadTheSharedMetricTable) {
+  // Each figure's CSV column is the `.camp` metric of the same name, so a
+  // `.camp` file can reproduce any figure column.
+  const auto sweeps = paper_figure_campaign(Scenario::paper_default());
+  const ExperimentResult r = distinct_result();
+  const char* names[] = {"cov", "delivered", "loss_pct",
+                         "timeout_dupack_ratio"};
+  ASSERT_EQ(sweeps.size(), std::size(names));
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    ASSERT_NE(sweeps[i].metric, nullptr) << sweeps[i].name;
+    EXPECT_EQ(sweeps[i].metric(r), campaign_metric(names[i])(r))
+        << sweeps[i].name;
+  }
+}
+
+TEST(CampaignRunOptions, OnlyTheShardCountReachesTheKey) {
+  // Threads, profiling and the cache location do not change what a point
+  // computes, so they must not re-key it: an lp1 campaign keys under the
+  // plain scenario key every sequential entry point uses. lp>1 salts it.
+  const Scenario sc = quick_base();
+  CampaignOptions busy;
+  busy.threads = 7;
+  busy.profile = true;
+  busy.cache_dir = "elsewhere";
+  busy.use_cache = false;
+  EXPECT_EQ(scenario_key(sc, campaign_run_options({})), scenario_key(sc));
+  EXPECT_EQ(scenario_key(sc, campaign_run_options(busy)), scenario_key(sc));
+
+  CampaignOptions lp2;
+  lp2.lp_shards = 2;
+  CampaignOptions lp3;
+  lp3.lp_shards = 3;
+  EXPECT_EQ(campaign_run_options(lp2).lp_shards, 2);
+  const ScenarioKey k2 = scenario_key(sc, campaign_run_options(lp2));
+  const ScenarioKey k3 = scenario_key(sc, campaign_run_options(lp3));
+  EXPECT_NE(k2, scenario_key(sc));
+  EXPECT_NE(k3, scenario_key(sc));
+  EXPECT_NE(k2, k3);
+}
+
+// ---- The engine: keyed points in, one result per point out. -----------
+
+Scenario point_scenario(int clients, std::uint64_t seed) {
+  Scenario sc = quick_base();
+  sc.num_clients = clients;
+  sc.seed = seed;
+  return sc;
+}
+
+CampaignPoint dumbbell_point(const Scenario& sc,
+                             const CampaignOptions& opts = {}) {
+  return {make_dumbbell_spec(sc),
+          scenario_key(sc, campaign_run_options(opts))};
+}
+
+void expect_same_result(const ExperimentResult& a, const ExperimentResult& b) {
+  EXPECT_EQ(a.cov, b.cov);
+  EXPECT_EQ(a.poisson_cov, b.poisson_cov);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.gw_drops, b.gw_drops);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.fairness, b.fairness);
+  EXPECT_EQ(a.delay.mean(), b.delay.mean());
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(a.metrics, b.metrics);
+}
+
+TEST(CampaignPoints, EqualKeysRunOnceAndShareOneResult) {
+  // Dedup is by key, not by position: a repeated point is simulated once
+  // and every copy gets that one run's result.
+  const Scenario a = point_scenario(6, 11);
+  const Scenario b = point_scenario(9, 12);
+  const std::vector<CampaignPoint> points{
+      dumbbell_point(a), dumbbell_point(b), dumbbell_point(a)};
+  CampaignStats stats;
+  const auto results = run_campaign_points(points, {}, &stats);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(stats.planned, 3u);
+  EXPECT_EQ(stats.unique, 2u);
+  EXPECT_EQ(stats.simulated, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  expect_same_result(results[0], results[2]);
+  expect_same_result(results[0], run_experiment(a));
+  expect_same_result(results[1], run_experiment(b));
+}
+
+TEST(CampaignPoints, ResultsFollowInputOrderAtAnyThreadCount) {
+  std::vector<CampaignPoint> points;
+  for (const int n : {12, 4, 9, 6, 15}) {
+    points.push_back(dumbbell_point(point_scenario(n, 100 + n)));
+  }
+  CampaignOptions one;
+  one.threads = 1;
+  CampaignOptions four;
+  four.threads = 4;
+  CampaignStats s1, s4;
+  const auto r1 = run_campaign_points(points, one, &s1);
+  const auto r4 = run_campaign_points(points, four, &s4);
+  ASSERT_EQ(r1.size(), points.size());
+  ASSERT_EQ(r4.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Scenario& sc = points[i].spec.scenario;
+    EXPECT_EQ(r1[i].scenario.num_clients, sc.num_clients) << "point " << i;
+    EXPECT_EQ(r1[i].scenario.seed, sc.seed) << "point " << i;
+    expect_same_result(r1[i], r4[i]);
+  }
+}
+
+TEST(CampaignPoints, CacheHitsCarryThePointScenario) {
+  const std::string cache = fresh_dir("campaign_points_hits");
+  const std::vector<CampaignPoint> points{
+      dumbbell_point(point_scenario(6, 31)),
+      dumbbell_point(point_scenario(10, 32))};
+  CampaignOptions opts;
+  opts.cache_dir = cache;
+  CampaignStats cold_stats, warm_stats;
+  const auto cold = run_campaign_points(points, opts, &cold_stats);
+  const auto warm = run_campaign_points(points, opts, &warm_stats);
+  EXPECT_EQ(cold_stats.simulated, 2u);
+  EXPECT_EQ(warm_stats.cache_hits, 2u);
+  EXPECT_EQ(warm_stats.simulated, 0u);
+  ASSERT_EQ(warm.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Scenario& sc = points[i].spec.scenario;
+    EXPECT_EQ(warm[i].scenario.num_clients, sc.num_clients);
+    EXPECT_EQ(warm[i].scenario.seed, sc.seed);
+    EXPECT_EQ(warm[i].scenario.duration, sc.duration);
+    expect_same_result(cold[i], warm[i]);
+  }
+}
+
+TEST(CampaignPoints, PerfTotalsCountOnlySimulatedPoints) {
+  const std::string cache = fresh_dir("campaign_points_perf");
+  const std::vector<CampaignPoint> points{
+      dumbbell_point(point_scenario(6, 41)),
+      dumbbell_point(point_scenario(12, 42)),
+      dumbbell_point(point_scenario(6, 41))};  // a duplicate: counted once
+  CampaignOptions opts;
+  opts.cache_dir = cache;
+  CampaignStats cold;
+  const auto results = run_campaign_points(points, opts, &cold);
+  EXPECT_EQ(cold.sim_events, results[0].sim_events + results[1].sim_events);
+  EXPECT_EQ(cold.peak_pending_max,
+            std::max(results[0].peak_pending, results[1].peak_pending));
+  EXPECT_GT(cold.events_per_sec, 0.0);
+
+  // Cache hits carry no fresh run, so a fully cached campaign reports none.
+  CampaignStats warm;
+  run_campaign_points(points, opts, &warm);
+  EXPECT_EQ(warm.cache_hits, 2u);
+  EXPECT_EQ(warm.sim_events, 0u);
+  EXPECT_EQ(warm.peak_pending_max, 0u);
+  EXPECT_EQ(warm.sim_wall_s, 0.0);
+  EXPECT_EQ(warm.events_per_sec, 0.0);
+}
+
+TEST(CampaignPoints, LpTotalsSumThePerRunLpEvents) {
+  CampaignOptions lp2;
+  lp2.lp_shards = 2;
+  lp2.threads = 1;
+  const std::vector<Scenario> scenarios{point_scenario(6, 51),
+                                        point_scenario(8, 52)};
+  std::vector<CampaignPoint> parallel, sequential;
+  for (const Scenario& sc : scenarios) {
+    parallel.push_back(dumbbell_point(sc, lp2));
+    sequential.push_back(dumbbell_point(sc));
+  }
+  CampaignStats par, seq;
+  const auto results = run_campaign_points(parallel, lp2, &par);
+  run_campaign_points(sequential, {}, &seq);
+
+  for (const ExperimentResult& r : results) EXPECT_EQ(r.lp_shards, 2);
+  ASSERT_EQ(par.lp_phases.size(), 2u);
+  std::uint64_t lp_events = 0;
+  for (const LpPhase& p : par.lp_phases) lp_events += p.events;
+  EXPECT_EQ(lp_events, par.sim_events);
+  // The conservative engine executes exactly the sequential event count.
+  EXPECT_EQ(par.sim_events, seq.sim_events);
+  EXPECT_TRUE(seq.lp_phases.empty());
+}
+
+TEST(CampaignPoints, EmptyPlanSimulatesNothing) {
+  CampaignOptions opts;
+  opts.cache_dir = fresh_dir("campaign_points_empty");
+  CampaignStats stats;
+  const auto results = run_campaign_points({}, opts, &stats);
+  EXPECT_TRUE(results.empty());
+  EXPECT_EQ(stats.planned, 0u);
+  EXPECT_EQ(stats.unique, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.simulated, 0u);
+  EXPECT_EQ(stats.sim_events, 0u);
+  EXPECT_TRUE(stats.lp_phases.empty());
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // or destroyed anywhere except at sources, queues (drops), and sinks.
 #include <gtest/gtest.h>
 
-#include "src/core/dumbbell.hpp"
 #include "src/core/experiment.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace burst {
 namespace {
@@ -24,12 +25,12 @@ TEST(Conservation, UdpExactAccounting) {
   // queue, or still inside the network when the clock stops.
   Simulator sim(9);
   Scenario sc = scenario_for(Transport::kUdp, GatewayQueue::kDropTail, 45, 9);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   const std::uint64_t generated = net.total_generated();
   const std::uint64_t delivered = net.total_delivered();
-  const std::uint64_t dropped = net.bottleneck_queue().stats().drops;
+  const std::uint64_t dropped = net.measured_queue().stats().drops;
   EXPECT_LE(delivered + dropped, generated);
   // In-flight at stop is bounded by the pipe: a generous cap.
   EXPECT_GE(delivered + dropped + 500, generated);
@@ -43,10 +44,10 @@ TEST_P(ConservationMatrix, TcpDeliversExactlyTheSentPrefix) {
   const auto [t, q, clients] = GetParam();
   Simulator sim(11);
   Scenario sc = scenario_for(t, q, clients, 11);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
-  for (int i = 0; i < net.num_clients(); ++i) {
+  for (int i = 0; i < net.num_flows(); ++i) {
     auto* snd = net.tcp_sender(i);
     auto* snk = net.tcp_sink(i);
     ASSERT_NE(snd, nullptr);
@@ -80,13 +81,13 @@ TEST(Conservation, EventualDeliveryAfterSourcesStop) {
   // Stop generating, keep simulating: TCP must drain every backlog.
   Simulator sim(13);
   Scenario sc = scenario_for(Transport::kReno, GatewayQueue::kDropTail, 45, 13);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(3.0);
-  for (int i = 0; i < net.num_clients(); ++i) net.source(i).stop();
+  for (int i = 0; i < net.num_flows(); ++i) net.source(i).stop();
   sim.run(300.0);  // generous drain time (RTO backoff can be slow)
   std::uint64_t backlog = 0;
-  for (int i = 0; i < net.num_clients(); ++i) {
+  for (int i = 0; i < net.num_flows(); ++i) {
     backlog += static_cast<std::uint64_t>(net.tcp_sender(i)->backlog() +
                                           net.tcp_sender(i)->flight());
   }
@@ -97,15 +98,15 @@ TEST(Conservation, EventualDeliveryAfterSourcesStop) {
 TEST(Conservation, GatewayArrivalsMatchClientTransmissions) {
   Simulator sim(17);
   Scenario sc = scenario_for(Transport::kReno, GatewayQueue::kDropTail, 30, 17);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   std::uint64_t tap_count = 0;
-  net.bottleneck_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
+  net.measured_queue().taps().add_arrival_listener([&](const Packet& p, Time) {
     if (p.type == PacketType::kData) ++tap_count;
   });
   net.start_sources();
   sim.run(sc.duration);
   std::uint64_t sent = 0;
-  for (int i = 0; i < net.num_clients(); ++i) {
+  for (int i = 0; i < net.num_flows(); ++i) {
     sent += net.tcp_sender(i)->stats().data_pkts_sent;
   }
   // Everything a client transmitted either reached the gateway queue or is

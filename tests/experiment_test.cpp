@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace burst {
 namespace {
 
@@ -47,6 +49,29 @@ TEST(Experiment, UdpCovMatchesPoissonAnalytic) {
   s.duration = 30.0;
   const auto r = run_experiment(s);
   EXPECT_NEAR(r.cov, r.poisson_cov, 0.25 * r.poisson_cov);
+}
+
+TEST(Experiment, PoissonCovIsTheDumbbellFormulaBitForBit) {
+  // The analytic reference of a dumbbell is N streams of rate 1/mean over
+  // one RTT, exactly — at every shard count. N=10, mean 0.003 is the case
+  // whose last bits once depended on the shard count.
+  for (const auto& [n, mia] : {std::pair{10, 0.003}, std::pair{7, 0.0125},
+                               std::pair{33, 0.02}}) {
+    Scenario s = quick(n);
+    s.mean_interarrival = mia;
+    s.duration = 1.5;
+    s.warmup = 0.5;
+    const double expected =
+        poisson_aggregate_cov(n, 1.0 / mia, s.rtt_prop());
+    for (const int shards : {1, 2}) {
+      ExperimentOptions opts;
+      opts.lp_shards = shards;
+      const auto r = run_experiment(s, opts);
+      EXPECT_EQ(r.lp_shards, shards);
+      EXPECT_EQ(r.poisson_cov, expected)
+          << "N=" << n << " mean=" << mia << " lp=" << shards;
+    }
+  }
 }
 
 TEST(Experiment, ThroughputBoundedByCapacity) {

@@ -12,6 +12,7 @@
 #include "src/net/link.hpp"
 #include "src/run/result_store.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/topo/spec.hpp"
 
 namespace burst {
 namespace {
@@ -204,6 +205,41 @@ TEST(TraceExperiment, OrderedAgainstSchedulerTime) {
   EXPECT_TRUE(queue_site);
   EXPECT_TRUE(link_site);
   EXPECT_TRUE(sink_site);
+}
+
+// Trace sites follow the runner's naming rule: the paper dumbbell keeps
+// its historical site names even when traced on 2 LPs (the per-LP rings
+// merge into one sink); any other graph uses the generic ones.
+TEST(TraceExperiment, SiteNamesFollowTheNamingRule) {
+  Scenario sc = Scenario::paper_default();
+  sc.num_clients = 6;
+  sc.duration = 2.0;
+  const auto has_site = [](const TraceSink& sink, const std::string& name) {
+    for (const std::string& s : sink.sites()) {
+      if (s == name) return true;
+    }
+    return false;
+  };
+
+  TraceSink dumbbell;
+  ExperimentOptions lp2;
+  lp2.trace = &dumbbell;
+  lp2.lp_shards = 2;
+  EXPECT_EQ(run_experiment(sc, lp2).lp_shards, 2);
+  EXPECT_TRUE(has_site(dumbbell, "queue:gateway"));
+  EXPECT_TRUE(has_site(dumbbell, "link:bottleneck"));
+  EXPECT_TRUE(has_site(dumbbell, "sink:server"));
+  EXPECT_FALSE(has_site(dumbbell, "queue:measured"));
+
+  TraceSink tandem;
+  ExperimentOptions traced;
+  traced.trace = &tandem;
+  run_experiment(make_tandem_spec(sc, 0.9), traced);
+  EXPECT_GT(tandem.emitted(), 0u);
+  EXPECT_TRUE(has_site(tandem, "queue:measured"));
+  EXPECT_TRUE(has_site(tandem, "link:measured"));
+  EXPECT_FALSE(has_site(tandem, "queue:gateway"));
+  EXPECT_FALSE(has_site(tandem, "link:bottleneck"));
 }
 
 // The observability hard constraint: attaching a TraceSink must not change

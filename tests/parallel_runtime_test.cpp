@@ -9,14 +9,16 @@
 //   * make_lp_partition cuts the dumbbell along its natural seams with
 //     the documented lookahead, and degrades to sequential when it must.
 //   * An lp>1 run of a dumbbell scenario reproduces the sequential run's
-//     packet-timing metrics and *exact* event count (the remote delivery
-//     event replaces the producer's fused local one 1:1).
+//     packet-timing metrics, analytic Poisson reference, metric names and
+//     *exact* event count (the remote delivery event replaces the
+//     producer's fused local one 1:1).
 //   * An lp=2 run is bit-identical run-to-run (pinned hash): the merge
 //     order is a pure function of message keys, never thread timing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -246,24 +248,43 @@ Scenario small(int clients, Transport t, GatewayQueue q, std::uint64_t seed) {
   return s;
 }
 
+// Metric names outside the parallel.* telemetry that only lp>1 runs add.
+std::set<std::string> model_metric_names(const ExperimentResult& r) {
+  std::set<std::string> names;
+  for (const MetricPoint& m : r.metrics.points) {
+    if (m.name.rfind("parallel.", 0) != 0) names.insert(m.name);
+  }
+  return names;
+}
+
 TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
-  const Scenario sc = small(12, Transport::kReno, GatewayQueue::kRed, 11);
-  ExperimentOptions lp1;  // sequential reference (hard-coded dumbbell)
-  const ExperimentResult a = run_experiment(sc, lp1);
-  for (int shards : {2, 3, 4}) {
-    ExperimentOptions opt;
-    opt.lp_shards = shards;
-    const ExperimentResult b = run_experiment(sc, opt);
-    EXPECT_EQ(b.lp_shards, shards) << "request was not honored";
-    EXPECT_EQ(canon(a), canon(b)) << "lp=" << shards;
-    // The remote delivery event replaces the producer's fused local one
-    // 1:1, so the total event count matches the sequential engine
-    // exactly — not approximately.
-    EXPECT_EQ(a.sim_events, b.sim_events) << "lp=" << shards;
-    EXPECT_EQ(static_cast<std::size_t>(shards), b.lp_phases.size());
-    std::uint64_t lp_events = 0;
-    for (const LpPhase& p : b.lp_phases) lp_events += p.events;
-    EXPECT_EQ(lp_events, b.sim_events);
+  Scenario fast = small(10, Transport::kReno, GatewayQueue::kDropTail, 11);
+  fast.mean_interarrival = 0.003;
+  for (const Scenario& sc :
+       {small(12, Transport::kReno, GatewayQueue::kRed, 11), fast}) {
+    ExperimentOptions lp1;  // sequential reference
+    const ExperimentResult a = run_experiment(sc, lp1);
+    for (int shards : {2, 3, 4}) {
+      ExperimentOptions opt;
+      opt.lp_shards = shards;
+      const ExperimentResult b = run_experiment(sc, opt);
+      EXPECT_EQ(b.lp_shards, shards) << "request was not honored";
+      EXPECT_EQ(canon(a), canon(b)) << "lp=" << shards;
+      // One run body: the analytic reference and the metric names (the
+      // dumbbell's queue.gateway.* / link.bottleneck.*) do not depend on
+      // the shard count either.
+      EXPECT_EQ(a.poisson_cov, b.poisson_cov) << "lp=" << shards;
+      EXPECT_EQ(model_metric_names(a), model_metric_names(b))
+          << "lp=" << shards;
+      // The remote delivery event replaces the producer's fused local one
+      // 1:1, so the total event count matches the sequential engine
+      // exactly — not approximately.
+      EXPECT_EQ(a.sim_events, b.sim_events) << "lp=" << shards;
+      EXPECT_EQ(static_cast<std::size_t>(shards), b.lp_phases.size());
+      std::uint64_t lp_events = 0;
+      for (const LpPhase& p : b.lp_phases) lp_events += p.events;
+      EXPECT_EQ(lp_events, b.sim_events);
+    }
   }
 }
 

@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/dumbbell.hpp"
 #include "src/net/flow_monitor.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace burst {
 namespace {
@@ -77,8 +78,8 @@ TEST_P(Md1ValidationTest, SimulatedQueueMatchesPollaczekKhinchine) {
   sc.gateway_buffer = 100000;  // effectively infinite: pure M/D/1
 
   Simulator sim(5);
-  Dumbbell net(sim, sc);
-  FlowMonitor monitor(net.bottleneck_queue());
+  TopoNet net(sim, make_dumbbell_spec(sc));
+  FlowMonitor monitor(net.measured_queue());
   net.start_sources();
   sim.run(sc.duration);
 
@@ -103,12 +104,12 @@ TEST(QueueingTheory, FiniteBufferLossBracketsSimulation) {
   sc.num_clients = 50;
   sc.duration = 60.0;
   Simulator sim(6);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   const double rho = sc.utilization();
   ASSERT_GT(rho, 1.0);
-  const double measured = net.bottleneck_queue().stats().loss_fraction();
+  const double measured = net.measured_queue().stats().loss_fraction();
   const double lower = 1.0 - 1.0 / rho;
   const double upper =
       mm1k_blocking(rho, static_cast<int>(sc.gateway_buffer));

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace burst {
@@ -191,29 +192,42 @@ TEST(ResultStore, IgnoresOtherSchemaVersions) {
   EXPECT_FALSE(store.get(key).has_value());  // never serves stale schema
 }
 
-TEST(ResultStore, LoadsPreShardingLegacyFile) {
-  const std::string dir = fresh_dir("store_legacy");
+TEST(ResultStore, IgnoresAPreShardingResultsFile) {
+  // Stores written before sharding kept every entry in results.jsonl. The
+  // store reads only its shard segments: such a file is neither loaded
+  // nor counted as skipped, and it is left exactly as it was.
   const ScenarioKey key = scenario_key(Scenario::paper_default());
   std::string good_line;
   {
-    ResultStore store(dir);
+    ResultStore store(fresh_dir("store_legacy_src"));
     store.put(key, sample_result());
     ASSERT_TRUE(store.flush());
     std::ifstream in(store.segment_path(key));
     std::getline(in, good_line);
   }
-  // Simulate a cache written before sharding: the same envelope line in
-  // results.jsonl, no segment files.
-  const std::string legacy = fresh_dir("store_legacy2");
-  fs::create_directories(legacy);
+  ASSERT_FALSE(good_line.empty());
+  const std::string dir = fresh_dir("store_legacy");
+  fs::create_directories(dir);
+  const std::string legacy = dir + "/results.jsonl";
   {
-    std::ofstream out(legacy + "/results.jsonl");
+    std::ofstream out(legacy);
     out << good_line << "\n";
   }
-  ResultStore store(legacy);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.skipped_entries(), 0u);
-  const auto got = store.get(key);
+  {
+    ResultStore store(dir);
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_EQ(store.skipped_entries(), 0u);
+    EXPECT_FALSE(store.get(key).has_value());
+    store.put(key, sample_result());
+    ASSERT_TRUE(store.flush());
+  }
+  std::ifstream in(legacy);
+  const std::string kept((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(kept, good_line + "\n");
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.size(), 1u);
+  const auto got = reopened.get(key);
   ASSERT_TRUE(got.has_value());
   expect_bit_identical(sample_result(), *got);
 }

@@ -1,9 +1,10 @@
 // Heterogeneous-RTT extension: per-client delay spread.
 #include <gtest/gtest.h>
 
-#include "src/core/dumbbell.hpp"
 #include "src/core/experiment.hpp"
 #include "src/stats/correlation.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
 
 namespace burst {
 namespace {
@@ -43,7 +44,7 @@ TEST(RttHetero, DumbbellAppliesPerClientDelays) {
   sc.client_delay_spread = 0.5;
   sc.duration = 2.0;
   Simulator sim(1);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   // Shortest-RTT client measures a smaller base RTT than the longest.
@@ -58,7 +59,7 @@ TEST(RttHetero, RenoFavorsShortRttUnderContention) {
   sc.duration = 10.0;
   sc.client_delay_spread = 0.8;
   Simulator sim(3);
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   std::vector<double> delays, goodput;

@@ -1,11 +1,10 @@
-// Traffic-generator tests: Poisson statistics, CBR regularity, Pareto
-// heavy tails, bulk semantics.
+// Traffic-generator tests: Poisson statistics, Pareto heavy tails, bulk
+// semantics.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "src/app/bulk_source.hpp"
-#include "src/app/cbr_source.hpp"
 #include "src/app/pareto_on_off_source.hpp"
 #include "src/app/poisson_source.hpp"
 #include "src/net/drop_tail_queue.hpp"
@@ -96,28 +95,6 @@ TEST(PoissonSource, AggregateOfManySourcesSmooths) {
   EXPECT_NEAR(cov4 / cov64, 4.0, 1.2);  // sqrt(64/4) = 4
 }
 
-TEST(CbrSource, ExactlyPeriodic) {
-  SourceHarness h;
-  CbrSource src(h.sim, h.agent, 0.25);
-  src.start();
-  h.sim.run(2.0);
-  // Packets at 0.25, 0.5, ..., 2.0.
-  ASSERT_EQ(h.agent.sends.size(), 8u);
-  for (std::size_t i = 0; i < h.agent.sends.size(); ++i) {
-    EXPECT_NEAR(h.agent.sends[i], 0.25 * static_cast<double>(i + 1), 1e-9);
-  }
-}
-
-TEST(CbrSource, StopHalts) {
-  SourceHarness h;
-  CbrSource src(h.sim, h.agent, 0.1);
-  src.start();
-  h.sim.run(1.0);
-  src.stop();
-  h.sim.run(5.0);
-  EXPECT_EQ(src.generated(), 10u);
-}
-
 TEST(ParetoOnOffSource, GeneratesBurstsAndIdles) {
   SourceHarness h;
   ParetoOnOffConfig cfg;
@@ -205,19 +182,15 @@ TEST(SourceHygiene, StopAfterDrainIsNotStale) {
   // of these stops touches the scheduler at all.
   SourceHarness h;
   PoissonSource pois(h.sim, h.agent, 0.01, h.sim.rng().fork());
-  CbrSource cbr(h.sim, h.agent, 0.1);
   ParetoOnOffConfig cfg;
   ParetoOnOffSource par(h.sim, h.agent, cfg, h.sim.rng().fork());
   pois.start();
-  cbr.start();
   par.start();
   h.sim.run(5.0);
   pois.stop();
-  cbr.stop();
   par.stop();
   h.sim.run(10.0);
   pois.stop();  // double-stop: handle already cleared, still not stale
-  cbr.stop();
   par.stop();
   EXPECT_EQ(h.sim.scheduler().stale_cancels(), 0u);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/run/campaign.hpp"
+
 namespace burst {
 namespace {
 
@@ -10,6 +12,17 @@ Scenario quick_base() {
   s.duration = 4.0;
   s.warmup = 1.0;
   return s;
+}
+
+// One client-count sweep over @p configs, run as a one-sweep campaign.
+std::vector<SweepSeries> sweep(const std::vector<int>& client_counts,
+                               const std::vector<SweepConfig>& configs) {
+  CampaignSweep sw;
+  sw.name = "sweep";
+  sw.base = quick_base();
+  sw.client_counts = client_counts;
+  sw.configs = configs;
+  return run_campaign({sw}).sweeps.front().second;
 }
 
 TEST(Sweep, RangeHelper) {
@@ -40,8 +53,7 @@ TEST(Sweep, ConfigsApplyCorrectly) {
 }
 
 TEST(Sweep, ProducesAllSeriesAndPoints) {
-  const auto series = sweep_clients(quick_base(), {5, 15},
-                                    paper_protocol_set());
+  const auto series = sweep({5, 15}, paper_protocol_set());
   ASSERT_EQ(series.size(), 6u);
   for (const auto& s : series) {
     ASSERT_EQ(s.points.size(), 2u);
@@ -53,15 +65,15 @@ TEST(Sweep, ProducesAllSeriesAndPoints) {
 
 TEST(Sweep, ParallelMatchesConfigOrder) {
   const auto configs = paper_protocol_set();
-  const auto series = sweep_clients(quick_base(), {8}, configs);
+  const auto series = sweep({8}, configs);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_EQ(series[i].name, configs[i].name);
   }
 }
 
 TEST(Sweep, DeterministicAcrossRuns) {
-  const auto a = sweep_clients(quick_base(), {10}, paper_protocol_set(false));
-  const auto b = sweep_clients(quick_base(), {10}, paper_protocol_set(false));
+  const auto a = sweep({10}, paper_protocol_set(false));
+  const auto b = sweep({10}, paper_protocol_set(false));
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].points[0].result.delivered,
               b[i].points[0].result.delivered);
@@ -72,7 +84,7 @@ TEST(Sweep, DeterministicAcrossRuns) {
 TEST(Sweep, UdpLossGrowsWithClients) {
   std::vector<SweepConfig> udp_only{
       {"UDP", [](Scenario& s) { s.transport = Transport::kUdp; }}};
-  const auto series = sweep_clients(quick_base(), {20, 45, 60}, udp_only);
+  const auto series = sweep({20, 45, 60}, udp_only);
   const auto& pts = series[0].points;
   EXPECT_LT(pts[0].result.loss_pct, 0.5);
   EXPECT_GT(pts[2].result.loss_pct, pts[1].result.loss_pct);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 namespace burst {
 namespace {
@@ -80,7 +81,7 @@ TEST(TopoCampaign, ParsesTheCampFormat) {
 TEST(TopoCampaign, ColdRunThenFullyCachedRerun) {
   const std::string dir = fresh_dir("camp_cold_warm");
   const TopoCampaignSpec spec = mini_campaign(dir);
-  TopoCampaignOptions opts;
+  CampaignOptions opts;
   opts.cache_dir = dir + "/cache";
   TopoError err;
 
@@ -109,7 +110,7 @@ TEST(TopoCampaign, ColdRunThenFullyCachedRerun) {
 TEST(TopoCampaign, TwoConcurrentWorkersSimulateEachPointOnce) {
   const std::string dir = fresh_dir("camp_two_workers");
   const TopoCampaignSpec spec = mini_campaign(dir);
-  TopoCampaignOptions opts;
+  CampaignOptions opts;
   opts.cache_dir = dir + "/cache";
   opts.threads = 1;
   TopoError errA, errB;
@@ -139,7 +140,7 @@ TEST(TopoCampaign, TwoConcurrentWorkersSimulateEachPointOnce) {
 TEST(TopoCampaign, ResumesPastADeadWorkersClaim) {
   const std::string dir = fresh_dir("camp_resume");
   const TopoCampaignSpec spec = mini_campaign(dir);
-  TopoCampaignOptions opts;
+  CampaignOptions opts;
   opts.cache_dir = dir + "/cache";
   TopoError err;
   // Plant the wreckage of a worker killed mid-simulation: a claim file
@@ -168,7 +169,7 @@ TEST(TopoCampaign, CsvCarriesTheScenarioColumnPerRow) {
   }
   spec.scenario_files.push_back(dir + "/mini2.topo");
   spec.sweeps.pop_back();  // just the clients axis: 2 files x 2 = 4 points
-  TopoCampaignOptions opts;
+  CampaignOptions opts;
   opts.artifact_dir = dir + "/out";
   TopoError err;
   const auto out = run_topo_campaign(spec, opts, &err);
@@ -190,6 +191,91 @@ TEST(TopoCampaign, CsvCarriesTheScenarioColumnPerRow) {
   // files' points stay distinct simulations.
   EXPECT_EQ(out->stats.planned, 4u);
   EXPECT_EQ(out->stats.unique, 4u);
+}
+
+// The metric column of a `.camp` CSV, one cell per point (the last field
+// of every data row), plus the key column.
+void read_csv_columns(const std::string& path, std::vector<std::string>* keys,
+                      std::vector<std::string>* metric) {
+  std::ifstream csv(path);
+  std::string line;
+  std::getline(csv, line);  // header: scenario,label,key,...
+  while (std::getline(csv, line)) {
+    std::vector<std::string> cells;
+    std::stringstream row(line);
+    for (std::string cell; std::getline(row, cell, ',');) {
+      cells.push_back(cell);
+    }
+    ASSERT_GE(cells.size(), 4u) << line;
+    keys->push_back(cells[2]);
+    metric->push_back(cells.back());
+  }
+}
+
+TEST(TopoCampaign, LpShardsSaltTheKeysButNotTheMetricColumn) {
+  // A .camp campaign honors lp_shards like the figure campaign: the keys
+  // are salted (lp2 results never share store entries with lp1 ones) and
+  // the conservative engine reproduces the sequential metric bit for bit.
+  const std::string dir = fresh_dir("camp_lp2");
+  const TopoCampaignSpec spec = mini_campaign(dir);
+  CampaignOptions lp1;
+  lp1.artifact_dir = dir + "/lp1";
+  CampaignOptions lp2 = lp1;
+  lp2.artifact_dir = dir + "/lp2";
+  lp2.lp_shards = 2;
+  TopoError err;
+  const auto a = run_topo_campaign(spec, lp1, &err);
+  ASSERT_TRUE(a.has_value()) << err.message;
+  const auto b = run_topo_campaign(spec, lp2, &err);
+  ASSERT_TRUE(b.has_value()) << err.message;
+  ASSERT_EQ(b->points.size(), 4u);
+  for (const TopoCampaignPoint& pt : b->points) {
+    EXPECT_EQ(pt.result.lp_shards, 2) << pt.label;
+  }
+
+  std::vector<std::string> keys1, metric1, keys2, metric2;
+  read_csv_columns(a->csv_path, &keys1, &metric1);
+  read_csv_columns(b->csv_path, &keys2, &metric2);
+  ASSERT_EQ(keys1.size(), 4u);
+  ASSERT_EQ(keys2.size(), 4u);
+  for (std::size_t i = 0; i < keys1.size(); ++i) {
+    EXPECT_NE(keys1[i], keys2[i]) << "row " << i;
+  }
+  EXPECT_EQ(metric1, metric2);
+}
+
+TEST(TopoCampaign, ProfileFillsThePhaseTotals) {
+  // A profiled .camp run reports the per-phase split like the figure
+  // campaign does, and profiling changes neither keys nor results.
+  const std::string dir = fresh_dir("camp_profile");
+  const TopoCampaignSpec spec = mini_campaign(dir);
+  std::ostringstream profiled_log, plain_log;
+  CampaignOptions profiled;
+  profiled.profile = true;
+  profiled.log = &profiled_log;
+  CampaignOptions plain;
+  plain.log = &plain_log;
+  TopoError err;
+  const auto a = run_topo_campaign(spec, profiled, &err);
+  ASSERT_TRUE(a.has_value()) << err.message;
+  const auto b = run_topo_campaign(spec, plain, &err);
+  ASSERT_TRUE(b.has_value()) << err.message;
+
+  double profiled_s = 0.0;
+  for (const double s : a->stats.phase_seconds) profiled_s += s;
+  EXPECT_GT(profiled_s, 0.0);
+  EXPECT_NE(profiled_log.str().find("campaign: profile"), std::string::npos);
+  for (const double s : b->stats.phase_seconds) EXPECT_EQ(s, 0.0);
+  EXPECT_EQ(plain_log.str().find("campaign: profile"), std::string::npos);
+
+  ASSERT_EQ(a->points.size(), b->points.size());
+  for (std::size_t i = 0; i < a->points.size(); ++i) {
+    EXPECT_EQ(a->points[i].key, b->points[i].key) << a->points[i].label;
+    EXPECT_EQ(a->points[i].result.delivered, b->points[i].result.delivered)
+        << a->points[i].label;
+    EXPECT_EQ(a->points[i].result.sim_events, b->points[i].result.sim_events)
+        << a->points[i].label;
+  }
 }
 
 TEST(TopoCampaign, SeedsAreValueKeyedNotOrderKeyed) {

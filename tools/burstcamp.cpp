@@ -23,10 +23,12 @@ fig13_timeout_dupack) with cross-figure deduplication and an on-disk
 result cache, and writes per-figure CSVs plus manifest.json.
 
 With --campaign=FILE, runs a declarative .camp spec instead: scenario
-.topo files x sweep axes, coordinated through the shared result store's
-claim protocol, so several burstcamp processes pointed at one --cache-dir
-split the points between them with zero duplicated simulations (and a
-killed worker's points are picked up on the next run).
+.topo files x sweep axes, on the same engine, so several burstcamp
+processes pointed at one --cache-dir split the points between them with
+zero duplicated simulations (and a killed worker's points are picked up
+on the next run). --lp and --profile apply to both; --duration, --seed
+and --only shape the built-in figure set only (a .camp file sets its own
+duration and seed).
 
 options:
   --campaign=FILE   run a .camp campaign spec (see examples/topologies)
@@ -55,6 +57,30 @@ bool parse_flag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// The summary rows both campaign kinds share: the per-phase profile
+/// split (when profiled) and one row per logical process (lp > 1).
+void append_engine_rows(const burst::CampaignStats& st, bool profile,
+                        std::vector<std::vector<std::string>>* rows) {
+  using namespace burst;
+  if (profile) {
+    double total = 0.0;
+    for (const double s : st.phase_seconds) total += s;
+    for (std::size_t ph = 0; ph < kProfilePhases; ++ph) {
+      const double s = st.phase_seconds[ph];
+      rows->push_back(
+          {"phase " + std::string(to_string(static_cast<ProfilePhase>(ph))),
+           fmt(s, 2) + " s (" +
+               fmt(total > 0.0 ? 100.0 * s / total : 0.0, 1) + " %)"});
+    }
+  }
+  for (const LpPhase& p : st.lp_phases) {
+    rows->push_back({"lp " + std::to_string(p.lp),
+                     std::to_string(p.events) + " events, run " +
+                         fmt(p.run_s, 2) + " s, barrier wait " +
+                         fmt(p.wait_s, 2) + " s"});
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,6 +97,7 @@ int main(int argc, char** argv) {
   int lp_shards = 1;
   std::string only;
   std::string camp_file;
+  std::string figure_flag;  // first --duration/--seed/--only given
   Scenario base = Scenario::paper_default();
   if (const char* d = std::getenv("BURST_DURATION")) base.duration = std::atof(d);
   if (const char* s = std::getenv("BURST_SEED")) {
@@ -107,10 +134,13 @@ int main(int argc, char** argv) {
       }
     } else if (parse_flag(arg, "--duration", &value)) {
       base.duration = std::atof(value.c_str());
+      if (figure_flag.empty()) figure_flag = "--duration";
     } else if (parse_flag(arg, "--seed", &value)) {
       base.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      if (figure_flag.empty()) figure_flag = "--seed";
     } else if (parse_flag(arg, "--only", &value)) {
       only = value;
+      if (figure_flag.empty()) figure_flag = "--only";
     } else if (parse_flag(arg, "--campaign", &value)) {
       camp_file = value;
     } else {
@@ -120,7 +150,23 @@ int main(int argc, char** argv) {
   }
   if (cache_dir.empty()) cache_dir = out_dir + "/cache";
 
+  CampaignOptions opts;
+  opts.cache_dir = cache_dir;
+  opts.use_cache = !no_cache;
+  opts.threads = threads;
+  opts.artifact_dir = out_dir;
+  opts.log = quiet ? nullptr : &std::cerr;
+  opts.profile = profile;
+  opts.lp_shards = lp_shards;
+
   if (!camp_file.empty()) {
+    if (!figure_flag.empty()) {
+      std::cerr << "burstcamp: " << figure_flag
+                << " shapes the built-in figure set and does not combine "
+                   "with --campaign (a .camp file sets its own duration "
+                   "and seed)\n";
+      return 2;
+    }
     TopoCampaignSpec spec;
     TopoError terr;
     if (!load_camp_file(camp_file, &spec, &terr)) {
@@ -137,30 +183,24 @@ int main(int argc, char** argv) {
                 << spec.metric << ")\n";
       return 0;
     }
-    TopoCampaignOptions topts;
-    topts.cache_dir = cache_dir;
-    topts.use_cache = !no_cache;
-    topts.threads = threads;
-    topts.artifact_dir = out_dir;
-    topts.log = quiet ? nullptr : &std::cerr;
-    const auto tout = run_topo_campaign(spec, topts, &terr);
+    const auto tout = run_topo_campaign(spec, opts, &terr);
     if (!tout) {
       std::cerr << "burstcamp: " << terr.message << "\n";
       return 1;
     }
-    print_table(std::cout, {"campaign", "value"},
-                {
-                    {"name", tout->name},
-                    {"planned points", std::to_string(tout->stats.planned)},
-                    {"unique scenarios", std::to_string(tout->stats.unique)},
-                    {"cache hits", std::to_string(tout->stats.cache_hits)},
-                    {"simulated here", std::to_string(tout->stats.simulated)},
-                    {"simulated by other workers",
-                     std::to_string(tout->stats.farmed_out)},
-                    {"artifacts", tout->csv_path.empty() ? out_dir
-                                                         : tout->csv_path},
-                    {"cache", no_cache ? std::string("disabled") : cache_dir},
-                });
+    std::vector<std::vector<std::string>> rows = {
+        {"name", tout->name},
+        {"planned points", std::to_string(tout->stats.planned)},
+        {"unique scenarios", std::to_string(tout->stats.unique)},
+        {"cache hits", std::to_string(tout->stats.cache_hits)},
+        {"simulated here", std::to_string(tout->stats.simulated)},
+        {"simulated by other workers",
+         std::to_string(tout->stats.farmed_out)},
+        {"artifacts", tout->csv_path.empty() ? out_dir : tout->csv_path},
+        {"cache", no_cache ? std::string("disabled") : cache_dir},
+    };
+    append_engine_rows(tout->stats, profile, &rows);
+    print_table(std::cout, {"campaign", "value"}, rows);
     std::cout.flush();
     return 0;
   }
@@ -197,15 +237,6 @@ int main(int argc, char** argv) {
     sweeps = std::move(selected);
   }
 
-  CampaignOptions opts;
-  opts.cache_dir = cache_dir;
-  opts.use_cache = !no_cache;
-  opts.threads = threads;
-  opts.artifact_dir = out_dir;
-  opts.log = quiet ? nullptr : &std::cerr;
-  opts.profile = profile;
-  opts.lp_shards = lp_shards;
-
   const CampaignOutput out = run_campaign(sweeps, opts);
 
   if (print_tables) {
@@ -229,23 +260,7 @@ int main(int argc, char** argv) {
       {"artifacts", out_dir},
       {"cache", no_cache ? std::string("disabled") : cache_dir},
   };
-  if (profile) {
-    double total = 0.0;
-    for (const double s : st.phase_seconds) total += s;
-    for (std::size_t ph = 0; ph < kProfilePhases; ++ph) {
-      const double s = st.phase_seconds[ph];
-      rows.push_back(
-          {"phase " + std::string(to_string(static_cast<ProfilePhase>(ph))),
-           fmt(s, 2) + " s (" +
-               fmt(total > 0.0 ? 100.0 * s / total : 0.0, 1) + " %)"});
-    }
-  }
-  for (const LpPhase& p : st.lp_phases) {
-    rows.push_back({"lp " + std::to_string(p.lp),
-                    std::to_string(p.events) + " events, run " +
-                        fmt(p.run_s, 2) + " s, barrier wait " +
-                        fmt(p.wait_s, 2) + " s"});
-  }
+  append_engine_rows(st, profile, &rows);
   print_table(std::cout, {"campaign", "value"}, rows);
   std::cout.flush();
   return 0;

@@ -7,12 +7,12 @@
 #include <vector>
 
 #include "src/core/cli.hpp"
+#include "src/core/experiment.hpp"
 #include "src/core/report.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/runtime_trace.hpp"
 #include "src/obs/trace.hpp"
 #include "src/topo/parser.hpp"
-#include "src/topo/runner.hpp"
 
 namespace {
 
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
               << " nodes), " << spec->scenario.duration
               << " s simulated, seed " << spec->scenario.seed
               << "\nfingerprint: " << topo_key(*spec).hex() << "\n";
-    const ExperimentResult r = run_topo_experiment(*spec, topt);
+    const ExperimentResult r = run_experiment(*spec, topt);
     print_table(
         std::cout, {"metric", "value"},
         {
