@@ -7,7 +7,7 @@ Usage:
                     [--baseline bench/baselines/BENCH_parallel.json] \
                     [--threshold F] [--write-baseline PATH]
 
-Three kinds of checks:
+Five kinds of checks:
 
 * Events exact (within each current file, no baseline needed): a parallel
   row must execute EXACTLY as many simulator events as its sequential
@@ -19,6 +19,12 @@ Three kinds of checks:
   against ``fig02_n60_reno_red_traced`` on sim_events, delivered AND
   trace_records: the merged per-LP rings must reproduce the lp=1 trace
   record-for-record.
+
+* Traced-lp2 ceiling (within the packet_path file, no baseline needed):
+  ``fig02_n60_reno_red_lp2_traced`` may cost at most 1.5x the ns/op of
+  ``fig02_n60_reno_red_traced`` from the same run. Both rows trace the
+  same run, so the ratio cancels the machine; what separates them is the
+  per-LP rings, their merge and the engine itself.
 
 * Flight-recorder overhead (within the meanfield file): every
   ``meanfield_nN_fr`` row's wall must stay within 5% (+0.15 s slack) of
@@ -57,6 +63,12 @@ PACKET_LP = re.compile(r"^(fig02_n60_reno_red)_lp(\d+)$")
 # export must reproduce the lp=1 trace exactly, so record counts (and the
 # untouched packet counters) must be equal.
 PACKET_LP_TRACED = re.compile(r"^(fig02_n60_reno_red)_lp(\d+)_traced$")
+# (traced sequential row, traced parallel row, ceiling on their ns/op
+# ratio): the ROADMAP item 2 target for what splitting a traced run may
+# cost.
+TRACED_LP_CEILINGS = [
+    ("fig02_n60_reno_red_traced", "fig02_n60_reno_red_lp2_traced", 1.5),
+]
 MEANFIELD_FR = re.compile(r"^(meanfield_n\d+)_fr$")
 # Flight-recorder overhead ceiling: wall within 5% of the untraced twin
 # (plus a small absolute slack so sub-second smoke rows don't gate on
@@ -138,6 +150,26 @@ def check_normalized_wall(label, cur, base, threshold, failures):
             failures.append(
                 f"{name}: normalized wall {c_ratio:.3f} exceeds baseline "
                 f"{b_ratio:.3f} by more than {threshold * 100:.0f}%"
+            )
+
+
+def check_traced_ceiling(rows, failures):
+    """Traced parallel rows: ns/op within a fixed multiple of the traced
+    sequential twin's from the same file."""
+    for seq_name, lp_name, ceiling in TRACED_LP_CEILINGS:
+        if lp_name not in rows or seq_name not in rows:
+            failures.append(f"{lp_name}: row or its twin {seq_name} missing")
+            continue
+        ratio = rows[lp_name]["ns_per_op"] / rows[seq_name]["ns_per_op"]
+        ok = ratio <= ceiling
+        print(
+            f"  {lp_name}: {ratio:.2f}x the ns/op of {seq_name}"
+            f" vs ceiling {ceiling:.1f}x {'ok' if ok else 'REGRESSION'}"
+        )
+        if not ok:
+            failures.append(
+                f"{lp_name}: {ratio:.2f}x the ns/op of {seq_name}, "
+                f"above the {ceiling:.1f}x ceiling"
             )
 
 
@@ -286,6 +318,9 @@ def main():
     )
     if n_tr == 0:
         failures.append("no traced lp rows found in the packet_path file")
+
+    print("traced-lp2 ceiling (traced lp row vs traced sequential twin):")
+    check_traced_ceiling(pp, failures)
 
     print("flight-recorder overhead (fr rows vs untraced twin):")
     n_fr = check_flight_recorder(mf, failures)

@@ -1,29 +1,17 @@
 #include "src/obs/flight_recorder.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <ostream>
 
 #include "src/net/red_queue.hpp"
+#include "src/obs/format.hpp"
 #include "src/transport/flow_arena.hpp"
 
 namespace burst {
 
 namespace {
 
-// Same deterministic %.17g discipline as the trace exports: round-trips
-// any finite double and is platform-stable (validator-checked files).
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
+using obs_format::append_double;
+using obs_format::append_u64;
 
 /// log2 bin for a cwnd value: [2^i, 2^(i+1)) -> i, clamped to the last bin.
 std::size_t cwnd_bin(double cwnd) {

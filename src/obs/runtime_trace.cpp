@@ -1,28 +1,19 @@
 #include "src/obs/runtime_trace.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <ostream>
 #include <string>
+
+#include "src/obs/format.hpp"
 
 namespace burst {
 
 namespace {
 
+using obs_format::append_double;
+using obs_format::append_i64;
+
 constexpr int kRuntimePid = 2;  // the packet trace owns pid 1
 constexpr double kMicrosPerSec = 1e6;
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
 
 }  // namespace
 

@@ -12,9 +12,11 @@
 //    an event, never consumes RNG, never mutates component state — a
 //    traced run's ExperimentResult is bit-identical to an untraced one
 //    (tests/obs_trace_test.cpp proves it differentially).
-//  * Bounded memory. Records land in a fixed-capacity ring; when a run
-//    outgrows it, the oldest records are overwritten and counted, never
-//    reallocated mid-run.
+//  * Bounded memory. Records land in a ring whose capacity is a bound,
+//    not an up-front allocation: storage grows on demand (doubling,
+//    capped at the bound), so a short run pays for the records it
+//    emits. A run that outgrows the bound overwrites the oldest records
+//    and counts them.
 //
 // Exports: JSONL (one record per line, greppable) and Chrome trace-event
 // JSON (the `{"traceEvents": [...]}` dialect Perfetto and chrome://tracing
@@ -24,6 +26,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,8 +85,9 @@ inline constexpr std::uint16_t kTraceDropDisplaced = 2 << 1;
 
 class TraceSink {
  public:
-  /// @p capacity caps the ring (records, not bytes). The default holds a
-  /// full paper-scale run (N=60, 20 s is ~2-3 M packet-lifecycle records).
+  /// @p capacity bounds the ring (records, not bytes); nothing is
+  /// allocated until the first record. The default holds a full
+  /// paper-scale run (N=60, 20 s is ~2-3 M packet-lifecycle records).
   explicit TraceSink(std::size_t capacity = std::size_t{1} << 22);
 
   /// Registers (or finds) a named emission site — "queue:gateway",
@@ -108,12 +112,7 @@ class TraceSink {
 
   /// Appends a record; overwrites the oldest when the ring is full.
   void emit(const TraceRecord& r) {
-    TraceRecord& slot = ring_[head_];
-    slot = r;
-    slot.tie = tie_clock_ != nullptr ? *tie_clock_ : r.time;
-    slot.lp = lp_;
-    if (++head_ == ring_.size()) head_ = 0;
-    ++emitted_;
+    put(r, tie_clock_ != nullptr ? *tie_clock_ : r.time, lp_);
   }
 
   /// Appends a lazily-closed aggregate (a record emitted AFTER its logical
@@ -121,28 +120,16 @@ class TraceSink {
   /// tie = kTimeNever so merge_from() sorts it after every same-instant
   /// live record — exactly where the sequential engine's late emission
   /// plus stable time sort lands it.
-  void emit_aggregate(const TraceRecord& r) {
-    TraceRecord& slot = ring_[head_];
-    slot = r;
-    slot.tie = kTimeNever;
-    slot.lp = lp_;
-    if (++head_ == ring_.size()) head_ = 0;
-    ++emitted_;
-  }
+  void emit_aggregate(const TraceRecord& r) { put(r, kTimeNever, lp_); }
 
   /// Records ever emitted (including any overwritten ones).
   std::uint64_t emitted() const { return emitted_; }
   /// Records overwritten because the ring was full.
-  std::uint64_t dropped() const {
-    return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
-  }
+  std::uint64_t dropped() const { return emitted_ - ring_.size(); }
   /// Records currently held.
-  std::size_t size() const {
-    return emitted_ < ring_.size() ? static_cast<std::size_t>(emitted_)
-                                   : ring_.size();
-  }
-  /// Ring capacity in records (what the constructor reserved).
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t size() const { return ring_.size(); }
+  /// The ring's bound in records (what the constructor was given).
+  std::size_t capacity() const { return capacity_; }
 
   const std::vector<std::string>& sites() const { return sites_; }
   const std::vector<std::string>& states() const { return states_; }
@@ -162,6 +149,10 @@ class TraceSink {
   /// producer's tie (Simulator::schedule_at_as_of), so the merged order
   /// reproduces the sequential engine's emission order and the exports
   /// are byte-identical to a 1-LP run (tests/trace_merge_test.cpp).
+  /// Each part is read in place as one run in its stable (time, tie)
+  /// order — only its few late aggregates are sorted, on the side — and
+  /// the runs merge stably in part order: exactly the order a stable sort
+  /// of the parts' concatenation gives, without the sort.
   /// Call once, on a sink that has not recorded; parts stay untouched.
   void merge_from(const std::vector<const TraceSink*>& parts);
 
@@ -173,11 +164,40 @@ class TraceSink {
   bool write_chrome_trace(std::ostream& os) const;
 
  private:
-  /// The held records in emission order (ring unrolled, no sort).
-  std::vector<TraceRecord> unrolled() const;
+  /// Stores @p r stamped (tie, lp): appended while the ring is below its
+  /// bound, else over the oldest record.
+  void put(const TraceRecord& r, Time tie, std::uint8_t lp) {
+    ++emitted_;
+    TraceRecord* slot;
+    if (ring_.size() < capacity_) {
+      if (ring_.size() == ring_.capacity()) grow();
+      slot = &ring_.emplace_back(r);
+    } else {
+      slot = &ring_[head_];
+      *slot = r;
+      if (++head_ == capacity_) head_ = 0;
+    }
+    slot->tie = tie;
+    slot->lp = lp;
+  }
 
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;
+  /// Grows the ring's storage: 64Ki records first, then doubling,
+  /// capped at the bound.
+  void grow();
+
+  /// The held records in emission order: the ring itself until it
+  /// wraps, then its unrolled copy in @p scratch.
+  std::span<const TraceRecord> emission_order(
+      std::vector<TraceRecord>& scratch) const;
+
+  /// Calls @p fn on every held record in ordered()'s order, reading them
+  /// in place.
+  template <class Fn>
+  void for_each_ordered(Fn&& fn) const;
+
+  std::vector<TraceRecord> ring_;  // size() == min(emitted_, capacity_)
+  std::size_t capacity_;
+  std::size_t head_ = 0;  // oldest record once the ring is full
   std::uint64_t emitted_ = 0;
   const Time* tie_clock_ = nullptr;
   std::uint8_t lp_ = 0;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +48,78 @@ TEST(TraceSink, RingOverwritesOldestAndCounts) {
   // Records 0 and 1 were overwritten; 2..5 survive in time order.
   for (int i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(got[static_cast<std::size_t>(i)].time, i + 2.0);
+  }
+
+  // The capacity is a bound that storage grows towards on demand: a
+  // bound that is no power of two, filled through several growth steps
+  // and then well past it, must count and hold exactly what a ring
+  // allocated whole up front would — the newest min(n, bound) records,
+  // oldest first.
+  constexpr std::size_t kBound = 150000;
+  TraceSink grown(kBound);
+  EXPECT_EQ(grown.capacity(), kBound);
+  EXPECT_EQ(grown.size(), 0u);
+  EXPECT_TRUE(grown.ordered().empty());
+  std::size_t n = 0;
+  for (const std::size_t checkpoint :
+       {std::size_t{1}, std::size_t{65535}, std::size_t{65536},
+        std::size_t{65537}, std::size_t{131072}, std::size_t{131073},
+        kBound - 1, kBound, kBound + 1, std::size_t{262144}, 2 * kBound,
+        2 * kBound + 7, std::size_t{375000}}) {
+    for (; n < checkpoint; ++n) {
+      grown.emit(record(TraceEventType::kSourceEmit, static_cast<Time>(n),
+                        static_cast<double>(n)));
+    }
+    SCOPED_TRACE("after " + std::to_string(n) + " records");
+    const std::size_t held = std::min(n, kBound);
+    EXPECT_EQ(grown.emitted(), n);
+    EXPECT_EQ(grown.size(), held);
+    EXPECT_EQ(grown.dropped(), n - held);
+    EXPECT_EQ(grown.capacity(), kBound);
+    const std::vector<TraceRecord> kept = grown.ordered();
+    ASSERT_EQ(kept.size(), held);
+    for (std::size_t i = 0; i < held; ++i) {
+      ASSERT_EQ(kept[i].time, static_cast<Time>(n - held + i)) << i;
+    }
+  }
+}
+
+// ordered() is a stable sort by time, whatever the emission order: late
+// records (aggregates closed after later ones), equal timestamps whose
+// emission order must survive, and a ring that wrapped.
+TEST(TraceSink, OrderedIsAStableSortByTime) {
+  std::mt19937_64 rng(99);
+  for (const std::size_t bound : {std::size_t{50000}, std::size_t{777}}) {
+    SCOPED_TRACE("bound " + std::to_string(bound));
+    TraceSink sink(bound);
+    std::vector<TraceRecord> emitted;
+    Time now = 0.0;
+    for (int i = 0; i < 5000; ++i) {
+      now += static_cast<double>(rng() % 3) * 0.25;  // many equal stamps
+      TraceRecord r = record(TraceEventType::kQueueEnqueue, now);
+      r.seq = i;  // identifies the record
+      if (rng() % 40 == 0) {
+        // Closed late: stamped up to 20 steps in the past.
+        r.type = TraceEventType::kCongestionEvent;
+        r.time = std::max(0.0, now - static_cast<double>(rng() % 20) * 0.25);
+        sink.emit_aggregate(r);
+      } else {
+        sink.emit(r);
+      }
+      emitted.push_back(r);
+    }
+    const std::size_t held = std::min(emitted.size(), bound);
+    std::vector<TraceRecord> want(
+        emitted.end() - static_cast<std::ptrdiff_t>(held), emitted.end());
+    std::stable_sort(want.begin(), want.end(),
+                     [](const TraceRecord& a, const TraceRecord& b) {
+                       return a.time < b.time;
+                     });
+    const std::vector<TraceRecord> got = sink.ordered();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].seq, want[i].seq) << "position " << i;
+    }
   }
 }
 

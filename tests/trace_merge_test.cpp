@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -167,6 +168,129 @@ TEST(TraceMerge, MergedGoldenByteExact) {
       "\"flow\":2,\"seq\":-1,\"value\":2,\"aux\":0,\"detail\":1,"
       "\"state\":\"fast-recovery\"}\n";
   EXPECT_EQ(os.str(), expected);
+}
+
+// What merge_from must equal: the parts' held records (emission order,
+// oldest first) concatenated in LP order and stable-sorted by (time, tie).
+// Kept here as the reference; merge_from itself never sorts the bulk.
+std::vector<TraceRecord> concat_stable_sort(
+    const std::vector<std::vector<TraceRecord>>& parts) {
+  std::vector<TraceRecord> all;
+  for (const std::vector<TraceRecord>& p : parts) {
+    all.insert(all.end(), p.begin(), p.end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.tie < b.tie;
+                   });
+  return all;
+}
+
+// A part under construction: a sink stamped from a tie clock the test
+// drives, plus the log of what it holds, stamped as the sink stamps.
+struct HandPart {
+  explicit HandPart(std::uint8_t lp, std::size_t bound = 64) : sink(bound) {
+    sink.set_stamp(&clock, lp);
+  }
+  void live(Time t, Time tie, std::int64_t id) {
+    clock = tie;
+    TraceRecord r = rec(TraceEventType::kQueueEnqueue, t, 1, id, 0.0);
+    sink.emit(r);
+    r.tie = tie;
+    log(r);
+  }
+  void aggregate(Time t, std::int64_t id) {
+    TraceRecord r = rec(TraceEventType::kCongestionEvent, t, -1, id, 0.0);
+    sink.emit_aggregate(r);
+    r.tie = kTimeNever;
+    log(r);
+  }
+  void log(TraceRecord r) {
+    r.lp = sink.lp();
+    held.push_back(r);
+    if (held.size() > sink.capacity()) held.erase(held.begin());
+  }
+  Time clock = 0.0;
+  TraceSink sink;
+  std::vector<TraceRecord> held;
+};
+
+void expect_same_order(const std::vector<TraceRecord>& got,
+                       const std::vector<TraceRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("position " + std::to_string(i));
+    EXPECT_EQ(got[i].seq, want[i].seq);
+    EXPECT_EQ(got[i].time, want[i].time);
+    EXPECT_EQ(got[i].tie, want[i].tie);
+    EXPECT_EQ(got[i].lp, want[i].lp);
+  }
+}
+
+// Two hand-built parts, each holding a lazily-closed aggregate, with
+// (time, tie) keys shared across the parts (the lower LP goes first) and
+// within a part (emission order goes first).
+TEST(TraceMerge, EqualsStableSortOfTheConcatenation) {
+  HandPart a(0), b(1);
+  a.live(1.0, 0.9, 1);
+  a.live(1.0, 1.0, 2);
+  a.live(2.0, 2.0, 3);
+  a.live(2.0, 2.0, 4);  // same key as 3, same part
+  a.aggregate(1.0, 5);  // closed late, after the t=2 records
+  a.live(3.0, 2.5, 6);
+
+  b.live(1.0, 1.0, 11);  // same key as a's 2
+  b.live(2.0, 2.0, 12);  // same key as a's 3 and 4
+  b.live(2.5, 2.4, 14);
+  b.aggregate(2.0, 13);  // closed late, after the t=2.5 record
+  b.live(3.0, 2.5, 15);  // same key as a's 6
+  b.aggregate(1.0, 16);  // same (time, tie) as a's aggregate 5
+
+  TraceSink merged(64);
+  merged.merge_from({&a.sink, &b.sink});
+  const std::vector<TraceRecord> got = merged.ordered();
+  const std::vector<TraceRecord> want = concat_stable_sort({a.held, b.held});
+  expect_same_order(got, want);
+
+  std::vector<std::int64_t> ids;
+  for (const TraceRecord& r : got) ids.push_back(r.seq);
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{1, 2, 11, 5, 16, 3, 4, 12, 13,
+                                            14, 6, 15}));
+}
+
+// The same equality over random parts: three LPs, coarse keys so equal
+// (time, tie) pairs are common, late aggregates up to 20 steps in the
+// past, and one part whose ring wrapped.
+TEST(TraceMerge, RandomPartsEqualStableSortOfTheConcatenation) {
+  std::mt19937_64 rng(4242);
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<HandPart> parts;
+    parts.reserve(3);
+    parts.emplace_back(0, 4096);
+    parts.emplace_back(1, 300);  // wraps
+    parts.emplace_back(2, 4096);
+    std::int64_t id = 0;
+    for (HandPart& p : parts) {
+      Time now = 0.0;
+      for (int i = 0; i < 1000; ++i) {
+        now += static_cast<double>(rng() % 2) * 0.5;
+        if (rng() % 25 == 0) {
+          p.aggregate(
+              std::max(0.0, now - static_cast<double>(rng() % 20) * 0.5),
+              id++);
+        } else {
+          p.live(now, now - static_cast<double>(rng() % 2) * 0.25, id++);
+        }
+      }
+    }
+    TraceSink merged(1 << 14);
+    merged.merge_from({&parts[0].sink, &parts[1].sink, &parts[2].sink});
+    expect_same_order(merged.ordered(), concat_stable_sort({parts[0].held,
+                                                            parts[1].held,
+                                                            parts[2].held}));
+  }
 }
 
 // Parallel-runtime telemetry: the deterministic LpStats subset must land
