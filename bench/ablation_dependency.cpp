@@ -28,10 +28,6 @@ DependencyResult measure(Transport transport, int n, Time duration) {
   sc.num_clients = n;
   sc.duration = duration;
 
-  ExperimentOptions opts;
-  for (int i = 0; i < n; ++i) opts.trace_clients.push_back(i);
-  opts.cwnd_sample_period = 0.1;
-
   Simulator sim(sc.seed);
   TopoNet net(sim, make_dumbbell_spec(sc));
   FlowMonitor monitor(net.measured_queue(), /*event_gap=*/0.002);
@@ -48,17 +44,10 @@ DependencyResult measure(Transport transport, int n, Time duration) {
 
   // Per-flow indicator series: did the window decrease inside this 0.1 s
   // bin? Synchronized congestion decisions show up as correlated spikes.
-  const double bin = 0.1;
-  const auto n_bins = static_cast<std::size_t>((sc.duration - 1.0) / bin);
-  std::vector<std::vector<double>> cuts(
-      static_cast<std::size_t>(n), std::vector<double>(n_bins, 0.0));
-  for (int f = 0; f < n; ++f) {
-    const auto& pts = traces[static_cast<std::size_t>(f)].points();
-    for (std::size_t i = 1; i < pts.size(); ++i) {
-      if (pts[i].first < 1.0 || pts[i].second >= pts[i - 1].second) continue;
-      const auto b = static_cast<std::size_t>((pts[i].first - 1.0) / bin);
-      if (b < n_bins) cuts[static_cast<std::size_t>(f)][b] = 1.0;
-    }
+  std::vector<std::vector<double>> cuts;
+  cuts.reserve(traces.size());
+  for (const TraceSeries& t : traces) {
+    cuts.push_back(decrease_indicator(t, 0.1, 1.0, sc.duration));
   }
 
   DependencyResult out;

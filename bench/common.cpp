@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "src/run/campaign.hpp"
+#include "src/topo/parser.hpp"
 
 namespace burst::bench {
 
 Scenario paper_base() {
   Scenario s = Scenario::paper_default();
-  if (const char* d = std::getenv("BURST_DURATION")) {
-    s.duration = std::atof(d);
-  }
-  if (const char* seed = std::getenv("BURST_SEED")) {
-    s.seed = static_cast<std::uint64_t>(std::atoll(seed));
+  for (const auto& [env, field] : {std::pair{"BURST_DURATION", "duration"},
+                                   std::pair{"BURST_SEED", "seed"}}) {
+    const char* v = std::getenv(env);
+    std::string msg;
+    if (v != nullptr && !apply_scenario_field(&s, field, v, &msg)) {
+      std::cerr << "error: " << env << ": " << msg << "\n";
+      std::exit(2);
+    }
   }
   return s;
 }

@@ -22,7 +22,8 @@
 
 namespace burst::bench {
 
-/// Paper-default scenario with env-var overrides applied.
+/// Paper-default scenario with BURST_DURATION / BURST_SEED applied as
+/// `set` fields; a malformed value exits 2.
 Scenario paper_base();
 
 /// Prints the standard bench banner.

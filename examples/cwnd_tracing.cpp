@@ -35,7 +35,11 @@ int main(int argc, char** argv) {
   for (const auto c : cuts) std::cout << ' ' << c;
   std::cout << "\nmax synchronized-cut fraction: "
             << fmt(max_sync_fraction(r.cwnd_traces, 0.1, 0.0, sc.duration), 3)
-            << "\nexperiment summary: " << to_json(r) << "\n";
+            << "\nc.o.v. " << fmt(r.cov, 4) << " (Poisson "
+            << fmt(r.poisson_cov, 4) << "), delivered " << r.delivered
+            << ", loss " << fmt(r.loss_pct, 2) << " %, timeouts "
+            << r.timeouts << ", fast retransmits " << r.fast_retransmits
+            << ", Jain fairness " << fmt(r.fairness, 4) << "\n";
 
   if (!prefix.empty()) {
     for (const auto& t : r.cwnd_traces) {

@@ -1,30 +1,44 @@
 #include "src/core/cli.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
+
+#include "src/topo/parser.hpp"
 
 namespace burst {
 
 namespace {
 
-bool parse_transport(const std::string& v, Transport* out) {
-  if (v == "udp") *out = Transport::kUdp;
-  else if (v == "tahoe") *out = Transport::kTahoe;
-  else if (v == "reno") *out = Transport::kReno;
-  else if (v == "newreno") *out = Transport::kNewReno;
-  else if (v == "vegas") *out = Transport::kVegas;
-  else if (v == "sack") *out = Transport::kSack;
-  else return false;
-  return true;
-}
+// The scenario flags: each is its historical spelling of a `set` field.
+// The unit is appended to the value; a bare flag means "true", which only
+// the boolean fields accept.
+struct FieldFlag {
+  const char* flag;
+  const char* field;
+  const char* unit;
+  bool boolean;
+};
 
-bool parse_queue(const std::string& v, GatewayQueue* out) {
-  if (v == "fifo" || v == "droptail") *out = GatewayQueue::kDropTail;
-  else if (v == "red") *out = GatewayQueue::kRed;
-  else if (v == "drr") *out = GatewayQueue::kDrr;
-  else return false;
-  return true;
-}
+constexpr FieldFlag kFieldFlags[] = {
+    {"transport", "transport", "", false},
+    {"queue", "queue", "", false},
+    {"clients", "clients", "", false},
+    {"duration", "duration", "", false},
+    {"seed", "seed", "", false},
+    {"buffer", "gateway_buffer", "", false},
+    {"bottleneck-mbps", "bottleneck_bw", "Mbps", false},
+    {"mean-interarrival", "mean_interarrival", "", false},
+    {"red-min", "red_min", "", false},
+    {"red-max", "red_max", "", false},
+    {"red-maxp", "red_maxp", "", false},
+    {"delack", "delayed_ack", "", true},
+    {"ecn", "ecn", "", true},
+    {"adaptive-red", "adaptive_red", "", true},
+    {"limited-transmit", "limited_transmit", "", true},
+    {"cwnd-validation", "cwnd_validation", "", true},
+};
 
 bool parse_double(const std::string& v, double* out) {
   char* end = nullptr;
@@ -32,125 +46,55 @@ bool parse_double(const std::string& v, double* out) {
   return end != v.c_str() && *end == '\0';
 }
 
-bool parse_int(const std::string& v, int* out) {
-  char* end = nullptr;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
 bool fail(CliError* error, const std::string& msg) {
   if (error) error->message = msg;
   return false;
 }
 
+/// One option. Scenario fields are applied to @p sc, which validates
+/// them, and recorded in @p fields: the overrides of a scenario file.
 bool apply_option(const std::string& key, const std::string& value,
-                  bool has_value, CliRequest* req, CliError* error) {
+                  bool has_value, CliRequest* req, Scenario* sc,
+                  TopoOverrides* fields, CliError* error) {
   auto need = [&](const char* what) {
     return has_value ? true
                      : fail(error, "--" + key + " requires a value (" +
                                        std::string(what) + ")");
   };
-  Scenario& sc = req->scenario;
-  if (key == "help") {
-    req->show_help = true;
-    return true;
-  }
-  if (key == "delack") {
-    sc.delayed_ack = true;
-    return true;
-  }
-  if (key == "ecn") {
-    sc.ecn = true;
-    return true;
-  }
-  if (key == "adaptive-red") {
-    sc.adaptive_red = true;
-    return true;
-  }
-  if (key == "limited-transmit") {
-    sc.limited_transmit = true;
-    return true;
-  }
-  if (key == "cwnd-validation") {
-    sc.cwnd_validation = true;
-    return true;
-  }
-  if (key == "transport") {
-    if (!need("protocol name")) return false;
-    if (!parse_transport(value, &sc.transport)) {
-      return fail(error, "unknown transport '" + value + "'");
+  auto set_field = [&](const std::string& field, const std::string& v) {
+    std::string msg;
+    if (!apply_scenario_field(sc, field, v, &msg)) {
+      return fail(error, "--" + key + ": " + msg);
     }
-    return true;
-  }
-  if (key == "queue") {
-    if (!need("fifo|red|drr")) return false;
-    if (!parse_queue(value, &sc.gateway)) {
-      return fail(error, "unknown queue discipline '" + value + "'");
-    }
-    return true;
-  }
-  if (key == "clients") {
-    int n = 0;
-    if (!need("count") || !parse_int(value, &n) || n < 1) {
-      return fail(error, "--clients needs a positive integer");
-    }
-    sc.num_clients = n;
-    return true;
-  }
-  if (key == "seed") {
-    int n = 0;
-    if (!need("seed") || !parse_int(value, &n) || n < 0) {
-      return fail(error, "--seed needs a non-negative integer");
-    }
-    sc.seed = static_cast<std::uint64_t>(n);
-    return true;
-  }
-  if (key == "buffer") {
-    int n = 0;
-    if (!need("packets") || !parse_int(value, &n) || n < 1) {
-      return fail(error, "--buffer needs a positive integer");
-    }
-    sc.gateway_buffer = static_cast<std::size_t>(n);
-    return true;
-  }
-  double d = 0.0;
-  auto need_pos_double = [&](const char* what) {
-    if (!need(what)) return false;
-    if (!parse_double(value, &d) || d <= 0.0) {
-      return fail(error, "--" + key + " needs a positive number");
-    }
+    fields->emplace_back(field, v);
     return true;
   };
-  if (key == "duration") {
-    if (!need_pos_double("seconds")) return false;
-    sc.duration = d;
+  for (const FieldFlag& f : kFieldFlags) {
+    if (key != f.flag) continue;
+    if (!has_value) {
+      return f.boolean ? set_field(f.field, "true") : need(f.field);
+    }
+    return set_field(f.field, value + f.unit);
+  }
+  if (key == "set") {
+    if (!need("field=value")) return false;
+    const auto eq = value.find('=');
+    if (eq == std::string::npos) {
+      return fail(error, "--set wants field=value, got '" + value + "'");
+    }
+    return set_field(value.substr(0, eq), value.substr(eq + 1));
+  }
+  if (key == "scenario" || key == "validate") {
+    if (!need("a .topo file")) return false;
+    if (!req->scenario_file.empty()) {
+      return fail(error, "--scenario and --validate name one file, once");
+    }
+    req->scenario_file = value;
+    req->validate = key == "validate";
     return true;
   }
-  if (key == "bottleneck-mbps") {
-    if (!need_pos_double("Mbps")) return false;
-    sc.bottleneck_bw_bps = d * 1e6;
-    return true;
-  }
-  if (key == "mean-interarrival") {
-    if (!need_pos_double("seconds")) return false;
-    sc.mean_interarrival = d;
-    return true;
-  }
-  if (key == "red-min") {
-    if (!need_pos_double("packets")) return false;
-    sc.red_min_th = d;
-    return true;
-  }
-  if (key == "red-max") {
-    if (!need_pos_double("packets")) return false;
-    sc.red_max_th = d;
-    return true;
-  }
-  if (key == "red-maxp") {
-    if (!need_pos_double("probability")) return false;
-    sc.red_max_p = d;
+  if (key == "help") {
+    req->show_help = true;
     return true;
   }
   if (key == "trace") {
@@ -159,7 +103,7 @@ bool apply_option(const std::string& key, const std::string& value,
     std::string tok;
     while (std::getline(is, tok, ',')) {
       int idx = 0;
-      if (!parse_int(tok, &idx) || idx < 0) {
+      if (!parse_int_option(tok, 0, INT_MAX, &idx)) {
         return fail(error, "--trace needs comma-separated indices");
       }
       req->options.trace_clients.push_back(idx);
@@ -168,11 +112,10 @@ bool apply_option(const std::string& key, const std::string& value,
     return true;
   }
   if (key == "lp") {
-    int n = 0;
-    if (!need("shard count") || !parse_int(value, &n) || n < 1) {
+    if (!need("shard count") ||
+        !parse_int_option(value, 1, INT_MAX, &req->options.lp_shards)) {
       return fail(error, "--lp needs a positive integer");
     }
-    req->options.lp_shards = n;
     return true;
   }
   if (key == "csv") {
@@ -199,11 +142,9 @@ bool apply_option(const std::string& key, const std::string& value,
     return true;
   }
   if (key == "fr-cap") {
-    int n = 0;
-    if (!need("samples") || !parse_int(value, &n) || n < 2) {
+    if (!need("samples") || !parse_int_option(value, 2, INT_MAX, &req->fr_cap)) {
       return fail(error, "--fr-cap needs an integer sample budget >= 2");
     }
-    req->fr_cap = n;
     return true;
   }
   if (key == "profile") {
@@ -215,13 +156,24 @@ bool apply_option(const std::string& key, const std::string& value,
 
 }  // namespace
 
+bool parse_int_option(const std::string& text, int lo, int hi, int* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
 std::optional<CliRequest> parse_cli(const std::vector<std::string>& args,
                                     CliError* error) {
   CliRequest req;
-  req.scenario = Scenario::paper_default();
+  Scenario sc = Scenario::paper_default();
+  TopoOverrides fields;
   for (const std::string& arg : args) {
     if (arg.rfind("--", 0) != 0) {
-      if (error) error->message = "unexpected argument '" + arg + "'";
+      fail(error, "unexpected argument '" + arg + "'");
       return std::nullopt;
     }
     const std::string body = arg.substr(2);
@@ -229,22 +181,39 @@ std::optional<CliRequest> parse_cli(const std::vector<std::string>& args,
     const std::string key = body.substr(0, eq);
     const bool has_value = eq != std::string::npos;
     const std::string value = has_value ? body.substr(eq + 1) : "";
-    if (!apply_option(key, value, has_value, &req, error)) {
+    if (!apply_option(key, value, has_value, &req, &sc, &fields, error)) {
       return std::nullopt;
     }
   }
-  // Sanity constraints that individual options cannot see alone.
-  if (req.scenario.red_min_th >= req.scenario.red_max_th) {
-    if (error) error->message = "--red-min must be below --red-max";
-    return std::nullopt;
+  if (req.show_help) return req;
+
+  if (req.scenario_file.empty()) {
+    // The one constraint a single field cannot check alone; a file's
+    // `queue red` and `queue gateway` links check it at parse time.
+    if (sc.red_min_th >= sc.red_max_th) {
+      fail(error, "--red-min must be below --red-max");
+      return std::nullopt;
+    }
+    req.spec = make_dumbbell_spec(sc);
+  } else {
+    TopoError terr;
+    auto spec = load_topo_file(req.scenario_file, &terr, fields);
+    if (!spec) {
+      fail(error, terr.render(req.scenario_file));
+      if (error) error->exit_code = 1;
+      return std::nullopt;
+    }
+    req.spec = std::move(*spec);
+  }
+  int flows = 0;
+  for (const TopoFlowSpec& f : req.spec.flows) {
+    flows += req.spec.node_count(f.src);
   }
   for (int idx : req.options.trace_clients) {
-    if (idx >= req.scenario.num_clients) {
-      if (error) {
-        error->message = "--trace index " + std::to_string(idx) +
-                         " out of range for --clients=" +
-                         std::to_string(req.scenario.num_clients);
-      }
+    if (idx >= flows) {
+      fail(error, "--trace index " + std::to_string(idx) +
+                      " out of range for " + std::to_string(flows) +
+                      " clients");
       return std::nullopt;
     }
   }
@@ -253,9 +222,12 @@ std::optional<CliRequest> parse_cli(const std::vector<std::string>& args,
 
 std::string cli_usage() {
   return
-      "burstsim — run one dumbbell experiment from the ICDCS 2000 TCP\n"
-      "burstiness study and print its metrics.\n\n"
+      "burstsim — run one experiment from the ICDCS 2000 TCP burstiness\n"
+      "study (the paper dumbbell, or a .topo scenario file) and print its\n"
+      "metrics.\n\n"
       "usage: burstsim [--option[=value]]...\n\n"
+      "scenario (each flag is a `set` field, applied in order like\n"
+      "--set=field=value; with --scenario they override the file):\n"
       "  --transport=udp|tahoe|reno|newreno|vegas|sack   (default reno)\n"
       "  --queue=fifo|red|drr                            (default fifo)\n"
       "  --clients=N            number of Poisson clients (default 20)\n"
@@ -270,9 +242,16 @@ std::string cli_usage() {
       "  --limited-transmit     RFC 3042 limited transmit\n"
       "  --cwnd-validation      RFC 2861-style growth gating\n"
       "  --red-min=X --red-max=X --red-maxp=X   RED parameters\n"
+      "  --set=FIELD=VALUE      any `set` field (DESIGN.md section 10.1);\n"
+      "                         repeatable\n"
+      "  --scenario=FILE        run the .topo scenario FILE instead of the\n"
+      "                         dumbbell\n"
+      "  --validate=FILE        parse + validate FILE, print its\n"
+      "                         fingerprint and exit without simulating;\n"
+      "                         a bad file exits 1 with file:line:col\n\n"
+      "run:\n"
       "  --lp=N                 logical processes for the conservative\n"
-      "                         parallel engine (default 1 = sequential;\n"
-      "                         --trace still clamps back to 1)\n"
+      "                         parallel engine (default 1 = sequential)\n"
       "  --trace=i,j,...        record cwnd of these clients\n"
       "  --csv=PATH             write traced cwnds as CSV\n"
       "  --trace-out=PATH       structured event trace: writes PATH.jsonl\n"

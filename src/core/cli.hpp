@@ -1,5 +1,5 @@
-// Command-line front end for running one experiment: parses `--key=value`
-// options into a Scenario + ExperimentOptions. Lives in the library (not
+// Command-line front end for running one experiment: resolves `--key=value`
+// options into one TopoSpec + ExperimentOptions. Lives in the library (not
 // the tool) so the parsing rules are unit-testable.
 #pragma once
 
@@ -8,12 +8,17 @@
 #include <vector>
 
 #include "src/core/experiment.hpp"
-#include "src/core/scenario.hpp"
+#include "src/topo/spec.hpp"
 
 namespace burst {
 
 struct CliRequest {
-  Scenario scenario;
+  /// The one scenario this invocation runs: make_dumbbell_spec of the
+  /// flag-built Scenario, or the --scenario / --validate file with the
+  /// scenario flags applied over its `set` lines.
+  TopoSpec spec;
+  std::string scenario_file;  // empty = the flag-built dumbbell
+  bool validate = false;      // --validate: check the file, do not run
   ExperimentOptions options;
   std::string csv_path;    // if non-empty, write cwnd traces as CSV here
   std::string trace_path;  // if non-empty, attach a TraceSink and write
@@ -29,19 +34,20 @@ struct CliRequest {
 
 struct CliError {
   std::string message;
+  int exit_code = 2;  // 2: a bad option; 1: a bad scenario file
+                      // (message is then `file:line:col: ...`)
 };
 
-/// Parses argv (excluding argv[0]). Recognized options:
-///   --transport=udp|tahoe|reno|newreno|vegas|sack
-///   --queue=fifo|red|drr       --clients=N       --duration=SECONDS
-///   --seed=N                   --delack          --ecn
-///   --adaptive-red             --buffer=PKTS     --bottleneck-mbps=X
-///   --mean-interarrival=SECS   --trace=i,j,...   --csv=PATH
-///   --red-min=X --red-max=X --red-maxp=X         --trace-out=PATH
-///   --help
-/// Returns the parsed request, or an error describing the bad option.
+/// Parses argv (excluding argv[0]); cli_usage() lists the options. Every
+/// scenario flag (--clients, --queue, --delack, ...) is its historical
+/// spelling of a `set` field and is applied like --set=field=value, in
+/// command-line order. Returns the resolved request, or an error.
 std::optional<CliRequest> parse_cli(const std::vector<std::string>& args,
                                     CliError* error);
+
+/// Parses all of @p text as a base-10 integer in [@p lo, @p hi]; false on
+/// anything else, out-of-range values included.
+bool parse_int_option(const std::string& text, int lo, int hi, int* out);
 
 /// The --help text.
 std::string cli_usage();

@@ -15,6 +15,30 @@
 
 namespace burst {
 
+namespace {
+
+/// @p changes (every cwnd write) with the periodic grid t_1 = period,
+/// t_{k+1} = t_k + period (while <= until) interleaved. A grid point holds
+/// the last value at or before its time, and a change at the same instant
+/// goes first: the times, values and order an event-scheduled sampler
+/// produced, without its events.
+TraceSeries with_sample_grid(const TraceSeries& changes, Time period,
+                             Time until) {
+  TraceSeries out(changes.name());
+  const auto& pts = changes.points();
+  std::size_t i = 0;
+  for (Time t = period; t <= until; t += period) {
+    for (; i < pts.size() && pts[i].first <= t; ++i) {
+      out.record(pts[i].first, pts[i].second);
+    }
+    out.record(t, out.points().back().second);
+  }
+  for (; i < pts.size(); ++i) out.record(pts[i].first, pts[i].second);
+  return out;
+}
+
+}  // namespace
+
 ExperimentResult run_experiment(const Scenario& scenario,
                                 const ExperimentOptions& options) {
   return run_experiment(make_dumbbell_spec(scenario), options);
@@ -35,17 +59,9 @@ ExperimentResult run_experiment(const TopoSpec& spec,
       dumbbell ? TopoMetricNames{"queue.gateway", "link.bottleneck"}
                : TopoMetricNames{};
 
-  // The periodic cwnd sampler schedules its own events on the build
-  // Simulator, so it pins the run to the sequential engine. Event tracing
-  // does not: each LP records into a private ring, merged at export
-  // (TraceSink::merge_from). Beyond that the partitioner itself may
-  // decline (no cut, zero lookahead) — either way part.shards is what the
-  // run actually uses.
-  int requested = options.lp_shards;
-  if (!options.trace_clients.empty()) {
-    requested = 1;
-  }
-  const LpPartition part = make_lp_partition(spec, requested);
+  // The partitioner may decline the request (no cut, zero lookahead):
+  // part.shards is what the run actually uses.
+  const LpPartition part = make_lp_partition(spec, options.lp_shards);
 
   std::unique_ptr<Simulator> seq;
   std::unique_ptr<ParallelRuntime> rt;
@@ -99,26 +115,14 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   for (int c : options.trace_clients) {
     result.cwnd_traces.emplace_back("client " + std::to_string(c + 1));
   }
+  // Each traced sender records every set_cwnd write into its own series
+  // from its own LP; nothing is scheduled, so tracing shards like event
+  // tracing does and leaves the event sequence untouched.
   std::size_t ti = 0;
   for (int c : options.trace_clients) {
     if (c >= 0 && c < net->num_flows()) {
       if (TcpSender* s = net->tcp_sender(c)) {
         s->set_cwnd_trace(&result.cwnd_traces[ti]);
-        if (options.cwnd_sample_period > 0.0) {
-          Simulator& sim = *seq;  // trace_clients clamp to sequential above
-          struct Sampler {
-            static void arm(Simulator& sim, TcpSender* s, TraceSeries* t,
-                            Time period, Time until) {
-              if (sim.now() + period > until) return;
-              sim.schedule(period, [&sim, s, t, period, until] {
-                t->record(sim.now(), s->cwnd());
-                arm(sim, s, t, period, until);
-              });
-            }
-          };
-          Sampler::arm(sim, s, &result.cwnd_traces[ti],
-                       options.cwnd_sample_period, sc.duration);
-        }
       }
     }
     ++ti;
@@ -179,6 +183,15 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   if (result.sim_wall_s > 0.0) {
     result.events_per_sec =
         static_cast<double>(result.sim_events) / result.sim_wall_s;
+  }
+  if (options.cwnd_sample_period > 0.0) {
+    // An attached series starts with its attach-time point; an empty one
+    // belongs to a client with no TCP sender and stays empty.
+    for (TraceSeries& t : result.cwnd_traces) {
+      if (!t.empty()) {
+        t = with_sample_grid(t, options.cwnd_sample_period, sc.duration);
+      }
+    }
   }
 
   const RunningStats bin_stats = arrivals.stats_until(sc.duration);

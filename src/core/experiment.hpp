@@ -19,10 +19,14 @@ class FlightRecorder;
 struct TopoSpec;
 
 struct ExperimentOptions {
-  /// Client indices whose congestion windows should be traced.
+  /// Client indices whose congestion windows should be traced. Each
+  /// traced sender records every window write; nothing is scheduled, so a
+  /// traced run executes the untraced run's events and shards like one.
   std::vector<int> trace_clients;
-  /// Sampling period for additional periodic cwnd samples (0 = only on
-  /// change). The figures sample in units of 0.1 s like the paper's x-axis.
+  /// Period of the grid added to each cwnd trace after the run (0 = only
+  /// the change points). Grid point t_k = t_{k-1} + period, t_1 = period,
+  /// up to the duration, holds the last value at or before t_k. The
+  /// figures use 0.1 s like the paper's x-axis.
   Time cwnd_sample_period = 0.0;
   /// Structured event-trace sink. When non-null, every tap point in the
   /// topology (queue, measured link, TCP sinks, sources, transport
@@ -37,10 +41,10 @@ struct ExperimentOptions {
   /// per-shard-count but may order exact same-instant ties differently
   /// than lp=1, so the scenario key is salted with this field whenever it
   /// exceeds 1 (the result cache must never mix shard counts). Requests
-  /// the topology cannot honor (no cut, zero lookahead) and runs with the
-  /// periodic cwnd sampler attached (trace_clients) clamp back to 1;
-  /// event tracing shards fine — each LP records into a private ring and
-  /// the rings merge deterministically at export (DESIGN.md §14).
+  /// the topology cannot honor (no cut, zero lookahead) clamp back to 1.
+  /// Tracing shards fine: cwnd traces are written by each sender's own
+  /// LP, and event traces go to per-LP rings merged deterministically at
+  /// export (DESIGN.md §14).
   int lp_shards = 1;
   /// Optional fixed-budget streaming sampler for huge-N runs (DESIGN.md
   /// §14.3). When non-null it is wired to the measured queue, the flow
@@ -142,8 +146,8 @@ struct ExperimentResult {
   double sim_wall_s = 0.0;         // wall-clock seconds inside sim.run()
   double events_per_sec = 0.0;     // sim_events / sim_wall_s
 
-  /// Shard count the run actually used (1 when the request was clamped —
-  /// see ExperimentOptions::lp_shards). For parallel runs sim_events /
+  /// Shard count the run actually used (1 when the partitioner declined
+  /// the request — see ExperimentOptions::lp_shards). For parallel runs sim_events /
   /// peak_pending / the sched.* metrics aggregate across LPs: events and
   /// scheduled counts sum (so they stay comparable with lp=1), while
   /// peak_pending takes the max over the per-LP heaps.

@@ -107,25 +107,4 @@ bool write_sweep_csv(const std::string& path,
   return static_cast<bool>(f);
 }
 
-std::string to_json(const ExperimentResult& r) {
-  std::ostringstream os;
-  os << "{"
-     << "\"scenario\":\"" << r.scenario.label() << "\","
-     << "\"cov\":" << r.cov << ","
-     << "\"poisson_cov\":" << r.poisson_cov << ","
-     << "\"app_generated\":" << r.app_generated << ","
-     << "\"delivered\":" << r.delivered << ","
-     << "\"gw_arrivals\":" << r.gw_arrivals << ","
-     << "\"gw_drops\":" << r.gw_drops << ","
-     << "\"loss_pct\":" << r.loss_pct << ","
-     << "\"timeouts\":" << r.timeouts << ","
-     << "\"fast_retransmits\":" << r.fast_retransmits << ","
-     << "\"dupacks\":" << r.dupacks << ","
-     << "\"timeout_dupack_ratio\":" << r.timeout_dupack_ratio << ","
-     << "\"fairness\":" << r.fairness << ","
-     << "\"mean_delay\":" << r.delay.mean() << ","
-     << "\"max_delay\":" << r.delay.max() << "}";
-  return os.str();
-}
-
 }  // namespace burst

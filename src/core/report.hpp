@@ -44,8 +44,4 @@ bool write_sweep_csv(const std::string& path,
                      const std::vector<SweepSeries>& series,
                      double (*metric)(const ExperimentResult&));
 
-/// Serializes the headline metrics of one experiment as a JSON object
-/// (flat, no dependencies) for downstream tooling.
-std::string to_json(const ExperimentResult& r);
-
 }  // namespace burst

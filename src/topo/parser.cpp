@@ -1,6 +1,8 @@
 #include "src/topo/parser.hpp"
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -56,6 +58,12 @@ bool str_to_double(const std::string& s, double* out) {
   if (rest != s.c_str() + s.size() || errno == ERANGE) return false;
   *out = v;
   return true;
+}
+
+/// True iff @p d is a whole number in [@p lo, INT_MAX]. Checked before
+/// any cast to int: an out-of-range cast is undefined behaviour.
+bool whole_int(double d, double lo) {
+  return d >= lo && d <= INT_MAX && d == std::floor(d);
 }
 
 bool str_to_u64(const std::string& s, std::uint64_t* out) {
@@ -165,7 +173,7 @@ bool apply_scenario_field(Scenario* sc, const std::string& field,
   std::uint64_t u = 0;
   bool b = false;
   if (field == "clients") {
-    if (!str_to_double(value, &d) || d < 1 || d != static_cast<int>(d)) {
+    if (!str_to_double(value, &d) || !whole_int(d, 1)) {
       return bad_value("client count");
     }
     sc->num_clients = static_cast<int>(d);
@@ -225,7 +233,7 @@ bool apply_scenario_field(Scenario* sc, const std::string& field,
     if (!str_to_u64(value, &u) || u == 0) return bad_value("buffer size");
     sc->client_queue_buffer = static_cast<std::size_t>(u);
   } else if (field == "payload_bytes") {
-    if (!str_to_double(value, &d) || d < 1 || d != static_cast<int>(d)) {
+    if (!str_to_double(value, &d) || !whole_int(d, 1)) {
       return bad_value("byte count");
     }
     sc->payload_bytes = static_cast<int>(d);
@@ -277,7 +285,7 @@ bool apply_scenario_field(Scenario* sc, const std::string& field,
     if (!str_to_u64(value, &u)) return bad_value("seed");
     sc->seed = u;
   } else if (field == "meanfield_base") {
-    if (!str_to_double(value, &d) || d < 0 || d != static_cast<int>(d)) {
+    if (!str_to_double(value, &d) || !whole_int(d, 0)) {
       return bad_value("base client count");
     }
     sc->meanfield_base = static_cast<int>(d);
@@ -350,7 +358,7 @@ struct Parser {
   bool size_token(const Token& t, std::size_t* out) {
     double d = 0.0;
     if (!number_token(t, &d)) return false;
-    if (d < 1 || d != static_cast<double>(static_cast<std::uint64_t>(d))) {
+    if (!whole_int(d, 1)) {
       return fail(t.col, "'" + t.text + "' is not a positive integer");
     }
     *out = static_cast<std::size_t>(d);
@@ -580,8 +588,8 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
               const Token* v = need_value(pk);
               double d = 0.0;
               if (!v || !p.number_token(*v, &d)) return std::nullopt;
-              if (d < 1) {
-                p.fail(v->col, "quantum must be >= 1 byte");
+              if (!(d >= 1 && d <= INT_MAX)) {
+                p.fail(v->col, "quantum must be 1 to 2147483647 bytes");
                 return std::nullopt;
               }
               q.drr_quantum_bytes = static_cast<int>(d);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <utility>
+
+#include "src/sim/simulator.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
+#include "src/transport/tcp_sender.hpp"
 
 namespace burst {
 namespace {
@@ -114,6 +121,73 @@ TEST(Experiment, PeriodicCwndSampling) {
   // At least ~duration/period points (plus change-driven ones).
   EXPECT_GE(r.cwnd_traces[0].points().size(),
             static_cast<std::size_t>(s.duration / 0.1) - 2);
+}
+
+ExperimentOptions trace_all(int clients) {
+  ExperimentOptions opts;
+  for (int i = 0; i < clients; ++i) opts.trace_clients.push_back(i);
+  opts.cwnd_sample_period = 0.1;
+  return opts;
+}
+
+TEST(Experiment, CwndTracingAddsNoEvents) {
+  Scenario s = quick(30);
+  s.gateway = GatewayQueue::kRed;
+  const auto bare = run_experiment(s);
+  const auto traced = run_experiment(s, trace_all(30));
+  EXPECT_EQ(traced.sim_events, bare.sim_events);
+  EXPECT_EQ(traced.peak_pending, bare.peak_pending);
+  EXPECT_EQ(traced.metrics, bare.metrics);
+  EXPECT_EQ(traced.cov, bare.cov);
+  EXPECT_EQ(traced.delivered, bare.delivered);
+  EXPECT_EQ(traced.gw_drops, bare.gw_drops);
+  EXPECT_EQ(traced.timeouts, bare.timeouts);
+  ASSERT_EQ(traced.cwnd_traces.size(), 30u);
+  EXPECT_GT(traced.cwnd_traces[0].points().size(),
+            static_cast<std::size_t>(s.duration / 0.1) - 2);
+}
+
+// The event-scheduled sampler run_experiment used before the grid was
+// filled after the run, kept as the reference: one event chain per traced
+// sender, first at `period`, then every `period` while <= until.
+void arm_sampler(Simulator& sim, const TcpSender* s, TraceSeries* t,
+                 Time period, Time until) {
+  if (sim.now() + period > until) return;
+  sim.schedule(period, [&sim, s, t, period, until] {
+    t->record(sim.now(), s->cwnd());
+    arm_sampler(sim, s, t, period, until);
+  });
+}
+
+TEST(Experiment, CwndGridMatchesAScheduledSampler) {
+  for (const auto& [n, transport, queue] :
+       {std::tuple{60, Transport::kReno, GatewayQueue::kRed},
+        std::tuple{30, Transport::kVegas, GatewayQueue::kDropTail}}) {
+    Scenario s = quick(n, transport);
+    s.gateway = queue;
+    s.duration = 10.0;
+    const auto r = run_experiment(s, trace_all(n));
+
+    Simulator sim(s.seed);
+    TopoNet net(sim, make_dumbbell_spec(s));
+    std::vector<TraceSeries> ref;
+    ref.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      ref.emplace_back("client " + std::to_string(i + 1));
+      TcpSender* sender = net.tcp_sender(i);
+      sender->set_cwnd_trace(&ref.back());
+      arm_sampler(sim, sender, &ref.back(), 0.1, s.duration);
+    }
+    net.start_sources();
+    sim.run(s.duration);
+
+    ASSERT_EQ(r.cwnd_traces.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(r.cwnd_traces[i].name(), ref[i].name());
+      EXPECT_EQ(r.cwnd_traces[i].points(), ref[i].points())
+          << s.label() << " " << ref[i].name();
+    }
+  }
 }
 
 TEST(Experiment, UdpHasNoTcpCounters) {

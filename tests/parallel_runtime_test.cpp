@@ -288,17 +288,34 @@ TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
   }
 }
 
-TEST(ParallelEquivalence, TracedRunsClampToOneLp) {
-  Scenario sc = small(6, Transport::kReno, GatewayQueue::kDropTail, 3);
-  ExperimentOptions opt;
-  opt.lp_shards = 4;
-  opt.trace_clients = {0};
-  opt.cwnd_sample_period = 0.1;
-  const ExperimentResult r = run_experiment(sc, opt);
-  EXPECT_EQ(r.lp_shards, 1);
-  EXPECT_TRUE(r.lp_phases.empty());
-  ASSERT_EQ(r.cwnd_traces.size(), 1u);
-  EXPECT_GT(r.cwnd_traces[0].points().size(), 0u);
+// cwnd traces only observe: each sender records its own window writes on
+// its own LP and the sample grid is filled after the run, so a traced run
+// shards like any other and its traces equal the sequential run's.
+TEST(ParallelEquivalence, CwndTracedRunsShardAndMatchLp1) {
+  for (const Scenario& sc :
+       {small(12, Transport::kReno, GatewayQueue::kRed, 11),
+        small(10, Transport::kVegas, GatewayQueue::kDropTail, 3)}) {
+    ExperimentOptions opt;
+    for (int i = 0; i < sc.num_clients; ++i) opt.trace_clients.push_back(i);
+    opt.cwnd_sample_period = 0.1;
+    const ExperimentResult lp1 = run_experiment(sc, opt);
+    ASSERT_EQ(lp1.cwnd_traces.size(),
+              static_cast<std::size_t>(sc.num_clients));
+    for (int shards : {2, 4}) {
+      opt.lp_shards = shards;
+      const ExperimentResult r = run_experiment(sc, opt);
+      EXPECT_EQ(r.lp_shards, shards) << "request was not honored";
+      EXPECT_EQ(r.lp_phases.size(), static_cast<std::size_t>(shards));
+      EXPECT_EQ(canon(lp1), canon(r)) << "lp=" << shards;
+      EXPECT_EQ(lp1.sim_events, r.sim_events) << "lp=" << shards;
+      ASSERT_EQ(r.cwnd_traces.size(), lp1.cwnd_traces.size());
+      for (std::size_t i = 0; i < r.cwnd_traces.size(); ++i) {
+        EXPECT_EQ(r.cwnd_traces[i].name(), lp1.cwnd_traces[i].name());
+        EXPECT_EQ(r.cwnd_traces[i].points(), lp1.cwnd_traces[i].points())
+            << lp1.cwnd_traces[i].name() << " lp=" << shards;
+      }
+    }
+  }
 }
 
 // Run-to-run bit-identity at a fixed shard count, with a pinned hash so

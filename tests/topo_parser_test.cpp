@@ -172,5 +172,35 @@ TEST(TopoParser, UnitArithmeticMatchesTheCppHelpers) {
   EXPECT_EQ(spec->links[2].rate_bps, 10e6);
 }
 
+// Integer fields are range-checked before the cast to int: 1e10 once
+// reached static_cast<int>, which is undefined behaviour out of range.
+TEST(TopoParser, IntegerFieldsRejectOutOfRange) {
+  for (const char* field : {"clients", "payload_bytes", "meanfield_base"}) {
+    for (const char* value : {"1e10", "-1e10", "2147483648", "inf", "nan",
+                              "2.5"}) {
+      Scenario sc = Scenario::paper_default();
+      std::string msg;
+      EXPECT_FALSE(apply_scenario_field(&sc, field, value, &msg))
+          << field << " " << value;
+      EXPECT_NE(msg.find(field), std::string::npos) << msg;
+    }
+    Scenario sc = Scenario::paper_default();
+    std::string msg;
+    EXPECT_TRUE(apply_scenario_field(&sc, field, "2147483647", &msg)) << msg;
+  }
+  // The graph's integers (node counts, queue caps) take the same check.
+  std::string text = kGood;
+  text.replace(text.find("count 4"), 7, "count 1e10");
+  EXPECT_NE(expect_fail(text).message.find("not a positive integer"),
+            std::string::npos);
+  text = kGood;
+  text.replace(text.find("queue droptail"), 14, "queue droptail cap 1e20");
+  EXPECT_NE(expect_fail(text).message.find("not a positive integer"),
+            std::string::npos);
+  text = kGood;
+  text.replace(text.find("queue droptail"), 14, "queue drr quantum 1e20");
+  EXPECT_NE(expect_fail(text).message.find("quantum"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace burst

@@ -2,16 +2,19 @@
 // cached campaign. A cold run simulates each unique scenario exactly
 // once (Figs 3/4/13 share all of theirs); a warm rerun is served
 // entirely from the content-addressed result cache. See --help.
-#include <cstdint>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/cli.hpp"
 #include "src/core/report.hpp"
 #include "src/run/campaign.hpp"
 #include "src/run/result_store.hpp"
 #include "src/topo/campaign.hpp"
+#include "src/topo/parser.hpp"
 
 namespace {
 
@@ -35,7 +38,7 @@ options:
   --out=DIR         artifact directory            (default: campaign_out)
   --cache-dir=DIR   result cache location         (default: <out>/cache)
   --no-cache        ignore and do not write the result cache
-  --threads=N       worker threads                (default: all cores)
+  --threads=N       worker threads, 0..1024       (default 0: all cores)
   --lp=N            logical processes per scenario (conservative parallel
                     engine; default 1 = sequential; salts the cache key)
   --duration=SECS   simulated seconds per run     (default: paper's 20)
@@ -48,6 +51,10 @@ options:
   --quiet           suppress progress lines
   --help            this text
 )";
+
+// --threads ceiling: far above any core count, so a larger value is a
+// typo the Executor would otherwise try to spawn.
+constexpr int kMaxThreads = 1024;
 
 bool parse_flag(const std::string& arg, const std::string& name,
                 std::string* value) {
@@ -99,9 +106,18 @@ int main(int argc, char** argv) {
   std::string camp_file;
   std::string figure_flag;  // first --duration/--seed/--only given
   Scenario base = Scenario::paper_default();
-  if (const char* d = std::getenv("BURST_DURATION")) base.duration = std::atof(d);
-  if (const char* s = std::getenv("BURST_SEED")) {
-    base.seed = static_cast<std::uint64_t>(std::atoll(s));
+  // --duration, --seed and their environment variables are `set` fields.
+  auto set_field = [&base](const std::string& source, const char* field,
+                           const std::string& value) {
+    std::string msg;
+    if (apply_scenario_field(&base, field, value, &msg)) return true;
+    std::cerr << "burstcamp: " << source << ": " << msg << "\n";
+    return false;
+  };
+  for (const auto& [env, field] : {std::pair{"BURST_DURATION", "duration"},
+                                   std::pair{"BURST_SEED", "seed"}}) {
+    const char* v = std::getenv(env);
+    if (v != nullptr && !set_field(env, field, v)) return 2;
   }
 
   for (int i = 1; i < argc; ++i) {
@@ -125,18 +141,23 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--cache-dir", &value)) {
       cache_dir = value;
     } else if (parse_flag(arg, "--threads", &value)) {
-      threads = static_cast<unsigned>(std::atoi(value.c_str()));
+      int n = 0;
+      if (!parse_int_option(value, 0, kMaxThreads, &n)) {
+        std::cerr << "burstcamp: --threads needs an integer in [0, "
+                  << kMaxThreads << "]\n";
+        return 2;
+      }
+      threads = static_cast<unsigned>(n);
     } else if (parse_flag(arg, "--lp", &value)) {
-      lp_shards = std::atoi(value.c_str());
-      if (lp_shards < 1) {
+      if (!parse_int_option(value, 1, INT_MAX, &lp_shards)) {
         std::cerr << "burstcamp: --lp needs a positive integer\n";
         return 2;
       }
     } else if (parse_flag(arg, "--duration", &value)) {
-      base.duration = std::atof(value.c_str());
+      if (!set_field("--duration", "duration", value)) return 2;
       if (figure_flag.empty()) figure_flag = "--duration";
     } else if (parse_flag(arg, "--seed", &value)) {
-      base.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      if (!set_field("--seed", "seed", value)) return 2;
       if (figure_flag.empty()) figure_flag = "--seed";
     } else if (parse_flag(arg, "--only", &value)) {
       only = value;

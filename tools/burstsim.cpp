@@ -1,5 +1,4 @@
 // burstsim: command-line driver for single experiments. See --help.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -12,19 +11,9 @@
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/runtime_trace.hpp"
 #include "src/obs/trace.hpp"
-#include "src/topo/parser.hpp"
+#include "src/topo/spec.hpp"
 
 namespace {
-
-constexpr const char* kTopoUsage =
-    R"(topology files (see DESIGN.md section 10):
-  --scenario=FILE   build and run the .topo scenario FILE instead of the
-                    flag-built dumbbell; combine with --set=field=value
-                    (repeatable) to override Scenario fields
-  --validate=FILE   parse + validate FILE, print its fingerprint and
-                    exit; nonzero exit and a file:line:col diagnostic on
-                    any error (no simulation)
-)";
 
 // Per-LP phase breakdown: where each logical process spent its wall clock
 // (processing events vs blocked at window barriers) plus the channel and
@@ -88,109 +77,30 @@ bool write_trace_file(const burst::TraceSink& sink, const std::string& path,
 int main(int argc, char** argv) {
   using namespace burst;
 
-  // Topology-file modes are handled before the flag parser: they replace
-  // the flag-built Scenario wholesale.
-  std::string topo_file;
-  std::string validate_file;
-  TopoOverrides overrides;
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scenario=", 0) == 0) {
-      topo_file = arg.substr(11);
-    } else if (arg.rfind("--validate=", 0) == 0) {
-      validate_file = arg.substr(11);
-    } else if (arg.rfind("--set=", 0) == 0) {
-      const std::string kv = arg.substr(6);
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::cerr << "burstsim: --set wants field=value, got '" << kv << "'\n";
-        return 2;
-      }
-      overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
-    } else {
-      args.push_back(arg);
-    }
-  }
-  if (!validate_file.empty()) {
-    TopoError terr;
-    const auto spec = load_topo_file(validate_file, &terr, overrides);
-    if (!spec) {
-      std::cerr << terr.render(validate_file) << "\n";
-      return 1;
-    }
-    std::cout << "ok: " << validate_file << "\n"
-              << "scenario:    " << spec->name << "\n"
-              << "nodes:       " << spec->total_nodes() << " ("
-              << spec->nodes.size() << " groups)\n"
-              << "links:       " << spec->links.size() << " statements\n"
-              << "flows:       " << spec->flows.size() << " statements\n"
-              << "fingerprint: " << topo_key(*spec).hex() << "\n";
-    return 0;
-  }
-  if (!topo_file.empty()) {
-    ExperimentOptions topt;
-    bool topo_profile = false;
-    for (const std::string& arg : args) {
-      if (arg.rfind("--lp=", 0) == 0) {
-        const int n = std::atoi(arg.c_str() + 5);
-        if (n < 1) {
-          std::cerr << "burstsim: --lp needs a positive integer\n";
-          return 2;
-        }
-        topt.lp_shards = n;
-        continue;
-      }
-      if (arg == "--profile") {
-        topo_profile = true;
-        continue;
-      }
-      std::cerr << "burstsim: --scenario only combines with --set=..., "
-                   "--lp=N and --profile, got '"
-                << arg << "'\n";
-      return 2;
-    }
-    TopoError terr;
-    const auto spec = load_topo_file(topo_file, &terr, overrides);
-    if (!spec) {
-      std::cerr << terr.render(topo_file) << "\n";
-      return 1;
-    }
-    std::cout << "running: " << spec->name << " (" << spec->total_nodes()
-              << " nodes), " << spec->scenario.duration
-              << " s simulated, seed " << spec->scenario.seed
-              << "\nfingerprint: " << topo_key(*spec).hex() << "\n";
-    const ExperimentResult r = run_experiment(*spec, topt);
-    print_table(
-        std::cout, {"metric", "value"},
-        {
-            {"c.o.v. of measured-link arrivals per RTT", fmt(r.cov, 4)},
-            {"analytic Poisson c.o.v.", fmt(r.poisson_cov, 4)},
-            {"application packets generated", std::to_string(r.app_generated)},
-            {"packets delivered in order", std::to_string(r.delivered)},
-            {"measured-queue arrivals / drops",
-             std::to_string(r.gw_arrivals) + " / " +
-                 std::to_string(r.gw_drops)},
-            {"packet loss", fmt(r.loss_pct, 2) + " %"},
-            {"timeouts / fast retransmits",
-             std::to_string(r.timeouts) + " / " +
-                 std::to_string(r.fast_retransmits)},
-            {"Jain fairness", fmt(r.fairness, 4)},
-            {"routing errors", std::to_string(r.routing_errors)},
-        });
-    print_lp_phases(std::cout, r, topo_profile);
-    return 0;
-  }
-
   CliError error;
-  auto request = parse_cli(args, &error);
+  auto request =
+      parse_cli(std::vector<std::string>(argv + 1, argv + argc), &error);
   if (!request) {
-    std::cerr << "burstsim: " << error.message << "\n\n" << cli_usage()
-              << "\n" << kTopoUsage;
-    return 2;
+    if (error.exit_code == 2) {
+      std::cerr << "burstsim: " << error.message << "\n\n" << cli_usage();
+    } else {
+      std::cerr << error.message << "\n";
+    }
+    return error.exit_code;
   }
   if (request->show_help) {
-    std::cout << cli_usage() << "\n" << kTopoUsage;
+    std::cout << cli_usage();
+    return 0;
+  }
+  const TopoSpec& spec = request->spec;
+  if (request->validate) {
+    std::cout << "ok: " << request->scenario_file << "\n"
+              << "scenario:    " << spec.name << "\n"
+              << "nodes:       " << spec.total_nodes() << " ("
+              << spec.nodes.size() << " groups)\n"
+              << "links:       " << spec.links.size() << " statements\n"
+              << "flows:       " << spec.flows.size() << " statements\n"
+              << "fingerprint: " << topo_key(spec).hex() << "\n";
     return 0;
   }
 
@@ -208,10 +118,12 @@ int main(int argc, char** argv) {
     request->options.flight = flight.get();
   }
 
-  const Scenario& sc = request->scenario;
-  std::cout << "running: " << sc.label() << ", " << sc.duration
-            << " s simulated, seed " << sc.seed << "\n";
-  const ExperimentResult r = run_experiment(sc, request->options);
+  const Scenario& sc = spec.scenario;
+  std::cout << "running: " << spec.name << " (" << sc.label() << ", "
+            << spec.total_nodes() << " nodes), " << sc.duration
+            << " s simulated, seed " << sc.seed
+            << "\nfingerprint: " << topo_key(spec).hex() << "\n";
+  const ExperimentResult r = run_experiment(spec, request->options);
 
   print_table(
       std::cout, {"metric", "value"},
@@ -228,6 +140,7 @@ int main(int argc, char** argv) {
                std::to_string(r.fast_retransmits)},
           {"duplicate ACKs received", std::to_string(r.dupacks)},
           {"Jain fairness", fmt(r.fairness, 4)},
+          {"routing errors", std::to_string(r.routing_errors)},
       });
   print_lp_phases(std::cout, r, request->profile);
 
