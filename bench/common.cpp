@@ -1,11 +1,16 @@
 #include "bench/common.hpp"
 
-#include <algorithm>
+#include <chrono>
+#include <climits>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <utility>
 
+#include "src/core/cli.hpp"
 #include "src/run/campaign.hpp"
+#include "src/sim/scheduler.hpp"
 #include "src/topo/parser.hpp"
 
 namespace burst::bench {
@@ -35,23 +40,16 @@ void verdict(bool ok, const std::string& what) {
   std::cout << (ok ? "[REPRODUCED] " : "[DEVIATION]  ") << what << "\n";
 }
 
-std::vector<int> fig2_clients() {
-  std::vector<int> ns = range(4, 36, 4);
-  for (int n : {38, 39, 40, 44, 48, 52, 56, 60}) ns.push_back(n);
-  return ns;
-}
-
-std::vector<int> fig34_clients() { return range(30, 60, 3); }
-
 std::vector<SweepSeries> figure_sweep(const std::string& name,
-                                      const Scenario& base,
-                                      const std::vector<int>& client_counts,
-                                      const std::vector<SweepConfig>& configs) {
-  CampaignSweep sweep;
-  sweep.name = name;
-  sweep.base = base;
-  sweep.client_counts = client_counts;
-  sweep.configs = configs;
+                                      const Scenario& base) {
+  const std::vector<CampaignSweep> sweeps = paper_figure_campaign(base);
+  const auto sweep =
+      std::find_if(sweeps.begin(), sweeps.end(),
+                   [&name](const CampaignSweep& s) { return s.name == name; });
+  if (sweep == sweeps.end()) {
+    std::cerr << "error: no figure sweep named " << name << "\n";
+    std::exit(2);
+  }
 
   CampaignOptions opts;
   if (const char* cache = std::getenv("BURST_CACHE_DIR")) {
@@ -59,20 +57,18 @@ std::vector<SweepSeries> figure_sweep(const std::string& name,
   }
   opts.use_cache = std::getenv("BURST_NO_CACHE") == nullptr;
   opts.log = opts.cache_dir.empty() ? nullptr : &std::cerr;
-  return run_campaign({sweep}, opts).sweeps.front().second;
-}
+  std::vector<SweepSeries> series =
+      run_campaign({*sweep}, opts).sweeps.front().second;
 
-void maybe_write_sweep_csv(const std::string& name,
-                           const std::vector<SweepSeries>& series,
-                           double (*metric)(const ExperimentResult&)) {
-  const char* dir = std::getenv("BURST_CSV_DIR");
-  if (!dir) return;
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  if (!write_sweep_csv(path, series, metric)) {
-    std::cerr << "error: could not write " << path << "\n";
-    return;
+  if (const char* dir = std::getenv("BURST_CSV_DIR")) {
+    const std::string path = std::string(dir) + "/" + name + ".csv";
+    if (write_sweep_csv(path, series, sweep->metric)) {
+      std::cout << "wrote " << path << "\n";
+    } else {
+      std::cerr << "error: could not write " << path << "\n";
+    }
   }
-  std::cout << "wrote " << path << "\n";
+  return series;
 }
 
 ExperimentResult run_cwnd_figure(const std::string& figure,
@@ -98,6 +94,123 @@ ExperimentResult run_cwnd_figure(const std::string& figure,
             << " loss%=" << fmt(r.loss_pct, 2) << " cov=" << fmt(r.cov, 4)
             << " (poisson " << fmt(r.poisson_cov, 4) << ")\n";
   return r;
+}
+
+double now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+std::string json_number(double v) {
+  std::ostringstream os;
+  os.precision(10);
+  os << v;
+  return os.str();
+}
+
+ProbeRow& ProbeRow::add(const std::string& key, double value) {
+  return add_json(key, json_number(value));
+}
+
+ProbeRow& ProbeRow::add(const std::string& key, std::uint64_t value) {
+  return add_json(key, std::to_string(value));
+}
+
+ProbeRow& ProbeRow::add_json(const std::string& key, std::string json) {
+  extra.emplace_back(key, std::move(json));
+  return *this;
+}
+
+double ProbeRow::ns_per_op() const {
+  return wall_s * 1e9 / static_cast<double>(ops ? ops : 1);
+}
+
+double ProbeRow::ops_per_sec() const {
+  return static_cast<double>(ops) / (wall_s > 0 ? wall_s : 1e-9);
+}
+
+ProbeArgs parse_probe_args(int argc, char** argv, const std::string& probe,
+                           const std::string& default_out) {
+  ProbeArgs args;
+  args.out = default_out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
+      args.smoke = true;
+    } else if (arg.rfind("--out=", 0) == 0) {
+      args.out = arg.substr(6);
+    } else if (arg.rfind("--repeat=", 0) != 0 ||
+               !parse_int_option(arg.substr(9), 1, INT_MAX, &args.repeat)) {
+      std::cerr << "usage: " << probe
+                << " [--smoke] [--repeat=N] [--out=PATH]\n";
+      std::exit(2);
+    }
+  }
+  return args;
+}
+
+void add_row(std::vector<ProbeRow>* rows, ProbeRow row) {
+  std::cout << row.name << ": " << row.ns_per_op() << " ns/op  ("
+            << static_cast<std::uint64_t>(row.ops_per_sec())
+            << " ops/s, wall " << row.wall_s << " s";
+  for (const auto& [key, value] : row.extra) {
+    std::cout << ", " << key << " " << value;
+  }
+  std::cout << ")" << std::endl;
+  rows->push_back(std::move(row));
+}
+
+void write_probe_json(
+    const ProbeArgs& args, const std::string& bench,
+    const std::vector<ProbeRow>& rows,
+    const std::vector<std::pair<std::string, std::string>>& header) {
+  std::ofstream out(args.out, std::ios::trunc);
+  out << "{\n  \"bench\": \"" << bench << "\",\n  \"mode\": \""
+      << (args.smoke ? "smoke" : "full") << "\",\n  \"schema\": 1,\n";
+  for (const auto& [key, value] : header) {
+    out << "  \"" << key << "\": " << value << ",\n";
+  }
+  out << "  \"results\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ProbeRow& r = rows[i];
+    out << "    {\"name\": \"" << r.name << "\", \"ops\": " << r.ops
+        << ", \"wall_s\": " << json_number(r.wall_s)
+        << ", \"ns_per_op\": " << json_number(r.ns_per_op())
+        << ", \"ops_per_sec\": " << json_number(r.ops_per_sec());
+    for (const auto& [key, value] : r.extra) {
+      out << ", \"" << key << "\": " << value;
+    }
+    out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
+  if (!out.flush()) {
+    std::cerr << bench << ": failed to write " << args.out << "\n";
+    std::exit(1);
+  }
+  std::cout << "wrote " << args.out << "\n";
+}
+
+ProbeRow schedule_pop_row(std::string name, std::uint64_t ops,
+                          std::size_t depth, int repeat) {
+  const double wall = best_of(repeat, [&] {
+    Scheduler s;
+    Mix mix{42};
+    Time now = 0.0;
+    for (std::size_t i = 0; i < depth; ++i) {
+      s.schedule_at(mix.next(), [] {});
+    }
+    const double t0 = now_s();
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      auto ready = s.take_next();
+      now = ready.at;
+      s.schedule_at(now + mix.next(), [] {});
+    }
+    const double dt = now_s() - t0;
+    while (!s.empty()) s.take_next();
+    return dt;
+  });
+  return {std::move(name), ops, wall, {}};
 }
 
 }  // namespace burst::bench

@@ -14,33 +14,30 @@ int main() {
          "UDP tracks Poisson; Reno (and worse, Reno/RED) become far "
          "burstier past saturation (~39 clients); Vegas stays smooth");
 
-  const Scenario base = paper_base();
-  const auto ns = fig2_clients();
-  const auto series = figure_sweep("fig02_cov", base, ns, paper_protocol_set());
+  const auto series = figure_sweep("fig02_cov", paper_base());
+  const std::vector<SweepPoint>& grid = series[0].points;
 
   // Assemble the table with the analytic Poisson column first.
   std::vector<std::string> header{"clients", "Poisson"};
   for (const auto& s : series) header.push_back(s.name);
   std::vector<std::vector<std::string>> rows;
-  for (std::size_t p = 0; p < ns.size(); ++p) {
-    std::vector<std::string> row{std::to_string(ns[p])};
-    row.push_back(fmt(series[0].points[p].result.poisson_cov, 4));
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    std::vector<std::string> row{std::to_string(grid[p].num_clients)};
+    row.push_back(fmt(grid[p].result.poisson_cov, 4));
     for (const auto& s : series) row.push_back(fmt(s.points[p].result.cov, 4));
     rows.push_back(std::move(row));
   }
   print_table(std::cout, header, rows);
-  maybe_write_sweep_csv("fig02_cov", series,
-                        [](const ExperimentResult& r) { return r.cov; });
 
   // Verdicts on the paper's claims, evaluated on the heavy-congestion tail
   // (N >= 44).
   double udp_dev = 0.0, reno_ratio = 0.0, reno_red_ratio = 0.0,
          vegas_ratio = 0.0, vegas_red_ratio = 0.0;
   int tail = 0;
-  for (std::size_t p = 0; p < ns.size(); ++p) {
-    if (ns[p] < 44) continue;
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    if (grid[p].num_clients < 44) continue;
     ++tail;
-    const double poisson = series[0].points[p].result.poisson_cov;
+    const double poisson = grid[p].result.poisson_cov;
     auto cov_of = [&](const char* name) -> double {
       for (const auto& s : series) {
         if (s.name == name) return s.points[p].result.cov;

@@ -13,17 +13,12 @@ int main() {
          "RED counterparts; Vegas >= Reno under heavy load");
 
   const Scenario base = paper_base();
-  const auto ns = fig34_clients();
-  const auto series = figure_sweep("fig03_throughput", base, ns, paper_protocol_set(false));
+  const auto series = figure_sweep("fig03_throughput", base);
 
   print_metric_vs_clients(
       std::cout, series, "total packets successfully transmitted",
       [](const ExperimentResult& r) { return static_cast<double>(r.delivered); },
       0);
-  maybe_write_sweep_csv("fig03_throughput", series,
-                        [](const ExperimentResult& r) {
-                          return static_cast<double>(r.delivered);
-                        });
 
   // Capacity reference line.
   const double cap = base.bottleneck_pps() * base.duration;

@@ -13,14 +13,11 @@ int main() {
          "higher than plain Vegas (and higher than plain Reno)");
 
   const Scenario base = paper_base();
-  const auto ns = fig34_clients();
-  const auto series = figure_sweep("fig04_loss", base, ns, paper_protocol_set(false));
+  const auto series = figure_sweep("fig04_loss", base);
 
   print_metric_vs_clients(
       std::cout, series, "packet loss percentage (%)",
       [](const ExperimentResult& r) { return r.loss_pct; }, 2);
-  maybe_write_sweep_csv("fig04_loss", series,
-                        [](const ExperimentResult& r) { return r.loss_pct; });
 
   auto tail_mean = [&](const char* name) {
     double sum = 0.0;

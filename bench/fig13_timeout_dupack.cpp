@@ -14,16 +14,11 @@ int main() {
          "more (2-3x more timeouts than Vegas)");
 
   const Scenario base = paper_base();
-  const auto ns = fig34_clients();
-  const auto series = figure_sweep("fig13_timeout_dupack", base, ns, paper_protocol_set(false));
+  const auto series = figure_sweep("fig13_timeout_dupack", base);
 
   print_metric_vs_clients(
       std::cout, series, "timeouts / duplicate ACKs",
       [](const ExperimentResult& r) { return r.timeout_dupack_ratio; }, 4);
-  maybe_write_sweep_csv("fig13_timeout_dupack", series,
-                        [](const ExperimentResult& r) {
-                          return r.timeout_dupack_ratio;
-                        });
 
   std::cout << '\n';
   print_metric_vs_clients(

@@ -26,20 +26,18 @@
 // smoke and full runs produce comparable rows. Output: JSON (default
 // BENCH_meanfield.json) in the same shape as sched_events/packet_path,
 // with per-row "extra" metrics appended.
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "src/net/flow_monitor.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/sim/parallel/runtime.hpp"
-#include "src/sim/scheduler.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/binned_counter.hpp"
 #include "src/stats/meanfield.hpp"
@@ -51,79 +49,12 @@
 namespace {
 
 using namespace burst;
+using namespace burst::bench;
 
 // Hard per-flow arena budget (bytes). Sender SoA + sent-at ring + sink
 // lanes currently come to ~650 B/flow; the margin covers container
 // overhead without leaving room for an accidental per-flow heap object.
 constexpr std::size_t kBudgetPerFlowBytes = 2048;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct BenchRow {
-  std::string name;
-  std::uint64_t ops = 0;  // simulator events (or calibration loop ops)
-  double wall_s = 0.0;
-  double ns_per_op = 0.0;
-  double ops_per_sec = 0.0;
-  // Mean-field extras (zero on the calibration row).
-  int clients = 0;
-  double cov = 0.0;             // c.o.v. of arrivals per RTT bin
-  double queue_mean = 0.0;      // PASTA mean queue occupancy (packets)
-  double queue_fixed_point = 0.0;  // analytic mean-field x* (packets)
-  double drop_frac = 0.0;       // measured gateway drop fraction
-  double bytes_per_flow = 0.0;  // arena bytes reserved / N
-  // Flight-recorder extras (zero on non-FR rows).
-  std::uint64_t fr_samples = 0;  // samples held at the end of the run
-  std::uint64_t fr_taken = 0;    // snapshots ever taken (pre-decimation)
-  std::uint64_t fr_bytes = 0;    // fixed budget reserved at arm()
-};
-
-BenchRow finish(std::string name, std::uint64_t ops, double wall) {
-  BenchRow r;
-  r.name = std::move(name);
-  r.ops = ops;
-  r.wall_s = wall;
-  r.ns_per_op = wall * 1e9 / static_cast<double>(ops ? ops : 1);
-  r.ops_per_sec = static_cast<double>(ops) / (wall > 0 ? wall : 1e-9);
-  return r;
-}
-
-struct Mix {
-  std::uint64_t s;
-  double next() {
-    s += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = s;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return static_cast<double>(z >> 11) * 0x1.0p-53;
-  }
-};
-
-// Calibration: byte-for-byte the schedule_pop_d64 workload from
-// sched_events/packet_path, so row/calib ratios cancel machine speed.
-BenchRow bench_calibration(std::uint64_t ops, int repeat) {
-  double best = 1e99;
-  for (int rep = 0; rep < repeat; ++rep) {
-    Scheduler s;
-    Mix mix{42};
-    Time now = 0.0;
-    for (int i = 0; i < 64; ++i) s.schedule_at(mix.next(), [] {});
-    const double t0 = now_s();
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      auto ready = s.take_next();
-      now = ready.at;
-      s.schedule_at(now + mix.next(), [] {});
-    }
-    best = std::min(best, now_s() - t0);
-    while (!s.empty()) s.take_next();
-  }
-  return finish("calib_sched_pop_d64", ops, best);
-}
 
 Scenario meanfield_scenario(int clients, Time duration) {
   Scenario sc = Scenario::paper_default();
@@ -154,7 +85,10 @@ Time duration_for(int clients) {
 // count (they are real scheduler work), so FR rows are not gated on
 // event exactness — check_parallel.py instead holds their wall clock
 // within 5% of the matching untraced row and their sample budget fixed.
-BenchRow run_meanfield(int clients, int lp_shards = 1, bool flight = false) {
+// The sequential rows also report their c.o.v. through @p cov, for the
+// in-run decay check.
+ProbeRow run_meanfield(int clients, int lp_shards = 1, bool flight = false,
+                       double* cov = nullptr) {
   const Scenario sc = meanfield_scenario(clients, duration_for(clients));
 
   // The budget knob is the point, not a formality: reserve under a hard
@@ -221,15 +155,7 @@ BenchRow run_meanfield(int clients, int lp_shards = 1, bool flight = false) {
   std::string name = "meanfield_n" + std::to_string(clients);
   if (part.shards > 1) name += "_lp" + std::to_string(part.shards);
   if (flight) name += "_fr";
-  BenchRow r = finish(std::move(name), events, wall);
-  if (fr) {
-    r.fr_samples = fr->samples().size();
-    r.fr_taken = fr->taken();
-    r.fr_bytes = fr->bytes_reserved();
-  }
-  r.clients = clients;
-  r.cov = bins.stats_until(sc.duration).cov();
-  r.queue_mean = monitor.queue_at_arrival().mean();
+  ProbeRow r{std::move(name), events, wall, {}};
 
   MeanfieldParams mp;
   mp.capacity_pps = sc.bottleneck_pps();  // already mean-field scaled
@@ -240,71 +166,33 @@ BenchRow run_meanfield(int clients, int lp_shards = 1, bool flight = false) {
   mp.red_max_p = sc.red_max_p;
   mp.max_window = sc.advertised_window;
   const MeanfieldFixedPoint fp = red_meanfield_fixed_point(mp);
-  r.queue_fixed_point = fp.converged ? fp.queue_pkts : -1.0;
 
   const QueueStats& qs = net->measured_queue().stats();
-  r.drop_frac = qs.arrivals == 0 ? 0.0
-                                 : static_cast<double>(qs.drops) /
-                                       static_cast<double>(qs.arrivals);
-  r.bytes_per_flow = static_cast<double>(net->arena_bytes_reserved()) /
-                     static_cast<double>(clients);
+  const double run_cov = bins.stats_until(sc.duration).cov();
+  if (cov != nullptr) *cov = run_cov;
+  r.add("clients", static_cast<std::uint64_t>(clients))
+      .add("cov", run_cov)  // c.o.v. of arrivals per RTT bin
+      .add("queue_mean", monitor.queue_at_arrival().mean())  // PASTA, pkts
+      .add("queue_fixed_point", fp.converged ? fp.queue_pkts : -1.0)
+      .add("drop_frac", qs.arrivals == 0
+                            ? 0.0
+                            : static_cast<double>(qs.drops) /
+                                  static_cast<double>(qs.arrivals))
+      .add("bytes_per_flow", static_cast<double>(net->arena_bytes_reserved()) /
+                                 static_cast<double>(clients));
+  if (fr) {
+    r.add("fr_samples", fr->samples().size())  // held at the end of the run
+        .add("fr_taken", fr->taken())  // snapshots ever taken
+        .add("fr_bytes", fr->bytes_reserved());  // fixed budget at arm()
+  }
   return r;
-}
-
-void write_json(const std::string& path, const std::vector<BenchRow>& rows,
-                bool smoke) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"bench\": \"fig_meanfield\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full") << "\",\n  \"schema\": 1,\n"
-      << "  \"budget_bytes_per_flow\": " << kBudgetPerFlowBytes << ",\n"
-      << "  \"hw_threads\": " << std::thread::hardware_concurrency() << ",\n"
-      << "  \"results\": [\n";
-  out.precision(10);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    out << "    {\"name\": \"" << r.name << "\", \"ops\": " << r.ops
-        << ", \"wall_s\": " << r.wall_s << ", \"ns_per_op\": " << r.ns_per_op
-        << ", \"ops_per_sec\": " << r.ops_per_sec
-        << ", \"clients\": " << r.clients << ", \"cov\": " << r.cov
-        << ", \"queue_mean\": " << r.queue_mean
-        << ", \"queue_fixed_point\": " << r.queue_fixed_point
-        << ", \"drop_frac\": " << r.drop_frac
-        << ", \"bytes_per_flow\": " << r.bytes_per_flow;
-    if (r.fr_bytes > 0) {
-      out << ", \"fr_samples\": " << r.fr_samples
-          << ", \"fr_taken\": " << r.fr_taken
-          << ", \"fr_bytes\": " << r.fr_bytes;
-    }
-    out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  if (!out.flush()) {
-    std::cerr << "fig_meanfield: failed to write " << path << "\n";
-    std::exit(1);
-  }
-  std::cout << "wrote " << path << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int repeat = 3;
-  std::string out_path = "BENCH_meanfield.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::max(1, std::atoi(arg.c_str() + 9));
-    } else {
-      std::cerr
-          << "usage: fig_meanfield [--smoke] [--repeat=N] [--out=PATH]\n";
-      return 2;
-    }
-  }
+  const ProbeArgs args =
+      parse_probe_args(argc, argv, "fig_meanfield", "BENCH_meanfield.json");
 
   std::cout << "fig_meanfield: mean-field scaling sweep (base N=60)\n"
             << "claim: c.o.v. of RTT-binned gateway arrivals decays toward "
@@ -312,45 +200,36 @@ int main(int argc, char** argv) {
                "tracks the closed-form fixed point\n";
 
   std::vector<int> grid = {100, 1000, 10000};
-  if (!smoke) grid.push_back(100000);
+  if (!args.smoke) grid.push_back(100000);
 
-  std::vector<BenchRow> rows;
-  rows.push_back(bench_calibration(1'000'000, repeat));
+  std::vector<ProbeRow> rows;
+  add_row(&rows, schedule_pop_row("calib_sched_pop_d64", 1'000'000, 64,
+                                  args.repeat));
+  std::vector<double> covs;  // the sequential sweep's, in grid order
   for (const int n : grid) {
-    rows.push_back(run_meanfield(n));
-    const BenchRow& r = rows.back();
-    std::cout << r.name << ": cov=" << r.cov << " queue_mean=" << r.queue_mean
-              << " fixed_point=" << r.queue_fixed_point
-              << " drop_frac=" << r.drop_frac
-              << " bytes/flow=" << r.bytes_per_flow << " events=" << r.ops
-              << " wall=" << r.wall_s << " s\n";
+    covs.push_back(0.0);
+    add_row(&rows, run_meanfield(n, 1, false, &covs.back()));
   }
 
   // In-run sanity. The mean-field limit is a deterministic RED/TCP
   // limit cycle, so the c.o.v. falls toward the cycle's amplitude
   // (~0.10) and then flattens: require real decay overall and no
   // resurgence at any step, not strict monotonicity into the floor.
-  bool cov_decays = rows.back().cov <= 0.6 * rows[1].cov;
-  for (std::size_t i = 2; i < rows.size(); ++i) {
-    if (rows[i].cov > 1.10 * rows[i - 1].cov) cov_decays = false;
+  bool cov_decays = covs.back() <= 0.6 * covs.front();
+  for (std::size_t i = 1; i < covs.size(); ++i) {
+    if (covs[i] > 1.10 * covs[i - 1]) cov_decays = false;
   }
   std::cout << (cov_decays ? "PASS" : "DEVIATION")
             << ": c.o.v. decays to the mean-field floor across the N grid\n";
 
   // Parallel-engine rows: the same scenarios on 2 and 4 LPs for every
-  // N >= 10000 (so smoke and full runs share row names). Appended after
-  // the c.o.v. sanity check, which reasons over the sequential sweep
-  // only; scripts/check_parallel.py gates these (events exactly equal to
-  // the matching sequential row, wall within budget, speedup floors when
-  // the hardware has the cores).
+  // N >= 10000 (so smoke and full runs share row names).
+  // scripts/check_parallel.py gates these (events exactly equal to the
+  // matching sequential row, wall within budget, speedup floors when the
+  // hardware has the cores).
   for (const int n : grid) {
     if (n < 10000) continue;
-    for (const int lp : {2, 4}) {
-      rows.push_back(run_meanfield(n, lp));
-      const BenchRow& r = rows.back();
-      std::cout << r.name << ": events=" << r.ops << " wall=" << r.wall_s
-                << " s cov=" << r.cov << " drop_frac=" << r.drop_frac << "\n";
-    }
+    for (const int lp : {2, 4}) add_row(&rows, run_meanfield(n, lp));
   }
 
   // Flight-recorder rows: the huge-N sampler on the same scenarios
@@ -358,14 +237,12 @@ int main(int argc, char** argv) {
   // at <= 5% over the matching untraced row and their sample budget
   // fixed — observability at mean-field scale must stay effectively free.
   for (const int n : grid) {
-    if (n < 10000) continue;
-    rows.push_back(run_meanfield(n, 1, true));
-    const BenchRow& r = rows.back();
-    std::cout << r.name << ": events=" << r.ops << " wall=" << r.wall_s
-              << " s fr_samples=" << r.fr_samples << " fr_taken=" << r.fr_taken
-              << " fr_bytes=" << r.fr_bytes << "\n";
+    if (n >= 10000) add_row(&rows, run_meanfield(n, 1, true));
   }
 
-  write_json(out_path, rows, smoke);
+  write_probe_json(
+      args, "fig_meanfield", rows,
+      {{"budget_bytes_per_flow", std::to_string(kBudgetPerFlowBytes)},
+       {"hw_threads", std::to_string(std::thread::hardware_concurrency())}});
   return 0;
 }

@@ -14,90 +14,26 @@
 // Every workload is deterministic (fixed seeds, fixed op mixes); wall
 // times are best-of --repeat (default 3) to shed scheduler noise.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <iostream>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "src/core/experiment.hpp"
-#include "src/run/scenario_key.hpp"
+#include "bench/common.hpp"
 #include "src/sim/scheduler.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace {
 
 using namespace burst;
+using namespace burst::bench;
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct BenchRow {
-  std::string name;
-  std::uint64_t ops = 0;     // scheduler operations (or simulator events)
-  double wall_s = 0.0;       // best-of-repeat wall time
-  double ns_per_op = 0.0;
-  double ops_per_sec = 0.0;
-};
-
-BenchRow finish(std::string name, std::uint64_t ops, double best_wall) {
-  BenchRow r;
-  r.name = std::move(name);
-  r.ops = ops;
-  r.wall_s = best_wall;
-  r.ns_per_op = best_wall * 1e9 / static_cast<double>(ops);
-  r.ops_per_sec = static_cast<double>(ops) / best_wall;
-  return r;
-}
-
-// Cheap deterministic time jitter, independent of src/sim/random so the
-// bench exercises the scheduler, not the RNG.
-struct Mix {
-  std::uint64_t s;
-  double next() {  // in [0, 1)
-    s += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = s;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return static_cast<double>(z >> 11) * 0x1.0p-53;
-  }
-};
-
-// The hot loop of every simulation: pop the earliest event, schedule a
-// successor. Heap depth is held at `depth` (a Table-1 N=60 run keeps a few
-// hundred events pending: one per timer/in-flight packet).
-BenchRow bench_schedule_pop(std::uint64_t ops, std::size_t depth, int repeat) {
-  double best = 1e99;
-  for (int rep = 0; rep < repeat; ++rep) {
-    Scheduler s;
-    Mix mix{42};
-    Time now = 0.0;
-    for (std::size_t i = 0; i < depth; ++i) {
-      s.schedule_at(mix.next(), [] {});
-    }
-    const double t0 = now_s();
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      auto ready = s.take_next();
-      now = ready.at;
-      s.schedule_at(now + mix.next(), [] {});
-    }
-    best = std::min(best, now_s() - t0);
-    while (!s.empty()) s.take_next();
-  }
-  return finish("schedule_pop_d" + std::to_string(depth), ops, best);
-}
-
-// Same loop with a cancellation mix: TCP retransmit timers are rearmed on
-// (almost) every ACK, so cancels are a first-class hot-path operation.
-BenchRow bench_schedule_cancel_pop(std::uint64_t ops, std::size_t depth,
-                                   int repeat) {
-  double best = 1e99;
-  for (int rep = 0; rep < repeat; ++rep) {
+// The schedule+pop loop with a cancellation mix: TCP retransmit timers
+// are rearmed on (almost) every ACK, so cancels are a first-class hot-path
+// operation.
+ProbeRow schedule_cancel_pop_row(std::uint64_t ops, std::size_t depth,
+                                 int repeat) {
+  const double wall = best_of(repeat, [&] {
     Scheduler s;
     Mix mix{7};
     Time now = 0.0;
@@ -116,10 +52,10 @@ BenchRow bench_schedule_cancel_pop(std::uint64_t ops, std::size_t depth,
       const std::size_t j = static_cast<std::size_t>(mix.next() * depth);
       if (!s.pending(live[j])) live[j] = s.schedule_at(now + mix.next(), [] {});
     }
-    best = std::min(best, now_s() - t0);
-  }
+    return now_s() - t0;
+  });
   // 3 scheduler ops (cancel, schedule, pop) + 1 pending probe per iter.
-  return finish("schedule_cancel_pop_d" + std::to_string(depth), ops * 4, best);
+  return {"schedule_cancel_pop_d" + std::to_string(depth), ops * 4, wall, {}};
 }
 
 // The mean-field steady state: `pending` timers permanently armed while
@@ -129,8 +65,8 @@ BenchRow bench_schedule_cancel_pop(std::uint64_t ops, std::size_t depth,
 // cost tracks the near-term horizon instead. The paired rows measure the
 // crossover (recorded in EXPERIMENTS.md): identical op sequence, same
 // deadlines, only the backend differs.
-BenchRow bench_pop_rearm(std::uint64_t ops, std::size_t pending, bool wheel,
-                         int repeat) {
+ProbeRow pop_rearm_row(std::uint64_t ops, std::size_t pending, bool wheel,
+                       int repeat) {
   constexpr Time kHorizon = 2.0;  // seconds of re-arm spread (RTO-scale)
   // The wheel's O(1) is amortized: cascades of coarse buckets land in
   // bursts as the cursor crosses level boundaries. A timed window
@@ -138,8 +74,7 @@ BenchRow bench_pop_rearm(std::uint64_t ops, std::size_t pending, bool wheel,
   // cascade phase (deterministically, since the op mix is fixed), so
   // time at least `pending` ops — every phase appears exactly once.
   const std::uint64_t timed_ops = std::max<std::uint64_t>(ops, pending);
-  double best = 1e99;
-  for (int rep = 0; rep < repeat; ++rep) {
+  const double wall = best_of(repeat, [&] {
     Scheduler s;
     Mix mix{1234};
     Time now = 0.0;
@@ -169,16 +104,15 @@ BenchRow bench_pop_rearm(std::uint64_t ops, std::size_t pending, bool wheel,
       now = ready.at;
       rearm(now + kHorizon * (0.5 + 0.5 * mix.next()));
     }
-    best = std::min(best, now_s() - t0);
-  }
-  return finish((wheel ? "pop_rearm_wheel_p" : "pop_rearm_heap_p") +
-                    std::to_string(pending),
-                timed_ops, best);
+    return now_s() - t0;
+  });
+  return {(wheel ? "pop_rearm_wheel_p" : "pop_rearm_heap_p") +
+              std::to_string(pending),
+          timed_ops, wall, {}};
 }
 
-BenchRow bench_timer_chain(std::uint64_t events, int repeat) {
-  double best = 1e99;
-  for (int rep = 0; rep < repeat; ++rep) {
+ProbeRow timer_chain_row(std::uint64_t events, int repeat) {
+  const double wall = best_of(repeat, [&] {
     Simulator sim;
     std::uint64_t remaining = events;
     std::function<void()> tick = [&] {
@@ -187,96 +121,58 @@ BenchRow bench_timer_chain(std::uint64_t events, int repeat) {
     sim.schedule(0.001, tick);
     const double t0 = now_s();
     sim.run();
-    best = std::min(best, now_s() - t0);
-  }
-  return finish("timer_chain", events, best);
+    return now_s() - t0;
+  });
+  return {"timer_chain", events, wall, {}};
 }
 
-BenchRow bench_experiment(double duration, int repeat) {
+ProbeRow experiment_row(double duration, int repeat) {
   Scenario sc = Scenario::paper_default();
   sc.num_clients = 100;
   sc.transport = Transport::kReno;
   sc.gateway = GatewayQueue::kRed;
   sc.duration = duration;
-  double best = 1e99;
   std::uint64_t events = 0;
-  for (int rep = 0; rep < repeat; ++rep) {
+  const double wall = best_of(repeat, [&] {
     const double t0 = now_s();
     const ExperimentResult r = run_experiment(sc);
-    best = std::min(best, now_s() - t0);
+    const double dt = now_s() - t0;
     events = r.sim_events ? r.sim_events : 1;
-  }
-  return finish("experiment_n100_reno_red", events, best);
-}
-
-void write_json(const std::string& path, const std::vector<BenchRow>& rows,
-                bool smoke) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"bench\": \"sched_events\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full") << "\",\n  \"schema\": 1,\n"
-      << "  \"results\": [\n";
-  out.precision(6);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    out << "    {\"name\": \"" << r.name << "\", \"ops\": " << r.ops
-        << ", \"wall_s\": " << r.wall_s << ", \"ns_per_op\": " << r.ns_per_op
-        << ", \"ops_per_sec\": " << r.ops_per_sec << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  if (!out.flush()) {
-    std::cerr << "sched_events: failed to write " << path << "\n";
-    std::exit(1);
-  }
-  std::cout << "wrote " << path << "\n";
+    return dt;
+  });
+  return {"experiment_n100_reno_red", events, wall, {}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int repeat = 3;
-  std::string out_path = "BENCH_sched.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::max(1, std::atoi(arg.c_str() + 9));
-    } else {
-      std::cerr << "usage: sched_events [--smoke] [--repeat=N] [--out=PATH]\n";
-      return 2;
-    }
-  }
-
-  const std::uint64_t hot_ops = smoke ? 1'000'000 : 10'000'000;
+  const ProbeArgs args =
+      parse_probe_args(argc, argv, "sched_events", "BENCH_sched.json");
+  const int repeat = args.repeat;
+  const std::uint64_t hot_ops = args.smoke ? 1'000'000 : 10'000'000;
   // The experiment row runs the full 10 s in both modes: it is cheap
   // (~60 ms wall) and the first seconds are slow-start transient, so a
   // shorter smoke run would measure a different per-event cost mix than
   // the baseline and the regression gate would compare apples to pears.
   const double exp_duration = 10.0;
 
-  std::vector<BenchRow> rows;
-  rows.push_back(bench_schedule_pop(hot_ops, 64, repeat));
-  rows.push_back(bench_schedule_pop(hot_ops, 512, repeat));
-  rows.push_back(bench_schedule_cancel_pop(hot_ops / 2, 512, repeat));
+  std::vector<ProbeRow> rows;
+  // The hot loop at the heap depths a Table-1 N=60 run sees (a few
+  // hundred events pending: one per timer/in-flight packet).
+  for (const std::size_t depth : {std::size_t{64}, std::size_t{512}}) {
+    add_row(&rows, schedule_pop_row("schedule_pop_d" + std::to_string(depth),
+                                    hot_ops, depth, repeat));
+  }
+  add_row(&rows, schedule_cancel_pop_row(hot_ops / 2, 512, repeat));
   // Heap-vs-wheel crossover sweep: 10^3..10^6 armed soft-deadline timers.
   for (const std::size_t pending :
        {std::size_t{1000}, std::size_t{10000}, std::size_t{100000},
         std::size_t{1000000}}) {
-    rows.push_back(bench_pop_rearm(hot_ops / 10, pending, false, repeat));
-    rows.push_back(bench_pop_rearm(hot_ops / 10, pending, true, repeat));
+    add_row(&rows, pop_rearm_row(hot_ops / 10, pending, false, repeat));
+    add_row(&rows, pop_rearm_row(hot_ops / 10, pending, true, repeat));
   }
-  rows.push_back(bench_timer_chain(hot_ops / 2, repeat));
-  rows.push_back(bench_experiment(exp_duration, repeat));
-
-  for (const BenchRow& r : rows) {
-    std::cout << r.name << ": " << r.ns_per_op << " ns/op  ("
-              << static_cast<std::uint64_t>(r.ops_per_sec) << " ops/s, wall "
-              << r.wall_s << " s)\n";
-  }
-  write_json(out_path, rows, smoke);
+  add_row(&rows, timer_chain_row(hot_ops / 2, repeat));
+  add_row(&rows, experiment_row(exp_duration, repeat));
+  write_probe_json(args, "sched_events", rows);
   return 0;
 }

@@ -13,13 +13,11 @@
 // All stages are deterministic; wall time is best-of 5 over `iters`
 // repetitions. Output is a table, not a gated JSON — setup cost is
 // dwarfed by simulation (~1e6 events per run) and only needs eyeballs.
-#include <algorithm>
-#include <chrono>
+#include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "src/core/report.hpp"
+#include "bench/common.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/topo/builder.hpp"
 #include "src/topo/parser.hpp"
@@ -28,6 +26,7 @@
 namespace {
 
 using namespace burst;
+using namespace burst::bench;
 
 constexpr const char* kDumbbellN60 = R"(scenario dumbbell_n60
 set clients 60
@@ -41,23 +40,6 @@ link gateway client rate $client_bw delay $client_delay
 flow client server
 measure gateway server
 )";
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double best_of(int repeats, int iters, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const double t0 = now_s();
-    for (int i = 0; i < iters; ++i) fn();
-    best = std::min(best, (now_s() - t0) / iters);
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -76,19 +58,26 @@ int main(int argc, char** argv) {
   }
   Scenario sc = spec->scenario;
 
-  const double parse_s = best_of(5, iters, [&] {
+  // Best-of-5 seconds per call of fn, over `iters` calls per repetition.
+  const auto per_call = [iters](auto&& fn) {
+    return best_of(5, [&] {
+      const double t0 = now_s();
+      for (int i = 0; i < iters; ++i) fn();
+      return (now_s() - t0) / iters;
+    });
+  };
+  const double parse_s = per_call([&] {
     TopoError e;
     auto s = parse_topo(kDumbbellN60, "dumbbell_n60", &e);
     if (!s) std::abort();
   });
-  const double key_s =
-      best_of(5, iters, [&] { (void)topo_key(*spec); });
-  const double scenario_s = best_of(5, iters, [&] {
+  const double key_s = per_call([&] { (void)topo_key(*spec); });
+  const double scenario_s = per_call([&] {
     Simulator sim(sc.seed);
     TopoNet net(sim, make_dumbbell_spec(sc));
     (void)net;
   });
-  const double topo_s = best_of(5, iters, [&] {
+  const double topo_s = per_call([&] {
     Simulator sim(sc.seed);
     TopoNet net(sim, *spec);
     (void)net;

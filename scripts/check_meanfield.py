@@ -39,32 +39,18 @@ comparison meaningful across modes.
 Exit code 0 = within budget, 1 = regression, 2 = bad invocation/input.
 """
 
-import argparse
-import json
 import math
 import sys
 
+import benchgate
+
+GATE = "check_meanfield"
 CALIB_ROW = "calib_sched_pop_d64"
 FIRST_DECADE_SLOPE_BAND = (-0.90, -0.15)
 DECAY_MAX_RATIO = 0.6       # cov(N_max) / cov(N_min)
 RESURGENCE_TOLERANCE = 1.10  # max allowed per-step cov increase
 OCCUPANCY_BAND = (0.35, 1.9)
 OCCUPANCY_MIN_CLIENTS = 1000
-
-
-def load_doc(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        sys.exit(f"check_meanfield: cannot read {path}: {e}")
-    if doc.get("bench") != "fig_meanfield":
-        sys.exit(f"check_meanfield: {path} is not a fig_meanfield result")
-    return doc
-
-
-def rows_by_name(doc):
-    return {row["name"]: row for row in doc.get("results", [])}
 
 
 def fit_slope(xs, ys):
@@ -76,58 +62,24 @@ def fit_slope(xs, ys):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("current", help="freshly measured BENCH_meanfield.json")
-    ap.add_argument(
-        "--baseline",
-        default="bench/baselines/BENCH_meanfield.json",
-        help="committed reference run (default: %(default)s)",
-    )
-    ap.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="allowed fractional regression in normalized wall time "
-        "(default: %(default)s)",
-    )
-    args = ap.parse_args()
+    args = benchgate.parser(
+        "freshly measured BENCH_meanfield.json",
+        "bench/baselines/BENCH_meanfield.json",
+    ).parse_args()
 
-    cur_doc = load_doc(args.current)
-    base_doc = load_doc(args.baseline)
-    cur = rows_by_name(cur_doc)
-    base = rows_by_name(base_doc)
-    for rows, path in ((cur, args.current), (base, args.baseline)):
-        if CALIB_ROW not in rows:
-            sys.exit(f"check_meanfield: {path} lacks the {CALIB_ROW} row")
-
-    cur_calib = cur[CALIB_ROW]["ns_per_op"]
-    base_calib = base[CALIB_ROW]["ns_per_op"]
-    print(
-        f"calibration: current {cur_calib:.1f} ns/op, "
-        f"baseline {base_calib:.1f} ns/op "
-        f"(machine factor {cur_calib / base_calib:.2f}x)"
-    )
+    cur_doc = benchgate.load(GATE, args.current, "fig_meanfield")
+    cur = benchgate.rows_by_name(cur_doc)
+    base = benchgate.rows_by_name(
+        benchgate.load(GATE, args.baseline, "fig_meanfield"))
+    calib = benchgate.calibration(
+        GATE, CALIB_ROW, cur, base, args.current, args.baseline)
 
     failures = []
 
     # Perf gate: normalized per-event cost per shared N row.
-    for name, cur_row in sorted(cur.items()):
-        base_row = base.get(name)
-        if base_row is None or name == CALIB_ROW:
-            continue
-        c_ratio = cur_row["ns_per_op"] / cur_calib
-        b_ratio = base_row["ns_per_op"] / base_calib
-        ok = c_ratio <= b_ratio * (1 + args.threshold)
-        print(
-            f"  {name}: normalized {c_ratio:.3f} vs baseline {b_ratio:.3f}"
-            f" ({(c_ratio / b_ratio - 1) * 100:+.1f}%)"
-            f" {'ok' if ok else 'REGRESSION'}"
-        )
-        if not ok:
-            failures.append(
-                f"{name}: normalized wall {c_ratio:.3f} exceeds baseline "
-                f"{b_ratio:.3f} by more than {args.threshold * 100:.0f}%"
-            )
+    for name, cur_row, base_row in benchgate.shared_rows(cur, base, CALIB_ROW):
+        benchgate.check_wall(
+            name, cur_row, base_row, calib, args.threshold, failures)
 
     # Physics checks on the current run alone.
     sweep = sorted(
@@ -203,13 +155,7 @@ def main():
                 f"exceeds the {budget} budget"
             )
 
-    if failures:
-        print("\nmean-field gate FAILED:")
-        for f in failures:
-            print(f"  - {f}")
-        return 1
-    print("mean-field gate passed")
-    return 0
+    return benchgate.verdict("mean-field", failures)
 
 
 if __name__ == "__main__":

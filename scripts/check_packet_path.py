@@ -25,114 +25,54 @@ what makes the comparison meaningful across modes.
 Exit code 0 = within budget, 1 = regression, 2 = bad invocation/input.
 """
 
-import argparse
-import json
 import sys
 
+import benchgate
+
+GATE = "check_packet_path"
 CALIB_ROW = "calib_sched_pop_d64"
 COUNTER_TOLERANCE = 0.02
-
-
-def load_rows(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        sys.exit(f"check_packet_path: cannot read {path}: {e}")
-    if doc.get("bench") != "packet_path":
-        sys.exit(f"check_packet_path: {path} is not a packet_path result")
-    return {row["name"]: row for row in doc.get("results", [])}
+# (label, row field that must be present, value compared per row)
+COUNTERS = (
+    ("events/hop", "events_per_hop", lambda r: r["events_per_hop"]),
+    ("trace records/event", "trace_records",
+     lambda r: r["trace_records"] / r["ops"]),
+)
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("current", help="freshly measured BENCH_packet_path.json")
-    ap.add_argument(
-        "--baseline",
-        default="bench/baselines/BENCH_packet_path_wheel.json",
-        help="committed reference run (default: %(default)s)",
-    )
-    ap.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="allowed fractional regression in normalized wall time "
-        "(default: %(default)s)",
-    )
-    args = ap.parse_args()
+    args = benchgate.parser(
+        "freshly measured BENCH_packet_path.json",
+        "bench/baselines/BENCH_packet_path_wheel.json",
+    ).parse_args()
 
-    cur = load_rows(args.current)
-    base = load_rows(args.baseline)
-    for rows, path in ((cur, args.current), (base, args.baseline)):
-        if CALIB_ROW not in rows:
-            sys.exit(f"check_packet_path: {path} lacks the {CALIB_ROW} row")
-
-    cur_calib = cur[CALIB_ROW]["ns_per_op"]
-    base_calib = base[CALIB_ROW]["ns_per_op"]
-    print(
-        f"calibration: current {cur_calib:.1f} ns/op, "
-        f"baseline {base_calib:.1f} ns/op "
-        f"(machine factor {cur_calib / base_calib:.2f}x)"
-    )
+    cur = benchgate.rows_by_name(
+        benchgate.load(GATE, args.current, "packet_path"))
+    base = benchgate.rows_by_name(
+        benchgate.load(GATE, args.baseline, "packet_path"))
+    calib = benchgate.calibration(
+        GATE, CALIB_ROW, cur, base, args.current, args.baseline)
 
     failures = []
-    for name, cur_row in sorted(cur.items()):
-        base_row = base.get(name)
-        if base_row is None or name == CALIB_ROW:
-            continue
-
-        if cur_row.get("events_per_hop", -1) >= 0 and base_row.get(
-            "events_per_hop", -1
-        ) >= 0:
-            c, b = cur_row["events_per_hop"], base_row["events_per_hop"]
+    for name, cur_row, base_row in benchgate.shared_rows(cur, base, CALIB_ROW):
+        for label, key, per_unit in COUNTERS:
+            if cur_row.get(key, -1) < 0 or base_row.get(key, -1) < 0:
+                continue
+            c, b = per_unit(cur_row), per_unit(base_row)
             ok = c <= b * (1 + COUNTER_TOLERANCE)
             print(
-                f"  {name}: events/hop {c:.4f} vs baseline {b:.4f}"
+                f"  {name}: {label} {c:.4f} vs baseline {b:.4f}"
                 f" {'ok' if ok else 'REGRESSION'}"
             )
             if not ok:
                 failures.append(
-                    f"{name}: events/hop {c:.4f} > {b:.4f} "
+                    f"{name}: {label} {c:.4f} > {b:.4f} "
                     f"(+{(c / b - 1) * 100:.1f}%)"
                 )
+        benchgate.check_wall(
+            name, cur_row, base_row, calib, args.threshold, failures)
 
-        if cur_row.get("trace_records", -1) >= 0 and base_row.get(
-            "trace_records", -1
-        ) >= 0:
-            c = cur_row["trace_records"] / cur_row["ops"]
-            b = base_row["trace_records"] / base_row["ops"]
-            ok = c <= b * (1 + COUNTER_TOLERANCE)
-            print(
-                f"  {name}: trace records/event {c:.4f} vs baseline {b:.4f}"
-                f" {'ok' if ok else 'REGRESSION'}"
-            )
-            if not ok:
-                failures.append(
-                    f"{name}: trace records/event {c:.4f} > {b:.4f} "
-                    f"(+{(c / b - 1) * 100:.1f}%)"
-                )
-
-        c_ratio = cur_row["ns_per_op"] / cur_calib
-        b_ratio = base_row["ns_per_op"] / base_calib
-        ok = c_ratio <= b_ratio * (1 + args.threshold)
-        print(
-            f"  {name}: normalized {c_ratio:.3f} vs baseline {b_ratio:.3f}"
-            f" ({(c_ratio / b_ratio - 1) * 100:+.1f}%)"
-            f" {'ok' if ok else 'REGRESSION'}"
-        )
-        if not ok:
-            failures.append(
-                f"{name}: normalized wall {c_ratio:.3f} exceeds baseline "
-                f"{b_ratio:.3f} by more than {args.threshold * 100:.0f}%"
-            )
-
-    if failures:
-        print("\npacket-path regression gate FAILED:")
-        for f in failures:
-            print(f"  - {f}")
-        return 1
-    print("packet-path regression gate passed")
-    return 0
+    return benchgate.verdict("packet-path regression", failures)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,8 @@ parallel rows, their sequential twins) from the current files into a
 combined baseline JSON; run it on a quiet machine after an intentional
 perf change, same as re-pinning the other bench baselines.
 
-Exit code 0 = within budget, 1 = regression, 2 = bad invocation/input.
+Exit code 0 = within budget, 1 = regression, 2 = bad invocation/input
+(a missing or unreadable baseline included).
 """
 
 import argparse
@@ -56,6 +57,9 @@ import json
 import re
 import sys
 
+import benchgate
+
+GATE = "check_parallel"
 CALIB_ROW = "calib_sched_pop_d64"
 MEANFIELD_LP = re.compile(r"^(meanfield_n\d+)_lp(\d+)$")
 PACKET_LP = re.compile(r"^(fig02_n60_reno_red)_lp(\d+)$")
@@ -81,21 +85,6 @@ SPEEDUP_FLOORS = [
     ("meanfield_n100000", "meanfield_n100000_lp2", 2, 1.4),
     ("meanfield_n100000", "meanfield_n100000_lp4", 4, 2.0),
 ]
-
-
-def load(path, bench):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        sys.exit(f"check_parallel: cannot read {path}: {e}")
-    if doc.get("bench") != bench:
-        sys.exit(f"check_parallel: {path} is not a {bench} result")
-    return doc
-
-
-def rows_by_name(doc):
-    return {row["name"]: row for row in doc.get("results", [])}
 
 
 def check_events_exact(rows, pattern, fields, failures, twin_suffix=""):
@@ -126,31 +115,15 @@ def check_events_exact(rows, pattern, fields, failures, twin_suffix=""):
 
 
 def check_normalized_wall(label, cur, base, threshold, failures):
-    """Same row/calib ratio scheme as check_packet_path.py, lp rows only."""
-    if base is None:
-        print(f"  {label}: no baseline rows — normalized-wall check skipped")
-        return
+    """benchgate's row/calib scheme, lp rows only."""
     if CALIB_ROW not in cur or CALIB_ROW not in base:
         failures.append(f"{label}: {CALIB_ROW} row missing (current or baseline)")
         return
-    cur_calib = cur[CALIB_ROW]["ns_per_op"]
-    base_calib = base[CALIB_ROW]["ns_per_op"]
-    for name in sorted(cur):
-        if "_lp" not in name or name not in base:
-            continue
-        c_ratio = cur[name]["ns_per_op"] / cur_calib
-        b_ratio = base[name]["ns_per_op"] / base_calib
-        ok = c_ratio <= b_ratio * (1 + threshold)
-        print(
-            f"  {name}: normalized {c_ratio:.3f} vs baseline {b_ratio:.3f}"
-            f" ({(c_ratio / b_ratio - 1) * 100:+.1f}%)"
-            f" {'ok' if ok else 'REGRESSION'}"
-        )
-        if not ok:
-            failures.append(
-                f"{name}: normalized wall {c_ratio:.3f} exceeds baseline "
-                f"{b_ratio:.3f} by more than {threshold * 100:.0f}%"
-            )
+    calib = (cur[CALIB_ROW]["ns_per_op"], base[CALIB_ROW]["ns_per_op"])
+    for name, cur_row, base_row in benchgate.shared_rows(cur, base, CALIB_ROW):
+        if "_lp" in name:
+            benchgate.check_wall(
+                name, cur_row, base_row, calib, threshold, failures)
 
 
 def check_traced_ceiling(rows, failures):
@@ -260,13 +233,7 @@ def main():
         default="bench/baselines/BENCH_parallel.json",
         help="committed reference rows (default: %(default)s)",
     )
-    ap.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="allowed fractional regression in normalized wall time "
-        "(default: %(default)s)",
-    )
+    benchgate.add_threshold(ap)
     ap.add_argument(
         "--write-baseline",
         metavar="PATH",
@@ -275,10 +242,10 @@ def main():
     )
     args = ap.parse_args()
 
-    pp_doc = load(args.packet_path, "packet_path")
-    mf_doc = load(args.meanfield, "fig_meanfield")
-    pp = rows_by_name(pp_doc)
-    mf = rows_by_name(mf_doc)
+    pp = benchgate.rows_by_name(
+        benchgate.load(GATE, args.packet_path, "packet_path"))
+    mf_doc = benchgate.load(GATE, args.meanfield, "fig_meanfield")
+    mf = benchgate.rows_by_name(mf_doc)
 
     if args.write_baseline:
         doc = {
@@ -296,6 +263,10 @@ def main():
             f.write("\n")
         print(f"wrote {args.write_baseline}")
         return 0
+
+    base_doc = benchgate.load(GATE, args.baseline, "parallel")
+    base_pp = benchgate.rows_by_name(base_doc, "packet_path")
+    base_mf = benchgate.rows_by_name(base_doc, "meanfield")
 
     failures = []
 
@@ -327,17 +298,6 @@ def main():
     if n_fr == 0:
         failures.append("no flight-recorder rows found in the meanfield file")
 
-    base_pp = base_mf = None
-    try:
-        with open(args.baseline, encoding="utf-8") as f:
-            base_doc = json.load(f)
-        base_pp = {r["name"]: r for r in base_doc.get("packet_path", [])}
-        base_mf = {r["name"]: r for r in base_doc.get("meanfield", [])}
-    except OSError:
-        print(f"baseline {args.baseline} not found — wall checks skipped")
-    except ValueError as e:
-        sys.exit(f"check_parallel: cannot parse {args.baseline}: {e}")
-
     print("calibration-normalized wall (parallel rows vs baseline):")
     check_normalized_wall("packet_path", pp, base_pp, args.threshold, failures)
     check_normalized_wall("meanfield", mf, base_mf, args.threshold, failures)
@@ -345,13 +305,7 @@ def main():
     print("speedup floors (full mode, hardware permitting):")
     check_speedup(mf_doc, mf, failures)
 
-    if failures:
-        print("\nparallel-engine gate FAILED:")
-        for f in failures:
-            print(f"  - {f}")
-        return 1
-    print("parallel-engine gate passed")
-    return 0
+    return benchgate.verdict("parallel-engine", failures)
 
 
 if __name__ == "__main__":

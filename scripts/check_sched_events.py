@@ -26,76 +26,34 @@ the comparison meaningful across modes.
 Exit code 0 = within budget, 1 = regression, 2 = bad invocation/input.
 """
 
-import argparse
-import json
 import re
 import sys
 
+import benchgate
+
+GATE = "check_sched_events"
 CALIB_ROW = "schedule_pop_d64"
 CROSSOVER_MIN_PENDING = 100_000
 CROSSOVER_SLACK = 0.10
 
 
-def load_rows(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        sys.exit(f"check_sched_events: cannot read {path}: {e}")
-    if doc.get("bench") != "sched_events":
-        sys.exit(f"check_sched_events: {path} is not a sched_events result")
-    return {row["name"]: row for row in doc.get("results", [])}
-
-
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("current", help="freshly measured BENCH_sched.json")
-    ap.add_argument(
-        "--baseline",
-        default="bench/baselines/BENCH_sched_wheel.json",
-        help="committed reference run (default: %(default)s)",
-    )
-    ap.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="allowed fractional regression in normalized wall time "
-        "(default: %(default)s)",
-    )
-    args = ap.parse_args()
+    args = benchgate.parser(
+        "freshly measured BENCH_sched.json",
+        "bench/baselines/BENCH_sched_wheel.json",
+    ).parse_args()
 
-    cur = load_rows(args.current)
-    base = load_rows(args.baseline)
-    for rows, path in ((cur, args.current), (base, args.baseline)):
-        if CALIB_ROW not in rows:
-            sys.exit(f"check_sched_events: {path} lacks the {CALIB_ROW} row")
-
-    cur_calib = cur[CALIB_ROW]["ns_per_op"]
-    base_calib = base[CALIB_ROW]["ns_per_op"]
-    print(
-        f"calibration: current {cur_calib:.1f} ns/op, "
-        f"baseline {base_calib:.1f} ns/op "
-        f"(machine factor {cur_calib / base_calib:.2f}x)"
-    )
+    cur = benchgate.rows_by_name(
+        benchgate.load(GATE, args.current, "sched_events"))
+    base = benchgate.rows_by_name(
+        benchgate.load(GATE, args.baseline, "sched_events"))
+    calib = benchgate.calibration(
+        GATE, CALIB_ROW, cur, base, args.current, args.baseline)
 
     failures = []
-    for name, cur_row in sorted(cur.items()):
-        base_row = base.get(name)
-        if base_row is None or name == CALIB_ROW:
-            continue
-        c_ratio = cur_row["ns_per_op"] / cur_calib
-        b_ratio = base_row["ns_per_op"] / base_calib
-        ok = c_ratio <= b_ratio * (1 + args.threshold)
-        print(
-            f"  {name}: normalized {c_ratio:.3f} vs baseline {b_ratio:.3f}"
-            f" ({(c_ratio / b_ratio - 1) * 100:+.1f}%)"
-            f" {'ok' if ok else 'REGRESSION'}"
-        )
-        if not ok:
-            failures.append(
-                f"{name}: normalized wall {c_ratio:.3f} exceeds baseline "
-                f"{b_ratio:.3f} by more than {args.threshold * 100:.0f}%"
-            )
+    for name, cur_row, base_row in benchgate.shared_rows(cur, base, CALIB_ROW):
+        benchgate.check_wall(
+            name, cur_row, base_row, calib, args.threshold, failures)
 
     # In-run crossover: the wheel must hold its win at mean-field scale.
     checked_crossover = False
@@ -126,13 +84,7 @@ def main():
             "the crossover regime is unmeasured"
         )
 
-    if failures:
-        print("\nsched-events regression gate FAILED:")
-        for f in failures:
-            print(f"  - {f}")
-        return 1
-    print("sched-events regression gate passed")
-    return 0
+    return benchgate.verdict("sched-events regression", failures)
 
 
 if __name__ == "__main__":

@@ -79,27 +79,6 @@ Time Scenario::client_delay_for(int i) const {
   return client_delay * (1.0 + client_delay_spread * position);
 }
 
-RedConfig Scenario::red_config() const {
-  RedConfig cfg;
-  cfg.min_th = scaled_red_min_th();
-  cfg.max_th = scaled_red_max_th();
-  cfg.max_p = red_max_p;
-  cfg.weight = red_weight;
-  cfg.capacity = scaled_gateway_buffer();
-  cfg.mean_pkt_tx_time =
-      transmission_time(wire_bytes(), scaled_bottleneck_bw_bps());
-  cfg.ecn = ecn;
-  cfg.adaptive = adaptive_red;
-  return cfg;
-}
-
-DrrConfig Scenario::drr_config() const {
-  DrrConfig cfg;
-  cfg.capacity = scaled_gateway_buffer();
-  cfg.quantum_bytes = wire_bytes();
-  return cfg;
-}
-
 std::string Scenario::label() const {
   std::ostringstream os;
   os << to_string(transport);

@@ -8,8 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/net/drr_queue.hpp"
-#include "src/net/red_queue.hpp"
 #include "src/sim/time.hpp"
 #include "src/transport/rto_estimator.hpp"
 #include "src/transport/tcp_vegas.hpp"
@@ -94,9 +92,6 @@ struct Scenario {
   std::size_t scaled_gateway_buffer() const;
   double scaled_red_min_th() const;
   double scaled_red_max_th() const;
-
-  RedConfig red_config() const;
-  DrrConfig drr_config() const;
 
   /// The configuration used throughout the paper's Section 3.
   static Scenario paper_default() { return Scenario{}; }

@@ -550,7 +550,8 @@ double (*campaign_metric(const std::string& name))(const ExperimentResult&) {
 }
 
 std::vector<CampaignSweep> paper_figure_campaign(const Scenario& base) {
-  // The bench harnesses' client grids (bench/common.cpp mirrors these).
+  // The paper plots Fig 2 from ~5 clients and Figs 3, 4, 13 from 30; the
+  // figure benches run these sweeps by name (bench::figure_sweep).
   std::vector<int> fig2 = range(4, 36, 4);
   for (int n : {38, 39, 40, 44, 48, 52, 56, 60}) fig2.push_back(n);
   const std::vector<int> fig34 = range(30, 60, 3);

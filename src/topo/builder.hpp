@@ -101,9 +101,6 @@ class TopoNet {
   void register_metrics(MetricsRegistry& registry,
                         const TopoMetricNames& names = {}) const;
 
-  /// The drop-cluster monitor created by attach_trace() (null before).
-  const FlowMonitor* congestion_monitor() const { return monitor_.get(); }
-
   int num_flows() const { return static_cast<int>(senders_.size()); }
 
   Agent& sender(int i) { return *senders_.at(static_cast<std::size_t>(i)); }
@@ -113,7 +110,6 @@ class TopoNet {
   PoissonSource& source(int i) {
     return *sources_.at(static_cast<std::size_t>(i));
   }
-  Node& node(int id) { return *nodes_.at(static_cast<std::size_t>(id)); }
 
   std::uint64_t total_generated() const;
   std::uint64_t total_delivered() const;

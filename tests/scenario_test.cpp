@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/net/red_queue.hpp"
+#include "src/sim/simulator.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/spec.hpp"
+
 namespace burst {
 namespace {
 
@@ -42,9 +47,16 @@ TEST(Scenario, OfferedLoadAndUtilization) {
   EXPECT_GT(s.utilization(), 1.0);
 }
 
+// The RED gateway a dumbbell builds derives its thresholds, buffer and
+// averaging clock from the Table 1 scenario.
 TEST(Scenario, RedConfigDerivation) {
-  const Scenario s = Scenario::paper_default();
-  const RedConfig red = s.red_config();
+  Scenario s = Scenario::paper_default();
+  s.gateway = GatewayQueue::kRed;
+  Simulator sim(s.seed);
+  TopoNet net(sim, make_dumbbell_spec(s));
+  const auto* queue = dynamic_cast<const RedQueue*>(&net.measured_queue());
+  ASSERT_NE(queue, nullptr);
+  const RedConfig& red = queue->config();
   EXPECT_DOUBLE_EQ(red.min_th, 10.0);
   EXPECT_DOUBLE_EQ(red.max_th, 40.0);
   EXPECT_EQ(red.capacity, 50u);
