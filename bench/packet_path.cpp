@@ -19,7 +19,7 @@
 //                         direction: queue empty at every send)
 //   timer_rearm           Timer::schedule with an always-advancing deadline
 //                         (the per-ACK RTO restart pattern)
-//   timer_rearm_pending100000    the same pattern with 10^5 idle kLazy
+//   timer_rearm_pending100000    the same pattern with 10^5 idle
 //                         timers armed far-future (parked in the timing
 //                         wheel; the rearm cost must not grow with them)
 //   fig02_n60_reno_red    full N=60 Reno/RED experiment (the paper's
@@ -110,9 +110,9 @@ ProbeRow link_hop_row(std::string name, std::uint64_t hops, int backlog,
 // The retransmit-timer pattern: one Timer::schedule per simulated ACK,
 // with a deadline that always advances (srtt-scale RTO, ms-scale ACK
 // clock). The timer itself almost never fires — the cost under test is
-// the rearm. Uses the same timer mode as TcpSender's RTO timer.
+// the rearm, the way TcpSender's RTO timer sees it.
 //
-// With `background` > 0, that many idle flows each keep a kLazy RTO
+// With `background` > 0, that many idle flows each keep an RTO
 // armed at a far deadline: a mean-field-sized population that parks in
 // the timing wheel's O(1) buckets, so the driving flow's rearm cost must
 // stay at the unloaded row's level instead of growing with
@@ -132,11 +132,10 @@ ProbeRow timer_rearm_row(std::uint64_t ops, std::size_t background,
     std::vector<std::unique_ptr<Timer>> idle;
     idle.reserve(background);
     for (std::size_t i = 0; i < background; ++i) {
-      idle.push_back(
-          std::make_unique<Timer>(sim, [] {}, Timer::Mode::kLazy));
+      idle.push_back(std::make_unique<Timer>(sim, [] {}));
       idle.back()->schedule(horizon + 3600.0 + 3600.0 * mix.next());
     }
-    Timer rto(sim, [] {}, Timer::Mode::kLazy);
+    Timer rto(sim, [] {});
     std::uint64_t remaining = ops;
     std::function<void()> drive = [&] {
       rto.schedule(0.25);

@@ -18,33 +18,26 @@ struct FieldFlag {
   const char* flag;
   const char* field;
   const char* unit;
-  bool boolean;
 };
 
 constexpr FieldFlag kFieldFlags[] = {
-    {"transport", "transport", "", false},
-    {"queue", "queue", "", false},
-    {"clients", "clients", "", false},
-    {"duration", "duration", "", false},
-    {"seed", "seed", "", false},
-    {"buffer", "gateway_buffer", "", false},
-    {"bottleneck-mbps", "bottleneck_bw", "Mbps", false},
-    {"mean-interarrival", "mean_interarrival", "", false},
-    {"red-min", "red_min", "", false},
-    {"red-max", "red_max", "", false},
-    {"red-maxp", "red_maxp", "", false},
-    {"delack", "delayed_ack", "", true},
-    {"ecn", "ecn", "", true},
-    {"adaptive-red", "adaptive_red", "", true},
-    {"limited-transmit", "limited_transmit", "", true},
-    {"cwnd-validation", "cwnd_validation", "", true},
+    {"transport", "transport", ""},
+    {"queue", "queue", ""},
+    {"clients", "clients", ""},
+    {"duration", "duration", ""},
+    {"seed", "seed", ""},
+    {"buffer", "gateway_buffer", ""},
+    {"bottleneck-mbps", "bottleneck_bw", "Mbps"},
+    {"mean-interarrival", "mean_interarrival", ""},
+    {"red-min", "red_min", ""},
+    {"red-max", "red_max", ""},
+    {"red-maxp", "red_maxp", ""},
+    {"delack", "delayed_ack", ""},
+    {"ecn", "ecn", ""},
+    {"adaptive-red", "adaptive_red", ""},
+    {"limited-transmit", "limited_transmit", ""},
+    {"cwnd-validation", "cwnd_validation", ""},
 };
-
-bool parse_double(const std::string& v, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(v.c_str(), &end);
-  return end != v.c_str() && *end == '\0';
-}
 
 bool fail(CliError* error, const std::string& msg) {
   if (error) error->message = msg;
@@ -72,7 +65,8 @@ bool apply_option(const std::string& key, const std::string& value,
   for (const FieldFlag& f : kFieldFlags) {
     if (key != f.flag) continue;
     if (!has_value) {
-      return f.boolean ? set_field(f.field, "true") : need(f.field);
+      return is_boolean_scenario_field(f.field) ? set_field(f.field, "true")
+                                                : need(f.field);
     }
     return set_field(f.field, value + f.unit);
   }
@@ -135,7 +129,7 @@ bool apply_option(const std::string& key, const std::string& value,
   }
   if (key == "fr-period") {
     double p = 0.0;
-    if (!need("seconds") || !parse_double(value, &p) || !(p > 0.0)) {
+    if (!need("seconds") || !parse_number(value, &p) || !(p > 0.0)) {
       return fail(error, "--fr-period needs a positive number of seconds");
     }
     req->fr_period = p;
@@ -205,10 +199,7 @@ std::optional<CliRequest> parse_cli(const std::vector<std::string>& args,
     }
     req.spec = std::move(*spec);
   }
-  int flows = 0;
-  for (const TopoFlowSpec& f : req.spec.flows) {
-    flows += req.spec.node_count(f.src);
-  }
+  const auto flows = static_cast<int>(TopoGraph(req.spec).flows().size());
   for (int idx : req.options.trace_clients) {
     if (idx >= flows) {
       fail(error, "--trace index " + std::to_string(idx) +

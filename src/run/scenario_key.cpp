@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
 
 namespace burst {
 
@@ -65,25 +66,21 @@ namespace {
 // or decimal rounding.
 class Canon {
  public:
-  Canon& field(std::string_view name, double v) {
-    os_ << name << '=' << std::hexfloat << v << ';';
-    return *this;
-  }
-  Canon& field(std::string_view name, std::int64_t v) {
-    os_ << name << '=' << std::dec << v << ';';
-    return *this;
-  }
-  Canon& field(std::string_view name, std::uint64_t v) {
-    os_ << name << '=' << std::dec << v << ';';
-    return *this;
-  }
-  Canon& field(std::string_view name, bool v) {
-    os_ << name << '=' << (v ? 1 : 0) << ';';
-    return *this;
-  }
-  Canon& field(std::string_view name, std::string_view v) {
-    os_ << name << '=' << v << ';';
-    return *this;
+  template <typename T>
+  void field(std::string_view name, const T& v) {
+    os_ << name << '=';
+    if constexpr (std::is_same_v<T, double>) {
+      os_ << std::hexfloat << v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      os_ << (v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      os_ << to_string(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      os_ << std::dec << v;
+    } else {
+      os_ << v;  // text
+    }
+    os_ << ';';
   }
   std::string str() const { return os_.str(); }
 
@@ -95,48 +92,12 @@ class Canon {
 
 std::string canonical_string(const Scenario& s, const ExperimentOptions& opts) {
   Canon c;
-  c.field("schema", static_cast<std::uint64_t>(kResultSchemaVersion));
-  // Experiment axes.
-  c.field("num_clients", static_cast<std::int64_t>(s.num_clients));
-  c.field("transport", to_string(s.transport));
-  c.field("gateway", to_string(s.gateway));
-  c.field("delayed_ack", s.delayed_ack);
-  c.field("ecn", s.ecn);
-  c.field("adaptive_red", s.adaptive_red);
-  c.field("limited_transmit", s.limited_transmit);
-  c.field("cwnd_validation", s.cwnd_validation);
-  // Appended only when active so every pre-existing scenario keeps its
-  // historical key (and topo fingerprint) byte-for-byte.
-  if (s.meanfield_base != 0) {
-    c.field("meanfield_base", static_cast<std::int64_t>(s.meanfield_base));
-  }
-  // Table 1.
-  c.field("client_bw_bps", s.client_bw_bps);
-  c.field("client_delay", s.client_delay);
-  c.field("client_delay_spread", s.client_delay_spread);
-  c.field("bottleneck_bw_bps", s.bottleneck_bw_bps);
-  c.field("bottleneck_delay", s.bottleneck_delay);
-  c.field("advertised_window", s.advertised_window);
-  c.field("gateway_buffer", static_cast<std::uint64_t>(s.gateway_buffer));
-  c.field("payload_bytes", static_cast<std::int64_t>(s.payload_bytes));
-  c.field("mean_interarrival", s.mean_interarrival);
-  c.field("duration", s.duration);
-  c.field("red_min_th", s.red_min_th);
-  c.field("red_max_th", s.red_max_th);
-  c.field("vegas_alpha", s.vegas.alpha);
-  c.field("vegas_beta", s.vegas.beta);
-  c.field("vegas_gamma", s.vegas.gamma);
-  // Modeling knobs.
-  c.field("red_weight", s.red_weight);
-  c.field("red_max_p", s.red_max_p);
-  c.field("rto_granularity", s.rto.granularity);
-  c.field("rto_min", s.rto.min_rto);
-  c.field("rto_max", s.rto.max_rto);
-  c.field("rto_initial", s.rto.initial_rto);
-  c.field("warmup", s.warmup);
-  c.field("client_queue_buffer",
-          static_cast<std::uint64_t>(s.client_queue_buffer));
-  c.field("seed", s.seed);
+  c.field("schema", kResultSchemaVersion);
+  for_each_scenario_field(s, [&c](const ScenarioField& f, const auto& v) {
+    if (f.keyed_when_zero || v != std::decay_t<decltype(v)>{}) {
+      c.field(f.key, v);
+    }
+  });
   // Experiment options.
   {
     std::ostringstream tc;
@@ -148,9 +109,7 @@ std::string canonical_string(const Scenario& s, const ExperimentOptions& opts) {
   // same-instant ties differently than the sequential engine, so the
   // cache must key on the shard count. Appended only when > 1 so every
   // sequential scenario keeps its historical key byte-for-byte.
-  if (opts.lp_shards > 1) {
-    c.field("lp_shards", static_cast<std::int64_t>(opts.lp_shards));
-  }
+  if (opts.lp_shards > 1) c.field("lp_shards", opts.lp_shards);
   return c.str();
 }
 

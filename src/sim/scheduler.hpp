@@ -29,9 +29,9 @@
 //
 // Two-tier storage (DESIGN.md §11): exact-order packet events live on
 // the heap; the *soft-deadline* timer class — schedule_soft_at(), used by
-// Timer::Mode::kLazy for RTO/delayed-ACK deadlines — is parked in a
-// hierarchical timing wheel when far enough out, and flushed into the
-// heap (full sort key attached) before any pop that could reach it.
+// Timer for RTO/delayed-ACK deadlines — is parked in a hierarchical
+// timing wheel when far enough out, and flushed into the heap (full sort
+// key attached) before any pop that could reach it.
 // Every pop still leaves the heap, in exact (at, tie_time, seq) order,
 // so runs are bit-identical whichever structure held an event; what
 // changes is cost: heap depth tracks the near-term horizon instead of

@@ -32,7 +32,7 @@ class Simulator {
   /// Schedules a soft-deadline event at absolute time @p at (>= now()):
   /// same observable ordering as schedule_at(), but far-future events are
   /// parked in the scheduler's timing wheel (O(1)) instead of the heap.
-  /// Used by Timer::Mode::kLazy — the per-flow RTO/delayed-ACK deadlines
+  /// Used by Timer — the per-flow RTO/delayed-ACK deadlines
   /// whose pending count scales with the flow count.
   EventId schedule_soft_at(Time at, SmallFn fn);
 

@@ -5,22 +5,15 @@ namespace burst {
 void Timer::schedule(Time delay) {
   const Time at = sim_.now() + delay;
   deadline_ = at;
-  if (mode_ == Mode::kLazy && id_ != kInvalidEventId && armed_at_ <= at) {
+  if (id_ != kInvalidEventId && armed_at_ <= at) {
     // Soft move: the armed event runs no later than the new deadline and
     // will re-arm itself there (or fire, if they coincide).
     return;
   }
-  // kExact, nothing armed, or the deadline shrank below the armed event —
-  // the event must be (re)armed so the timer never fires late.
+  // Nothing armed, or the deadline shrank below the armed event — the
+  // event must be (re)armed so the timer never fires late.
   disarm();
   arm(at);
-}
-
-void Timer::cancel() {
-  deadline_ = kTimeNever;
-  if (mode_ == Mode::kExact) disarm();
-  // kLazy: the armed event (if any) sees deadline_ == kTimeNever when it
-  // runs and disarms itself; a re-schedule before then reuses it.
 }
 
 void Timer::arm(Time at) {
@@ -28,12 +21,10 @@ void Timer::arm(Time at) {
   auto fire = [this] { on_event(); };
   static_assert(SmallFn::stores_inline<decltype(fire)>(),
                 "the timer trampoline must fit SmallFn's inline buffer");
-  // kLazy timers tolerate deferred firing by construction, so their armed
-  // event rides the timing wheel: O(1) to park, and the far-future RTO
-  // majority stays out of the heap entirely. kExact timers keep the
-  // classic heap insert.
-  id_ = mode_ == Mode::kLazy ? sim_.schedule_soft_at(at, std::move(fire))
-                             : sim_.schedule_at(at, std::move(fire));
+  // The armed event tolerates deferred firing by construction, so it
+  // rides the timing wheel: O(1) to park, and the far-future RTO majority
+  // stays out of the heap entirely.
+  id_ = sim_.schedule_soft_at(at, std::move(fire));
 }
 
 void Timer::disarm() {
@@ -49,7 +40,7 @@ void Timer::on_event() {
   armed_at_ = kTimeNever;
   if (deadline_ == kTimeNever) return;  // lazily cancelled: quiet no-op
   if (deadline_ > sim_.now()) {
-    // The deadline moved forward while we were armed (kLazy soft moves
+    // The deadline moved forward while we were armed (soft moves
     // accumulate here): chase it. One hop suffices no matter how many
     // schedule() calls happened — we jump straight to the latest value.
     arm(deadline_);

@@ -1,5 +1,5 @@
 // Hierarchical timing wheel (Varghese & Lauck): the Scheduler's second
-// backend, holding the soft-deadline timer class — the kLazy RTO and
+// backend, holding the soft-deadline timer class — the RTO and
 // delayed-ACK timers that dominate *pending* events at large N but are a
 // vanishing fraction of *executed* events.
 //

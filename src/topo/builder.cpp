@@ -1,7 +1,6 @@
 #include "src/topo/builder.hpp"
 
 #include <cassert>
-#include <queue>
 
 #include "src/net/drop_tail_queue.hpp"
 #include "src/net/drr_queue.hpp"
@@ -71,16 +70,16 @@ TopoNet::TopoNet(ParallelRuntime& rt, const LpPartition& part,
 
 TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
                  const TopoSpec& spec)
-    : sim_(sim), rt_(rt), spec_(spec) {
+    : sim_(sim), rt_(rt), spec_(spec), graph_(spec_) {
   assert((rt_ != nullptr) != (sim_ != nullptr));
   if (part != nullptr) {
     part_ = *part;
     assert(rt_ != nullptr && part_.shards == rt_->shards());
     assert(part_.node_lp.size() ==
-           static_cast<std::size_t>(spec_.total_nodes()));
+           static_cast<std::size_t>(graph_.nodes()));
   }
   const Scenario& sc = spec_.scenario;
-  const int total = spec_.total_nodes();
+  const int total = graph_.nodes();
   assert(total >= 2);
   nodes_.reserve(static_cast<std::size_t>(total));
   for (int id = 0; id < total; ++id) {
@@ -88,24 +87,12 @@ TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
   }
 
   // --- Pre-size every per-flow/per-link container (huge-N mode): the
-  // expanded counts are known from the spec, so nothing regrows while
+  // expanded counts are known from the graph, so nothing regrows while
   // the graph and the flow population are built.
-  std::size_t expanded_links = 0;
-  for (const TopoLinkSpec& l : spec_.links) {
-    expanded_links += static_cast<std::size_t>(
-        std::max(spec_.node_count(l.from), spec_.node_count(l.to)));
-  }
-  links_.reserve(expanded_links);
-  link_base_.reserve(spec_.links.size());
-  link_ends_.reserve(expanded_links);
-
-  std::size_t total_flows = 0;
-  for (const TopoFlowSpec& f : spec_.flows) {
-    total_flows += static_cast<std::size_t>(spec_.node_count(f.src));
-  }
-  senders_.reserve(total_flows);
-  sinks_.reserve(total_flows);
-  sources_.reserve(total_flows);
+  links_.reserve(graph_.links().size());
+  senders_.reserve(graph_.flows().size());
+  sinks_.reserve(graph_.flows().size());
+  sources_.reserve(graph_.flows().size());
   // One contiguous struct-of-arrays block per LP for its TCP flows'
   // mutable scalars; the agents constructed below are views over its
   // slots. A sequential build has exactly one arena (bit-identical to the
@@ -115,15 +102,13 @@ TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
     const int shards = rt_ != nullptr ? part_.shards : 1;
     std::vector<std::size_t> tcp_senders(static_cast<std::size_t>(shards), 0);
     std::vector<std::size_t> tcp_sinks(static_cast<std::size_t>(shards), 0);
-    for (const TopoFlowSpec& f : spec_.flows) {
-      if (f.transport == Transport::kUdp) continue;
-      const auto dst_lp = static_cast<std::size_t>(
-          part_.lp_of(spec_.node_id(f.dst, 0)));
-      for (int j = 0; j < spec_.node_count(f.src); ++j) {
-        ++tcp_senders[static_cast<std::size_t>(
-            part_.lp_of(spec_.node_id(f.src, j)))];
-        ++tcp_sinks[dst_lp];
+    for (const MemberFlow& f : graph_.flows()) {
+      if (spec_.flows[static_cast<std::size_t>(f.statement)].transport ==
+          Transport::kUdp) {
+        continue;
       }
+      ++tcp_senders[static_cast<std::size_t>(part_.lp_of(f.src))];
+      ++tcp_sinks[static_cast<std::size_t>(part_.lp_of(f.dst))];
     }
     arenas_.reserve(static_cast<std::size_t>(shards));
     for (int k = 0; k < shards; ++k) {
@@ -135,190 +120,121 @@ TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
     }
   }
 
-  // --- Links: expand each statement in declaration order. --------------
-  // Fork discipline: one sim.rng().fork() per expanded link with an
+  // --- Links, in expansion order. ---------------------------------------
+  // Fork discipline: one sim.rng().fork() per member link with an
   // explicit queue, consumed here in expansion order; deterministic
   // disciplines receive (and discard) theirs so adding randomness to a
   // queue never re-keys unrelated flows.
-  for (std::size_t s = 0; s < spec_.links.size(); ++s) {
-    const TopoLinkSpec& l = spec_.links[s];
-    const int fc = spec_.node_count(l.from);
-    const int tc = spec_.node_count(l.to);
-    const int count = std::max(fc, tc);
-    link_base_.push_back(static_cast<int>(links_.size()));
-    for (int j = 0; j < count; ++j) {
-      const int u = spec_.node_id(l.from, fc > 1 ? j : 0);
-      const int v = spec_.node_id(l.to, tc > 1 ? j : 0);
-      std::unique_ptr<Queue> q;
-      if (l.queue.kind == PortQueueSpec::Kind::kDefault) {
-        q = make_port_queue(l, sc, Random(0));
-      } else {
-        q = make_port_queue(l, sc, build_rng().fork());
-      }
-      // A link lives with its SENDING node's LP: its queue and transmitter
-      // are driven by that side's events. When the receiver is elsewhere,
-      // the delivery hops LPs through the runtime's channel.
-      links_.push_back(std::make_unique<SimplexLink>(
-          nsim(u), std::move(q), l.rate_bps, topo_member_delay(l, j, count)));
-      Node& to_node = *nodes_[static_cast<std::size_t>(v)];
-      links_.back()->set_receiver(
-          [&to_node](const Packet& p) { to_node.receive(p); });
-      link_ends_.emplace_back(u, v);
-      if (rt_ != nullptr && part_.lp_of(u) != part_.lp_of(v)) {
-        rt_->register_cut_link(links_.back().get(), part_.lp_of(u),
-                               part_.lp_of(v));
-      }
+  for (const MemberLink& m : graph_.links()) {
+    const TopoLinkSpec& l = spec_.links[static_cast<std::size_t>(m.statement)];
+    std::unique_ptr<Queue> q;
+    if (l.queue.kind == PortQueueSpec::Kind::kDefault) {
+      q = make_port_queue(l, sc, Random(0));
+    } else {
+      q = make_port_queue(l, sc, build_rng().fork());
+    }
+    // A link lives with its SENDING node's LP: its queue and transmitter
+    // are driven by that side's events. When the receiver is elsewhere,
+    // the delivery hops LPs through the runtime's channel.
+    links_.push_back(std::make_unique<SimplexLink>(nsim(m.from), std::move(q),
+                                                   l.rate_bps, m.delay));
+    Node& to_node = *nodes_[static_cast<std::size_t>(m.to)];
+    links_.back()->set_receiver(
+        [&to_node](const Packet& p) { to_node.receive(p); });
+    if (rt_ != nullptr && part_.lp_of(m.from) != part_.lp_of(m.to)) {
+      rt_->register_cut_link(links_.back().get(), part_.lp_of(m.from),
+                             part_.lp_of(m.to));
     }
   }
   assert(spec_.measure_link >= 0 &&
          spec_.measure_link < static_cast<int>(spec_.links.size()));
-  const auto measured_idx = static_cast<std::size_t>(
-      link_base_[static_cast<std::size_t>(spec_.measure_link)]);
+  const auto measured_idx =
+      static_cast<std::size_t>(graph_.first_member(spec_.measure_link));
   measured_ = links_[measured_idx].get();
-  measured_from_node_ = link_ends_[measured_idx].first;
+  measured_from_node_ = graph_.links()[measured_idx].from;
 
-  // --- Routing: per-node BFS over the expanded graph. -------------------
-  // Out-links in expansion order + FIFO frontier = the first-declared
-  // shortest path wins, deterministically.
-  //
+  // --- Routing: the graph's first-hop search from every node. ------------
   // Huge-N fast path: when the graph is strongly connected, a node with
   // exactly one out-link reaches every destination through it, so its
-  // whole BFS route table collapses to one default route — functionally
+  // whole route table collapses to one default route — functionally
   // identical next hops (route tables never affect packet timing), and
-  // the all-pairs O(N^2) BFS shrinks to one pass per multi-out-link hub
+  // the all-pairs O(N^2) search shrinks to one pass per multi-out-link hub
   // (the gateway, in a dumbbell). Graphs that are not strongly connected
-  // keep the historical full BFS so unreachable destinations still count
-  // routing_errors instead of being silently forwarded.
-  {
-    std::vector<std::vector<int>> out(static_cast<std::size_t>(total));
-    std::vector<std::vector<int>> in(static_cast<std::size_t>(total));
-    for (std::size_t e = 0; e < link_ends_.size(); ++e) {
-      out[static_cast<std::size_t>(link_ends_[e].first)].push_back(
-          static_cast<int>(e));
-      in[static_cast<std::size_t>(link_ends_[e].second)].push_back(
-          static_cast<int>(e));
+  // keep the full per-destination table so unreachable destinations still
+  // count routing_errors instead of being silently forwarded.
+  const bool strongly_connected = graph_.strongly_connected();
+  for (int src = 0; src < total; ++src) {
+    Node& src_node = *nodes_[static_cast<std::size_t>(src)];
+    const std::vector<int>& out = graph_.out_links(src);
+    if (strongly_connected && out.size() == 1) {
+      src_node.add_route(Node::kDefaultRoute,
+                         links_[static_cast<std::size_t>(out[0])].get());
+      continue;
     }
-
-    std::vector<char> seen(static_cast<std::size_t>(total));
-    std::queue<int> frontier;
-    const auto reaches_all = [&](const std::vector<std::vector<int>>& adj,
-                                 const bool forward) {
-      std::fill(seen.begin(), seen.end(), 0);
-      seen[0] = 1;
-      int reached = 1;
-      frontier.push(0);
-      while (!frontier.empty()) {
-        const int u = frontier.front();
-        frontier.pop();
-        for (const int e : adj[static_cast<std::size_t>(u)]) {
-          const auto& ends = link_ends_[static_cast<std::size_t>(e)];
-          const int v = forward ? ends.second : ends.first;
-          if (seen[static_cast<std::size_t>(v)]) continue;
-          seen[static_cast<std::size_t>(v)] = 1;
-          ++reached;
-          frontier.push(v);
-        }
-      }
-      return reached == total;
-    };
-    const bool strongly_connected =
-        reaches_all(out, true) && reaches_all(in, false);
-
-    std::vector<SimplexLink*> first_hop(static_cast<std::size_t>(total));
-    for (int src = 0; src < total; ++src) {
-      Node& src_node = *nodes_[static_cast<std::size_t>(src)];
-      const auto& src_out = out[static_cast<std::size_t>(src)];
-      if (strongly_connected && src_out.size() == 1) {
-        src_node.add_route(
-            Node::kDefaultRoute,
-            links_[static_cast<std::size_t>(src_out[0])].get());
-        continue;
-      }
-      if (src_out.empty()) continue;  // BFS would install nothing
-      std::fill(first_hop.begin(), first_hop.end(), nullptr);
-      std::fill(seen.begin(), seen.end(), 0);
-      seen[static_cast<std::size_t>(src)] = 1;
-      frontier.push(src);
-      while (!frontier.empty()) {
-        const int u = frontier.front();
-        frontier.pop();
-        for (const int e : out[static_cast<std::size_t>(u)]) {
-          const int v = link_ends_[static_cast<std::size_t>(e)].second;
-          if (seen[static_cast<std::size_t>(v)]) continue;
-          seen[static_cast<std::size_t>(v)] = 1;
-          first_hop[static_cast<std::size_t>(v)] =
-              u == src ? links_[static_cast<std::size_t>(e)].get()
-                       : first_hop[static_cast<std::size_t>(u)];
-          frontier.push(v);
-        }
-      }
-      src_node.reserve_routes(static_cast<std::size_t>(total));
-      for (int dst = 0; dst < total; ++dst) {
-        if (dst == src) continue;
-        if (SimplexLink* hop = first_hop[static_cast<std::size_t>(dst)]) {
-          src_node.add_route(dst, hop);
-        }
+    if (out.empty()) continue;  // the search would install nothing
+    const std::vector<int> hop = graph_.first_hops(src, true);
+    src_node.reserve_routes(static_cast<std::size_t>(total));
+    for (int dst = 0; dst < total; ++dst) {
+      const int e = hop[static_cast<std::size_t>(dst)];
+      if (e >= 0) {
+        src_node.add_route(dst, links_[static_cast<std::size_t>(e)].get());
       }
     }
   }
 
-  // --- Flows: one sender/sink/source triple per expanded src member. ---
+  // --- Flows: one sender/sink/source triple per member flow. ------------
   for (const TopoFlowSpec& f : spec_.flows) {
     nodes_[static_cast<std::size_t>(spec_.node_id(f.dst, 0))]
         ->reserve_handlers(static_cast<std::size_t>(spec_.node_count(f.src)));
   }
   const TcpConfig tcp_cfg = make_tcp_config(sc);
-  for (const TopoFlowSpec& f : spec_.flows) {
-    const int dst = spec_.node_id(f.dst, 0);
+  for (const auto& [src, dst, statement] : graph_.flows()) {
+    const TopoFlowSpec& f = spec_.flows[static_cast<std::size_t>(statement)];
+    Node& src_node = *nodes_[static_cast<std::size_t>(src)];
     Node& dst_node = *nodes_[static_cast<std::size_t>(dst)];
+    Simulator& ssim = nsim(src);
     Simulator& dsim = nsim(dst);
-    FlowArena* dst_arena = arenas_[static_cast<std::size_t>(part_.lp_of(dst))]
-                               .get();
-    for (int j = 0; j < spec_.node_count(f.src); ++j) {
-      const int src = spec_.node_id(f.src, j);
-      Node& src_node = *nodes_[static_cast<std::size_t>(src)];
-      Simulator& ssim = nsim(src);
-      FlowArena* arena =
-          arenas_[static_cast<std::size_t>(part_.lp_of(src))].get();
-      const FlowId flow = static_cast<FlowId>(senders_.size());
-      switch (f.transport) {
-        case Transport::kUdp:
-          senders_.push_back(std::make_unique<UdpSender>(
-              ssim, src_node, flow, dst, sc.payload_bytes));
-          sinks_.push_back(
-              std::make_unique<UdpSink>(dsim, dst_node, flow, src));
-          break;
-        case Transport::kTahoe:
-          senders_.push_back(std::make_unique<TcpTahoe>(
-              ssim, src_node, flow, dst, tcp_cfg, arena));
-          break;
-        case Transport::kReno:
-          senders_.push_back(std::make_unique<TcpReno>(
-              ssim, src_node, flow, dst, tcp_cfg, arena));
-          break;
-        case Transport::kNewReno:
-          senders_.push_back(std::make_unique<TcpNewReno>(
-              ssim, src_node, flow, dst, tcp_cfg, arena));
-          break;
-        case Transport::kVegas:
-          senders_.push_back(std::make_unique<TcpVegas>(
-              ssim, src_node, flow, dst, tcp_cfg, sc.vegas, arena));
-          break;
-        case Transport::kSack:
-          senders_.push_back(std::make_unique<TcpSack>(
-              ssim, src_node, flow, dst, tcp_cfg, arena));
-          break;
-      }
-      if (f.transport != Transport::kUdp) {
-        TcpSinkConfig sink_cfg;
-        sink_cfg.delayed_ack = f.delayed_ack;
-        sink_cfg.sack = f.transport == Transport::kSack;
-        sinks_.push_back(std::make_unique<TcpSink>(dsim, dst_node, flow, src,
-                                                   sink_cfg, dst_arena));
-      }
-      sources_.push_back(std::make_unique<PoissonSource>(
-          ssim, *senders_.back(), f.mean_interarrival, build_rng().fork()));
+    FlowArena* arena =
+        arenas_[static_cast<std::size_t>(part_.lp_of(src))].get();
+    FlowArena* dst_arena =
+        arenas_[static_cast<std::size_t>(part_.lp_of(dst))].get();
+    const FlowId flow = static_cast<FlowId>(senders_.size());
+    switch (f.transport) {
+      case Transport::kUdp:
+        senders_.push_back(std::make_unique<UdpSender>(
+            ssim, src_node, flow, dst, sc.payload_bytes));
+        sinks_.push_back(std::make_unique<UdpSink>(dsim, dst_node, flow, src));
+        break;
+      case Transport::kTahoe:
+        senders_.push_back(std::make_unique<TcpTahoe>(
+            ssim, src_node, flow, dst, tcp_cfg, arena));
+        break;
+      case Transport::kReno:
+        senders_.push_back(std::make_unique<TcpReno>(
+            ssim, src_node, flow, dst, tcp_cfg, arena));
+        break;
+      case Transport::kNewReno:
+        senders_.push_back(std::make_unique<TcpNewReno>(
+            ssim, src_node, flow, dst, tcp_cfg, arena));
+        break;
+      case Transport::kVegas:
+        senders_.push_back(std::make_unique<TcpVegas>(
+            ssim, src_node, flow, dst, tcp_cfg, sc.vegas, arena));
+        break;
+      case Transport::kSack:
+        senders_.push_back(std::make_unique<TcpSack>(
+            ssim, src_node, flow, dst, tcp_cfg, arena));
+        break;
     }
+    if (f.transport != Transport::kUdp) {
+      TcpSinkConfig sink_cfg;
+      sink_cfg.delayed_ack = f.delayed_ack;
+      sink_cfg.sack = f.transport == Transport::kSack;
+      sinks_.push_back(std::make_unique<TcpSink>(dsim, dst_node, flow, src,
+                                                 sink_cfg, dst_arena));
+    }
+    sources_.push_back(std::make_unique<PoissonSource>(
+        ssim, *senders_.back(), f.mean_interarrival, build_rng().fork()));
   }
 }
 
@@ -333,23 +249,11 @@ void TopoNet::start_sources() {
 }
 
 SimplexLink& TopoNet::link(int statement, int member) {
-  const int base = link_base_.at(static_cast<std::size_t>(statement));
-  return *links_.at(static_cast<std::size_t>(base + member));
+  return *links_.at(
+      static_cast<std::size_t>(graph_.first_member(statement) + member));
 }
 
 void TopoNet::attach_trace(TraceSink& sink, const TopoTraceNames& names) {
-  // Per-flow src/dst node ids in flow construction order (== senders_
-  // order), so every component's tap lands on the ring of the LP whose
-  // thread executes it.
-  std::vector<std::pair<int, int>> flow_nodes;
-  flow_nodes.reserve(senders_.size());
-  for (const TopoFlowSpec& f : spec_.flows) {
-    const int dst = spec_.node_id(f.dst, 0);
-    for (int j = 0; j < spec_.node_count(f.src); ++j) {
-      flow_nodes.emplace_back(spec_.node_id(f.src, j), dst);
-    }
-  }
-
   // A TraceSink is a single-writer ring, so a sharded build gives every
   // LP a private ring (same capacity; sites registered in the same order
   // so ids match the sequential run's) and finalize_trace() merges them
@@ -382,23 +286,26 @@ void TopoNet::attach_trace(TraceSink& sink, const TopoTraceNames& names) {
         rt_ != nullptr ? part_.lp_of(node) : 0)];
   };
   TraceSink& measured_sink = sink_of_node(measured_from_node_);
+  // Member flows are in construction order (== senders_ order), so every
+  // component's tap lands on the ring of the LP whose thread executes it.
+  const std::vector<MemberFlow>& flows = graph_.flows();
 
   measured_->queue().set_trace(&measured_sink, queue_site);
   measured_->set_trace(&measured_sink, link_site);
 
   for (std::size_t i = 0; i < sinks_.size(); ++i) {
     if (auto* tcp = dynamic_cast<TcpSink*>(sinks_[i].get())) {
-      tcp->set_trace(&sink_of_node(flow_nodes[i].second), sink_site);
+      tcp->set_trace(&sink_of_node(flows[i].dst), sink_site);
     }
   }
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    sources_[i]->set_trace(&sink_of_node(flow_nodes[i].first),
+    sources_[i]->set_trace(&sink_of_node(flows[i].src),
                            static_cast<std::int32_t>(i));
   }
   for (std::size_t i = 0; i < senders_.size(); ++i) {
     auto* tcp = dynamic_cast<TcpSender*>(senders_[i].get());
     if (!tcp) continue;
-    TraceSink& ssink = sink_of_node(flow_nodes[i].first);
+    TraceSink& ssink = sink_of_node(flows[i].src);
     tracers_.push_back(std::make_unique<TransportTracer>(ssink, *tcp));
     tcp->set_observer(tracers_.back().get());
     if (auto* vegas = dynamic_cast<TcpVegas*>(tcp)) {

@@ -6,16 +6,18 @@
 // Determinism contract (what keeps a TopoNet-built dumbbell bit-identical
 // to the historical hard-coded one the identity pins were taken on):
 //   * Nodes are created in id order 0..total_nodes()-1.
-//   * Link statements expand in declaration order; a group endpoint
-//     expands member-by-member within the statement.
+//   * Links and flows are TopoGraph's member links and member flows,
+//     built in its expansion order: statements in declaration order, a
+//     group endpoint member by member within the statement.
 //   * RNG fork discipline: every expanded link with an EXPLICIT queue
 //     spec consumes exactly one sim.rng().fork() (in expansion order),
 //     whether or not the discipline is randomized — then every flow's
 //     Poisson source consumes one fork, in flow order. Default-queue
 //     links fork nothing.
-//   * Routing is static: per-node BFS over the expanded graph, out-links
-//     in expansion order, so the first declared shortest path wins.
-//     Route-table layout never affects packet timing, only next hops.
+//   * Routing is static: TopoGraph's first-hop search from each node,
+//     out-links in expansion order, so the first declared shortest path
+//     wins. Route-table layout never affects packet timing, only next
+//     hops.
 #pragma once
 
 #include <memory>
@@ -151,15 +153,13 @@ class TopoNet {
   ParallelRuntime* rt_;        // null in a sequential build
   LpPartition part_;           // shards == 1 when sequential
   TopoSpec spec_;
+  TopoGraph graph_;            // spec_ expanded
   // Declared before senders_/sinks_: the agents are views over arena
   // slots and must be destroyed first (reverse declaration order).
   std::vector<std::unique_ptr<FlowArena>> arenas_;  // one per LP
   std::vector<std::unique_ptr<Node>> nodes_;
+  // Parallel to graph_.links().
   std::vector<std::unique_ptr<SimplexLink>> links_;
-  /// links_ index of each link statement's first expanded member.
-  std::vector<int> link_base_;
-  /// Expanded (from,to) node ids, parallel to links_ (routing BFS input).
-  std::vector<std::pair<int, int>> link_ends_;
   SimplexLink* measured_ = nullptr;
   int measured_from_node_ = 0;
   std::vector<std::unique_ptr<Agent>> senders_;

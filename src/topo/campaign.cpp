@@ -8,27 +8,6 @@
 namespace burst {
 namespace {
 
-struct CampToken {
-  std::string text;
-  int col = 0;  // 1-based
-};
-
-std::vector<CampToken> camp_tokenize(const std::string& line) {
-  std::vector<CampToken> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size() || line[i] == '#') break;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '#') {
-      ++i;
-    }
-    out.push_back({line.substr(start, i - start), static_cast<int>(start) + 1});
-  }
-  return out;
-}
-
 bool camp_fail(TopoError* err, int line, int col, std::string msg) {
   err->line = line;
   err->col = col;
@@ -54,7 +33,7 @@ bool parse_camp(const std::string& text, const std::string& default_name,
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    const std::vector<CampToken> tok = camp_tokenize(line);
+    const std::vector<LineToken> tok = tokenize_line(line);
     if (tok.empty()) continue;
     const std::string& kw = tok[0].text;
     if (kw == "campaign") {
@@ -116,13 +95,11 @@ bool parse_camp(const std::string& text, const std::string& default_name,
 
 bool load_camp_file(const std::string& path, TopoCampaignSpec* out,
                     TopoError* err) {
-  std::ifstream in(path);
-  if (!in) return camp_fail(err, 0, 0, "cannot read file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  std::string text;
+  if (!read_text_file(path, &text, err)) return false;
   const std::filesystem::path p(path);
-  return parse_camp(buf.str(), p.stem().string(), p.parent_path().string(),
-                    out, err);
+  return parse_camp(text, p.stem().string(), p.parent_path().string(), out,
+                    err);
 }
 
 std::optional<TopoCampaignOutput> run_topo_campaign(

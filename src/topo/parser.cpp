@@ -1,12 +1,8 @@
 #include "src/topo/parser.hpp"
 
-#include <cerrno>
 #include <climits>
-#include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <queue>
 #include <sstream>
 
 namespace burst {
@@ -22,277 +18,36 @@ std::string TopoError::render(std::string_view file) const {
   return os.str();
 }
 
-namespace {
-
-struct Token {
-  std::string text;
-  int col = 0;  // 1-based
-};
-
-// Splits on whitespace; '#' starts a comment through end of line.
-std::vector<Token> tokenize(const std::string& line) {
-  std::vector<Token> out;
+std::vector<LineToken> tokenize_line(const std::string& line) {
+  std::vector<LineToken> out;
+  const auto blank = [](char c) {
+    return c == ' ' || c == '\t' || c == '\r';
+  };
   std::size_t i = 0;
   while (i < line.size()) {
     const char c = line[i];
     if (c == '#') break;
-    if (c == ' ' || c == '\t' || c == '\r') {
+    if (blank(c)) {
       ++i;
       continue;
     }
     const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '\r' && line[i] != '#') {
-      ++i;
-    }
+    while (i < line.size() && !blank(line[i]) && line[i] != '#') ++i;
     out.push_back({line.substr(start, i - start), static_cast<int>(start) + 1});
   }
   return out;
 }
 
-bool str_to_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* rest = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &rest);
-  if (rest != s.c_str() + s.size() || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-/// True iff @p d is a whole number in [@p lo, INT_MAX]. Checked before
-/// any cast to int: an out-of-range cast is undefined behaviour.
-bool whole_int(double d, double lo) {
-  return d >= lo && d <= INT_MAX && d == std::floor(d);
-}
-
-bool str_to_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  char* rest = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(s.c_str(), &rest, 10);
-  if (rest != s.c_str() + s.size() || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-// Unit-suffix arithmetic mirrors src/sim/time.hpp's helpers exactly
-// (`20ms` -> 20 * 1e-3, the same expression as ms(20)) so parsed values
-// are bit-identical to the C++-side defaults they mirror.
-bool parse_time_value(const std::string& s, double* out) {
-  auto with_suffix = [&](const char* suf, double scale) -> int {
-    const std::size_t n = std::string_view(suf).size();
-    if (s.size() <= n || s.compare(s.size() - n, n, suf) != 0) return 0;
-    double v = 0.0;
-    if (!str_to_double(s.substr(0, s.size() - n), &v)) return -1;
-    *out = v * scale;
-    return 1;
-  };
-  // "us" and "ms" end in 's' too: check them first.
-  for (const auto& [suf, scale] :
-       {std::pair<const char*, double>{"us", 1e-6}, {"ms", 1e-3}, {"s", 1.0}}) {
-    const int r = with_suffix(suf, scale);
-    if (r != 0) return r > 0;
-  }
-  return str_to_double(s, out);  // bare number: seconds
-}
-
-bool parse_rate_value(const std::string& s, double* out) {
-  auto with_suffix = [&](const char* suf, double scale) -> int {
-    const std::size_t n = std::string_view(suf).size();
-    if (s.size() <= n || s.compare(s.size() - n, n, suf) != 0) return 0;
-    double v = 0.0;
-    if (!str_to_double(s.substr(0, s.size() - n), &v)) return -1;
-    *out = v * scale;
-    return 1;
-  };
-  for (const auto& [suf, scale] : {std::pair<const char*, double>{"Gbps", 1e9},
-                                   {"Mbps", 1e6},
-                                   {"kbps", 1e3},
-                                   {"bps", 1.0}}) {
-    const int r = with_suffix(suf, scale);
-    if (r != 0) return r > 0;
-  }
-  return str_to_double(s, out);  // bare number: bits per second
-}
-
-/// Current numeric value of a Scenario field, for `$field` references.
-bool scenario_field_value(const Scenario& sc, const std::string& name,
-                          double* out) {
-  if (name == "clients") *out = sc.num_clients;
-  else if (name == "client_bw") *out = sc.client_bw_bps;
-  else if (name == "bottleneck_bw") *out = sc.bottleneck_bw_bps;
-  else if (name == "client_delay") *out = sc.client_delay;
-  else if (name == "bottleneck_delay") *out = sc.bottleneck_delay;
-  else if (name == "client_delay_spread") *out = sc.client_delay_spread;
-  else if (name == "advertised_window") *out = sc.advertised_window;
-  else if (name == "gateway_buffer") *out = static_cast<double>(sc.gateway_buffer);
-  else if (name == "client_queue_buffer") *out = static_cast<double>(sc.client_queue_buffer);
-  else if (name == "payload_bytes") *out = sc.payload_bytes;
-  else if (name == "mean_interarrival") *out = sc.mean_interarrival;
-  else if (name == "duration") *out = sc.duration;
-  else if (name == "warmup") *out = sc.warmup;
-  else if (name == "red_min") *out = sc.red_min_th;
-  else if (name == "red_max") *out = sc.red_max_th;
-  else if (name == "red_maxp") *out = sc.red_max_p;
-  else if (name == "red_weight") *out = sc.red_weight;
-  else if (name == "seed") *out = static_cast<double>(sc.seed);
-  else if (name == "meanfield_base") *out = sc.meanfield_base;
-  else return false;
-  return true;
-}
-
-bool parse_bool(const std::string& s, bool* out) {
-  if (s == "true" || s == "1" || s == "on" || s == "yes") *out = true;
-  else if (s == "false" || s == "0" || s == "off" || s == "no") *out = false;
-  else return false;
-  return true;
-}
-
-bool parse_transport(const std::string& s, Transport* out) {
-  if (s == "udp") *out = Transport::kUdp;
-  else if (s == "tahoe") *out = Transport::kTahoe;
-  else if (s == "reno") *out = Transport::kReno;
-  else if (s == "newreno") *out = Transport::kNewReno;
-  else if (s == "vegas") *out = Transport::kVegas;
-  else if (s == "sack") *out = Transport::kSack;
-  else return false;
-  return true;
-}
-
-}  // namespace
-
-bool apply_scenario_field(Scenario* sc, const std::string& field,
-                          const std::string& value, std::string* msg) {
-  auto bad_value = [&](const char* what) {
-    *msg = "bad " + std::string(what) + " '" + value + "' for field '" +
-           field + "'";
-    return false;
-  };
-  double d = 0.0;
-  std::uint64_t u = 0;
-  bool b = false;
-  if (field == "clients") {
-    if (!str_to_double(value, &d) || !whole_int(d, 1)) {
-      return bad_value("client count");
-    }
-    sc->num_clients = static_cast<int>(d);
-  } else if (field == "transport") {
-    Transport t;
-    if (!parse_transport(value, &t)) return bad_value("transport");
-    sc->transport = t;
-  } else if (field == "queue") {
-    if (value == "fifo" || value == "droptail") {
-      sc->gateway = GatewayQueue::kDropTail;
-    } else if (value == "red") {
-      sc->gateway = GatewayQueue::kRed;
-    } else if (value == "drr") {
-      sc->gateway = GatewayQueue::kDrr;
-    } else {
-      return bad_value("queue discipline");
-    }
-  } else if (field == "delayed_ack" || field == "delack") {
-    if (!parse_bool(value, &b)) return bad_value("boolean");
-    sc->delayed_ack = b;
-  } else if (field == "ecn") {
-    if (!parse_bool(value, &b)) return bad_value("boolean");
-    sc->ecn = b;
-  } else if (field == "adaptive_red") {
-    if (!parse_bool(value, &b)) return bad_value("boolean");
-    sc->adaptive_red = b;
-  } else if (field == "limited_transmit") {
-    if (!parse_bool(value, &b)) return bad_value("boolean");
-    sc->limited_transmit = b;
-  } else if (field == "cwnd_validation") {
-    if (!parse_bool(value, &b)) return bad_value("boolean");
-    sc->cwnd_validation = b;
-  } else if (field == "client_bw") {
-    if (!parse_rate_value(value, &d) || d <= 0) return bad_value("rate");
-    sc->client_bw_bps = d;
-  } else if (field == "bottleneck_bw") {
-    if (!parse_rate_value(value, &d) || d <= 0) return bad_value("rate");
-    sc->bottleneck_bw_bps = d;
-  } else if (field == "client_delay") {
-    if (!parse_time_value(value, &d) || d < 0) return bad_value("time");
-    sc->client_delay = d;
-  } else if (field == "bottleneck_delay") {
-    if (!parse_time_value(value, &d) || d < 0) return bad_value("time");
-    sc->bottleneck_delay = d;
-  } else if (field == "client_delay_spread") {
-    if (!str_to_double(value, &d) || d < 0 || d >= 1) {
-      return bad_value("spread (need [0,1))");
-    }
-    sc->client_delay_spread = d;
-  } else if (field == "advertised_window") {
-    if (!str_to_double(value, &d) || d <= 0) return bad_value("window");
-    sc->advertised_window = d;
-  } else if (field == "gateway_buffer") {
-    if (!str_to_u64(value, &u) || u == 0) return bad_value("buffer size");
-    sc->gateway_buffer = static_cast<std::size_t>(u);
-  } else if (field == "client_queue_buffer") {
-    if (!str_to_u64(value, &u) || u == 0) return bad_value("buffer size");
-    sc->client_queue_buffer = static_cast<std::size_t>(u);
-  } else if (field == "payload_bytes") {
-    if (!str_to_double(value, &d) || !whole_int(d, 1)) {
-      return bad_value("byte count");
-    }
-    sc->payload_bytes = static_cast<int>(d);
-  } else if (field == "mean_interarrival") {
-    if (!parse_time_value(value, &d) || d <= 0) return bad_value("time");
-    sc->mean_interarrival = d;
-  } else if (field == "duration") {
-    if (!parse_time_value(value, &d) || d <= 0) return bad_value("time");
-    sc->duration = d;
-  } else if (field == "warmup") {
-    if (!parse_time_value(value, &d) || d < 0) return bad_value("time");
-    sc->warmup = d;
-  } else if (field == "red_min") {
-    if (!str_to_double(value, &d) || d < 0) return bad_value("threshold");
-    sc->red_min_th = d;
-  } else if (field == "red_max") {
-    if (!str_to_double(value, &d) || d <= 0) return bad_value("threshold");
-    sc->red_max_th = d;
-  } else if (field == "red_maxp") {
-    if (!str_to_double(value, &d) || d <= 0 || d > 1) {
-      return bad_value("probability");
-    }
-    sc->red_max_p = d;
-  } else if (field == "red_weight") {
-    if (!str_to_double(value, &d) || d <= 0 || d > 1) return bad_value("weight");
-    sc->red_weight = d;
-  } else if (field == "vegas_alpha") {
-    if (!str_to_double(value, &d)) return bad_value("number");
-    sc->vegas.alpha = d;
-  } else if (field == "vegas_beta") {
-    if (!str_to_double(value, &d)) return bad_value("number");
-    sc->vegas.beta = d;
-  } else if (field == "vegas_gamma") {
-    if (!str_to_double(value, &d)) return bad_value("number");
-    sc->vegas.gamma = d;
-  } else if (field == "rto_min") {
-    if (!parse_time_value(value, &d) || d <= 0) return bad_value("time");
-    sc->rto.min_rto = d;
-  } else if (field == "rto_max") {
-    if (!parse_time_value(value, &d) || d <= 0) return bad_value("time");
-    sc->rto.max_rto = d;
-  } else if (field == "rto_initial") {
-    if (!parse_time_value(value, &d) || d <= 0) return bad_value("time");
-    sc->rto.initial_rto = d;
-  } else if (field == "rto_granularity") {
-    if (!parse_time_value(value, &d) || d < 0) return bad_value("time");
-    sc->rto.granularity = d;
-  } else if (field == "seed") {
-    if (!str_to_u64(value, &u)) return bad_value("seed");
-    sc->seed = u;
-  } else if (field == "meanfield_base") {
-    if (!str_to_double(value, &d) || !whole_int(d, 0)) {
-      return bad_value("base client count");
-    }
-    sc->meanfield_base = static_cast<int>(d);
-  } else {
-    *msg = "unknown scenario field '" + field + "'";
+bool read_text_file(const std::string& path, std::string* text,
+                    TopoError* err) {
+  std::ifstream in(path);
+  if (!in) {
+    if (err) *err = {0, 0, "cannot open file"};
     return false;
   }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *text = buf.str();
   return true;
 }
 
@@ -319,7 +74,7 @@ struct Parser {
     return -1;
   }
 
-  bool node_token(const Token& t, int* out) {
+  bool node_token(const LineToken& t, int* out) {
     const int idx = find_node(t.text);
     if (idx < 0) return fail(t.col, "unknown node '" + t.text + "'");
     *out = idx;
@@ -328,34 +83,34 @@ struct Parser {
 
   // Numeric tokens, with `$field` substitution against the current
   // scenario. The three flavors differ only in suffix handling.
-  bool number_token(const Token& t, double* out) {
+  bool number_token(const LineToken& t, double* out) {
     if (!t.text.empty() && t.text[0] == '$') {
       if (!scenario_field_value(spec.scenario, t.text.substr(1), out)) {
         return fail(t.col, "unknown scenario field reference '" + t.text + "'");
       }
       return true;
     }
-    if (!str_to_double(t.text, out)) {
+    if (!parse_number(t.text, out)) {
       return fail(t.col, "bad number '" + t.text + "'");
     }
     return true;
   }
-  bool rate_token(const Token& t, double* out) {
+  bool rate_token(const LineToken& t, double* out) {
     if (!t.text.empty() && t.text[0] == '$') return number_token(t, out);
-    if (!parse_rate_value(t.text, out)) {
+    if (!parse_rate(t.text, out)) {
       return fail(t.col, "bad rate '" + t.text +
                              "' (want NUMBER[bps|kbps|Mbps|Gbps])");
     }
     return true;
   }
-  bool time_token(const Token& t, double* out) {
+  bool time_token(const LineToken& t, double* out) {
     if (!t.text.empty() && t.text[0] == '$') return number_token(t, out);
-    if (!parse_time_value(t.text, out)) {
+    if (!parse_time(t.text, out)) {
       return fail(t.col, "bad time '" + t.text + "' (want NUMBER[s|ms|us])");
     }
     return true;
   }
-  bool size_token(const Token& t, std::size_t* out) {
+  bool size_token(const LineToken& t, std::size_t* out) {
     double d = 0.0;
     if (!number_token(t, &d)) return false;
     if (!whole_int(d, 1)) {
@@ -409,7 +164,7 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
   std::string line;
   while (std::getline(in, line)) {
     ++p.lineno;
-    const std::vector<Token> t = tokenize(line);
+    const std::vector<LineToken> t = tokenize_line(line);
     if (t.empty()) continue;
     const std::string& kw = t[0].text;
 
@@ -490,7 +245,7 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
       }
       bool have_rate = false, have_delay = false;
       std::size_t i = 3;
-      auto need_value = [&](const Token& key) -> const Token* {
+      auto need_value = [&](const LineToken& key) -> const LineToken* {
         if (i + 1 >= t.size()) {
           p.fail(key.col, "'" + key.text + "' needs a value");
           return nullptr;
@@ -498,84 +253,74 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
         return &t[i + 1];
       };
       while (i < t.size()) {
-        const Token& key = t[i];
+        const LineToken& key = t[i];
         if (key.text == "rate") {
-          const Token* v = need_value(key);
+          const LineToken* v = need_value(key);
           if (!v || !p.rate_token(*v, &link.rate_bps)) return std::nullopt;
           have_rate = true;
           i += 2;
         } else if (key.text == "delay") {
-          const Token* v = need_value(key);
+          const LineToken* v = need_value(key);
           if (!v || !p.time_token(*v, &link.delay)) return std::nullopt;
           have_delay = true;
           i += 2;
         } else if (key.text == "spread") {
-          const Token* v = need_value(key);
+          const LineToken* v = need_value(key);
           if (!v || !p.number_token(*v, &link.delay_spread)) {
             return std::nullopt;
           }
-          if (link.delay_spread < 0.0 || link.delay_spread >= 1.0) {
+          if (!(link.delay_spread >= 0.0 && link.delay_spread < 1.0)) {
             p.fail(v->col, "spread must be in [0, 1)");
             return std::nullopt;
           }
           i += 2;
         } else if (key.text == "queue") {
-          const Token* kindTok = need_value(key);
+          const LineToken* kindTok = need_value(key);
           if (!kindTok) return std::nullopt;
           PortQueueSpec& q = link.queue;
-          const Scenario& sc = p.spec.scenario;
           // Unset parameters resolve from the scenario NOW (parse time),
-          // so the canonical rendering carries concrete values.
-          if (kindTok->text == "gateway") {
-            // The scenario's gateway discipline, whatever `set queue`
-            // (or a campaign sweep) chose — parameters still override.
-            q = gateway_port_queue(sc);
-          } else if (kindTok->text == "droptail") {
-            q.kind = PortQueueSpec::Kind::kDropTail;
-            q.capacity = sc.gateway_buffer;
+          // so the canonical rendering carries concrete values: the
+          // defaults of the generated dumbbell's gateway queue of that
+          // discipline. `gateway` is the scenario's own discipline,
+          // whatever `set queue` (or a campaign sweep) chose.
+          Scenario discipline = p.spec.scenario;
+          if (kindTok->text == "droptail") {
+            discipline.gateway = GatewayQueue::kDropTail;
           } else if (kindTok->text == "red") {
-            q.kind = PortQueueSpec::Kind::kRed;
-            q.capacity = sc.gateway_buffer;
-            q.red_min_th = sc.red_min_th;
-            q.red_max_th = sc.red_max_th;
-            q.red_max_p = sc.red_max_p;
-            q.red_weight = sc.red_weight;
-            q.red_ecn = sc.ecn;
-            q.red_adaptive = sc.adaptive_red;
+            discipline.gateway = GatewayQueue::kRed;
           } else if (kindTok->text == "drr") {
-            q.kind = PortQueueSpec::Kind::kDrr;
-            q.capacity = sc.gateway_buffer;
-            q.drr_quantum_bytes = sc.wire_bytes();
-          } else {
+            discipline.gateway = GatewayQueue::kDrr;
+          } else if (kindTok->text != "gateway") {
             p.fail(kindTok->col,
                    "unknown queue type '" + kindTok->text +
                        "' (want gateway, droptail, red or drr)");
             return std::nullopt;
           }
+          q = gateway_port_queue(discipline);
           i += 2;
           // Queue parameters consume the rest of the line.
           while (i < t.size()) {
-            const Token& pk = t[i];
+            const LineToken& pk = t[i];
             const bool is_red = q.kind == PortQueueSpec::Kind::kRed;
             const bool is_drr = q.kind == PortQueueSpec::Kind::kDrr;
             if (pk.text == "cap") {
-              const Token* v = need_value(pk);
+              const LineToken* v = need_value(pk);
               if (!v || !p.size_token(*v, &q.capacity)) return std::nullopt;
               i += 2;
             } else if (is_red && pk.text == "min") {
-              const Token* v = need_value(pk);
+              const LineToken* v = need_value(pk);
               if (!v || !p.number_token(*v, &q.red_min_th)) return std::nullopt;
               i += 2;
             } else if (is_red && pk.text == "max") {
-              const Token* v = need_value(pk);
+              const LineToken* v = need_value(pk);
               if (!v || !p.number_token(*v, &q.red_max_th)) return std::nullopt;
               i += 2;
             } else if (is_red && pk.text == "maxp") {
-              const Token* v = need_value(pk);
+              const LineToken* v = need_value(pk);
               if (!v || !p.number_token(*v, &q.red_max_p)) return std::nullopt;
               i += 2;
             } else if (is_red && pk.text == "weight") {
-              const Token* v = need_value(pk);
+              const LineToken* v = need_value(pk);
               if (!v || !p.number_token(*v, &q.red_weight)) return std::nullopt;
               i += 2;
             } else if (is_red && pk.text == "ecn") {
@@ -585,7 +330,7 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
               q.red_adaptive = true;
               i += 1;
             } else if (is_drr && pk.text == "quantum") {
-              const Token* v = need_value(pk);
+              const LineToken* v = need_value(pk);
               double d = 0.0;
               if (!v || !p.number_token(*v, &d)) return std::nullopt;
               if (!(d >= 1 && d <= INT_MAX)) {
@@ -656,7 +401,7 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
       flow.mean_interarrival = sc.mean_interarrival;
       std::size_t i = 3;
       while (i < t.size()) {
-        const Token& key = t[i];
+        const LineToken& key = t[i];
         if (key.text == "transport") {
           if (i + 1 >= t.size()) {
             p.fail(key.col, "'transport' needs a value");
@@ -764,56 +509,32 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
   }
 
   // Reachability: every flow needs a forward route (src -> dst) and a
-  // reverse route for its ACKs. Expand groups and BFS over directed links.
-  {
-    const int total = p.spec.total_nodes();
-    std::vector<std::vector<int>> adj(static_cast<std::size_t>(total));
-    for (const TopoLinkSpec& l : p.spec.links) {
-      const int fc = p.spec.node_count(l.from);
-      const int tc = p.spec.node_count(l.to);
-      const int c = std::max(fc, tc);
-      for (int j = 0; j < c; ++j) {
-        const int u = p.spec.node_id(l.from, fc > 1 ? j : 0);
-        const int v = p.spec.node_id(l.to, tc > 1 ? j : 0);
-        adj[static_cast<std::size_t>(u)].push_back(v);
-      }
+  // reverse route for its ACKs. Two searches per flow statement, from its
+  // destination against and along the member links, answer both for
+  // every source member at once.
+  const TopoGraph graph(p.spec);
+  int searched = -1;
+  std::vector<int> into_dst, from_dst;
+  for (const MemberFlow& m : graph.flows()) {
+    if (m.statement != searched) {
+      searched = m.statement;
+      into_dst = graph.first_hops(m.dst, false);
+      from_dst = graph.first_hops(m.dst, true);
     }
-    auto reaches = [&](int from, int to) {
-      std::vector<char> seen(static_cast<std::size_t>(total), 0);
-      std::queue<int> q;
-      q.push(from);
-      seen[static_cast<std::size_t>(from)] = 1;
-      while (!q.empty()) {
-        const int u = q.front();
-        q.pop();
-        if (u == to) return true;
-        for (const int v : adj[static_cast<std::size_t>(u)]) {
-          if (!seen[static_cast<std::size_t>(v)]) {
-            seen[static_cast<std::size_t>(v)] = 1;
-            q.push(v);
-          }
-        }
-      }
-      return false;
-    };
-    for (const TopoFlowSpec& f : p.spec.flows) {
-      const int dst = p.spec.node_id(f.dst, 0);
-      for (int j = 0; j < p.spec.node_count(f.src); ++j) {
-        const int src = p.spec.node_id(f.src, j);
-        const std::string& sname =
-            p.spec.nodes[static_cast<std::size_t>(f.src)].name;
-        const std::string& dname =
-            p.spec.nodes[static_cast<std::size_t>(f.dst)].name;
-        if (!reaches(src, dst)) {
-          return file_fail(f.line, 1, "no route from '" + sname + "' to '" +
-                                          dname + "'");
-        }
-        if (!reaches(dst, src)) {
-          return file_fail(f.line, 1, "no reverse route from '" + dname +
-                                          "' back to '" + sname +
-                                          "' (ACK path)");
-        }
-      }
+    const auto src = static_cast<std::size_t>(m.src);
+    const TopoFlowSpec& f =
+        p.spec.flows[static_cast<std::size_t>(m.statement)];
+    const std::string& sname =
+        p.spec.nodes[static_cast<std::size_t>(f.src)].name;
+    const std::string& dname =
+        p.spec.nodes[static_cast<std::size_t>(f.dst)].name;
+    if (m.src != m.dst && into_dst[src] < 0) {
+      return file_fail(f.line, 1,
+                       "no route from '" + sname + "' to '" + dname + "'");
+    }
+    if (m.src != m.dst && from_dst[src] < 0) {
+      return file_fail(f.line, 1, "no reverse route from '" + dname +
+                                      "' back to '" + sname + "' (ACK path)");
     }
   }
   return p.spec;
@@ -821,19 +542,10 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
 
 std::optional<TopoSpec> load_topo_file(const std::string& path, TopoError* err,
                                        const TopoOverrides& overrides) {
-  std::ifstream in(path);
-  if (!in) {
-    if (err) {
-      err->line = 0;
-      err->col = 0;
-      err->message = "cannot open file";
-    }
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  std::string text;
+  if (!read_text_file(path, &text, err)) return std::nullopt;
   const std::string stem = std::filesystem::path(path).stem().string();
-  return parse_topo(buf.str(), stem, err, overrides);
+  return parse_topo(text, stem, err, overrides);
 }
 
 }  // namespace burst

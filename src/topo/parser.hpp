@@ -19,8 +19,10 @@
 // arithmetic is the same expression the C++ helpers use (`20ms` is
 // bit-identical to ms(20)), which is what makes a parsed dumbbell
 // fingerprint-equal to the generated one. `$field` anywhere a number is
-// expected substitutes the named Scenario field's current value, so
-// campaign sweeps over e.g. `clients` can reshape the graph.
+// expected substitutes the named numeric Scenario field's current value
+// (scenario_field_value: the capacity fields read their mean-field scaled
+// values), so campaign sweeps over e.g. `clients` can reshape the graph.
+// `set` and `$field` both read the Scenario field list (scenario.hpp).
 //
 // Errors carry precise 1-based line/column positions.
 #pragma once
@@ -60,10 +62,20 @@ std::optional<TopoSpec> parse_topo(std::string_view text,
 std::optional<TopoSpec> load_topo_file(const std::string& path, TopoError* err,
                                        const TopoOverrides& overrides = {});
 
-/// Applies one `set`-style assignment to a Scenario. Exposed for the
-/// campaign layer (sweep axes) and tests. Returns false with *msg set on
-/// unknown field or malformed value.
-bool apply_scenario_field(Scenario* sc, const std::string& field,
-                          const std::string& value, std::string* msg);
+/// One word of a `.topo` or `.camp` line.
+struct LineToken {
+  std::string text;
+  int col = 0;  // 1-based
+};
+
+/// Splits @p line on spaces, tabs and carriage returns (so CRLF files read
+/// like LF ones); `#` starts a comment through the end of the line. The
+/// `.topo` and `.camp` grammars share it.
+std::vector<LineToken> tokenize_line(const std::string& line);
+
+/// Reads all of @p path into *text. On failure returns false with *err
+/// (when given) a file-level "cannot open file".
+bool read_text_file(const std::string& path, std::string* text,
+                    TopoError* err);
 
 }  // namespace burst

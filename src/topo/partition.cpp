@@ -16,18 +16,17 @@ LpPartition sequential(std::string why) {
 
 LpPartition make_lp_partition(const TopoSpec& spec, int requested) {
   if (requested <= 1) return LpPartition{};
-  const int total = spec.total_nodes();
+  const TopoGraph graph(spec);
+  const int total = graph.nodes();
 
   // Classify nodes by the flow endpoints they host. A node that is both a
   // source and a destination cannot sit in a source shard (its sender and
   // sink populations would straddle the cut), so it counts as interior.
   std::vector<char> is_src(static_cast<std::size_t>(total), 0);
   std::vector<char> is_dst(static_cast<std::size_t>(total), 0);
-  for (const TopoFlowSpec& f : spec.flows) {
-    for (int j = 0; j < spec.node_count(f.src); ++j) {
-      is_src[static_cast<std::size_t>(spec.node_id(f.src, j))] = 1;
-    }
-    is_dst[static_cast<std::size_t>(spec.node_id(f.dst, 0))] = 1;
+  for (const MemberFlow& f : graph.flows()) {
+    is_src[static_cast<std::size_t>(f.src)] = 1;
+    is_dst[static_cast<std::size_t>(f.dst)] = 1;
   }
   std::vector<int> sources;
   std::vector<int> interiors;
@@ -91,20 +90,10 @@ LpPartition make_lp_partition(const TopoSpec& spec, int requested) {
   // Lookahead = min propagation delay over the cut links. The window
   // protocol is only safe (and only terminates) when it is positive.
   Time lookahead = kTimeNever;
-  for (const TopoLinkSpec& l : spec.links) {
-    const int fc = spec.node_count(l.from);
-    const int tc = spec.node_count(l.to);
-    const int count = std::max(fc, tc);
-    for (int j = 0; j < count; ++j) {
-      const int u = spec.node_id(l.from, fc > 1 ? j : 0);
-      const int v = spec.node_id(l.to, tc > 1 ? j : 0);
-      if (part.node_lp[static_cast<std::size_t>(u)] ==
-          part.node_lp[static_cast<std::size_t>(v)]) {
-        continue;
-      }
-      ++part.cut_links;
-      lookahead = std::min(lookahead, topo_member_delay(l, j, count));
-    }
+  for (const MemberLink& l : graph.links()) {
+    if (part.lp_of(l.from) == part.lp_of(l.to)) continue;
+    ++part.cut_links;
+    lookahead = std::min(lookahead, l.delay);
   }
   if (part.cut_links == 0) {
     return sequential("lp: no links cross the partition; running 1 LP");

@@ -1,5 +1,6 @@
 #include "src/topo/spec.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -92,13 +93,6 @@ PortQueueSpec gateway_port_queue(const Scenario& sc) {
       break;
   }
   return q;
-}
-
-Time topo_member_delay(const TopoLinkSpec& l, int j, int count) {
-  if (l.delay_spread <= 0.0 || count < 2) return l.delay;
-  const double position =
-      2.0 * static_cast<double>(j) / static_cast<double>(count - 1) - 1.0;
-  return l.delay * (1.0 + l.delay_spread * position);
 }
 
 TopoSpec make_dumbbell_spec(const Scenario& sc) {
@@ -234,6 +228,77 @@ bool is_canonical_dumbbell(const TopoSpec& spec) {
 ScenarioKey topo_key(const TopoSpec& spec, const ExperimentOptions& opts) {
   if (is_canonical_dumbbell(spec)) return scenario_key(spec.scenario, opts);
   return scenario_key_with_topology(spec.scenario, spec.canonical(), opts);
+}
+
+TopoGraph::TopoGraph(const TopoSpec& spec)
+    : out_(static_cast<std::size_t>(spec.total_nodes())),
+      in_(out_.size()) {
+  std::size_t member_links = 0;
+  for (const TopoLinkSpec& l : spec.links) {
+    member_links += static_cast<std::size_t>(
+        std::max(spec.node_count(l.from), spec.node_count(l.to)));
+  }
+  links_.reserve(member_links);
+  first_member_.reserve(spec.links.size());
+  for (std::size_t s = 0; s < spec.links.size(); ++s) {
+    const TopoLinkSpec& l = spec.links[s];
+    const int fc = spec.node_count(l.from);
+    const int tc = spec.node_count(l.to);
+    const int count = std::max(fc, tc);
+    first_member_.push_back(static_cast<int>(links_.size()));
+    for (int j = 0; j < count; ++j) {
+      MemberLink m;
+      m.from = spec.node_id(l.from, fc > 1 ? j : 0);
+      m.to = spec.node_id(l.to, tc > 1 ? j : 0);
+      m.delay = l.delay;
+      if (l.delay_spread > 0.0 && count >= 2) {
+        const double position = 2.0 * static_cast<double>(j) /
+                                    static_cast<double>(count - 1) -
+                                1.0;
+        m.delay = l.delay * (1.0 + l.delay_spread * position);
+      }
+      m.statement = static_cast<int>(s);
+      const auto e = static_cast<int>(links_.size());
+      out_[static_cast<std::size_t>(m.from)].push_back(e);
+      in_[static_cast<std::size_t>(m.to)].push_back(e);
+      links_.push_back(m);
+    }
+  }
+  for (std::size_t s = 0; s < spec.flows.size(); ++s) {
+    const TopoFlowSpec& f = spec.flows[s];
+    const int dst = spec.node_id(f.dst, 0);
+    for (int j = 0; j < spec.node_count(f.src); ++j) {
+      flows_.push_back({spec.node_id(f.src, j), dst, static_cast<int>(s)});
+    }
+  }
+}
+
+std::vector<int> TopoGraph::first_hops(int root, bool forward) const {
+  const std::vector<std::vector<int>>& adj = forward ? out_ : in_;
+  std::vector<int> hop(static_cast<std::size_t>(nodes()), -1);
+  std::vector<char> seen(hop.size(), 0);
+  seen[static_cast<std::size_t>(root)] = 1;
+  std::vector<int> frontier{root};  // FIFO: read at head, append at back
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const int u = frontier[head];
+    for (const int e : adj[static_cast<std::size_t>(u)]) {
+      const MemberLink& m = links_[static_cast<std::size_t>(e)];
+      const auto v = static_cast<std::size_t>(forward ? m.to : m.from);
+      if (seen[v]) continue;
+      seen[v] = 1;
+      hop[v] = u == root ? e : hop[static_cast<std::size_t>(u)];
+      frontier.push_back(static_cast<int>(v));
+    }
+  }
+  return hop;
+}
+
+bool TopoGraph::strongly_connected() const {
+  for (const bool forward : {true, false}) {
+    const std::vector<int> hop = first_hops(0, forward);
+    if (std::count(hop.begin(), hop.end(), -1) > 1) return false;
+  }
+  return true;
 }
 
 }  // namespace burst

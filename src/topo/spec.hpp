@@ -103,13 +103,6 @@ struct TopoSpec {
   std::string canonical() const;
 };
 
-/// Expanded member @p j's propagation delay under @p l's delay_spread —
-/// the same expression as Scenario::client_delay_for, evaluated over the
-/// statement's member count. Shared by the builder (link construction)
-/// and the LP partitioner (cut-lookahead computation), which must agree
-/// bit-for-bit.
-Time topo_member_delay(const TopoLinkSpec& l, int j, int count);
-
 /// The paper's Figure 1 dumbbell for @p sc, as a spec:
 ///
 ///   clients 0..N-1  --(mu_c, tau_c)-->  gateway  --(mu_s, tau_s)-->  server
@@ -143,5 +136,69 @@ bool is_canonical_dumbbell(const TopoSpec& spec);
 /// hard-coded path); everything else gets scenario_key_with_topology()
 /// with versioned topo fields appended.
 ScenarioKey topo_key(const TopoSpec& spec, const ExperimentOptions& opts = {});
+
+// TopoGraph: a TopoSpec with its node groups expanded into member links
+// (endpoints, per-member delay) and one flow per source member, plus the
+// route search over them: the one expansion the parser's reachability
+// check, the LP partitioner and the builder (TopoNet) all read.
+//
+// Expansion order is declaration order, members j = 0..count-1 within a
+// statement; the builder constructs links (forking the RNG for their
+// queues) and flows in exactly this order.
+
+/// Member j of a link statement. Equal group counts pair member j with
+/// member j; a group on one side fans out or in to the single node on the
+/// other.
+struct MemberLink {
+  int from = 0;  // node ids
+  int to = 0;
+  /// The statement's delay with its delay_spread applied over the
+  /// members, the expression Scenario::client_delay_for uses:
+  /// delay * (1 + spread * (2j/(count-1) - 1)).
+  Time delay = 0.0;
+  int statement = 0;  // index into TopoSpec::links
+};
+
+/// The flow of one source member of a flow statement.
+struct MemberFlow {
+  int src = 0;  // node ids
+  int dst = 0;
+  int statement = 0;  // index into TopoSpec::flows
+};
+
+class TopoGraph {
+ public:
+  explicit TopoGraph(const TopoSpec& spec);
+
+  int nodes() const { return static_cast<int>(out_.size()); }
+  const std::vector<MemberLink>& links() const { return links_; }
+  const std::vector<MemberFlow>& flows() const { return flows_; }
+  /// Index into links() of link statement @p statement's member 0.
+  int first_member(int statement) const {
+    return first_member_[static_cast<std::size_t>(statement)];
+  }
+  /// Member links leaving @p node, in expansion order.
+  const std::vector<int>& out_links(int node) const {
+    return out_[static_cast<std::size_t>(node)];
+  }
+
+  /// Breadth-first search from @p root over the member links, each
+  /// node's links in expansion order: first_hops(root, true)[v] is the
+  /// link leaving root on the first declared shortest path to v;
+  /// first_hops(root, false)[v] is the link entering root on the first
+  /// declared shortest path from v. -1 for root and for nodes the search
+  /// never reaches.
+  std::vector<int> first_hops(int root, bool forward) const;
+  /// True iff every node reaches every other (nodes() > 0).
+  bool strongly_connected() const;
+
+ private:
+  std::vector<MemberLink> links_;
+  std::vector<int> first_member_;
+  std::vector<MemberFlow> flows_;
+  // Per node, the member links leaving (out_) and entering (in_) it, in
+  // expansion order.
+  std::vector<std::vector<int>> out_, in_;
+};
 
 }  // namespace burst

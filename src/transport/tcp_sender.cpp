@@ -26,11 +26,9 @@ TcpSender::TcpSender(Simulator& sim, Node& node, FlowId flow, NodeId peer,
       arena_(arena != nullptr ? arena : own_arena_.get()),
       slot_(arena_->allocate_sender(cfg.initial_cwnd, cfg.initial_ssthresh)),
       estimator_(cfg.rto, &arena_->rto_state(slot_)),
-      // Lazy mode: the RTO deadline is pushed forward by every ACK; a
-      // soft-deadline timer turns that churn into a field write, and its
-      // armed event rides the scheduler's timing wheel, so 10^5+ flows'
-      // worth of idle-armed RTOs never deepen the packet-event heap.
-      rto_timer_(sim, [this] { on_rto(); }, Timer::Mode::kLazy) {}
+      // Every ACK pushes the RTO deadline forward: a soft-deadline move,
+      // a field write with no scheduler traffic.
+      rto_timer_(sim, [this] { on_rto(); }) {}
 
 void TcpSender::set_cwnd_trace(TraceSeries* trace) {
   cwnd_trace_ = trace;

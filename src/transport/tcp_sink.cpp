@@ -20,17 +20,13 @@ TcpSink::TcpSink(Simulator& sim, Node& node, FlowId flow, NodeId peer,
       own_arena_(arena != nullptr ? nullptr : make_own_sink_arena()),
       arena_(arena != nullptr ? arena : own_arena_.get()),
       slot_(arena_->allocate_sink()),
-      delack_timer_(
-          sim,
-          [this] {
-            arena_->set_delack_pending(slot_, false);
-            send_ack();
-          },
-          // Lazy mode: armed/cancelled once per held segment, so cancels
-          // (the common case — the second segment flushes the ACK) are
-          // free instead of a heap cancel each; the armed event parks in
-          // the timing wheel rather than the packet-event heap.
-          Timer::Mode::kLazy) {}
+      // Armed and cancelled once per held segment; the cancel (the
+      // common case: the second segment flushes the ACK) is a field
+      // write, not a scheduler cancel.
+      delack_timer_(sim, [this] {
+        arena_->set_delack_pending(slot_, false);
+        send_ack();
+      }) {}
 
 void TcpSink::send_ack() {
   Packet a;

@@ -175,11 +175,12 @@ TEST(ParallelPartition, DumbbellFourWaySplit) {
   EXPECT_EQ(part.lp_of(11), 3);
   // Client edges AND both bottleneck directions now cross the cut.
   EXPECT_EQ(part.cut_links, 2 * sc.num_clients + 2);
-  // Spread shifts the fastest client edge to delay*(1-spread); the
-  // partitioner must agree bit-for-bit with the builder's member delay.
-  const TopoLinkSpec& up = spec.links[2];
-  EXPECT_DOUBLE_EQ(part.lookahead,
-                   topo_member_delay(up, 0, sc.num_clients));
+  // Spread shifts the fastest client edge to delay*(1-spread): the
+  // lookahead is exactly that expanded member link's delay, the one the
+  // builder gives the link.
+  const TopoGraph graph(spec);
+  EXPECT_EQ(part.lookahead, graph.links()[graph.first_member(2)].delay);
+  EXPECT_EQ(part.lookahead, sc.client_delay_for(0));
   EXPECT_LT(part.lookahead, sc.client_delay);
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
 #include <set>
+#include <sstream>
 #include <unordered_set>
 
 namespace burst {
@@ -72,6 +75,155 @@ TEST(ScenarioKey, CanonicalStringCarriesSchemaVersion) {
   EXPECT_NE(canon.find("schema=" + std::to_string(kResultSchemaVersion) + ";"),
             std::string::npos);
   EXPECT_NE(canon.find("transport=Reno;"), std::string::npos);
+}
+
+// canonical_string as it was written before its Scenario part came from
+// the field list, frozen verbatim: the rendering the cache keys, the five
+// identity hashes and every pinned fingerprint were taken on.
+class FrozenCanon {
+ public:
+  FrozenCanon& field(std::string_view name, double v) {
+    os_ << name << '=' << std::hexfloat << v << ';';
+    return *this;
+  }
+  FrozenCanon& field(std::string_view name, std::int64_t v) {
+    os_ << name << '=' << std::dec << v << ';';
+    return *this;
+  }
+  FrozenCanon& field(std::string_view name, std::uint64_t v) {
+    os_ << name << '=' << std::dec << v << ';';
+    return *this;
+  }
+  FrozenCanon& field(std::string_view name, bool v) {
+    os_ << name << '=' << (v ? 1 : 0) << ';';
+    return *this;
+  }
+  FrozenCanon& field(std::string_view name, std::string_view v) {
+    os_ << name << '=' << v << ';';
+    return *this;
+  }
+  std::string str() const { return os_.str(); }
+
+ private:
+  std::ostringstream os_;
+};
+
+std::string frozen_canonical_string(const Scenario& s,
+                                    const ExperimentOptions& opts) {
+  FrozenCanon c;
+  c.field("schema", static_cast<std::uint64_t>(kResultSchemaVersion));
+  // Experiment axes.
+  c.field("num_clients", static_cast<std::int64_t>(s.num_clients));
+  c.field("transport", to_string(s.transport));
+  c.field("gateway", to_string(s.gateway));
+  c.field("delayed_ack", s.delayed_ack);
+  c.field("ecn", s.ecn);
+  c.field("adaptive_red", s.adaptive_red);
+  c.field("limited_transmit", s.limited_transmit);
+  c.field("cwnd_validation", s.cwnd_validation);
+  // Appended only when active so every pre-existing scenario keeps its
+  // historical key (and topo fingerprint) byte-for-byte.
+  if (s.meanfield_base != 0) {
+    c.field("meanfield_base", static_cast<std::int64_t>(s.meanfield_base));
+  }
+  // Table 1.
+  c.field("client_bw_bps", s.client_bw_bps);
+  c.field("client_delay", s.client_delay);
+  c.field("client_delay_spread", s.client_delay_spread);
+  c.field("bottleneck_bw_bps", s.bottleneck_bw_bps);
+  c.field("bottleneck_delay", s.bottleneck_delay);
+  c.field("advertised_window", s.advertised_window);
+  c.field("gateway_buffer", static_cast<std::uint64_t>(s.gateway_buffer));
+  c.field("payload_bytes", static_cast<std::int64_t>(s.payload_bytes));
+  c.field("mean_interarrival", s.mean_interarrival);
+  c.field("duration", s.duration);
+  c.field("red_min_th", s.red_min_th);
+  c.field("red_max_th", s.red_max_th);
+  c.field("vegas_alpha", s.vegas.alpha);
+  c.field("vegas_beta", s.vegas.beta);
+  c.field("vegas_gamma", s.vegas.gamma);
+  // Modeling knobs.
+  c.field("red_weight", s.red_weight);
+  c.field("red_max_p", s.red_max_p);
+  c.field("rto_granularity", s.rto.granularity);
+  c.field("rto_min", s.rto.min_rto);
+  c.field("rto_max", s.rto.max_rto);
+  c.field("rto_initial", s.rto.initial_rto);
+  c.field("warmup", s.warmup);
+  c.field("client_queue_buffer",
+          static_cast<std::uint64_t>(s.client_queue_buffer));
+  c.field("seed", s.seed);
+  // Experiment options.
+  {
+    std::ostringstream tc;
+    for (const int i : opts.trace_clients) tc << i << ',';
+    c.field("trace_clients", tc.str());
+  }
+  c.field("cwnd_sample_period", opts.cwnd_sample_period);
+  // Parallel runs are deterministic per shard count but may order exact
+  // same-instant ties differently than the sequential engine, so the
+  // cache must key on the shard count. Appended only when > 1 so every
+  // sequential scenario keeps its historical key byte-for-byte.
+  if (opts.lp_shards > 1) {
+    c.field("lp_shards", static_cast<std::int64_t>(opts.lp_shards));
+  }
+  return c.str();
+}
+
+TEST(ScenarioKey, CanonicalStringMatchesTheFrozenRendering) {
+  std::mt19937_64 rng(20260);
+  // Random bit patterns cover every double class (subnormals, infinities,
+  // NaNs); a quarter of the draws are a signed zero instead.
+  auto real = [&rng] {
+    const std::uint64_t bits = rng();
+    if ((bits & 3) == 0) return (bits & 4) != 0 ? -0.0 : 0.0;
+    return std::bit_cast<double>(rng());
+  };
+  auto integer = [&rng] { return static_cast<int>(rng()); };
+  auto flag = [&rng] { return (rng() & 1) != 0; };
+  for (int i = 0; i < 100'000; ++i) {
+    Scenario s;
+    s.num_clients = integer();
+    s.transport = static_cast<Transport>(rng() % 6);
+    s.gateway = static_cast<GatewayQueue>(rng() % 3);
+    s.delayed_ack = flag();
+    s.ecn = flag();
+    s.adaptive_red = flag();
+    s.limited_transmit = flag();
+    s.cwnd_validation = flag();
+    s.meanfield_base = flag() ? 0 : integer();
+    s.client_bw_bps = real();
+    s.client_delay = real();
+    s.client_delay_spread = real();
+    s.bottleneck_bw_bps = real();
+    s.bottleneck_delay = real();
+    s.advertised_window = real();
+    s.gateway_buffer = static_cast<std::size_t>(rng());
+    s.payload_bytes = integer();
+    s.mean_interarrival = real();
+    s.duration = real();
+    s.red_min_th = real();
+    s.red_max_th = real();
+    s.vegas.alpha = real();
+    s.vegas.beta = real();
+    s.vegas.gamma = real();
+    s.red_weight = real();
+    s.red_max_p = real();
+    s.rto.granularity = real();
+    s.rto.min_rto = real();
+    s.rto.max_rto = real();
+    s.rto.initial_rto = real();
+    s.warmup = real();
+    s.client_queue_buffer = static_cast<std::size_t>(rng());
+    s.seed = rng();
+    ExperimentOptions opts;
+    opts.trace_clients.resize(rng() % 4);
+    for (int& c : opts.trace_clients) c = integer();
+    opts.cwnd_sample_period = real();
+    opts.lp_shards = 1 + static_cast<int>(rng() % 4);
+    ASSERT_EQ(canonical_string(s, opts), frozen_canonical_string(s, opts))
+        << "draw " << i;
+  }
 }
 
 TEST(DeriveSeed, DeterministicAndKeyedOnValues) {

@@ -1,4 +1,4 @@
-// Million-timer stress (ctest -L slow): a population of kLazy timers the
+// Million-timer stress (ctest -L slow): a population of timers the
 // size of a mean-field run, armed/re-armed/cancelled at random, with the
 // simulation clock actually advancing. Exercises the timing wheel's
 // cascade and far-list paths at scale; run under ASan in the sanitize CI
@@ -28,8 +28,8 @@ TEST(TimerStressSlow, MillionLazyTimersFireExactly) {
   // Every timer re-arms itself on fire, like an RTO that keeps running.
   for (std::size_t i = 0; i < kTimers; ++i) {
     auto* counter = &fire_counts[i];
-    timers.push_back(std::make_unique<Timer>(
-        sim, [counter] { ++*counter; }, Timer::Mode::kLazy));
+    timers.push_back(
+        std::make_unique<Timer>(sim, [counter] { ++*counter; }));
   }
   // Arm the full population across a wide horizon: most sit far-future,
   // populating the wheel's coarse levels (and, at 1e6 ticks+, the far
@@ -86,21 +86,18 @@ TEST(TimerStressSlow, MillionLazyTimersFireExactly) {
 }
 
 TEST(TimerStressSlow, CancelStormLeavesSchedulerClean) {
-  // Arm and hard-cancel in waves; every cancel hits a live event (Timer
-  // guarantees it), so the stale counter stays zero and the scheduler
-  // ends empty.
-  constexpr std::size_t kTimers = 200'000;
+  // Schedule and hard-cancel events in waves through Simulator::schedule
+  // and Simulator::cancel; every cancel hits a live event, so the stale
+  // counter stays zero and the scheduler ends empty.
+  constexpr std::size_t kEvents = 200'000;
   Simulator sim;
   Random rng(7);
-  std::vector<std::unique_ptr<Timer>> timers;
-  timers.reserve(kTimers);
-  for (std::size_t i = 0; i < kTimers; ++i) {
-    timers.push_back(std::make_unique<Timer>(
-        sim, [] {}, Timer::Mode::kExact));
-  }
+  std::vector<EventId> ids(kEvents, kInvalidEventId);
   for (int wave = 0; wave < 5; ++wave) {
-    for (auto& t : timers) t->schedule(rng.uniform(1.0, 100.0));
-    for (auto& t : timers) t->cancel();
+    for (EventId& id : ids) {
+      id = sim.schedule(rng.uniform(1.0, 100.0), [] {});
+    }
+    for (const EventId id : ids) sim.cancel(id);
     EXPECT_TRUE(sim.scheduler().empty());
   }
   EXPECT_EQ(sim.scheduler().stale_cancels(), 0u);

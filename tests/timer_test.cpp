@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/sim/random.hpp"
@@ -83,17 +84,44 @@ TEST(Timer, CancelIdempotent) {
   EXPECT_FALSE(t.pending());
 }
 
-// --- Soft-deadline (kLazy) mode ------------------------------------------
+// --- Soft deadlines -------------------------------------------------------
 //
-// The lazy mode's contract: observable firing behaviour is identical to
-// kExact — the callback runs exactly once per elapsed deadline, at the
-// *latest* scheduled deadline, and never after a cancel — while a deadline
-// that only moves forward costs no scheduler traffic per move.
+// The timer's contract: observable firing behaviour is identical to an
+// exact timer's — the callback runs exactly once per elapsed deadline, at
+// the *latest* scheduled deadline, and never after a cancel — while a
+// deadline that only moves forward costs no scheduler traffic per move.
+
+/// The differential reference: every schedule()/cancel() is a scheduler
+/// insert/cancel, the classic one-event-per-(re)schedule timer.
+class ExactTimer {
+ public:
+  ExactTimer(Simulator& sim, std::function<void()> on_fire)
+      : sim_(sim), on_fire_(std::move(on_fire)) {}
+  ~ExactTimer() { cancel(); }
+
+  void schedule(Time delay) {
+    cancel();
+    id_ = sim_.schedule(delay, [this] {
+      id_ = kInvalidEventId;
+      on_fire_();
+    });
+  }
+  void cancel() {
+    if (id_ != kInvalidEventId) sim_.cancel(id_);
+    id_ = kInvalidEventId;
+  }
+  bool pending() const { return id_ != kInvalidEventId; }
+
+ private:
+  Simulator& sim_;
+  std::function<void()> on_fire_;
+  EventId id_ = kInvalidEventId;
+};
 
 TEST(TimerLazy, RearmStormFiresOnceAtLatestDeadline) {
   Simulator sim;
   std::vector<Time> fires;
-  Timer t(sim, [&] { fires.push_back(sim.now()); }, Timer::Mode::kLazy);
+  Timer t(sim, [&] { fires.push_back(sim.now()); });
   t.schedule(1.0);
   // Push the deadline out from driver events at 0.2, 0.4, 0.6, 0.8 — the
   // per-ACK RTO restart pattern. Final deadline: 0.8 + 1.0 = 1.8.
@@ -111,7 +139,7 @@ TEST(TimerLazy, RearmStormFiresOnceAtLatestDeadline) {
 
 TEST(TimerLazy, SoftMovesAreSchedulerFree) {
   Simulator sim;
-  Timer t(sim, [] {}, Timer::Mode::kLazy);
+  Timer t(sim, [] {});
   t.schedule(10.0);
   const std::uint64_t after_arm = sim.scheduler().scheduled_count();
   for (int i = 0; i < 1000; ++i) t.schedule(10.0 + i);  // forward-only moves
@@ -122,7 +150,7 @@ TEST(TimerLazy, SoftMovesAreSchedulerFree) {
 TEST(TimerLazy, CancelWhileArmedIsQuiet) {
   Simulator sim;
   int fired = 0;
-  Timer t(sim, [&] { ++fired; }, Timer::Mode::kLazy);
+  Timer t(sim, [&] { ++fired; });
   t.schedule(1.0);
   sim.schedule(0.5, [&] { t.cancel(); });
   sim.run();  // the armed event still runs at 1.0 — as a silent no-op
@@ -134,7 +162,7 @@ TEST(TimerLazy, CancelWhileArmedIsQuiet) {
 TEST(TimerLazy, RescheduleAfterCancelReusesArmedEvent) {
   Simulator sim;
   std::vector<Time> fires;
-  Timer t(sim, [&] { fires.push_back(sim.now()); }, Timer::Mode::kLazy);
+  Timer t(sim, [&] { fires.push_back(sim.now()); });
   t.schedule(1.0);
   sim.schedule(0.3, [&] { t.cancel(); });
   // Re-scheduling before the orphaned event has fired soft-moves it
@@ -151,7 +179,7 @@ TEST(TimerLazy, RescheduleAfterCancelReusesArmedEvent) {
 TEST(TimerLazy, ShrinkingDeadlineRearmsEagerly) {
   Simulator sim;
   std::vector<Time> fires;
-  Timer t(sim, [&] { fires.push_back(sim.now()); }, Timer::Mode::kLazy);
+  Timer t(sim, [&] { fires.push_back(sim.now()); });
   t.schedule(5.0);
   // A deadline that moves *backwards* cannot ride the armed event (it
   // would fire late); the timer must re-arm eagerly.
@@ -168,10 +196,8 @@ TEST(TimerLazy, RandomScriptMatchesExactMode) {
     Random rng(seed);
     Simulator sim;
     std::vector<Time> exact_fires, lazy_fires;
-    Timer exact(sim, [&] { exact_fires.push_back(sim.now()); },
-                Timer::Mode::kExact);
-    Timer lazy(sim, [&] { lazy_fires.push_back(sim.now()); },
-               Timer::Mode::kLazy);
+    ExactTimer exact(sim, [&] { exact_fires.push_back(sim.now()); });
+    Timer lazy(sim, [&] { lazy_fires.push_back(sim.now()); });
     Time at = 0.0;
     for (int i = 0; i < 300; ++i) {
       at += rng.uniform(0.0, 0.5);

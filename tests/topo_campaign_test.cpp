@@ -78,6 +78,35 @@ TEST(TopoCampaign, ParsesTheCampFormat) {
   EXPECT_EQ(err.line, 1);
 }
 
+TEST(TopoCampaign, CrlfTextParsesLikeLf) {
+  // .camp files share the .topo tokenizer, so a file saved with CRLF line
+  // ends reads exactly like its LF copy.
+  const std::string lf =
+      "# comment\n"
+      "campaign mini\n"
+      "scenario mini.topo\n"
+      "metric cov\n"
+      "set queue red  # trailing comment\n"
+      "sweep clients 2 3\n";
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  TopoCampaignSpec a, b;
+  TopoError err;
+  ASSERT_TRUE(parse_camp(lf, "x", "d", &a, &err)) << err.message;
+  ASSERT_TRUE(parse_camp(crlf, "x", "d", &b, &err)) << err.message;
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.metric, b.metric);
+  EXPECT_EQ(a.scenario_files, b.scenario_files);
+  EXPECT_EQ(a.sets, b.sets);
+  ASSERT_EQ(a.sweeps.size(), b.sweeps.size());
+  EXPECT_EQ(a.sweeps[0].field, b.sweeps[0].field);
+  EXPECT_EQ(a.sweeps[0].values, b.sweeps[0].values);
+  EXPECT_EQ(b.sweeps[0].values, (std::vector<std::string>{"2", "3"}));
+}
+
 TEST(TopoCampaign, ColdRunThenFullyCachedRerun) {
   const std::string dir = fresh_dir("camp_cold_warm");
   const TopoCampaignSpec spec = mini_campaign(dir);

@@ -75,6 +75,23 @@ TEST(TopoFingerprint, GatewayQueueKindTracksTheScenarioDiscipline) {
   EXPECT_EQ(topo_key(*spec), scenario_key(spec->scenario));
 }
 
+TEST(TopoFingerprint, MeanFieldFileRunIsTheGeneratedDumbbell) {
+  // With mean-field scaling on, `$bottleneck_bw` and `queue gateway` read
+  // the scaled capacity, so the file still builds the generated dumbbell
+  // of its own scenario and shares its plain key.
+  TopoError err;
+  const std::string path =
+      std::string(BURST_TOPO_EXAMPLES_DIR) + "/dumbbell_n60.topo";
+  const auto spec = load_topo_file(
+      path, &err,
+      {{"meanfield_base", "60"}, {"clients", "1000"}, {"queue", "red"}});
+  ASSERT_TRUE(spec.has_value()) << err.render(path);
+  EXPECT_TRUE(is_canonical_dumbbell(*spec));
+  EXPECT_EQ(spec->links[0].rate_bps,
+            spec->scenario.scaled_bottleneck_bw_bps());
+  EXPECT_EQ(topo_key(*spec), scenario_key(spec->scenario));
+}
+
 TEST(TopoFingerprint, OverridesChangeTheKey) {
   TopoError err;
   const std::string path =

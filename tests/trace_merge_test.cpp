@@ -403,7 +403,9 @@ TEST(FlightRecorder, FixedBudgetDecimates) {
   // Samples stay in time order and within the horizon.
   for (std::size_t i = 0; i < fr.samples().size(); ++i) {
     EXPECT_LE(fr.samples()[i].t, 4.0);
-    if (i > 0) EXPECT_GT(fr.samples()[i].t, fr.samples()[i - 1].t);
+    if (i > 0) {
+      EXPECT_GT(fr.samples()[i].t, fr.samples()[i - 1].t);
+    }
   }
 }
 
