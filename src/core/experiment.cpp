@@ -136,41 +136,8 @@ ExperimentResult run_experiment(const TopoSpec& spec,
     result.sim_events = rt->total_events();
     result.peak_pending = rt->max_peak_pending();
     scheduled = rt->total_scheduled();
-    result.lp_phases.reserve(rt->stats().size());
-    int lp = 0;
-    for (const LpStats& s : rt->stats()) {
-      LpPhase ph;
-      ph.lp = lp++;
-      ph.events = s.events;
-      ph.windows = s.windows;
-      ph.msgs_in = s.msgs_in;
-      ph.msgs_out = s.msgs_out;
-      ph.merge_high_water = s.merge_high_water;
-      ph.chan_overflows = s.chan_overflows;
-      ph.chan_high_water = s.chan_high_water;
-      ph.horizon_advance_mean =
-          s.windows > 0 ? s.horizon_advance / static_cast<double>(s.windows)
-                        : 0.0;
-      ph.run_s = s.run_s;
-      ph.wait_s = s.wait_s;
-      result.lp_phases.push_back(ph);
-    }
-    const auto& wlog = rt->window_log();
-    for (std::size_t k = 0; k < wlog.size(); ++k) {
-      for (const LpWindowSample& w : wlog[k]) {
-        LpWindowPhase wp;
-        wp.lp = static_cast<int>(k);
-        wp.gmin = w.gmin;
-        wp.t0_s = w.t0_s;
-        wp.pub_wait_s = w.pub_wait_s;
-        wp.run_s = w.run_s;
-        wp.flush_wait_s = w.flush_wait_s;
-        wp.merge_s = w.merge_s;
-        wp.events = w.events;
-        wp.staged = w.staged;
-        result.lp_windows.push_back(wp);
-      }
-    }
+    result.lp_stats = rt->stats();
+    result.lp_windows = rt->window_log();
   } else {
     seq->run(sc.duration);
     result.sim_events = seq->events_run();
@@ -180,10 +147,6 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   result.sim_wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
-  if (result.sim_wall_s > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.sim_events) / result.sim_wall_s;
-  }
   if (options.cwnd_sample_period > 0.0) {
     // An attached series starts with its attach-time point; an empty one
     // belongs to a client with no TCP sender and stays empty.
@@ -214,16 +177,13 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   result.gw_drops = qs.drops;
   result.loss_pct = 100.0 * qs.loss_fraction();
 
-  for (int i = 0; i < net->num_flows(); ++i) {
-    if (const TcpSender* s = net->tcp_sender(i)) {
-      const TcpSenderStats& st = s->stats();
-      result.timeouts += st.timeouts;
-      result.fast_retransmits += st.fast_retransmits;
-      result.dupacks += st.dupacks;
-      result.retransmits += st.retransmits;
-      result.data_pkts_sent += st.data_pkts_sent;
-    }
-  }
+  // The same totals register_metrics files as tcp.*.
+  const TcpSenderStats tx = net->sender_totals();
+  result.timeouts = tx.timeouts;
+  result.fast_retransmits = tx.fast_retransmits;
+  result.dupacks = tx.dupacks;
+  result.retransmits = tx.retransmits;
+  result.data_pkts_sent = tx.data_pkts_sent;
   // Fig 13 ratio; see the convention note on ExperimentResult. A run with
   // timeouts but zero dupacks clamps the denominator to 1 so the ratio
   // degrades to the raw timeout count instead of silently reading 0.
@@ -248,21 +208,22 @@ ExperimentResult run_experiment(const TopoSpec& spec,
     // count, horizon advance, per-LP event/message splits and the merge
     // high-water mark are pure functions of event timestamps; wall-clock
     // splits (run_s/wait_s) and ring-overflow placement depend on thread
-    // timing and stay in lp_phases / the profile table, never here (the
+    // timing and stay in lp_stats / the profile table, never here (the
     // registry's determinism contract backs the result cache).
     registry.add_counter("parallel.shards",
                          static_cast<std::uint64_t>(part.shards));
     registry.add_gauge("parallel.lookahead", part.lookahead);
     registry.add_counter("parallel.windows", rt->stats().front().windows);
-    for (const LpPhase& ph : result.lp_phases) {
-      const std::string prefix = "parallel.lp" + std::to_string(ph.lp);
-      registry.add_counter(prefix + ".events", ph.events);
-      registry.add_counter(prefix + ".msgs_in", ph.msgs_in);
-      registry.add_counter(prefix + ".msgs_out", ph.msgs_out);
+    for (std::size_t lp = 0; lp < result.lp_stats.size(); ++lp) {
+      const LpStats& st = result.lp_stats[lp];
+      const std::string prefix = "parallel.lp" + std::to_string(lp);
+      registry.add_counter(prefix + ".events", st.events);
+      registry.add_counter(prefix + ".msgs_in", st.msgs_in);
+      registry.add_counter(prefix + ".msgs_out", st.msgs_out);
       registry.add_counter(prefix + ".merge_high_water",
-                           ph.merge_high_water);
+                           st.merge_high_water);
       registry.add_gauge(prefix + ".horizon_advance_mean",
-                         ph.horizon_advance_mean);
+                         horizon_advance_mean(st));
     }
   }
   result.metrics = registry.snapshot();

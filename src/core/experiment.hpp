@@ -5,11 +5,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/core/scenario.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/sim/parallel/lp_stats.hpp"
 #include "src/sim/trace.hpp"
 #include "src/stats/running_stats.hpp"
 
@@ -53,43 +55,6 @@ struct ExperimentOptions {
   /// periodic sampling events, so a flight-recorded run is NOT
   /// event-count-identical to a bare one (wall overhead is gated ≤5%).
   FlightRecorder* flight = nullptr;
-};
-
-/// Per-logical-process accounting from a parallel run (DESIGN.md §13's
-/// profile table). Machine-dependent (wall-clock split) and therefore
-/// never persisted by the result store.
-struct LpPhase {
-  int lp = 0;
-  std::uint64_t events = 0;    // events this LP executed
-  std::uint64_t windows = 0;   // conservative windows it participated in
-  std::uint64_t msgs_in = 0;   // cross-LP packets received
-  std::uint64_t msgs_out = 0;  // cross-LP packets sent
-  /// Inbound merge high-water mark (most messages staged in one window).
-  std::uint64_t merge_high_water = 0;
-  /// Posts that spilled past a channel ring, and the outbound ring
-  /// high-water mark (timing-dependent, profile display only).
-  std::uint64_t chan_overflows = 0;
-  std::uint64_t chan_high_water = 0;
-  /// Mean safe-horizon advance per busy window (simulated seconds).
-  Time horizon_advance_mean = 0.0;
-  double run_s = 0.0;          // wall seconds processing events / merging
-  double wait_s = 0.0;         // wall seconds blocked at window barriers
-};
-
-/// One conservative window as one LP saw it (flattened copy of the
-/// runtime's LpWindowSample, kept core-local so this header does not pull
-/// in the thread runtime). Only filled for traced parallel runs; wall
-/// offsets are machine-dependent and never persisted.
-struct LpWindowPhase {
-  int lp = 0;
-  Time gmin = 0.0;            // the window's global lower bound
-  double t0_s = 0.0;          // wall offset of the window start
-  double pub_wait_s = 0.0;    // blocked at the publish barrier
-  double run_s = 0.0;         // executing events below the safe horizon
-  double flush_wait_s = 0.0;  // blocked at the flush barrier
-  double merge_s = 0.0;       // draining + inserting inbound messages
-  std::uint64_t events = 0;   // cumulative events after this window
-  std::uint32_t staged = 0;   // messages merged in this window
 };
 
 struct ExperimentResult {
@@ -139,12 +104,11 @@ struct ExperimentResult {
 
   // --- Substrate performance counters ----------------------------------
   // sim_events and peak_pending are deterministic (they depend only on the
-  // scenario) and are persisted by the result store; the wall-clock pair
+  // scenario) and are persisted by the result store; the wall-clock time
   // is machine-dependent and is NOT persisted — a cache hit reports 0.
   std::uint64_t sim_events = 0;    // events executed by the scheduler
   std::uint64_t peak_pending = 0;  // high-water mark of the event heap
   double sim_wall_s = 0.0;         // wall-clock seconds inside sim.run()
-  double events_per_sec = 0.0;     // sim_events / sim_wall_s
 
   /// Shard count the run actually used (1 when the partitioner declined
   /// the request — see ExperimentOptions::lp_shards). For parallel runs sim_events /
@@ -152,13 +116,62 @@ struct ExperimentResult {
   /// scheduled counts sum (so they stay comparable with lp=1), while
   /// peak_pending takes the max over the per-LP heaps.
   int lp_shards = 1;
-  /// One row per LP when lp_shards > 1 (empty otherwise). Not persisted.
-  std::vector<LpPhase> lp_phases;
-  /// Per-window runtime timeline, filled only for traced parallel runs
-  /// (the runtime's window log is opt-in); feeds the `.runtime.perfetto`
-  /// export with one thread track per LP. Not persisted.
-  std::vector<LpWindowPhase> lp_windows;
+  /// The runtime's per-LP profile, one entry per LP, when lp_shards > 1
+  /// (empty otherwise). Not persisted.
+  std::vector<LpStats> lp_stats;
+  /// The runtime's per-window timeline, one list per LP, filled only for
+  /// traced parallel runs (the window log is opt-in); feeds the
+  /// `.runtime.perfetto` export with one thread track per LP. Not
+  /// persisted.
+  std::vector<std::vector<LpWindowSample>> lp_windows;
 };
+
+// --- The field list ----------------------------------------------------
+// Every scalar of ExperimentResult the result store persists, with its
+// store key (which is also its `.camp` metric name), burstsim's table
+// label and the decimals burstsim prints a real with.
+// result_to_json/result_from_json write and read the scalars in this
+// order, campaign_metric resolves `.camp` `metric` names against it and
+// burstsim prints one row per entry: adding a result scalar means adding
+// one entry to for_each_result_field.
+
+/// One entry of the field list.
+struct ResultField {
+  const char* name;   // store key and `.camp` metric name
+  const char* label;  // burstsim's table row
+  int digits = 0;     // decimals burstsim prints a double with
+};
+
+/// Calls @p visit(field, member) for every persisted scalar, in store
+/// order. @p r is an ExperimentResult or a const one; the member is a
+/// double or a std::uint64_t, and @p visit takes the field as a
+/// `const ResultField&`.
+template <typename R, typename Visit>
+void for_each_result_field(R& r, Visit&& visit) {
+  visit({"cov", "c.o.v. of gateway arrivals per RTT", 4}, r.cov);
+  visit({"poisson_cov", "analytic Poisson c.o.v.", 4}, r.poisson_cov);
+  visit({"mean_per_bin", "gateway arrivals per RTT bin", 2}, r.mean_per_bin);
+  visit({"app_generated", "application packets generated"}, r.app_generated);
+  visit({"delivered", "packets delivered in order"}, r.delivered);
+  visit({"gw_arrivals", "gateway arrivals"}, r.gw_arrivals);
+  visit({"gw_drops", "gateway drops"}, r.gw_drops);
+  visit({"loss_pct", "packet loss (%)", 2}, r.loss_pct);
+  visit({"timeouts", "timeouts"}, r.timeouts);
+  visit({"fast_retransmits", "fast retransmits"}, r.fast_retransmits);
+  visit({"dupacks", "duplicate ACKs received"}, r.dupacks);
+  visit({"retransmits", "retransmissions"}, r.retransmits);
+  visit({"data_pkts_sent", "data packets sent"}, r.data_pkts_sent);
+  visit({"timeout_dupack_ratio", "timeouts / duplicate ACKs", 4},
+        r.timeout_dupack_ratio);
+  visit({"fairness", "Jain fairness", 4}, r.fairness);
+  visit({"routing_errors", "routing errors"}, r.routing_errors);
+  visit({"sim_events", "scheduler events"}, r.sim_events);
+  visit({"peak_pending", "peak pending events"}, r.peak_pending);
+}
+
+/// Reads one scalar of a result: a `.camp` metric or a figure's CSV
+/// column (see campaign_metric).
+using ResultMetric = std::function<double(const ExperimentResult&)>;
 
 /// Builds @p spec (sequentially, or sharded across options.lp_shards
 /// LPs when the partitioner can cut it), runs for spec.scenario.duration

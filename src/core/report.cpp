@@ -42,8 +42,7 @@ std::string fmt(double v, int precision) {
 void print_metric_vs_clients(std::ostream& os,
                              const std::vector<SweepSeries>& series,
                              const std::string& metric_name,
-                             double (*metric)(const ExperimentResult&),
-                             int precision) {
+                             const ResultMetric& metric, int precision) {
   if (series.empty()) return;
   std::vector<std::string> header{"clients"};
   for (const auto& s : series) header.push_back(s.name);
@@ -91,7 +90,7 @@ bool write_trace_csv(const std::string& path, const TraceSeries& trace) {
 
 bool write_sweep_csv(const std::string& path,
                      const std::vector<SweepSeries>& series,
-                     double (*metric)(const ExperimentResult&)) {
+                     const ResultMetric& metric) {
   std::ofstream f(path);
   if (!f) return false;
   f << "clients";

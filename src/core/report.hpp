@@ -22,8 +22,8 @@ std::string fmt(double v, int precision = 4);
 /// series: the generic Fig 2/3/4/13 layout.
 void print_metric_vs_clients(
     std::ostream& os, const std::vector<SweepSeries>& series,
-    const std::string& metric_name,
-    double (*metric)(const ExperimentResult&), int precision = 4);
+    const std::string& metric_name, const ResultMetric& metric,
+    int precision = 4);
 
 /// Prints a cwnd trace as (t, cwnd) rows resampled on a regular grid, the
 /// textual equivalent of the paper's Figs 5-12.
@@ -42,6 +42,6 @@ bool write_trace_csv(const std::string& path, const TraceSeries& trace);
 /// fully written.
 bool write_sweep_csv(const std::string& path,
                      const std::vector<SweepSeries>& series,
-                     double (*metric)(const ExperimentResult&));
+                     const ResultMetric& metric);
 
 }  // namespace burst

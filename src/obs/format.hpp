@@ -1,7 +1,8 @@
-// Number formatting shared by every src/obs export (trace JSONL and
-// Perfetto, flight-recorder CSV/JSONL, runtime timeline). Private to
-// src/obs: the exports are golden-tested byte for byte, so there is
-// exactly one definition of how a number is spelled.
+// Number and string formatting shared by every JSON or CSV text the
+// simulator writes byte for byte: the src/obs exports (trace JSONL and
+// Perfetto, flight-recorder CSV/JSONL, runtime timeline) and the result
+// store's lines. They are golden-tested or content-addressed, so there
+// is exactly one definition of how a number or a string is spelled.
 //
 // Doubles print with 17 significant digits, %g style: max_digits10, so
 // every finite double round-trips exactly, and unlike shortest-round-trip
@@ -15,11 +16,22 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace burst::obs_format {
 
 void append_double(std::string& out, double v);
 void append_i64(std::string& out, std::int64_t v);
 void append_u64(std::string& out, std::uint64_t v);
+
+/// Appends @p s for use inside a JSON string: `"` and `\` get a
+/// backslash, control characters become spaces. Names are generated
+/// labels, but a hostile one must not break the line it lands in.
+inline void append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
+  }
+}
 
 }  // namespace burst::obs_format

@@ -17,8 +17,9 @@ constexpr double kMicrosPerSec = 1e6;
 
 }  // namespace
 
-bool write_runtime_trace(std::ostream& os, const std::vector<LpPhase>& phases,
-                         const std::vector<LpWindowPhase>& windows) {
+bool write_runtime_trace(
+    std::ostream& os, const std::vector<LpStats>& stats,
+    const std::vector<std::vector<LpWindowSample>>& windows) {
   std::string out;
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
@@ -39,8 +40,9 @@ bool write_runtime_trace(std::ostream& os, const std::vector<LpPhase>& phases,
     out += "\"}}";
   };
   meta("process_name", 0, "parallel runtime");
-  for (const LpPhase& p : phases) {
-    meta("thread_name", p.lp, "lp " + std::to_string(p.lp));
+  const int lps = static_cast<int>(stats.size());
+  for (int lp = 0; lp < lps; ++lp) {
+    meta("thread_name", lp, "lp " + std::to_string(lp));
   }
 
   auto slice = [&](const char* name, int tid, double t0_s, double dur_s) {
@@ -73,32 +75,36 @@ bool write_runtime_trace(std::ostream& os, const std::vector<LpPhase>& phases,
     out += "}}";
   };
 
-  for (const LpWindowPhase& w : windows) {
-    double t = w.t0_s;
-    slice("wait", w.lp, t, w.pub_wait_s);
-    t += w.pub_wait_s;
-    slice("run", w.lp, t, w.run_s);
-    t += w.run_s;
-    slice("barrier", w.lp, t, w.flush_wait_s);
-    t += w.flush_wait_s;
-    slice("merge", w.lp, t, w.merge_s);
-    const std::string lp_tag = " lp" + std::to_string(w.lp);
-    counter("gmin" + lp_tag, w.t0_s, "sim_s", w.gmin);
-    counter("staged" + lp_tag, w.t0_s, "msgs",
-            static_cast<double>(w.staged));
-    if (out.size() >= (std::size_t{1} << 20)) {
-      os << out;
-      out.clear();
+  for (std::size_t lp = 0; lp < windows.size(); ++lp) {
+    const int tid = static_cast<int>(lp);
+    const std::string lp_tag = " lp" + std::to_string(lp);
+    for (const LpWindowSample& w : windows[lp]) {
+      double t = w.t0_s;
+      slice("wait", tid, t, w.pub_wait_s);
+      t += w.pub_wait_s;
+      slice("run", tid, t, w.run_s);
+      t += w.run_s;
+      slice("barrier", tid, t, w.flush_wait_s);
+      t += w.flush_wait_s;
+      slice("merge", tid, t, w.merge_s);
+      counter("gmin" + lp_tag, w.t0_s, "sim_s", w.gmin);
+      counter("staged" + lp_tag, w.t0_s, "msgs",
+              static_cast<double>(w.staged));
+      if (out.size() >= (std::size_t{1} << 20)) {
+        os << out;
+        out.clear();
+      }
     }
   }
 
-  for (const LpPhase& p : phases) {
+  for (int lp = 0; lp < lps; ++lp) {
+    const LpStats& p = stats[static_cast<std::size_t>(lp)];
     sep();
     out += "{\"name\":\"lp_summary\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0,"
            "\"pid\":";
     append_i64(out, kRuntimePid);
     out += ",\"tid\":";
-    append_i64(out, p.lp);
+    append_i64(out, lp);
     out += ",\"args\":{\"events\":";
     append_i64(out, static_cast<std::int64_t>(p.events));
     out += ",\"windows\":";
@@ -114,7 +120,7 @@ bool write_runtime_trace(std::ostream& os, const std::vector<LpPhase>& phases,
     out += ",\"chan_high_water\":";
     append_i64(out, static_cast<std::int64_t>(p.chan_high_water));
     out += ",\"horizon_advance_mean\":";
-    append_double(out, p.horizon_advance_mean);
+    append_double(out, horizon_advance_mean(p));
     out += ",\"run_s\":";
     append_double(out, p.run_s);
     out += ",\"wait_s\":";

@@ -13,16 +13,18 @@
 #include <iosfwd>
 #include <vector>
 
-#include "src/core/experiment.hpp"
+#include "src/sim/parallel/lp_stats.hpp"
 
 namespace burst {
 
 /// Writes slices ("wait"/"run"/"barrier"/"merge") per window on each LP's
 /// thread track, plus per-LP counter tracks for the safe-horizon lower
 /// bound (gmin, simulated seconds) and the per-window merged-message
-/// count, and one summary instant per LP carrying its LpPhase totals.
-/// ts is wall microseconds from ParallelRuntime::run() entry.
-bool write_runtime_trace(std::ostream& os, const std::vector<LpPhase>& phases,
-                         const std::vector<LpWindowPhase>& windows);
+/// count, and one summary instant per LP carrying its LpStats totals.
+/// @p stats and @p windows hold one entry per LP, in LP order. ts is wall
+/// microseconds from ParallelRuntime::run() entry.
+bool write_runtime_trace(
+    std::ostream& os, const std::vector<LpStats>& stats,
+    const std::vector<std::vector<LpWindowSample>>& windows);
 
 }  // namespace burst

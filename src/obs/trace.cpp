@@ -11,14 +11,8 @@ namespace burst {
 namespace {
 
 using obs_format::append_double;
+using obs_format::append_escaped;
 using obs_format::append_i64;
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-  }
-}
 
 constexpr double kMicrosPerSec = 1e6;
 

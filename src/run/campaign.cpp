@@ -15,6 +15,7 @@
 #include <unordered_set>
 
 #include "src/core/report.hpp"
+#include "src/obs/format.hpp"
 #include "src/run/result_store.hpp"
 
 #ifndef BURST_VERSION_STRING
@@ -24,13 +25,11 @@
 namespace burst {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-  }
+/// @p s as a JSON string literal.
+std::string quoted(const std::string& s) {
+  std::string out = "\"";
+  obs_format::append_escaped(out, s);
+  out += '"';
   return out;
 }
 
@@ -118,8 +117,7 @@ std::vector<ExperimentResult> run_campaign_points(
     std::atomic<std::size_t> farmed{0};
     std::mutex profile_mu;
     Profiler profile_total;
-    std::vector<LpPhase> lp_totals;
-    std::vector<std::uint64_t> lp_scenarios;  // contributing runs per LP
+    std::vector<LpStats> lp_totals;
     // Log at most ~20 progress lines regardless of batch size, and flush
     // each one: on a pipe or CI log nothing shows up otherwise.
     const std::size_t stride = std::max<std::size_t>(1, misses.size() / 20);
@@ -149,31 +147,27 @@ std::vector<ExperimentResult> run_campaign_points(
       } else {
         results[ui] = run_experiment(spec_of(ui), eopts);
       }
-      if (!results[ui].lp_phases.empty()) {
+      if (!results[ui].lp_stats.empty()) {
         std::lock_guard<std::mutex> lk(profile_mu);
-        if (lp_totals.size() < results[ui].lp_phases.size()) {
-          lp_totals.resize(results[ui].lp_phases.size());
-          lp_scenarios.resize(results[ui].lp_phases.size(), 0);
-        }
-        for (std::size_t lp = 0; lp < results[ui].lp_phases.size(); ++lp) {
-          const LpPhase& p = results[ui].lp_phases[lp];
-          lp_totals[lp].lp = p.lp;
-          lp_totals[lp].events += p.events;
-          lp_totals[lp].windows += p.windows;
-          lp_totals[lp].msgs_in += p.msgs_in;
-          lp_totals[lp].msgs_out += p.msgs_out;
-          // High-water marks take the campaign-wide max; overflows sum;
-          // the mean horizon advance accumulates here and is divided by
-          // lp_scenarios once the batch completes.
-          lp_totals[lp].merge_high_water =
-              std::max(lp_totals[lp].merge_high_water, p.merge_high_water);
-          lp_totals[lp].chan_high_water =
-              std::max(lp_totals[lp].chan_high_water, p.chan_high_water);
-          lp_totals[lp].chan_overflows += p.chan_overflows;
-          lp_totals[lp].horizon_advance_mean += p.horizon_advance_mean;
-          lp_totals[lp].run_s += p.run_s;
-          lp_totals[lp].wait_s += p.wait_s;
-          ++lp_scenarios[lp];
+        const std::vector<LpStats>& lps = results[ui].lp_stats;
+        if (lp_totals.size() < lps.size()) lp_totals.resize(lps.size());
+        for (std::size_t lp = 0; lp < lps.size(); ++lp) {
+          const LpStats& p = lps[lp];
+          LpStats& t = lp_totals[lp];
+          t.events += p.events;
+          t.windows += p.windows;
+          t.msgs_in += p.msgs_in;
+          t.msgs_out += p.msgs_out;
+          t.scheduled += p.scheduled;
+          // High-water marks take the campaign-wide max; the rest sum, so
+          // horizon_advance_mean(t) is the pooled per-window mean.
+          t.peak_pending = std::max(t.peak_pending, p.peak_pending);
+          t.merge_high_water = std::max(t.merge_high_water, p.merge_high_water);
+          t.chan_high_water = std::max(t.chan_high_water, p.chan_high_water);
+          t.chan_overflows += p.chan_overflows;
+          t.horizon_advance += p.horizon_advance;
+          t.run_s += p.run_s;
+          t.wait_s += p.wait_s;
         }
       }
       simulated.fetch_add(1, std::memory_order_relaxed);
@@ -222,13 +216,7 @@ std::vector<ExperimentResult> run_campaign_points(
       st.phase_seconds[ph] =
           profile_total.seconds(static_cast<ProfilePhase>(ph));
     }
-    for (std::size_t lp = 0; lp < lp_totals.size(); ++lp) {
-      if (lp_scenarios[lp] > 0) {
-        lp_totals[lp].horizon_advance_mean /=
-            static_cast<double>(lp_scenarios[lp]);
-      }
-    }
-    st.lp_phases = std::move(lp_totals);
+    st.lp_stats = std::move(lp_totals);
     st.simulated = simulated.load();
     st.farmed_out = farmed.load();
     if (opts.log && st.farmed_out > 0) {
@@ -265,9 +253,10 @@ std::vector<ExperimentResult> run_campaign_points(
       }
       *opts.log << std::endl;
     }
-    if (opts.log && !st.lp_phases.empty()) {
-      for (const LpPhase& p : st.lp_phases) {
-        *opts.log << "campaign: lp " << p.lp << ": " << p.events
+    if (opts.log) {
+      for (std::size_t lp = 0; lp < st.lp_stats.size(); ++lp) {
+        const LpStats& p = st.lp_stats[lp];
+        *opts.log << "campaign: lp " << lp << ": " << p.events
                   << " events, " << p.msgs_in << "/" << p.msgs_out
                   << " msgs in/out, run " << fmt(p.run_s, 2)
                   << " s, barrier wait " << fmt(p.wait_s, 2) << " s"
@@ -415,12 +404,12 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
       const std::string manifest = opts.artifact_dir + "/manifest.json";
       std::ofstream mf(manifest, std::ios::trunc);
       mf << "{\n"
-         << "  \"version\": \"" << json_escape(BURST_VERSION_STRING) << "\",\n"
+         << "  \"version\": " << quoted(BURST_VERSION_STRING) << ",\n"
          << "  \"result_schema\": " << kResultSchemaVersion << ",\n"
          << "  \"generated_unix\": " << static_cast<long long>(std::time(nullptr))
          << ",\n"
          << "  \"wall_s\": " << out.stats.wall_s << ",\n"
-         << "  \"cache_dir\": \"" << json_escape(opts.cache_dir) << "\",\n"
+         << "  \"cache_dir\": " << quoted(opts.cache_dir) << ",\n"
          << "  \"cache_enabled\": "
          << (opts.use_cache && !opts.cache_dir.empty() ? "true" : "false")
          << ",\n"
@@ -442,20 +431,20 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
       mf << "}";
       // Parallel-engine accounting: one row per logical process, summed
       // over the scenarios simulated by this invocation (high-water marks
-      // are maxima, horizon_advance_mean averages over scenarios).
+      // are maxima, horizon_advance_mean is the pooled per-window mean).
       mf << ", \"hw_threads\": "
          << std::max(1u, std::thread::hardware_concurrency())
          << ", \"lp_shards\": " << opts.lp_shards << ", \"lp_phases\": [";
-      for (std::size_t lp = 0; lp < out.stats.lp_phases.size(); ++lp) {
-        const LpPhase& p = out.stats.lp_phases[lp];
-        mf << (lp ? ", " : "") << "{\"lp\": " << p.lp
+      for (std::size_t lp = 0; lp < out.stats.lp_stats.size(); ++lp) {
+        const LpStats& p = out.stats.lp_stats[lp];
+        mf << (lp ? ", " : "") << "{\"lp\": " << lp
            << ", \"events\": " << p.events << ", \"windows\": " << p.windows
            << ", \"msgs_in\": " << p.msgs_in
            << ", \"msgs_out\": " << p.msgs_out
            << ", \"merge_high_water\": " << p.merge_high_water
            << ", \"chan_high_water\": " << p.chan_high_water
            << ", \"chan_overflows\": " << p.chan_overflows
-           << ", \"horizon_advance_mean\": " << p.horizon_advance_mean
+           << ", \"horizon_advance_mean\": " << horizon_advance_mean(p)
            << ", \"run_s\": " << p.run_s
            << ", \"wait_s\": " << p.wait_s << "}";
       }
@@ -474,8 +463,7 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
         mf << "  \"metrics_totals\": {";
         bool first = true;
         for (const auto& [name, total] : totals) {
-          mf << (first ? "" : ", ") << "\"" << json_escape(name)
-             << "\": " << total;
+          mf << (first ? "" : ", ") << quoted(name) << ": " << total;
           first = false;
         }
         mf << "},\n";
@@ -483,16 +471,16 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
       mf << "  \"sweeps\": [\n";
       for (std::size_t s = 0; s < sweeps.size(); ++s) {
         const CampaignSweep& sweep = sweeps[s];
-        mf << "    {\"name\": \"" << json_escape(sweep.name)
-           << "\", \"metric\": \"" << json_escape(sweep.metric_name)
-           << "\", \"base_seed\": " << sweep.base.seed << ", \"clients\": [";
+        mf << "    {\"name\": " << quoted(sweep.name)
+           << ", \"metric\": " << quoted(sweep.metric_name)
+           << ", \"base_seed\": " << sweep.base.seed << ", \"clients\": [";
         for (std::size_t p = 0; p < sweep.client_counts.size(); ++p) {
           mf << (p ? "," : "") << sweep.client_counts[p];
         }
         mf << "], \"series\": [";
         for (std::size_t c = 0; c < sweep.configs.size(); ++c) {
-          mf << (c ? "," : "") << "{\"name\": \""
-             << json_escape(sweep.configs[c].name) << "\", \"seeds\": [";
+          mf << (c ? "," : "") << "{\"name\": "
+             << quoted(sweep.configs[c].name) << ", \"seeds\": [";
           for (std::size_t p = 0; p < sweep.client_counts.size(); ++p) {
             mf << (p ? "," : "")
                << campaign_point_seed(sweep.base, sweep.configs[c].name,
@@ -516,37 +504,27 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
   return out;
 }
 
-double (*campaign_metric(const std::string& name))(const ExperimentResult&) {
+ResultMetric campaign_metric(const std::string& name) {
   using R = const ExperimentResult&;
-  if (name == "cov") return +[](R r) { return r.cov; };
-  if (name == "poisson_cov") return +[](R r) { return r.poisson_cov; };
-  if (name == "mean_per_bin") return +[](R r) { return r.mean_per_bin; };
-  if (name == "loss_pct") return +[](R r) { return r.loss_pct; };
-  if (name == "delivered") {
-    return +[](R r) { return static_cast<double>(r.delivered); };
-  }
-  if (name == "gw_arrivals") {
-    return +[](R r) { return static_cast<double>(r.gw_arrivals); };
-  }
-  if (name == "gw_drops") {
-    return +[](R r) { return static_cast<double>(r.gw_drops); };
-  }
-  if (name == "timeouts") {
-    return +[](R r) { return static_cast<double>(r.timeouts); };
-  }
-  if (name == "fast_retransmits") {
-    return +[](R r) { return static_cast<double>(r.fast_retransmits); };
-  }
-  if (name == "retransmits") {
-    return +[](R r) { return static_cast<double>(r.retransmits); };
-  }
-  if (name == "timeout_dupack_ratio") {
-    return +[](R r) { return r.timeout_dupack_ratio; };
-  }
-  if (name == "fairness") return +[](R r) { return r.fairness; };
-  if (name == "mean_delay") return +[](R r) { return r.delay.mean(); };
-  if (name == "max_delay") return +[](R r) { return r.delay.max(); };
-  return nullptr;
+  if (name == "mean_delay") return [](R r) { return r.delay.mean(); };
+  if (name == "max_delay") return [](R r) { return r.delay.max(); };
+  // Any other name is a field list entry, read back by its position.
+  const ExperimentResult blank;
+  int found = -1;
+  int index = 0;
+  for_each_result_field(blank, [&](const ResultField& f, const auto&) {
+    if (name == f.name) found = index;
+    ++index;
+  });
+  if (found < 0) return nullptr;
+  return [found](R r) {
+    double v = 0.0;
+    int i = 0;
+    for_each_result_field(r, [&](const ResultField&, const auto& member) {
+      if (i++ == found) v = static_cast<double>(member);
+    });
+    return v;
+  };
 }
 
 std::vector<CampaignSweep> paper_figure_campaign(const Scenario& base) {

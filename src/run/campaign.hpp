@@ -35,7 +35,7 @@ struct CampaignSweep {
   Scenario base;
   std::vector<int> client_counts;
   std::vector<SweepConfig> configs;
-  double (*metric)(const ExperimentResult&) = nullptr;
+  ResultMetric metric;
 };
 
 struct CampaignOptions {
@@ -85,10 +85,11 @@ struct CampaignStats {
   /// by ProfilePhase. All zero unless CampaignOptions::profile was set.
   std::array<double, kProfilePhases> phase_seconds{};
 
-  /// Per-LP totals (events, messages, run vs barrier-wait wall seconds)
-  /// summed over the simulated tasks; one entry per logical process.
-  /// Empty unless lp_shards > 1 (cache hits carry no phase data).
-  std::vector<LpPhase> lp_phases;
+  /// Per-LP totals (events, messages, horizon advance, run vs
+  /// barrier-wait wall seconds) summed over the simulated tasks, with
+  /// high-water marks the maximum; one entry per logical process. Empty
+  /// unless lp_shards > 1 (cache hits carry no LP data).
+  std::vector<LpStats> lp_stats;
 };
 
 struct CampaignOutput {
@@ -125,11 +126,11 @@ std::vector<ExperimentResult> run_campaign_points(
 CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
                             const CampaignOptions& opts = {});
 
-/// Looks up a scalar ExperimentResult metric by name (cov, poisson_cov,
-/// loss_pct, delivered, timeouts, fairness, mean_delay, ...): the `.camp`
-/// `metric` statement and the paper figure set share this table. Returns
-/// nullptr for unknown names.
-double (*campaign_metric(const std::string& name))(const ExperimentResult&);
+/// Looks up a scalar ExperimentResult metric by name: any name of the
+/// result field list (for_each_result_field), plus mean_delay and
+/// max_delay. The `.camp` `metric` statement and the paper figure set
+/// share this table. Returns an empty function for unknown names.
+ResultMetric campaign_metric(const std::string& name);
 
 /// The full paper figure set (Figs 2, 3, 4, 13) over @p base. Figures 3,
 /// 4 and 13 share every simulation (same scenarios, different metric

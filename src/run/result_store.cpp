@@ -14,48 +14,32 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <sstream>
+#include <type_traits>
 #include <vector>
+
+#include "src/obs/format.hpp"
 
 namespace burst {
 namespace {
 
 // ---- Writing ----------------------------------------------------------
 
-// max_digits10 digits round-trip any finite double exactly through strtod.
-void append_double(std::ostringstream& os, double v) {
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-}
+using obs_format::append_double;
+using obs_format::append_escaped;
+using obs_format::append_u64;
 
-void append_field(std::ostringstream& os, const char* name, double v,
-                  bool first = false) {
-  if (!first) os << ',';
-  os << '"' << name << "\":";
-  append_double(os, v);
-}
-
-void append_field(std::ostringstream& os, const char* name, std::uint64_t v,
-                  bool first = false) {
-  if (!first) os << ',';
-  os << '"' << name << "\":" << v;
-}
-
-// Trace names are generated labels ("client 7"); escape the JSON basics
-// anyway so a hostile name cannot corrupt the shard line.
-void append_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
+// `"name":<v>`, after a comma unless it opens an object.
+template <typename T>
+void append_field(std::string& out, const char* name, T v) {
+  if (out.back() != '{') out += ',';
+  out += '"';
+  out += name;
+  out += "\":";
+  if constexpr (std::is_floating_point_v<T>) {
+    append_double(out, v);
+  } else {
+    append_u64(out, v);
   }
-  os << '"';
 }
 
 // ---- Minimal JSON reader ----------------------------------------------
@@ -145,116 +129,82 @@ bool read_num_field(JsonReader& r, const char* name, std::string* tok) {
   return r.read_number_token(tok);
 }
 
-bool read_double_field(JsonReader& r, const char* name, double* out) {
+bool read_field(JsonReader& r, const char* name, double* out) {
   std::string tok;
   return read_num_field(r, name, &tok) && token_to_double(tok, out);
 }
 
-bool read_u64_field(JsonReader& r, const char* name, std::uint64_t* out) {
+bool read_field(JsonReader& r, const char* name, std::uint64_t* out) {
   std::string tok;
   return read_num_field(r, name, &tok) && token_to_u64(tok, out);
 }
 
 }  // namespace
 std::string result_to_json(const ExperimentResult& r) {
-  std::ostringstream os;
-  os << '{';
-  append_field(os, "cov", r.cov, /*first=*/true);
-  append_field(os, "poisson_cov", r.poisson_cov);
-  append_field(os, "mean_per_bin", r.mean_per_bin);
-  append_field(os, "app_generated", r.app_generated);
-  append_field(os, "delivered", r.delivered);
-  append_field(os, "gw_arrivals", r.gw_arrivals);
-  append_field(os, "gw_drops", r.gw_drops);
-  append_field(os, "loss_pct", r.loss_pct);
-  append_field(os, "timeouts", r.timeouts);
-  append_field(os, "fast_retransmits", r.fast_retransmits);
-  append_field(os, "dupacks", r.dupacks);
-  append_field(os, "retransmits", r.retransmits);
-  append_field(os, "data_pkts_sent", r.data_pkts_sent);
-  append_field(os, "timeout_dupack_ratio", r.timeout_dupack_ratio);
-  append_field(os, "fairness", r.fairness);
-  append_field(os, "routing_errors", r.routing_errors);
-  // Deterministic scheduler counters; the wall-clock pair (sim_wall_s,
-  // events_per_sec) is machine-dependent and deliberately not persisted.
-  append_field(os, "sim_events", r.sim_events);
-  append_field(os, "peak_pending", r.peak_pending);
-  os << ",\"delay\":{";
-  append_field(os, "n", r.delay.count(), /*first=*/true);
-  append_field(os, "mean", r.delay.mean());
-  append_field(os, "m2", r.delay.m2());
-  append_field(os, "min", r.delay.min());
-  append_field(os, "max", r.delay.max());
-  os << "},\"cwnd_traces\":[";
+  std::string out = "{";
+  for_each_result_field(r, [&out](const ResultField& f, const auto& v) {
+    append_field(out, f.name, v);
+  });
+  out += ",\"delay\":{";
+  append_field(out, "n", r.delay.count());
+  append_field(out, "mean", r.delay.mean());
+  append_field(out, "m2", r.delay.m2());
+  append_field(out, "min", r.delay.min());
+  append_field(out, "max", r.delay.max());
+  out += "},\"cwnd_traces\":[";
   for (std::size_t i = 0; i < r.cwnd_traces.size(); ++i) {
     const TraceSeries& t = r.cwnd_traces[i];
-    if (i) os << ',';
-    os << "{\"name\":";
-    append_string(os, t.name());
-    os << ",\"points\":[";
+    if (i) out += ',';
+    out += "{\"name\":\"";
+    append_escaped(out, t.name());
+    out += "\",\"points\":[";
     bool first = true;
     for (const auto& [time, value] : t.points()) {
-      if (!first) os << ',';
+      if (!first) out += ',';
       first = false;
-      os << '[';
-      append_double(os, time);
-      os << ',';
-      append_double(os, value);
-      os << ']';
+      out += '[';
+      append_double(out, time);
+      out += ',';
+      append_double(out, value);
+      out += ']';
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "],\"metrics\":[";
+  out += "],\"metrics\":[";
   for (std::size_t i = 0; i < r.metrics.points.size(); ++i) {
     const MetricPoint& m = r.metrics.points[i];
-    if (i) os << ',';
-    os << "{\"name\":";
-    append_string(os, m.name);
-    os << ",\"kind\":" << static_cast<unsigned>(m.kind);
-    append_field(os, "value", m.value);
-    append_field(os, "sum", m.sum);
-    os << ",\"bounds\":[";
+    if (i) out += ',';
+    out += "{\"name\":\"";
+    append_escaped(out, m.name);
+    out += "\",\"kind\":";
+    append_u64(out, static_cast<std::uint64_t>(m.kind));
+    append_field(out, "value", m.value);
+    append_field(out, "sum", m.sum);
+    out += ",\"bounds\":[";
     for (std::size_t j = 0; j < m.bounds.size(); ++j) {
-      if (j) os << ',';
-      append_double(os, m.bounds[j]);
+      if (j) out += ',';
+      append_double(out, m.bounds[j]);
     }
-    os << "],\"buckets\":[";
+    out += "],\"buckets\":[";
     for (std::size_t j = 0; j < m.buckets.size(); ++j) {
-      if (j) os << ',';
-      os << m.buckets[j];
+      if (j) out += ',';
+      append_u64(out, m.buckets[j]);
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 bool result_from_json(const std::string& json, ExperimentResult* out) {
   ExperimentResult r;
   JsonReader rd(json);
   if (!rd.consume('{')) return false;
-  if (!read_double_field(rd, "cov", &r.cov)) return false;
-  if (!read_double_field(rd, "poisson_cov", &r.poisson_cov)) return false;
-  if (!read_double_field(rd, "mean_per_bin", &r.mean_per_bin)) return false;
-  if (!read_u64_field(rd, "app_generated", &r.app_generated)) return false;
-  if (!read_u64_field(rd, "delivered", &r.delivered)) return false;
-  if (!read_u64_field(rd, "gw_arrivals", &r.gw_arrivals)) return false;
-  if (!read_u64_field(rd, "gw_drops", &r.gw_drops)) return false;
-  if (!read_double_field(rd, "loss_pct", &r.loss_pct)) return false;
-  if (!read_u64_field(rd, "timeouts", &r.timeouts)) return false;
-  if (!read_u64_field(rd, "fast_retransmits", &r.fast_retransmits)) {
-    return false;
-  }
-  if (!read_u64_field(rd, "dupacks", &r.dupacks)) return false;
-  if (!read_u64_field(rd, "retransmits", &r.retransmits)) return false;
-  if (!read_u64_field(rd, "data_pkts_sent", &r.data_pkts_sent)) return false;
-  if (!read_double_field(rd, "timeout_dupack_ratio", &r.timeout_dupack_ratio)) {
-    return false;
-  }
-  if (!read_double_field(rd, "fairness", &r.fairness)) return false;
-  if (!read_u64_field(rd, "routing_errors", &r.routing_errors)) return false;
-  if (!read_u64_field(rd, "sim_events", &r.sim_events)) return false;
-  if (!read_u64_field(rd, "peak_pending", &r.peak_pending)) return false;
+  bool ok = true;
+  for_each_result_field(r, [&](const ResultField& f, auto& v) {
+    ok = ok && read_field(rd, f.name, &v);
+  });
+  if (!ok) return false;
 
   // delay accumulator.
   rd.consume(',');
@@ -265,11 +215,11 @@ bool result_from_json(const std::string& json, ExperimentResult* out) {
   }
   std::uint64_t n = 0;
   double mean = 0, m2 = 0, dmin = 0, dmax = 0;
-  if (!read_u64_field(rd, "n", &n)) return false;
-  if (!read_double_field(rd, "mean", &mean)) return false;
-  if (!read_double_field(rd, "m2", &m2)) return false;
-  if (!read_double_field(rd, "min", &dmin)) return false;
-  if (!read_double_field(rd, "max", &dmax)) return false;
+  if (!read_field(rd, "n", &n)) return false;
+  if (!read_field(rd, "mean", &mean)) return false;
+  if (!read_field(rd, "m2", &m2)) return false;
+  if (!read_field(rd, "min", &dmin)) return false;
+  if (!read_field(rd, "max", &dmax)) return false;
   if (!rd.consume('}')) return false;
   r.delay = RunningStats::from_moments(n, mean, m2, dmin, dmax);
 
@@ -327,10 +277,10 @@ bool result_from_json(const std::string& json, ExperimentResult* out) {
       return false;
     }
     std::uint64_t kind = 0;
-    if (!read_u64_field(rd, "kind", &kind) || kind > 2) return false;
+    if (!read_field(rd, "kind", &kind) || kind > 2) return false;
     m.kind = static_cast<MetricKind>(kind);
-    if (!read_double_field(rd, "value", &m.value)) return false;
-    if (!read_double_field(rd, "sum", &m.sum)) return false;
+    if (!read_field(rd, "value", &m.value)) return false;
+    if (!read_field(rd, "sum", &m.sum)) return false;
     rd.consume(',');
     if (!rd.read_string(&key) || key != "bounds" || !rd.consume(':') ||
         !rd.consume('[')) {

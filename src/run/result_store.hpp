@@ -24,9 +24,12 @@
 // what makes resume after a killed worker pick up exactly the unfinished
 // points.
 //
-// The stored JSON covers every metric of ExperimentResult except the
-// embedded Scenario — the key already binds the result to its scenario,
-// and the campaign layer re-attaches the Scenario it planned with.
+// The stored JSON holds the field list's scalars (for_each_result_field,
+// in list order), the delay moments, the cwnd traces and the metrics
+// snapshot. It leaves out the embedded Scenario — the key already binds
+// the result to its scenario, and the campaign layer re-attaches the
+// Scenario it planned with — and the machine-dependent wall clock and
+// per-LP profile.
 #pragma once
 
 #include <array>
@@ -42,9 +45,9 @@
 
 namespace burst {
 
-/// Serializes every metric of @p r (not the Scenario) as one JSON object.
-/// Doubles are printed with round-trip precision so a cached result is
-/// bit-identical to the fresh one.
+/// Serializes the stored part of @p r (see above) as one JSON object.
+/// Doubles are printed with round-trip precision (obs_format) so a cached
+/// result is bit-identical to the fresh one.
 std::string result_to_json(const ExperimentResult& r);
 
 /// Parses result_to_json output. Returns false on malformed/truncated

@@ -341,20 +341,7 @@ void TopoNet::register_metrics(MetricsRegistry& registry,
   registry.add_counter(lp + ".delivered", measured_->delivered());
   registry.add_counter(lp + ".bytes_delivered", measured_->bytes_delivered());
 
-  TcpSenderStats tx;
-  for (const auto& a : senders_) {
-    if (const auto* tcp = dynamic_cast<const TcpSender*>(a.get())) {
-      const TcpSenderStats& st = tcp->stats();
-      tx.app_packets += st.app_packets;
-      tx.data_pkts_sent += st.data_pkts_sent;
-      tx.retransmits += st.retransmits;
-      tx.timeouts += st.timeouts;
-      tx.fast_retransmits += st.fast_retransmits;
-      tx.dupacks += st.dupacks;
-      tx.new_acks += st.new_acks;
-      tx.rtt_samples += st.rtt_samples;
-    }
-  }
+  const TcpSenderStats tx = sender_totals();
   registry.add_counter("tcp.app_packets", tx.app_packets);
   registry.add_counter("tcp.data_pkts_sent", tx.data_pkts_sent);
   registry.add_counter("tcp.retransmits", tx.retransmits);
@@ -382,6 +369,26 @@ void TopoNet::register_metrics(MetricsRegistry& registry,
   registry.add_counter("sink.out_of_order", rx.out_of_order);
   registry.add_counter("sink.acks_sent", rx.acks_sent);
   registry.add_counter("sink.dup_acks_sent", rx.dup_acks_sent);
+}
+
+TcpSenderStats TopoNet::sender_totals() const {
+  TcpSenderStats tx;
+  for (const auto& a : senders_) {
+    if (const auto* tcp = dynamic_cast<const TcpSender*>(a.get())) {
+      const TcpSenderStats& st = tcp->stats();
+      tx.app_packets += st.app_packets;
+      tx.data_pkts_sent += st.data_pkts_sent;
+      tx.retransmits += st.retransmits;
+      tx.timeouts += st.timeouts;
+      tx.fast_retransmits += st.fast_retransmits;
+      tx.dupacks += st.dupacks;
+      tx.new_acks += st.new_acks;
+      tx.rtt_samples += st.rtt_samples;
+      tx.ecn_echoes += st.ecn_echoes;
+      tx.ecn_reductions += st.ecn_reductions;
+    }
+  }
+  return tx;
 }
 
 TcpSender* TopoNet::tcp_sender(int i) {

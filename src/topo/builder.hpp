@@ -99,9 +99,13 @@ class TopoNet {
   }
 
   /// Registers measured-queue/link counters (under @p names) plus the
-  /// aggregate tcp.* / sink.* counters. Values are captured at the call.
+  /// aggregate tcp.* (sender_totals) / sink.* counters. Values are
+  /// captured at the call.
   void register_metrics(MetricsRegistry& registry,
                         const TopoMetricNames& names = {}) const;
+
+  /// Every TCP sender's counters, summed (UDP flows contribute nothing).
+  TcpSenderStats sender_totals() const;
 
   int num_flows() const { return static_cast<int>(senders_.size()); }
 

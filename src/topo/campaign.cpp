@@ -108,7 +108,7 @@ std::optional<TopoCampaignOutput> run_topo_campaign(
   const auto t0 = std::chrono::steady_clock::now();
   TopoCampaignOutput out;
   out.name = spec.name;
-  double (*metric)(const ExperimentResult&) = campaign_metric(spec.metric);
+  const ResultMetric metric = campaign_metric(spec.metric);
   if (!metric) {
     camp_fail(err, 0, 0, "unknown metric '" + spec.metric + "'");
     return std::nullopt;

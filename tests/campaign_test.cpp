@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "src/run/result_store.hpp"
@@ -275,6 +276,24 @@ TEST(CampaignMetric, ResolvesEveryTableName) {
     ASSERT_NE(metric, nullptr) << name;
     EXPECT_EQ(metric(r), expected) << name;
   }
+
+  // Every result field list entry is a metric, and it reads its own
+  // member: numbered 1, 2, ... in list order, no two read alike.
+  ExperimentResult numbered;
+  double next = 1.0;
+  for_each_result_field(numbered, [&next](const ResultField&, auto& member) {
+    member = static_cast<std::decay_t<decltype(member)>>(next++);
+  });
+  std::size_t fields = 0;
+  for_each_result_field(
+      numbered, [&](const ResultField& f, const auto& member) {
+        ++fields;
+        const auto metric = campaign_metric(f.name);
+        ASSERT_NE(metric, nullptr) << f.name;
+        EXPECT_EQ(metric(numbered), static_cast<double>(member)) << f.name;
+      });
+  EXPECT_EQ(fields, 18u);
+
   EXPECT_EQ(campaign_metric("nope"), nullptr);
   EXPECT_EQ(campaign_metric(""), nullptr);
   EXPECT_EQ(campaign_metric("COV"), nullptr);  // names are case-sensitive
@@ -452,13 +471,13 @@ TEST(CampaignPoints, LpTotalsSumThePerRunLpEvents) {
   run_campaign_points(sequential, {}, &seq);
 
   for (const ExperimentResult& r : results) EXPECT_EQ(r.lp_shards, 2);
-  ASSERT_EQ(par.lp_phases.size(), 2u);
+  ASSERT_EQ(par.lp_stats.size(), 2u);
   std::uint64_t lp_events = 0;
-  for (const LpPhase& p : par.lp_phases) lp_events += p.events;
+  for (const LpStats& p : par.lp_stats) lp_events += p.events;
   EXPECT_EQ(lp_events, par.sim_events);
   // The conservative engine executes exactly the sequential event count.
   EXPECT_EQ(par.sim_events, seq.sim_events);
-  EXPECT_TRUE(seq.lp_phases.empty());
+  EXPECT_TRUE(seq.lp_stats.empty());
 }
 
 TEST(CampaignPoints, EmptyPlanSimulatesNothing) {
@@ -472,7 +491,7 @@ TEST(CampaignPoints, EmptyPlanSimulatesNothing) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.simulated, 0u);
   EXPECT_EQ(stats.sim_events, 0u);
-  EXPECT_TRUE(stats.lp_phases.empty());
+  EXPECT_TRUE(stats.lp_stats.empty());
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/core/experiment.hpp"
 #include "src/run/result_store.hpp"
@@ -65,35 +67,53 @@ TEST(MetricsRegistry, HistogramRelookupReturnsSameInstance) {
 }
 
 // The snapshot a run produces is a pure function of the scenario: two
-// identical runs yield equal (operator==) snapshots, and the counters
-// agree with the top-level result fields they mirror.
+// identical runs yield equal (operator==) snapshots, and every headline
+// counter equals the metric it mirrors, sequentially and on 2 LPs. The
+// N=15 run has losses, timeouts and duplicate ACKs, so no pair is 0 = 0.
 TEST(MetricsExperiment, SnapshotIsDeterministicAndConsistent) {
   Scenario sc = Scenario::paper_default();
   sc.num_clients = 15;
   sc.duration = 2.0;
 
-  const ExperimentResult a = run_experiment(sc);
-  const ExperimentResult b = run_experiment(sc);
-  EXPECT_FALSE(a.metrics.points.empty());
-  EXPECT_EQ(a.metrics, b.metrics);
+  for (const int lp : {1, 2}) {
+    SCOPED_TRACE("lp_shards " + std::to_string(lp));
+    ExperimentOptions opts;
+    opts.lp_shards = lp;
+    const ExperimentResult a = run_experiment(sc, opts);
+    const ExperimentResult b = run_experiment(sc, opts);
+    EXPECT_EQ(a.lp_shards, lp);
+    EXPECT_FALSE(a.metrics.points.empty());
+    EXPECT_EQ(a.metrics, b.metrics);
+    EXPECT_GT(a.gw_drops, 0u);
+    EXPECT_GT(a.timeouts, 0u);
+    EXPECT_GT(a.dupacks, 0u);
 
-  const MetricPoint* arrivals = a.metrics.find("queue.gateway.arrivals");
-  ASSERT_NE(arrivals, nullptr);
-  EXPECT_DOUBLE_EQ(arrivals->value, static_cast<double>(a.gw_arrivals));
-  const MetricPoint* drops = a.metrics.find("queue.gateway.drops");
-  ASSERT_NE(drops, nullptr);
-  EXPECT_DOUBLE_EQ(drops->value, static_cast<double>(a.gw_drops));
-  const MetricPoint* events = a.metrics.find("sched.events");
-  ASSERT_NE(events, nullptr);
-  EXPECT_DOUBLE_EQ(events->value, static_cast<double>(a.sim_events));
+    const std::pair<const char*, std::uint64_t> twins[] = {
+        {"queue.gateway.arrivals", a.gw_arrivals},
+        {"queue.gateway.drops", a.gw_drops},
+        {"tcp.timeouts", a.timeouts},
+        {"tcp.fast_retransmits", a.fast_retransmits},
+        {"tcp.dupacks", a.dupacks},
+        {"tcp.retransmits", a.retransmits},
+        {"tcp.data_pkts_sent", a.data_pkts_sent},
+        {"sched.events", a.sim_events},
+        {"sched.peak_pending", a.peak_pending}};
+    for (const auto& [name, value] : twins) {
+      const MetricPoint* m = a.metrics.find(name);
+      ASSERT_NE(m, nullptr) << name;
+      EXPECT_EQ(m->kind, MetricKind::kCounter) << name;
+      EXPECT_EQ(m->value, static_cast<double>(value)) << name;
+    }
 
-  // The PASTA queue-occupancy histogram saw every data arrival the queue
-  // counted (its samples are taken from the bottleneck arrival tap).
-  const MetricPoint* qlen =
-      a.metrics.find("queue.gateway.len_at_arrival");
-  ASSERT_NE(qlen, nullptr);
-  EXPECT_EQ(qlen->kind, MetricKind::kHistogram);
-  EXPECT_GT(qlen->value, 0.0);
+    // The PASTA queue-occupancy histogram saw every data arrival the
+    // queue counted (its samples are taken from the bottleneck arrival
+    // tap).
+    const MetricPoint* qlen =
+        a.metrics.find("queue.gateway.len_at_arrival");
+    ASSERT_NE(qlen, nullptr);
+    EXPECT_EQ(qlen->kind, MetricKind::kHistogram);
+    EXPECT_GT(qlen->value, 0.0);
+  }
 }
 
 // Schema v3: the snapshot survives the result store's JSON round trip

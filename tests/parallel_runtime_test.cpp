@@ -281,9 +281,9 @@ TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
       // 1:1, so the total event count matches the sequential engine
       // exactly — not approximately.
       EXPECT_EQ(a.sim_events, b.sim_events) << "lp=" << shards;
-      EXPECT_EQ(static_cast<std::size_t>(shards), b.lp_phases.size());
+      EXPECT_EQ(static_cast<std::size_t>(shards), b.lp_stats.size());
       std::uint64_t lp_events = 0;
-      for (const LpPhase& p : b.lp_phases) lp_events += p.events;
+      for (const LpStats& p : b.lp_stats) lp_events += p.events;
       EXPECT_EQ(lp_events, b.sim_events);
     }
   }
@@ -306,7 +306,7 @@ TEST(ParallelEquivalence, CwndTracedRunsShardAndMatchLp1) {
       opt.lp_shards = shards;
       const ExperimentResult r = run_experiment(sc, opt);
       EXPECT_EQ(r.lp_shards, shards) << "request was not honored";
-      EXPECT_EQ(r.lp_phases.size(), static_cast<std::size_t>(shards));
+      EXPECT_EQ(r.lp_stats.size(), static_cast<std::size_t>(shards));
       EXPECT_EQ(canon(lp1), canon(r)) << "lp=" << shards;
       EXPECT_EQ(lp1.sim_events, r.sim_events) << "lp=" << shards;
       ASSERT_EQ(r.cwnd_traces.size(), lp1.cwnd_traces.size());

@@ -35,17 +35,15 @@ struct ReorderHarness {
     ba.set_receiver([this](const Packet& p) { a.receive(p); });
     b.add_route(Node::kDefaultRoute, &ba);
     sink = std::make_unique<TcpSink>(sim, b, 0, 0, sink_cfg);
-    // Forward "link": direct delivery with fixed latency, but hold every
-    // swap_every-th data packet back one packet.
-    a.add_route(Node::kDefaultRoute, nullptr);  // replaced below
   }
 
   // Installs the reordering forward path; must be called after the sender
   // exists (gmock-free manual wiring).
   void wire(TcpSender* s) {
     sender.reset(s);
-    // Intercept at the node level: replace the route with a tiny shim link
-    // that delivers through our reordering function.
+    // Intercept at the node level: route through a tiny shim link that
+    // delivers through our reordering function, holding every
+    // swap_every-th data packet back one packet.
     static_link = std::make_unique<SimplexLink>(
         sim, std::make_unique<DropTailQueue>(10000), 10e6, 0.010);
     static_link->set_receiver([this](const Packet& p) { deliver(p); });

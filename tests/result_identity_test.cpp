@@ -5,9 +5,8 @@
 // metric arithmetic.
 //
 // The canonical rendering below covers every deterministic metric of
-// ExperimentResult (hexfloat doubles, so the text is bit-exact). Wall-clock
-// performance counters (sim_wall_s, events_per_sec) are intentionally
-// excluded. To re-pin after an *intentional* semantic change, run with
+// ExperimentResult (hexfloat doubles, so the text is bit-exact). The
+// wall-clock performance counter (sim_wall_s) is intentionally excluded. To re-pin after an *intentional* semantic change, run with
 // --gtest_also_run_disabled_tests=0 as usual: each failure message prints
 // the new hash; update the table and record the reason in the PR.
 //

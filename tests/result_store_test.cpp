@@ -88,6 +88,58 @@ TEST(ResultJson, RoundTripsBitIdentically) {
   EXPECT_EQ(result_to_json(back), json);
 }
 
+// A result that reaches every branch of the writer: all 18 scalars, a
+// delay with samples, a cwnd trace whose name needs escaping, and a
+// counter, a gauge and a histogram metric.
+ExperimentResult frozen_result() {
+  ExperimentResult r = sample_result();
+  r.routing_errors = 3;
+  TraceSeries odd("say \"hi\" \\ \x01 end");
+  odd.record(0.0, -0.0);
+  odd.record(1e-7, 1e21);
+  r.cwnd_traces.push_back(odd);
+  MetricsRegistry reg;
+  reg.add_counter("tcp.dupacks", 1234);
+  reg.add_gauge("parallel.lookahead", 0.02);
+  Histogram& h = reg.histogram("queue.gateway.len_at_arrival", {0, 1, 2, 4});
+  for (double v : {0.0, 1.0, 3.0, 9.0}) h.add(v);
+  r.metrics = reg.snapshot();
+  return r;
+}
+
+// The exact bytes of frozen_result()'s store line. Stores already on disk
+// must keep loading and re-serializing to the same bytes, and the
+// round-trip tests alone would pass a formatter change that alters the
+// writer and the reader at once.
+constexpr const char* kFrozenLine =
+    R"({"cov":0.31415926535897931,"poisson_cov":0.33333333333333331,)"
+    R"("mean_per_bin":309.66666666666663,"app_generated":16211,)"
+    R"("delivered":8487,"gw_arrivals":8989,"gw_drops":234,)"
+    R"("loss_pct":2.6031816664812548,"timeouts":52,"fast_retransmits":81,)"
+    R"("dupacks":1234,"retransmits":140,"data_pkts_sent":9000,)"
+    R"("timeout_dupack_ratio":0.042139384116693678,)"
+    R"("fairness":0.98765432109876539,"routing_errors":3,)"
+    R"("sim_events":368516,"peak_pending":73,)"
+    R"("delay":{"n":4,"mean":0.09325,"m2":0.0010485299999999998,)"
+    R"("min":0.080500000000000002,"max":0.1203},)"
+    R"("cwnd_traces":[{"name":"client 3","points":[[0.10000000000000001,1],)"
+    R"([0.20000000000000001,2],[0.30000000000000004,4]]},)"
+    R"({"name":"say \"hi\" \\   end","points":[[0,-0],)"
+    R"([9.9999999999999995e-08,1e+21]]}],)"
+    R"("metrics":[{"name":"parallel.lookahead","kind":1,"value":0.02,)"
+    R"("sum":0,"bounds":[],"buckets":[]},)"
+    R"({"name":"queue.gateway.len_at_arrival","kind":2,"value":4,"sum":13,)"
+    R"("bounds":[0,1,2,4],"buckets":[1,1,0,1,1]},)"
+    R"({"name":"tcp.dupacks","kind":0,"value":1234,"sum":0,"bounds":[],)"
+    R"("buckets":[]}]})";
+
+TEST(ResultJson, MatchesTheFrozenStoreLine) {
+  EXPECT_EQ(result_to_json(frozen_result()), kFrozenLine);
+  ExperimentResult back;
+  ASSERT_TRUE(result_from_json(kFrozenLine, &back));
+  EXPECT_EQ(result_to_json(back), kFrozenLine);
+}
+
 TEST(ResultJson, RejectsEveryTruncation) {
   const std::string json = result_to_json(sample_result());
   ExperimentResult out;

@@ -72,6 +72,12 @@ TEST(TopoCampaign, ParsesTheCampFormat) {
                           &err));
   EXPECT_EQ(err.line, 2);
   EXPECT_NE(err.message.find("bogus"), std::string::npos);
+  // Every result field is a metric, Fig 13's denominator included.
+  TopoCampaignSpec dupacks;
+  EXPECT_TRUE(parse_camp("scenario a.topo\nmetric dupacks\n", "x", dir,
+                         &dupacks, &err))
+      << err.message;
+  EXPECT_EQ(dupacks.metric, "dupacks");
   EXPECT_FALSE(parse_camp("sweep clients 1\n", "x", dir, &bad, &err));
   EXPECT_NE(err.message.find("no scenario"), std::string::npos);
   EXPECT_FALSE(parse_camp("frobnicate\n", "x", dir, &bad, &err));

@@ -80,8 +80,9 @@ void append_engine_rows(const burst::CampaignStats& st, bool profile,
                fmt(total > 0.0 ? 100.0 * s / total : 0.0, 1) + " %)"});
     }
   }
-  for (const LpPhase& p : st.lp_phases) {
-    rows->push_back({"lp " + std::to_string(p.lp),
+  for (std::size_t lp = 0; lp < st.lp_stats.size(); ++lp) {
+    const LpStats& p = st.lp_stats[lp];
+    rows->push_back({"lp " + std::to_string(lp),
                      std::to_string(p.events) + " events, run " +
                          fmt(p.run_s, 2) + " s, barrier wait " +
                          fmt(p.wait_s, 2) + " s"});

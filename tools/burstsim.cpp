@@ -3,6 +3,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/cli.hpp"
@@ -15,34 +16,34 @@
 
 namespace {
 
-// Per-LP phase breakdown: where each logical process spent its wall clock
+// Per-LP breakdown: where each logical process spent its wall clock
 // (processing events vs blocked at window barriers) plus the channel and
-// merge high-water marks. Sequential runs carry no lp_phases; with
+// merge high-water marks. Sequential runs carry no lp_stats; with
 // --profile we synthesize the degenerate one-LP row (windows=0) so
 // scripts can parse the same table shape at any --lp.
-void print_lp_phases(std::ostream& os, const burst::ExperimentResult& r,
-                     bool force) {
-  std::vector<burst::LpPhase> phases = r.lp_phases;
-  if (phases.empty()) {
+void print_lp_stats(std::ostream& os, const burst::ExperimentResult& r,
+                    bool force) {
+  std::vector<burst::LpStats> stats = r.lp_stats;
+  if (stats.empty()) {
     if (!force) return;
-    burst::LpPhase p;
-    p.lp = 0;
-    p.events = r.sim_events;
-    p.run_s = r.sim_wall_s;
-    phases.push_back(p);
+    burst::LpStats s;
+    s.events = r.sim_events;
+    s.run_s = r.sim_wall_s;
+    stats.push_back(s);
   }
   std::vector<std::vector<std::string>> rows;
-  for (const burst::LpPhase& p : phases) {
-    rows.push_back({"LP " + std::to_string(p.lp), std::to_string(p.events),
-                    std::to_string(p.windows),
-                    std::to_string(p.msgs_in) + " / " +
-                        std::to_string(p.msgs_out),
-                    std::to_string(p.merge_high_water),
-                    std::to_string(p.chan_high_water) + " / " +
-                        std::to_string(p.chan_overflows),
-                    burst::fmt(p.horizon_advance_mean, 4) + " s",
-                    burst::fmt(p.run_s, 3) + " s",
-                    burst::fmt(p.wait_s, 3) + " s"});
+  for (std::size_t lp = 0; lp < stats.size(); ++lp) {
+    const burst::LpStats& s = stats[lp];
+    rows.push_back({"LP " + std::to_string(lp), std::to_string(s.events),
+                    std::to_string(s.windows),
+                    std::to_string(s.msgs_in) + " / " +
+                        std::to_string(s.msgs_out),
+                    std::to_string(s.merge_high_water),
+                    std::to_string(s.chan_high_water) + " / " +
+                        std::to_string(s.chan_overflows),
+                    burst::fmt(burst::horizon_advance_mean(s), 4) + " s",
+                    burst::fmt(s.run_s, 3) + " s",
+                    burst::fmt(s.wait_s, 3) + " s"});
   }
   os << '\n' << "parallel engine: " << r.lp_shards << " LP"
      << (r.lp_shards == 1 ? "" : "s") << "\n";
@@ -125,24 +126,16 @@ int main(int argc, char** argv) {
             << "\nfingerprint: " << topo_key(spec).hex() << "\n";
   const ExperimentResult r = run_experiment(spec, request->options);
 
-  print_table(
-      std::cout, {"metric", "value"},
-      {
-          {"c.o.v. of gateway arrivals per RTT", fmt(r.cov, 4)},
-          {"analytic Poisson c.o.v.", fmt(r.poisson_cov, 4)},
-          {"application packets generated", std::to_string(r.app_generated)},
-          {"packets delivered in order", std::to_string(r.delivered)},
-          {"gateway arrivals / drops",
-           std::to_string(r.gw_arrivals) + " / " + std::to_string(r.gw_drops)},
-          {"packet loss", fmt(r.loss_pct, 2) + " %"},
-          {"timeouts / fast retransmits",
-           std::to_string(r.timeouts) + " / " +
-               std::to_string(r.fast_retransmits)},
-          {"duplicate ACKs received", std::to_string(r.dupacks)},
-          {"Jain fairness", fmt(r.fairness, 4)},
-          {"routing errors", std::to_string(r.routing_errors)},
-      });
-  print_lp_phases(std::cout, r, request->profile);
+  std::vector<std::vector<std::string>> rows;
+  for_each_result_field(r, [&rows](const ResultField& f, const auto& v) {
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
+      rows.push_back({f.label, fmt(v, f.digits)});
+    } else {
+      rows.push_back({f.label, std::to_string(v)});
+    }
+  });
+  print_table(std::cout, {"metric", "value"}, rows);
+  print_lp_stats(std::cout, r, request->profile);
 
   if (!request->options.trace_clients.empty()) {
     std::cout << '\n';
@@ -176,7 +169,7 @@ int main(int argc, char** argv) {
     if (r.lp_shards > 1 && !r.lp_windows.empty()) {
       const std::string path = request->trace_path + ".runtime.perfetto.json";
       std::ofstream out(path, std::ios::trunc);
-      if (!out || !write_runtime_trace(out, r.lp_phases, r.lp_windows) ||
+      if (!out || !write_runtime_trace(out, r.lp_stats, r.lp_windows) ||
           !out.flush()) {
         std::cerr << "burstsim: could not write " << path << "\n";
         return 1;
