@@ -51,12 +51,11 @@ std::vector<SweepSeries> figure_sweep(const std::string& name,
     std::exit(2);
   }
 
+  const char* cache = std::getenv("BURST_CACHE_DIR");
+  const std::string cache_dir = cache != nullptr ? cache : "";
   CampaignOptions opts;
-  if (const char* cache = std::getenv("BURST_CACHE_DIR")) {
-    opts.cache_dir = cache;
-  }
-  opts.use_cache = std::getenv("BURST_NO_CACHE") == nullptr;
-  opts.log = opts.cache_dir.empty() ? nullptr : &std::cerr;
+  if (std::getenv("BURST_NO_CACHE") == nullptr) opts.cache_dir = cache_dir;
+  opts.log = cache_dir.empty() ? nullptr : &std::cerr;
   std::vector<SweepSeries> series =
       run_campaign({*sweep}, opts).sweeps.front().second;
 

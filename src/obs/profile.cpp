@@ -2,7 +2,6 @@
 
 namespace burst {
 
-thread_local Profiler* Profiler::current_ = nullptr;
 std::atomic<int> Profiler::active_count_{0};
 
 std::string_view to_string(ProfilePhase p) {

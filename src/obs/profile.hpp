@@ -106,7 +106,11 @@ class Profiler {
     last_ = now;
   }
 
-  static thread_local Profiler* current_;
+  // Inline and constant-initialized, so every access is a plain TLS load.
+  // Declared here and defined out of line, other files reach it through a
+  // TLS wrapper whose init-function test GCC 12's UBSan misreports as a
+  // null-pointer load.
+  static inline thread_local Profiler* current_ = nullptr;
   static std::atomic<int> active_count_;  // threads with a profiler
   std::array<std::uint64_t, kProfilePhases> ns_{};
   ProfilePhase phase_ = ProfilePhase::kOther;

@@ -16,6 +16,7 @@
 
 #include "src/core/report.hpp"
 #include "src/obs/format.hpp"
+#include "src/run/executor.hpp"
 #include "src/run/result_store.hpp"
 
 #ifndef BURST_VERSION_STRING
@@ -77,7 +78,7 @@ std::vector<ExperimentResult> run_campaign_points(
 
   // ---- Probe the cache. -----------------------------------------------
   std::unique_ptr<ResultStore> store;
-  if (opts.use_cache && !opts.cache_dir.empty()) {
+  if (!opts.cache_dir.empty()) {
     store = std::make_unique<ResultStore>(opts.cache_dir);
     st.store_skipped = store->skipped_entries();
   }
@@ -108,7 +109,6 @@ std::vector<ExperimentResult> run_campaign_points(
           std::min<std::size_t>(std::max(1u, std::thread::hardware_concurrency()),
                                 misses.size()));
     }
-    Executor executor(threads);
     // Live counters fed by completing tasks; the progress callback reads
     // them to report a running events/s (simulated events over elapsed
     // wall), which tracks throughput even when task sizes are skewed.
@@ -172,41 +172,28 @@ std::vector<ExperimentResult> run_campaign_points(
       }
       simulated.fetch_add(1, std::memory_order_relaxed);
     };
-    executor.run(
-        misses.size(),
+    run_tasks(
+        misses.size(), threads,
         [&](std::size_t i) {
           const std::size_t ui = misses[i];
-          if (!store) {
-            simulate_point(ui);
+          const ScenarioKey& key = key_of(ui);
+          // Claim protocol: exactly one worker (thread here, process in
+          // the campaign farm) simulates each point; claim() waits for the
+          // one that holds it and returns false once its result is stored.
+          if (store && !store->claim(key)) {
+            results[ui] = store->get(key).value();
+            results[ui].scenario = spec_of(ui).scenario;
+            farmed.fetch_add(1, std::memory_order_relaxed);
           } else {
-            // Claim protocol: exactly one worker (thread here, process in
-            // the campaign farm) simulates each point; the rest wait for
-            // its published result instead of duplicating the work.
-            for (bool settled = false; !settled;) {
-              switch (store->try_claim(key_of(ui))) {
-                case ClaimStatus::kAcquired:
-                  simulate_point(ui);
-                  store->publish(key_of(ui), results[ui]);
-                  settled = true;
-                  break;
-                case ClaimStatus::kDone:
-                  if (auto cached = store->get(key_of(ui))) {
-                    results[ui] = std::move(*cached);
-                    results[ui].scenario = spec_of(ui).scenario;
-                    farmed.fetch_add(1, std::memory_order_relaxed);
-                  } else {
-                    // Entry vanished between claim check and get (should
-                    // not happen — the store never forgets); simulate
-                    // locally rather than hang.
-                    simulate_point(ui);
-                  }
-                  settled = true;
-                  break;
-                case ClaimStatus::kBusy:
-                  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                  break;
-              }
+            try {
+              simulate_point(ui);
+            } catch (...) {
+              // Hand the point on at once: two farm workers each holding
+              // a failed point while waiting for the other's would hang.
+              if (store) store->release(key);
+              throw;
             }
+            if (store) store->publish(key, results[ui]);
           }
           events_done.fetch_add(results[ui].sim_events,
                                 std::memory_order_relaxed);
@@ -411,8 +398,7 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
          << "  \"wall_s\": " << out.stats.wall_s << ",\n"
          << "  \"cache_dir\": " << quoted(opts.cache_dir) << ",\n"
          << "  \"cache_enabled\": "
-         << (opts.use_cache && !opts.cache_dir.empty() ? "true" : "false")
-         << ",\n"
+         << (opts.cache_dir.empty() ? "false" : "true") << ",\n"
          << "  \"stats\": {\"planned\": " << out.stats.planned
          << ", \"unique\": " << out.stats.unique
          << ", \"cache_hits\": " << out.stats.cache_hits

@@ -5,13 +5,12 @@
 // sweeps below (base scenario × configs × client counts, the paper's
 // Figs 2/3/4/13) and `.camp` files (src/topo/campaign.hpp). It
 // deduplicates points by fingerprint (scenario_key.hpp), looks them up in
-// an optional on-disk ResultStore, and simulates only the misses —
-// through the shared Executor, under the store's claim protocol so worker
-// processes sharing a cache split the work. Per-point seeds are derived
-// from values (not loop indices), so the cached and uncached paths are
-// bit-identical. The figure front end writes a per-sweep CSV plus a
-// manifest.json recording seeds, cache hit/miss counts, wall time and the
-// build version.
+// an optional on-disk ResultStore, and simulates only the misses — with
+// run_tasks, under the store's claim protocol so worker processes sharing
+// a cache split the work. Per-point seeds are derived from values (not
+// loop indices), so the cached and uncached paths are bit-identical. The
+// figure front end writes a per-sweep CSV plus a manifest.json recording
+// seeds, cache hit/miss counts, wall time and the build version.
 #pragma once
 
 #include <array>
@@ -22,7 +21,6 @@
 
 #include "src/core/sweep.hpp"
 #include "src/obs/profile.hpp"
-#include "src/run/executor.hpp"
 #include "src/topo/spec.hpp"
 
 namespace burst {
@@ -39,11 +37,9 @@ struct CampaignSweep {
 };
 
 struct CampaignOptions {
-  /// Directory holding the ResultStore; empty disables caching and
-  /// cross-worker claim coordination.
+  /// Directory holding the ResultStore; empty means no store: nothing is
+  /// read or written and no claims coordinate workers (--no-cache).
   std::string cache_dir;
-  /// --no-cache: when false, the store is neither read nor written.
-  bool use_cache = true;
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 0;
   /// Where CSVs + manifest.json go; empty disables artifacts.
@@ -112,7 +108,7 @@ struct CampaignPoint {
 ExperimentOptions campaign_run_options(const CampaignOptions& opts);
 
 /// The campaign engine: dedups @p points by key, serves what it can from
-/// the store, simulates the misses on the executor (claim-aware when a
+/// the store, simulates the misses with run_tasks (claim-aware when a
 /// cache is in use) and fills every @p stats field except wall_s — the
 /// point/hit/simulated counts, perf totals, profile and LP totals — while
 /// logging progress to opts.log. Returns one result per point, in input

@@ -1,102 +1,58 @@
 #include "src/run/executor.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace burst {
 
-Executor::Executor(unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-Executor::~Executor() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void Executor::worker_loop() {
-  std::uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lk(mu_);
-  while (true) {
-    work_cv_.wait(lk, [&] {
-      return shutdown_ || batch_generation_ != seen_generation;
-    });
-    if (shutdown_) return;
-    seen_generation = batch_generation_;
-    lk.unlock();
-    work_on_batch();
-    lk.lock();
-  }
-}
-
-void Executor::work_on_batch() {
-  while (true) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_acq_rel);
-    const std::size_t total = total_.load(std::memory_order_relaxed);
-    if (i >= total) return;
-    if (!cancelled()) {
+void run_tasks(std::size_t num_tasks, unsigned threads,
+               const std::function<void(std::size_t)>& task,
+               const std::function<void(const ExecutorProgress&)>& progress) {
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::size_t done = 0;            // guarded by mu
+  std::exception_ptr first_error;  // guarded by mu
+  const auto work = [&] {
+    for (std::size_t i = next++; i < num_tasks; i = next++) {
+      std::exception_ptr error;
       try {
-        (*task_)(i);
+        task(i);
       } catch (...) {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lk(mu);
+      if (error && !first_error) first_error = error;
+      ++done;
+      if (progress) {
+        ExecutorProgress p;
+        p.done = done;
+        p.total = num_tasks;
+        p.elapsed_s = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+        p.eta_s = p.elapsed_s * static_cast<double>(p.total - p.done) /
+                  static_cast<double>(p.done);
+        p.tasks_per_sec = p.elapsed_s > 0.0
+                              ? static_cast<double>(p.done) / p.elapsed_s
+                              : 0.0;
+        progress(p);
       }
     }
-    std::lock_guard<std::mutex> lk(mu_);
-    ++finished_;
-    if (progress_) {
-      ExecutorProgress p;
-      p.done = finished_;
-      p.total = total;
-      p.elapsed_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - batch_start_)
-                        .count();
-      p.eta_s = p.done == 0
-                    ? 0.0
-                    : p.elapsed_s *
-                          static_cast<double>(p.total - p.done) /
-                          static_cast<double>(p.done);
-      p.tasks_per_sec =
-          p.elapsed_s > 0.0 ? static_cast<double>(p.done) / p.elapsed_s : 0.0;
-      (*progress_)(p);
-    }
-    if (finished_ == total) done_cv_.notify_all();
+  };
+  {
+    // jthreads join on scope exit, also if starting a later one throws.
+    std::vector<std::jthread> pool;
+    const std::size_t n =
+        std::min<std::size_t>(std::max(1u, threads), num_tasks);
+    for (std::size_t t = 0; t < n; ++t) pool.emplace_back(work);
   }
-}
-
-void Executor::run(std::size_t num_tasks,
-                   const std::function<void(std::size_t)>& task,
-                   const std::function<void(const ExecutorProgress&)>& progress) {
-  if (num_tasks == 0) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  total_.store(num_tasks, std::memory_order_relaxed);
-  task_ = &task;
-  progress_ = progress ? &progress : nullptr;
-  finished_ = 0;
-  first_error_ = nullptr;
-  cancelled_.store(false, std::memory_order_relaxed);
-  // Release: claims ordered after the batch fields above are visible.
-  next_.store(0, std::memory_order_release);
-  batch_start_ = std::chrono::steady_clock::now();
-  ++batch_generation_;
-  work_cv_.notify_all();
-  done_cv_.wait(lk, [&] { return finished_ == num_tasks; });
-  task_ = nullptr;
-  progress_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace burst

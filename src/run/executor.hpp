@@ -1,27 +1,19 @@
-// A reusable worker pool for embarrassingly-parallel simulation batches.
+// Runs one batch of independent simulation tasks on threads started for
+// the call.
 //
-// Work distribution is an atomic claim counter over the task index space
-// (the degenerate-but-optimal form of work stealing for a flat batch:
-// every idle worker "steals" the next unclaimed index, so load imbalance
-// is bounded by one task). Threads persist across run() calls, so a
-// campaign of many batches pays thread start-up once.
+// Work distribution is an atomic counter over the task index space: every
+// idle thread takes the next unstarted index, so load imbalance is bounded
+// by one task. A campaign runs one batch, so the threads live exactly as
+// long as the call.
 //
-// Determinism: tasks are identified by index, never by worker thread, so
-// any per-task randomness must be derived from the index (see
-// derive_seed in scenario_key.hpp). Results are written by index too —
-// thread count and scheduling cannot change the output.
+// Determinism: tasks are identified by index, never by thread, so any
+// per-task randomness must be derived from the index (see derive_seed in
+// scenario_key.hpp). Results are written by index too — thread count and
+// scheduling cannot change the output.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace burst {
 
@@ -36,58 +28,13 @@ struct ExecutorProgress {
   double tasks_per_sec = 0.0;
 };
 
-class Executor {
- public:
-  /// @p num_threads 0 means std::thread::hardware_concurrency().
-  explicit Executor(unsigned num_threads = 0);
-  ~Executor();
-
-  Executor(const Executor&) = delete;
-  Executor& operator=(const Executor&) = delete;
-
-  /// Runs task(0..num_tasks-1) across the pool and blocks until all are
-  /// finished (or cancelled). @p progress, if set, is invoked after every
-  /// task completion, serialized (never concurrently with itself). If a
-  /// task throws, the first exception is rethrown here after the batch
-  /// drains. Not reentrant: one run() at a time.
-  void run(std::size_t num_tasks, const std::function<void(std::size_t)>& task,
-           const std::function<void(const ExecutorProgress&)>& progress = {});
-
-  /// Makes workers skip tasks not yet started; run() still returns after
-  /// in-flight tasks finish. Sticky until the next run().
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  unsigned num_threads() const {
-    return static_cast<unsigned>(workers_.size());
-  }
-
- private:
-  void worker_loop();
-  void work_on_batch();
-
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // signals workers: new batch / shutdown
-  std::condition_variable done_cv_;  // signals run(): batch drained
-  std::uint64_t batch_generation_ = 0;
-  bool shutdown_ = false;
-
-  // Current batch. total_ and next_ are atomic because stale-batch
-  // workers may peek at them outside mu_; publishing a batch stores
-  // next_ with release ordering after the other fields are set, and the
-  // workers' claim fetch_add acquires it.
-  std::atomic<std::size_t> total_{0};
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  const std::function<void(const ExecutorProgress&)>* progress_ = nullptr;
-  std::chrono::steady_clock::time_point batch_start_;
-  std::atomic<std::size_t> next_{0};
-  std::size_t finished_ = 0;  // guarded by mu_
-  std::exception_ptr first_error_;  // guarded by mu_
-  std::atomic<bool> cancelled_{false};
-};
+/// Runs task(0..num_tasks-1) on min(threads, num_tasks) threads started
+/// for this call (threads 0 counts as 1) and returns once they have all
+/// joined. @p progress, if set, is invoked after every task completion,
+/// serialized (never concurrently with itself). Every task runs even if
+/// one throws; the first exception is rethrown after the threads join.
+void run_tasks(std::size_t num_tasks, unsigned threads,
+               const std::function<void(std::size_t)>& task,
+               const std::function<void(const ExecutorProgress&)>& progress = {});
 
 }  // namespace burst

@@ -7,15 +7,11 @@
 
 #include <cctype>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <type_traits>
-#include <vector>
 
 #include "src/obs/format.hpp"
 
@@ -387,24 +383,27 @@ bool pread_all(int fd, char* buf, std::size_t n, std::uint64_t off) {
 bool pwrite_all(int fd, const char* buf, std::size_t n, std::uint64_t off) {
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t put = ::pwrite(fd, buf + done, n - done,
-                                 static_cast<off_t>(off + done));
-    if (put < 0) {
+    const ssize_t wrote = ::pwrite(fd, buf + done, n - done,
+                                   static_cast<off_t>(off + done));
+    if (wrote < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    done += static_cast<std::size_t>(put);
+    done += static_cast<std::size_t>(wrote);
   }
   return true;
+}
+
+/// Takes advisory lock @p op on @p fd, blocking (retried on signals).
+void lock_fd(int fd, int op) {
+  while (::flock(fd, op) != 0 && errno == EINTR) {
+  }
 }
 
 /// RAII advisory lock on an open fd (blocking).
 class FlockGuard {
  public:
-  FlockGuard(int fd, int op) : fd_(fd) {
-    while (::flock(fd_, op) != 0 && errno == EINTR) {
-    }
-  }
+  FlockGuard(int fd, int op) : fd_(fd) { lock_fd(fd_, op); }
   ~FlockGuard() { ::flock(fd_, LOCK_UN); }
   FlockGuard(const FlockGuard&) = delete;
   FlockGuard& operator=(const FlockGuard&) = delete;
@@ -436,12 +435,13 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_, ec);
   if (ec) {
     std::cerr << "result_store: cannot create " << dir_ << ": " << ec.message()
-              << " (cache disabled for reads)\n";
+              << " (results will not be cached)\n";
     return;
   }
-  for (int seg = 0; seg < kNumSegments; ++seg) {
-    refresh_segment(seg, /*keep_dirty=*/false);
-  }
+  has_dir_ = true;
+  // A missing claims/ only means claim() has no lock to wait for.
+  std::filesystem::create_directory(dir_ + "/claims", ec);
+  for (int seg = 0; seg < kNumSegments; ++seg) read_segment(seg);
   if (skipped_ > 0) {
     std::cerr << "result_store: skipped " << skipped_
               << " corrupt/stale entr" << (skipped_ == 1 ? "y" : "ies")
@@ -450,11 +450,10 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
 }
 
 ResultStore::~ResultStore() {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!dirty_keys_.empty()) flush_locked();
+  for (const auto& [key, fd] : claims_) ::close(fd);
 }
 
-void ResultStore::refresh_segment(int seg, bool keep_dirty) {
+void ResultStore::read_segment(int seg) {
   const std::string path = segment_path(seg);
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return;  // segment not created yet
@@ -495,17 +494,9 @@ void ResultStore::refresh_segment(int seg, bool keep_dirty) {
       ++skipped_;
       continue;
     }
-    if (keep_dirty && dirty_keys_.count(key) > 0) continue;
     entries_[key] = std::move(payload);
   }
   seg_offset_[static_cast<std::size_t>(seg)] += consumed;
-}
-
-void ResultStore::refresh() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (int seg = 0; seg < kNumSegments; ++seg) {
-    refresh_segment(seg, /*keep_dirty=*/true);
-  }
 }
 
 std::optional<ExperimentResult> ResultStore::get(const ScenarioKey& key) const {
@@ -517,170 +508,93 @@ std::optional<ExperimentResult> ResultStore::get(const ScenarioKey& key) const {
   return r;
 }
 
-bool ResultStore::contains(const ScenarioKey& key) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return entries_.count(key) > 0;
-}
-
-void ResultStore::put(const ScenarioKey& key, const ExperimentResult& result) {
-  std::lock_guard<std::mutex> lk(mu_);
-  entries_[key] = result_to_json(result);
-  dirty_keys_.insert(key);
-}
-
-bool ResultStore::flush() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return flush_locked();
-}
-
-bool ResultStore::flush_locked() {
-  if (dirty_keys_.empty()) return true;
-  // Group the dirty set by segment so each segment is locked once.
-  std::array<std::vector<ScenarioKey>, kNumSegments> by_seg;
-  for (const ScenarioKey& key : dirty_keys_) {
-    by_seg[static_cast<std::size_t>(segment_of(key))].push_back(key);
+bool ResultStore::append(const ScenarioKey& key, const std::string& payload) {
+  const int seg = segment_of(key);
+  const std::string path = segment_path(seg);
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+  if (fd < 0) {
+    std::cerr << "result_store: cannot write " << path << '\n';
+    return false;
   }
-  bool ok = true;
-  for (int seg = 0; seg < kNumSegments; ++seg) {
-    auto& keys = by_seg[static_cast<std::size_t>(seg)];
-    if (keys.empty()) continue;
-    const std::string path = segment_path(seg);
-    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-    if (fd < 0) {
-      std::cerr << "result_store: cannot write " << path << '\n';
-      ok = false;
-      continue;
-    }
-    {
-      FlockGuard lock(fd, LOCK_EX);
-      struct stat st{};
-      if (::fstat(fd, &st) != 0) {
-        std::cerr << "result_store: cannot stat " << path << '\n';
-        ::close(fd);
-        ok = false;
-        continue;
-      }
+  const char* failure = nullptr;
+  {
+    FlockGuard lock(fd, LOCK_EX);
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+      failure = "cannot stat ";
+    } else {
       const std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
-      // Heal a torn final line left by a crashed writer: our batch starts
+      // Heal a torn final line left by a crashed writer: our line starts
       // with a newline so the torn bytes become one (skippable) garbage
-      // line instead of corrupting our first entry.
-      bool need_heal = false;
-      if (size > 0) {
-        char last = '\n';
-        if (pread_all(fd, &last, 1, size - 1)) need_heal = last != '\n';
+      // line instead of corrupting our entry.
+      std::string line;
+      char last = '\n';
+      if (size > 0 && pread_all(fd, &last, 1, size - 1) && last != '\n') {
+        line += '\n';
       }
-      std::string batch;
-      if (need_heal) batch += '\n';
-      for (const ScenarioKey& key : keys) {
-        batch += render_envelope(key, entries_[key]);
-      }
-      if (!pwrite_all(fd, batch.data(), batch.size(), size)) {
-        std::cerr << "result_store: short write to " << path << '\n';
-        ::close(fd);
-        ok = false;
-        continue;
-      }
-      // Skip our own bytes on the next refresh. Anything a concurrent
-      // writer appended before our lock sits below `size` and is picked
-      // up by the next refresh_segment pass, which stops at offsets, not
-      // at our entries (offset may lag but never overtakes).
-      if (seg_offset_[static_cast<std::size_t>(seg)] == size) {
-        seg_offset_[static_cast<std::size_t>(seg)] = size + batch.size();
+      line += render_envelope(key, payload);
+      if (!pwrite_all(fd, line.data(), line.size(), size)) {
+        failure = "short write to ";
+      } else {
+        // Skip our own bytes on the next read. Anything a concurrent
+        // writer appended before our lock sits below `size` and is picked
+        // up by the next read_segment pass, which stops at offsets, not
+        // at our entries (offset may lag but never overtakes).
+        std::uint64_t& off = seg_offset_[static_cast<std::size_t>(seg)];
+        if (off == size) off = size + line.size();
       }
     }
-    ::close(fd);
-    for (const ScenarioKey& key : keys) dirty_keys_.erase(key);
   }
-  return ok;
+  ::close(fd);
+  if (failure) std::cerr << "result_store: " << failure << path << '\n';
+  return failure == nullptr;
 }
 
 // ---- Claims -----------------------------------------------------------
 
-namespace {
-
-/// True when the claim at @p path no longer protects live work: its
-/// recorded pid is gone, or it stayed empty past the TTL.
-bool claim_is_stale(const std::string& path, double empty_ttl) {
-  std::ifstream in(path);
-  if (!in) return true;  // vanished: owner released it
-  std::string tag;
-  long long pid = 0;
-  if (in >> tag >> pid && tag == "pid" && pid > 0) {
-    if (::kill(static_cast<pid_t>(pid), 0) == 0) return false;  // alive
-    return errno == ESRCH;  // EPERM = alive under another uid
-  }
-  // Empty or garbled: the owner crashed between create and write, or is
-  // about to write. Give it the TTL.
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return true;
-  const double age =
-      std::difftime(std::time(nullptr), static_cast<std::time_t>(st.st_mtime));
-  return age > empty_ttl;
-}
-
-}  // namespace
-
-bool ResultStore::steal_stale_claim(const std::string& path) {
-  const std::string lock_path = dir_ + "/claims/.steal.lock";
-  const int fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) return false;
-  bool stolen = false;
-  {
-    FlockGuard lock(fd, LOCK_EX);
-    // Re-check under the lock: another worker may have stolen and
-    // re-claimed (a live claim) in the window.
-    if (claim_is_stale(path, kEmptyClaimTtl)) {
-      ::unlink(path.c_str());  // ENOENT is fine — same outcome
-      stolen = true;
-    }
-  }
-  ::close(fd);
-  return stolen;
-}
-
-ClaimStatus ResultStore::try_claim(const ScenarioKey& key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  refresh_segment(segment_of(key), /*keep_dirty=*/true);
-  if (entries_.count(key) > 0) return ClaimStatus::kDone;
-  std::error_code ec;
-  std::filesystem::create_directories(dir_ + "/claims", ec);
-  if (ec) return ClaimStatus::kBusy;
+bool ResultStore::claim(const ScenarioKey& key) {
+  const int seg = segment_of(key);
+  std::unique_lock<std::mutex> lk(mu_);
+  read_segment(seg);
+  if (entries_.count(key) > 0) return false;
   const std::string path = claim_path(key);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd >= 0) {
-      const std::string body = "pid " + std::to_string(::getpid()) + "\n";
-      if (!pwrite_all(fd, body.data(), body.size(), 0)) {
-        ::close(fd);
-        ::unlink(path.c_str());
-        return ClaimStatus::kBusy;
-      }
-      ::close(fd);
-      return ClaimStatus::kAcquired;
-    }
-    if (errno != EEXIST) return ClaimStatus::kBusy;
-    // Someone holds it. A fresh look at the store first: they may have
-    // published and released between our refresh and the open.
-    refresh_segment(segment_of(key), /*keep_dirty=*/true);
-    if (entries_.count(key) > 0) return ClaimStatus::kDone;
-    if (!claim_is_stale(path, kEmptyClaimTtl)) return ClaimStatus::kBusy;
-    if (!steal_stale_claim(path)) return ClaimStatus::kBusy;
-    // Stolen: retry the exclusive create (racing stealers converge here).
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) return true;  // no lock to wait for: simulate
+  lk.unlock();
+  lock_fd(fd, LOCK_EX);  // waits out the owner, if any
+  lk.lock();
+  read_segment(seg);
+  if (entries_.count(key) > 0) {
+    // The owner published while we waited (or before our open, which
+    // then made a fresh file). The key is stored, so the file may go.
+    ::unlink(path.c_str());
+    ::close(fd);
+    return false;
   }
-  return ClaimStatus::kBusy;
+  claims_.emplace(key, fd);
+  return true;
 }
 
 void ResultStore::publish(const ScenarioKey& key,
                           const ExperimentResult& result) {
+  std::string payload = result_to_json(result);
   std::lock_guard<std::mutex> lk(mu_);
-  entries_[key] = result_to_json(result);
-  dirty_keys_.insert(key);
-  flush_locked();
-  ::unlink(claim_path(key).c_str());
+  const bool stored = has_dir_ && append(key, payload);
+  entries_[key] = std::move(payload);
+  drop_claim(key, stored);
 }
 
-void ResultStore::abandon(const ScenarioKey& key) {
-  ::unlink(claim_path(key).c_str());
+void ResultStore::release(const ScenarioKey& key) {
+  std::lock_guard<std::mutex> lk(mu_);
+  drop_claim(key, /*stored=*/false);
+}
+
+void ResultStore::drop_claim(const ScenarioKey& key, bool stored) {
+  const auto it = claims_.find(key);
+  if (it == claims_.end()) return;
+  if (stored) ::unlink(claim_path(key).c_str());
+  ::close(it->second);
+  claims_.erase(it);
 }
 
 }  // namespace burst

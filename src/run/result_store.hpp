@@ -9,20 +9,22 @@
 // writer heals it by prefixing a newline), so a crashed writer can never
 // poison the cache. Corrupt or wrong-schema lines are counted and
 // skipped; bumping kResultSchemaVersion invalidates everything at once.
-// refresh() absorbs lines appended by other processes since open, by
-// per-segment byte offset — cheap enough to poll.
+// claim() absorbs the lines other handles appended to its key's segment
+// since open, by per-segment byte offset.
 //
-// Claims: a worker that wants to simulate key K calls try_claim(K):
-//   kDone     — K is already in the store (after a targeted refresh).
-//   kAcquired — this worker owns K: simulate, then publish() (atomic
-//               append + claim release) or abandon() on failure.
-//   kBusy     — another live worker owns K; poll refresh() until its
-//               result appears (or its claim goes stale).
-// A claim is `claims/<32 hex>.claim`, created with O_EXCL and holding the
-// owner's pid. Claims whose pid is dead — or which stayed empty longer
-// than kEmptyClaimTtl — are stolen under `claims/.steal.lock`, which is
-// what makes resume after a killed worker pick up exactly the unfinished
-// points.
+// Claims: a worker that wants key K calls claim(K).
+//   false — K is stored (perhaps after waiting for its owner to publish
+//           it): read it with get().
+//   true  — this worker owns K: simulate, then publish() it, or
+//           release() it on failure.
+// A claim is an exclusive flock on the empty file `claims/<32 hex>.claim`.
+// claim() blocks on it while another worker (thread or process) holds
+// it, and the kernel drops the lock when its owner dies, so a killed
+// worker's point is free at once. publish() appends the entry first, then
+// unlinks and closes the claim file. release(), the destructor and a
+// failed append close held claims without unlinking: a claim file goes
+// only once its key is stored, so all workers waiting on an unstored key
+// wait on one inode.
 //
 // The stored JSON holds the field list's scalars (for_each_result_field,
 // in list order), the delay moments, the cwnd traces and the metrics
@@ -38,7 +40,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/core/experiment.hpp"
 #include "src/run/scenario_key.hpp"
@@ -54,46 +55,36 @@ std::string result_to_json(const ExperimentResult& r);
 /// input; *out is untouched on failure.
 bool result_from_json(const std::string& json, ExperimentResult* out);
 
-/// Outcome of ResultStore::try_claim.
-enum class ClaimStatus { kAcquired, kBusy, kDone };
-
 class ResultStore {
  public:
   static constexpr int kNumSegments = 16;
-  /// An empty claim file (writer died between create and write) older
-  /// than this many seconds counts as stale and may be stolen.
-  static constexpr double kEmptyClaimTtl = 30.0;
 
   /// Opens (creating the directory if needed) and loads every valid
-  /// entry for the current schema version.
+  /// entry for the current schema version. A directory that cannot be
+  /// created is reported once on stderr; the handle then reads and writes
+  /// nothing, and every claim() returns true at once.
   explicit ResultStore(std::string dir);
+  /// Closes the claims this handle still holds, without unlinking them.
   ~ResultStore();
 
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
   std::optional<ExperimentResult> get(const ScenarioKey& key) const;
-  bool contains(const ScenarioKey& key) const;
 
-  /// Inserts/overwrites in memory; call flush() to persist.
-  void put(const ScenarioKey& key, const ExperimentResult& result);
-
-  /// Appends every not-yet-persisted entry to its segment (exclusive
-  /// flock, newline-heal, single write per segment). Absorbs concurrent
-  /// appends it finds along the way. Returns false on I/O failure.
-  /// No-op when nothing changed since the last flush.
-  bool flush();
-
-  /// Absorbs entries appended by other store handles (same or different
-  /// process) since open or the last refresh.
-  void refresh();
-
-  /// Claim protocol — see the header comment.
-  ClaimStatus try_claim(const ScenarioKey& key);
-  /// put() + durable append of @p key's entry + claim release.
+  /// Claim protocol — see the header comment. Blocks while another worker
+  /// holds @p key, without holding the store's mutex, so this handle's
+  /// other threads keep reading and publishing. Returns true without a
+  /// lock when the claim file cannot be opened: there is nothing to wait
+  /// for.
+  bool claim(const ScenarioKey& key);
+  /// Appends @p key's entry to its segment in one write under the
+  /// segment's exclusive flock, then closes this handle's claim on @p key,
+  /// if it holds one, unlinking its file once the entry is written.
   void publish(const ScenarioKey& key, const ExperimentResult& result);
-  /// Releases an acquired claim without publishing (simulation failed).
-  void abandon(const ScenarioKey& key);
+  /// Closes this handle's claim on @p key without publishing; the next
+  /// waiter takes the key over.
+  void release(const ScenarioKey& key);
 
   std::size_t size() const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -116,20 +107,24 @@ class ResultStore {
 
  private:
   /// Reads segment @p seg from its saved offset under a shared flock.
-  /// @p keep_dirty: don't let absorbed lines overwrite unflushed puts.
-  void refresh_segment(int seg, bool keep_dirty);
-  bool flush_locked();
-  bool steal_stale_claim(const std::string& path);
+  void read_segment(int seg);
+  /// Appends @p key's line to its segment, healing a torn tail. Returns
+  /// false (and says why on stderr) when the line was not written.
+  bool append(const ScenarioKey& key, const std::string& payload);
+  /// Closes this handle's claim on @p key, if any, unlinking its file
+  /// first when @p stored.
+  void drop_claim(const ScenarioKey& key, bool stored);
 
   /// Guards all in-memory state: campaign worker threads share one store
-  /// handle (cross-process safety comes from flock + O_EXCL claims,
-  /// cross-thread safety from this).
+  /// handle (cross-process safety comes from flock, cross-thread safety
+  /// from this).
   mutable std::mutex mu_;
   std::string dir_;
-  // Values stay serialized until asked for: cheap to load, and a flush
-  // is a straight dump of the dirty set.
+  bool has_dir_ = false;  // false: dir_ could not be created
+  // Values stay serialized until asked for: cheap to load and to append.
   std::unordered_map<ScenarioKey, std::string, ScenarioKeyHash> entries_;
-  std::unordered_set<ScenarioKey, ScenarioKeyHash> dirty_keys_;
+  // Held claims: key -> the open, exclusively flocked claim file.
+  std::unordered_map<ScenarioKey, int, ScenarioKeyHash> claims_;
   std::array<std::uint64_t, kNumSegments> seg_offset_{};
   std::size_t skipped_ = 0;
 };

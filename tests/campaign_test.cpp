@@ -6,16 +6,22 @@
 // figure set and `.camp` files.
 #include "src/run/campaign.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
 #include "src/run/result_store.hpp"
+#include "src/transport/flow_arena.hpp"
 
 namespace burst {
 namespace {
@@ -136,16 +142,22 @@ TEST(Campaign, DeduplicatesAcrossSweeps) {
   expect_identical_series(out.sweeps[0].second, out.sweeps[1].second);
 }
 
-TEST(Campaign, NoCacheOptionBypassesTheStore) {
-  const std::string cache = fresh_dir("campaign_nocache");
+TEST(Campaign, EmptyCacheDirBypassesTheStore) {
+  // burstcamp --no-cache: no cache_dir, so no store is opened or written
+  // and the manifest says so.
+  const std::string out_dir = fresh_dir("campaign_nocache");
   std::vector<CampaignSweep> sweeps{quick_sweep("nocache")};
   CampaignOptions opts;
-  opts.cache_dir = cache;
-  opts.use_cache = false;
+  opts.artifact_dir = out_dir;
   const auto out = run_campaign(sweeps, opts);
   EXPECT_EQ(out.stats.cache_hits, 0u);
   EXPECT_EQ(out.stats.simulated, out.stats.unique);
-  EXPECT_FALSE(fs::exists(cache));  // store never opened, nothing written
+  EXPECT_FALSE(fs::exists(out_dir + "/cache"));
+  std::ifstream mf(out_dir + "/manifest.json");
+  const std::string manifest((std::istreambuf_iterator<char>(mf)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_NE(manifest.find("\"cache_dir\": \"\",\n  \"cache_enabled\": false"),
+            std::string::npos);
 }
 
 TEST(Campaign, CorruptedCacheFallsBackToSimulation) {
@@ -323,7 +335,6 @@ TEST(CampaignRunOptions, OnlyTheShardCountReachesTheKey) {
   busy.threads = 7;
   busy.profile = true;
   busy.cache_dir = "elsewhere";
-  busy.use_cache = false;
   EXPECT_EQ(scenario_key(sc, campaign_run_options({})), scenario_key(sc));
   EXPECT_EQ(scenario_key(sc, campaign_run_options(busy)), scenario_key(sc));
 
@@ -478,6 +489,63 @@ TEST(CampaignPoints, LpTotalsSumThePerRunLpEvents) {
   // The conservative engine executes exactly the sequential event count.
   EXPECT_EQ(par.sim_events, seq.sim_events);
   EXPECT_TRUE(seq.lp_stats.empty());
+}
+
+TEST(CampaignPoints, ThrowingPointReleasesItsClaim) {
+  // A flow-arena budget far below any dumbbell's makes run_experiment
+  // throw once the point is claimed.
+  struct BudgetGuard {
+    BudgetGuard() { FlowArena::set_default_budget_bytes(64); }
+    ~BudgetGuard() { FlowArena::set_default_budget_bytes(0); }
+  };
+  const std::string cache = fresh_dir("campaign_points_throw");
+  const std::vector<CampaignPoint> points{
+      dumbbell_point(point_scenario(6, 61))};
+  CampaignOptions opts;
+  opts.cache_dir = cache;
+  CampaignStats stats;
+  {
+    BudgetGuard tiny;
+    EXPECT_THROW(run_campaign_points(points, opts, &stats), std::length_error);
+  }
+  // The claim file stays, empty, and nobody holds its lock: this live
+  // process does not keep the point from the next worker.
+  ResultStore next(cache);
+  const std::string path = next.claim_path(points[0].key);
+  ASSERT_TRUE(fs::exists(path));
+  EXPECT_EQ(fs::file_size(path), 0u);
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0);
+  ::close(fd);
+  EXPECT_TRUE(next.claim(points[0].key));
+  EXPECT_FALSE(next.get(points[0].key).has_value());  // nothing published
+}
+
+TEST(CampaignPoints, UncreatableCacheDirRunsUncached) {
+  // The cache dir sits under a regular file, so it cannot be created: the
+  // campaign says so once and runs every point uncached.
+  const std::string dir = fresh_dir("campaign_points_nodir");
+  fs::create_directories(dir);
+  std::ofstream(dir + "/file") << "not a directory\n";
+  const std::vector<CampaignPoint> points{
+      dumbbell_point(point_scenario(6, 71)),
+      dumbbell_point(point_scenario(9, 72))};
+  CampaignOptions opts;
+  opts.cache_dir = dir + "/file/cache";
+  opts.threads = 2;
+  CampaignStats stats;
+  ::testing::internal::CaptureStderr();
+  const auto results = run_campaign_points(points, opts, &stats);
+  const std::string warnings = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(warnings.begin(), warnings.end(), '\n'), 1)
+      << warnings;
+  EXPECT_NE(warnings.find("cannot create"), std::string::npos) << warnings;
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.simulated, 2u);
+  ASSERT_EQ(results.size(), 2u);
+  expect_same_result(results[0], run_experiment(points[0].spec.scenario));
+  expect_same_result(results[1], run_experiment(points[1].spec.scenario));
 }
 
 TEST(CampaignPoints, EmptyPlanSimulatesNothing) {

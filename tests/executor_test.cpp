@@ -2,54 +2,62 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace burst {
 namespace {
 
 TEST(Executor, RunsEveryTaskExactlyOnce) {
-  Executor ex(4);
   std::vector<std::atomic<int>> hits(1000);
-  ex.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  run_tasks(hits.size(), 4, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Executor, SingleThreadWorks) {
-  Executor ex(1);
-  EXPECT_EQ(ex.num_threads(), 1u);
   std::vector<int> out(64, 0);
-  ex.run(out.size(), [&](std::size_t i) { out[i] = static_cast<int>(i); });
+  run_tasks(out.size(), 1,
+            [&](std::size_t i) { out[i] = static_cast<int>(i); });
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i));
   }
 }
 
 TEST(Executor, ZeroTasksIsANoOp) {
-  Executor ex(2);
   bool ran = false;
-  ex.run(0, [&](std::size_t) { ran = true; });
+  run_tasks(0, 2, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
-TEST(Executor, ReusableAcrossBatches) {
-  Executor ex(3);
-  std::atomic<int> sum{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    ex.run(100, [&](std::size_t) { sum.fetch_add(1); });
+TEST(Executor, NeverStartsMoreThreadsThanAsked) {
+  // (threads, tasks): fewer tasks than threads, more, equal, and the
+  // 0-threads-means-one rule.
+  for (const auto& [threads, tasks] :
+       std::vector<std::pair<unsigned, std::size_t>>{
+           {4, 2}, {2, 100}, {3, 3}, {1, 50}, {0, 10}}) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    run_tasks(tasks, threads, [&](std::size_t) {
+      std::lock_guard<std::mutex> lk(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), std::min<std::size_t>(std::max(1u, threads), tasks))
+        << threads << " threads, " << tasks << " tasks";
   }
-  EXPECT_EQ(sum.load(), 500);
 }
 
 TEST(Executor, ProgressReachesTotalAndIsMonotone) {
-  Executor ex(4);
   std::size_t last_done = 0;
   std::size_t calls = 0;
   bool monotone = true;
-  ex.run(
-      200, [](std::size_t) {},
+  run_tasks(
+      200, 4, [](std::size_t) {},
       [&](const ExecutorProgress& p) {
         // Serialized by contract, so plain variables are fine here.
         if (p.done <= last_done) monotone = false;
@@ -64,42 +72,16 @@ TEST(Executor, ProgressReachesTotalAndIsMonotone) {
   EXPECT_EQ(last_done, 200u);
 }
 
-TEST(Executor, CancelSkipsRemainingTasks) {
-  Executor ex(2);
-  std::atomic<int> executed{0};
-  ex.run(
-      10000,
-      [&](std::size_t) { executed.fetch_add(1); },
-      [&](const ExecutorProgress& p) {
-        if (p.done == 10) ex.cancel();
-      });
-  EXPECT_TRUE(ex.cancelled());
-  // Everything was accounted for, but most tasks were skipped.
-  EXPECT_LT(executed.load(), 10000);
-  // And the next batch starts with cancellation cleared.
-  std::atomic<int> second{0};
-  ex.run(50, [&](std::size_t) { second.fetch_add(1); });
-  EXPECT_FALSE(ex.cancelled());
-  EXPECT_EQ(second.load(), 50);
-}
-
 TEST(Executor, FirstTaskExceptionIsRethrown) {
-  Executor ex(4);
   std::atomic<int> executed{0};
-  EXPECT_THROW(
-      ex.run(100,
-             [&](std::size_t i) {
-               executed.fetch_add(1);
-               if (i == 13) throw std::runtime_error("boom");
-             }),
-      std::runtime_error);
-  // The batch still drained: a throwing task must not hang run().
-  EXPECT_GT(executed.load(), 0);
-}
-
-TEST(Executor, DefaultThreadCountUsesHardware) {
-  Executor ex;
-  EXPECT_GE(ex.num_threads(), 1u);
+  EXPECT_THROW(run_tasks(100, 4,
+                         [&](std::size_t i) {
+                           executed.fetch_add(1);
+                           if (i == 13) throw std::runtime_error("boom");
+                         }),
+               std::runtime_error);
+  // A throwing task neither hangs the call nor skips the others.
+  EXPECT_EQ(executed.load(), 100);
 }
 
 }  // namespace

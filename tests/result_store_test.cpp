@@ -153,7 +153,7 @@ TEST(ResultJson, RejectsEveryTruncation) {
   EXPECT_FALSE(result_from_json("not json at all", &out));
 }
 
-TEST(ResultStore, PutGetAndReopen) {
+TEST(ResultStore, PublishGetAndReopen) {
   const std::string dir = fresh_dir("store_roundtrip");
   const ScenarioKey key = scenario_key(Scenario::paper_default());
   const ExperimentResult r = sample_result();
@@ -161,9 +161,8 @@ TEST(ResultStore, PutGetAndReopen) {
     ResultStore store(dir);
     EXPECT_EQ(store.size(), 0u);
     EXPECT_FALSE(store.get(key).has_value());
-    store.put(key, r);
-    EXPECT_TRUE(store.contains(key));
-    ASSERT_TRUE(store.flush());
+    store.publish(key, r);
+    ASSERT_TRUE(store.get(key).has_value());
     // The entry landed in the segment its key hashes to.
     EXPECT_TRUE(fs::exists(store.segment_path(key)));
   }
@@ -175,14 +174,6 @@ TEST(ResultStore, PutGetAndReopen) {
   expect_bit_identical(r, *got);
 }
 
-TEST(ResultStore, DestructorFlushes) {
-  const std::string dir = fresh_dir("store_dtor");
-  const ScenarioKey key = scenario_key(Scenario::paper_default());
-  { ResultStore store(dir); store.put(key, sample_result()); }
-  ResultStore reopened(dir);
-  EXPECT_TRUE(reopened.contains(key));
-}
-
 TEST(ResultStore, SkipsCorruptAndTruncatedLines) {
   const std::string dir = fresh_dir("store_corrupt");
   const ScenarioKey key = scenario_key(Scenario::paper_default());
@@ -190,8 +181,7 @@ TEST(ResultStore, SkipsCorruptAndTruncatedLines) {
   std::string segment;
   {
     ResultStore store(dir);
-    store.put(key, sample_result());
-    ASSERT_TRUE(store.flush());
+    store.publish(key, sample_result());
     segment = store.segment_path(key);
     std::ifstream in(segment);
     std::getline(in, good_line);
@@ -220,8 +210,7 @@ TEST(ResultStore, IgnoresOtherSchemaVersions) {
   std::string segment;
   {
     ResultStore store(dir);
-    store.put(key, sample_result());
-    ASSERT_TRUE(store.flush());
+    store.publish(key, sample_result());
     segment = store.segment_path(key);
     std::ifstream in(segment);
     std::getline(in, good_line);
@@ -252,8 +241,7 @@ TEST(ResultStore, IgnoresAPreShardingResultsFile) {
   std::string good_line;
   {
     ResultStore store(fresh_dir("store_legacy_src"));
-    store.put(key, sample_result());
-    ASSERT_TRUE(store.flush());
+    store.publish(key, sample_result());
     std::ifstream in(store.segment_path(key));
     std::getline(in, good_line);
   }
@@ -270,8 +258,7 @@ TEST(ResultStore, IgnoresAPreShardingResultsFile) {
     EXPECT_EQ(store.size(), 0u);
     EXPECT_EQ(store.skipped_entries(), 0u);
     EXPECT_FALSE(store.get(key).has_value());
-    store.put(key, sample_result());
-    ASSERT_TRUE(store.flush());
+    store.publish(key, sample_result());
   }
   std::ifstream in(legacy);
   const std::string kept((std::istreambuf_iterator<char>(in)),
@@ -282,18 +269,6 @@ TEST(ResultStore, IgnoresAPreShardingResultsFile) {
   const auto got = reopened.get(key);
   ASSERT_TRUE(got.has_value());
   expect_bit_identical(sample_result(), *got);
-}
-
-TEST(ResultStore, OverwriteReplacesEntry) {
-  const std::string dir = fresh_dir("store_overwrite");
-  const ScenarioKey key = scenario_key(Scenario::paper_default());
-  ResultStore store(dir);
-  ExperimentResult r = sample_result();
-  store.put(key, r);
-  r.delivered = 42;
-  store.put(key, r);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.get(key)->delivered, 42u);
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ TEST(TopoCampaign, ResumesPastADeadWorkersClaim) {
   opts.cache_dir = dir + "/cache";
   TopoError err;
   // Plant the wreckage of a worker killed mid-simulation: a claim file
-  // owned by a pid that no longer exists.
+  // nobody holds a lock on (here in the pid format older builds wrote).
   {
     const auto probe = run_topo_campaign(spec, {}, &err);  // no cache: keys
     ASSERT_TRUE(probe.has_value());
@@ -190,8 +190,10 @@ TEST(TopoCampaign, ResumesPastADeadWorkersClaim) {
   }
   const auto resumed = run_topo_campaign(spec, opts, &err);
   ASSERT_TRUE(resumed.has_value()) << err.message;
-  // The stale claim was stolen, not waited on: all four points ran.
+  // The unlocked claim was taken at once, not waited on: all four points
+  // ran, and publishing removed every claim file.
   EXPECT_EQ(resumed->stats.simulated, 4u);
+  EXPECT_TRUE(fs::is_empty(dir + "/cache/claims"));
 }
 
 TEST(TopoCampaign, CsvCarriesTheScenarioColumnPerRow) {

@@ -12,7 +12,6 @@
 #include "src/core/cli.hpp"
 #include "src/core/report.hpp"
 #include "src/run/campaign.hpp"
-#include "src/run/result_store.hpp"
 #include "src/topo/campaign.hpp"
 #include "src/topo/parser.hpp"
 
@@ -53,7 +52,7 @@ options:
 )";
 
 // --threads ceiling: far above any core count, so a larger value is a
-// typo the Executor would otherwise try to spawn.
+// typo run_tasks would otherwise try to spawn.
 constexpr int kMaxThreads = 1024;
 
 bool parse_flag(const std::string& arg, const std::string& name,
@@ -170,11 +169,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (cache_dir.empty()) cache_dir = out_dir + "/cache";
+  if (no_cache) {
+    cache_dir.clear();  // no store at all
+  } else if (cache_dir.empty()) {
+    cache_dir = out_dir + "/cache";
+  }
 
   CampaignOptions opts;
   opts.cache_dir = cache_dir;
-  opts.use_cache = !no_cache;
   opts.threads = threads;
   opts.artifact_dir = out_dir;
   opts.log = quiet ? nullptr : &std::cerr;
