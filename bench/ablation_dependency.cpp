@@ -33,20 +33,17 @@ DependencyResult measure(Transport transport, int n, Time duration) {
   FlowMonitor monitor(net.measured_queue(), /*event_gap=*/0.002);
 
   // Run via the library pieces directly so the monitor sees this run.
-  std::vector<TraceSeries> traces;
-  traces.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    traces.emplace_back("c" + std::to_string(i));
-    net.tcp_sender(i)->set_cwnd_trace(&traces.back());
-  }
+  TraceSink sink;
+  net.attach_trace(sink);
   net.start_sources();
   sim.run(sc.duration);
 
   // Per-flow indicator series: did the window decrease inside this 0.1 s
   // bin? Synchronized congestion decisions show up as correlated spikes.
   std::vector<std::vector<double>> cuts;
-  cuts.reserve(traces.size());
-  for (const TraceSeries& t : traces) {
+  cuts.reserve(static_cast<std::size_t>(n));
+  for (const TraceSeries& t :
+       bench::cwnd_series_or_exit(sink, bench::all_clients(n))) {
     cuts.push_back(decrease_indicator(t, 0.1, 1.0, sc.duration));
   }
 

@@ -5,10 +5,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
 #include "src/core/cli.hpp"
+#include "src/obs/trace.hpp"
 #include "src/run/campaign.hpp"
 #include "src/sim/scheduler.hpp"
 #include "src/topo/parser.hpp"
@@ -70,29 +72,51 @@ std::vector<SweepSeries> figure_sweep(const std::string& name,
   return series;
 }
 
-ExperimentResult run_cwnd_figure(const std::string& figure,
-                                 const std::string& claim, Transport transport,
-                                 int num_clients) {
+std::vector<TraceSeries> cwnd_series_or_exit(const TraceSink& sink,
+                                             const std::vector<int>& clients) {
+  auto traces = client_cwnd_series(sink, clients);
+  if (!traces) {
+    std::cerr << "error: the trace ring overwrote " << sink.dropped()
+              << " records, so the cwnd traces would start late\n";
+    std::exit(1);
+  }
+  return std::move(*traces);
+}
+
+TracedRun run_traced(const Scenario& sc, const std::vector<int>& clients) {
+  TraceSink sink;
+  ExperimentOptions opts;
+  opts.trace = &sink;
+  ExperimentResult r = run_experiment(sc, opts);
+  return {std::move(r), cwnd_series_or_exit(sink, clients)};
+}
+
+std::vector<int> all_clients(int n) {
+  std::vector<int> clients(static_cast<std::size_t>(n));
+  std::iota(clients.begin(), clients.end(), 0);
+  return clients;
+}
+
+TracedRun run_cwnd_figure(const std::string& figure, const std::string& claim,
+                          Transport transport, int num_clients) {
   banner(figure, claim);
   Scenario sc = paper_base();
   sc.transport = transport;
   sc.num_clients = num_clients;
 
-  ExperimentOptions opts;
   // The paper traces three spread-out clients (e.g. 1, 10, 20 of 20).
-  opts.trace_clients = {0, num_clients / 2, num_clients - 1};
-  opts.cwnd_sample_period = 0.1;  // the paper's x-axis unit
-
-  const ExperimentResult r = run_experiment(sc, opts);
+  TracedRun run = run_traced(sc, {0, num_clients / 2, num_clients - 1});
+  const ExperimentResult& r = run.result;
 
   std::cout << "scenario: " << sc.label() << ", duration " << sc.duration
             << " s\n\n";
-  print_cwnd_traces(std::cout, r.cwnd_traces, sc.duration, 0.1, 50);
+  // Sampled every 0.1 s, the paper's x-axis unit.
+  print_cwnd_series(std::cout, run.cwnd, sc.duration, 0.1, 50);
   std::cout << "\ntimeouts=" << r.timeouts
             << " fast_retransmits=" << r.fast_retransmits
             << " loss%=" << fmt(r.loss_pct, 2) << " cov=" << fmt(r.cov, 4)
             << " (poisson " << fmt(r.poisson_cov, 4) << ")\n";
-  return r;
+  return run;
 }
 
 double now_s() {

@@ -51,11 +51,30 @@ void verdict(bool ok, const std::string& what);
 std::vector<SweepSeries> figure_sweep(const std::string& name,
                                       const Scenario& base);
 
-/// Runs the cwnd-trace experiment behind Figs 5-12 and prints the result.
-/// Returns the experiment result for extra checks.
-ExperimentResult run_cwnd_figure(const std::string& figure,
-                                 const std::string& claim, Transport transport,
-                                 int num_clients);
+/// A run with an event trace and the cwnd traces read from it.
+struct TracedRun {
+  ExperimentResult result;
+  std::vector<TraceSeries> cwnd;  // one per requested client, in order
+};
+
+/// client_cwnd_series(@p sink, @p clients): the cwnd traces of
+/// @p clients (0-based), named "client <i+1>". Exits 1 if the trace ring
+/// overwrote records: a series would then start late.
+std::vector<TraceSeries> cwnd_series_or_exit(const TraceSink& sink,
+                                             const std::vector<int>& clients);
+
+/// Runs @p sc with an event trace and reads the cwnd traces of
+/// @p clients from it (cwnd_series_or_exit).
+TracedRun run_traced(const Scenario& sc, const std::vector<int>& clients);
+
+/// Clients 0 .. @p n - 1.
+std::vector<int> all_clients(int n);
+
+/// Runs the cwnd-trace experiment behind Figs 5-12 and prints the result:
+/// the paper's three spread-out clients 1, N/2+1 and N, traced. Returns
+/// the run for extra checks.
+TracedRun run_cwnd_figure(const std::string& figure, const std::string& claim,
+                          Transport transport, int num_clients);
 
 // --- Perf probes -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  const auto [r, cwnd] = run_cwnd_figure(
       "Figure 5 — TCP Reno congestion windows, 20 clients",
       "losses occur despite ~52% average load; bursts of ~17 packets from "
       "a few streams overflow the B=50 gateway buffer during slow start",
@@ -25,7 +25,7 @@ int main() {
   // Windows must actually exercise the slow-start range the paper plots
   // (values up to ~17-20 packets).
   double w_max = 0.0;
-  for (const auto& t : r.cwnd_traces) {
+  for (const auto& t : cwnd) {
     for (const auto& [at, v] : t.points()) w_max = std::max(w_max, v);
   }
   verdict(w_max >= 15.0, "traced windows reach the 15-20 packet range");

@@ -10,7 +10,7 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  const auto [r, cwnd] = run_cwnd_figure(
       "Figure 6 — TCP Reno congestion windows, 30 clients",
       "congestion occurs earlier in slow start; some simultaneous window "
       "decreases; flows eventually stabilize into linear increase",
@@ -28,8 +28,7 @@ int main() {
           "more drops than the 20-client run (congestion arrives earlier)");
 
   // Simultaneous decreases among the traced flows exist.
-  const double sync = max_sync_fraction(r.cwnd_traces, 0.1, 0.0,
-                                        r.scenario.duration);
+  const double sync = max_sync_fraction(cwnd, 0.1, 0.0, r.scenario.duration);
   verdict(sync >= 2.0 / 3.0,
           "simultaneous window decreases across traced streams appear");
   return 0;

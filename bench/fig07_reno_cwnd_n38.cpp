@@ -17,15 +17,15 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  const auto [r, cwnd] = run_cwnd_figure(
       "Figure 7 — TCP Reno congestion windows, 38 clients",
       "just below saturation: windows take long to stabilize but "
       "eventually reach a steady state (crossover is between 38 and 39)",
       Transport::kReno, 38);
 
   const Time dur = r.scenario.duration;
-  const auto early = decrease_counts(r.cwnd_traces, 0.0, dur / 2);
-  const auto late = decrease_counts(r.cwnd_traces, dur / 2, dur);
+  const auto early = decrease_counts(cwnd, 0.0, dur / 2);
+  const auto late = decrease_counts(cwnd, dur / 2, dur);
   int early_total = 0, late_total = 0;
   for (int c : early) early_total += c;
   for (int c : late) late_total += c;
@@ -42,13 +42,10 @@ int main() {
   sc36.transport = Transport::kReno;
   sc36.num_clients = 36;
   sc36.duration = std::max(sc36.duration, 40.0);
-  ExperimentOptions opts;
-  opts.trace_clients = {0, 17, 35};
-  const auto r36 = run_experiment(sc36, opts);
+  const auto r36 = run_traced(sc36, {0, 17, 35});
   const auto late36 =
-      decrease_counts(r36.cwnd_traces, sc36.duration / 2, sc36.duration);
-  const auto early36 =
-      decrease_counts(r36.cwnd_traces, 0.0, sc36.duration / 2);
+      decrease_counts(r36.cwnd, sc36.duration / 2, sc36.duration);
+  const auto early36 = decrease_counts(r36.cwnd, 0.0, sc36.duration / 2);
   int e36 = 0, l36 = 0;
   for (int c : early36) e36 += c;
   for (int c : late36) l36 += c;

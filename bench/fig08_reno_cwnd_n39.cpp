@@ -10,14 +10,14 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  const auto [r, cwnd] = run_cwnd_figure(
       "Figure 8 — TCP Reno congestion windows, 39 clients",
       "just past saturation: windows never stabilize; congestion-control "
       "decisions across streams become dependent (synchronized)",
       Transport::kReno, 39);
 
   const Time dur = r.scenario.duration;
-  const auto late = decrease_counts(r.cwnd_traces, dur / 2, dur);
+  const auto late = decrease_counts(cwnd, dur / 2, dur);
   int late_total = 0;
   for (int c : late) late_total += c;
 

@@ -10,31 +10,24 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  const ExperimentResult r = run_cwnd_figure(
       "Figure 9 — TCP Reno congestion windows, 60 clients",
       "heavy congestion: window decreases are strongly synchronized "
       "across streams (dependency between congestion-control decisions)",
-      Transport::kReno, 60);
+      Transport::kReno, 60).result;
 
   // Re-run tracing *every* client to quantify synchronization.
   Scenario sc = paper_base();
   sc.transport = Transport::kReno;
   sc.num_clients = 60;
-  ExperimentOptions opts;
-  for (int i = 0; i < sc.num_clients; ++i) opts.trace_clients.push_back(i);
-  const auto rall = run_experiment(sc, opts);
-
-  const double sync60 =
-      max_sync_fraction(rall.cwnd_traces, 0.1, 1.0, sc.duration);
+  const auto cwnd60 = run_traced(sc, all_clients(sc.num_clients)).cwnd;
+  const double sync60 = max_sync_fraction(cwnd60, 0.1, 1.0, sc.duration);
 
   // Compare against a light-load run where decreases are rare/uncoupled.
   Scenario sc20 = sc;
   sc20.num_clients = 20;
-  ExperimentOptions opts20;
-  for (int i = 0; i < 20; ++i) opts20.trace_clients.push_back(i);
-  const auto r20 = run_experiment(sc20, opts20);
-  const double sync20 =
-      max_sync_fraction(r20.cwnd_traces, 0.1, 1.0, sc20.duration);
+  const auto cwnd20 = run_traced(sc20, all_clients(sc20.num_clients)).cwnd;
+  const double sync20 = max_sync_fraction(cwnd20, 0.1, 1.0, sc20.duration);
 
   std::cout << "\nmax fraction of flows cutting cwnd within one 0.1 s bin: "
             << fmt(sync60, 3) << " at N=60 vs " << fmt(sync20, 3)

@@ -10,21 +10,20 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  const auto [r, cwnd] = run_cwnd_figure(
       "Figure 10 — TCP Vegas congestion windows, 20 clients",
       "windows stay close to their optimal value; traffic from each client "
       "is modulated nearly equally each RTT",
       Transport::kVegas, 20);
 
   // Steady-state flatness: after the slow-start transient the traced
-  // windows vary little (compare Fig 5's Reno sawtooth).
+  // windows vary little (compare Fig 5's Reno sawtooth). Each window is
+  // sampled every 0.1 s, the paper's x-axis unit.
   const Time dur = r.scenario.duration;
   double worst_cov = 0.0;
-  for (const auto& t : r.cwnd_traces) {
+  for (const auto& t : cwnd) {
     RunningStats rs;
-    for (const auto& [at, v] : t.points()) {
-      if (at >= dur / 4) rs.add(v);
-    }
+    for (const double v : resample(t, dur / 4, dur, 0.1, 1.0)) rs.add(v);
     worst_cov = std::max(worst_cov, rs.cov());
   }
   std::cout << "\nworst steady-state cwnd c.o.v. among traced flows: "

@@ -9,11 +9,11 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  const ExperimentResult r = run_cwnd_figure(
       "Figure 11 — TCP Vegas congestion windows, 30 clients",
       "windows remain near-optimal at moderate congestion; far fewer "
       "losses than Reno at the same load",
-      Transport::kVegas, 30);
+      Transport::kVegas, 30).result;
 
   // Contrast with Reno at the same load.
   Scenario sc = paper_base();

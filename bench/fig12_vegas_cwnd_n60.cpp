@@ -10,7 +10,7 @@ int main() {
   using namespace burst;
   using namespace burst::bench;
 
-  const auto r = run_cwnd_figure(
+  run_cwnd_figure(
       "Figure 12 — TCP Vegas congestion windows, 60 clients",
       "windows stay small and stable; Vegas shares bandwidth fairly and "
       "avoids Reno's synchronized window collapses",
@@ -20,17 +20,13 @@ int main() {
   Scenario sc = paper_base();
   sc.num_clients = 60;
   sc.transport = Transport::kVegas;
-  ExperimentOptions opts;
-  for (int i = 0; i < sc.num_clients; ++i) opts.trace_clients.push_back(i);
-  const auto vall = run_experiment(sc, opts);
-  const double vsync =
-      max_sync_fraction(vall.cwnd_traces, 0.1, 1.0, sc.duration);
+  const auto [vall, vcwnd] = run_traced(sc, all_clients(sc.num_clients));
+  const double vsync = max_sync_fraction(vcwnd, 0.1, 1.0, sc.duration);
 
   Scenario rc = sc;
   rc.transport = Transport::kReno;
-  const auto rall = run_experiment(rc, opts);
-  const double rsync =
-      max_sync_fraction(rall.cwnd_traces, 0.1, 1.0, rc.duration);
+  const auto [rall, rcwnd] = run_traced(rc, all_clients(rc.num_clients));
+  const double rsync = max_sync_fraction(rcwnd, 0.1, 1.0, rc.duration);
 
   std::cout << "\nmax synchronized-cut fraction at N=60: Vegas "
             << fmt(vsync, 3) << " vs Reno " << fmt(rsync, 3) << "\n"

@@ -7,6 +7,7 @@
 
 #include "src/core/experiment.hpp"
 #include "src/core/report.hpp"
+#include "src/obs/trace.hpp"
 #include "src/stats/trace_analysis.hpp"
 
 int main(int argc, char** argv) {
@@ -19,22 +20,33 @@ int main(int argc, char** argv) {
   sc.num_clients = argc > 2 ? std::atoi(argv[2]) : 30;
   const std::string prefix = argc > 3 ? argv[3] : "";
 
-  // Trace three spread-out clients, sampled every 0.1 s like the paper.
+  // Record the run's event trace; every window change is a cwnd_change
+  // record in it.
+  TraceSink sink;
   ExperimentOptions opts;
-  opts.trace_clients = {0, sc.num_clients / 2, sc.num_clients - 1};
-  opts.cwnd_sample_period = 0.1;
+  opts.trace = &sink;
 
   std::cout << "tracing " << sc.label() << " for " << sc.duration << " s\n\n";
   const ExperimentResult r = run_experiment(sc, opts);
 
-  print_cwnd_traces(std::cout, r.cwnd_traces, sc.duration, 0.1, 40);
+  // Read three spread-out clients' windows back, printed every 0.1 s
+  // like the paper's plots. A ring that overwrote records would give
+  // series that start late.
+  const auto traces = client_cwnd_series(
+      sink, {0, sc.num_clients / 2, sc.num_clients - 1});
+  if (!traces) {
+    std::cerr << "the trace ring overwrote " << sink.dropped()
+              << " records\n";
+    return 1;
+  }
+  print_cwnd_series(std::cout, *traces, sc.duration, 0.1, 40);
 
   // Summaries the paper reads off these plots.
-  const auto cuts = decrease_counts(r.cwnd_traces, 0.0, sc.duration);
+  const auto cuts = decrease_counts(*traces, 0.0, sc.duration);
   std::cout << "\nwindow decreases per traced flow:";
   for (const auto c : cuts) std::cout << ' ' << c;
   std::cout << "\nmax synchronized-cut fraction: "
-            << fmt(max_sync_fraction(r.cwnd_traces, 0.1, 0.0, sc.duration), 3)
+            << fmt(max_sync_fraction(*traces, 0.1, 0.0, sc.duration), 3)
             << "\nc.o.v. " << fmt(r.cov, 4) << " (Poisson "
             << fmt(r.poisson_cov, 4) << "), delivered " << r.delivered
             << ", loss " << fmt(r.loss_pct, 2) << " %, timeouts "
@@ -42,7 +54,7 @@ int main(int argc, char** argv) {
             << ", Jain fairness " << fmt(r.fairness, 4) << "\n";
 
   if (!prefix.empty()) {
-    for (const auto& t : r.cwnd_traces) {
+    for (const auto& t : *traces) {
       const std::string path = prefix + "_" + t.name() + ".csv";
       write_trace_csv(path, t);
       std::cout << "wrote " << path << '\n';

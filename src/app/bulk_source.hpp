@@ -3,19 +3,22 @@
 // the Earth-System-Grid-style example and fairness experiments.
 #pragma once
 
-#include "src/app/traffic_generator.hpp"
+#include <cstdint>
+
 #include "src/sim/simulator.hpp"
+#include "src/transport/agent.hpp"
 
 namespace burst {
 
-class BulkSource : public TrafficGenerator {
+class BulkSource {
  public:
   /// @p packets <= 0 means "greedy": keep the transport saturated.
   BulkSource(Simulator& sim, Agent& agent, std::int64_t packets);
 
-  void start() override;
-  void stop() override {}
-  std::uint64_t generated() const override { return generated_; }
+  /// Begins generating at the current simulation time.
+  void start();
+  /// Application packets generated so far.
+  std::uint64_t generated() const { return generated_; }
 
  private:
   Simulator& sim_;

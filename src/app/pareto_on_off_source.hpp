@@ -7,9 +7,11 @@
 // smooth sources" (PoissonSource + TCP), which is the paper's point.
 #pragma once
 
-#include "src/app/traffic_generator.hpp"
+#include <cstdint>
+
 #include "src/sim/random.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/transport/agent.hpp"
 
 namespace burst {
 
@@ -20,14 +22,17 @@ struct ParetoOnOffConfig {
   double on_rate_pps = 20.0;    // packet rate during bursts
 };
 
-class ParetoOnOffSource : public TrafficGenerator {
+class ParetoOnOffSource {
  public:
   ParetoOnOffSource(Simulator& sim, Agent& agent, ParetoOnOffConfig cfg,
                     Random rng);
 
-  void start() override;
-  void stop() override;
-  std::uint64_t generated() const override { return generated_; }
+  /// Begins generating at the current simulation time.
+  void start();
+  /// Stops generating (pending transport backlogs still drain).
+  void stop();
+  /// Application packets generated so far.
+  std::uint64_t generated() const { return generated_; }
 
   /// ON periods that have run to completion (reached their sampled end).
   std::uint64_t completed_on_periods() const { return completed_on_periods_; }

@@ -100,9 +100,8 @@ bool apply_option(const std::string& key, const std::string& value,
       if (!parse_int_option(tok, 0, INT_MAX, &idx)) {
         return fail(error, "--trace needs comma-separated indices");
       }
-      req->options.trace_clients.push_back(idx);
+      req->cwnd_clients.push_back(idx);
     }
-    req->options.cwnd_sample_period = 0.1;
     return true;
   }
   if (key == "lp") {
@@ -200,7 +199,7 @@ std::optional<CliRequest> parse_cli(const std::vector<std::string>& args,
     req.spec = std::move(*spec);
   }
   const auto flows = static_cast<int>(TopoGraph(req.spec).flows().size());
-  for (int idx : req.options.trace_clients) {
+  for (int idx : req.cwnd_clients) {
     if (idx >= flows) {
       fail(error, "--trace index " + std::to_string(idx) +
                       " out of range for " + std::to_string(flows) +
@@ -243,8 +242,10 @@ std::string cli_usage() {
       "run:\n"
       "  --lp=N                 logical processes for the conservative\n"
       "                         parallel engine (default 1 = sequential)\n"
-      "  --trace=i,j,...        record cwnd of these clients\n"
-      "  --csv=PATH             write traced cwnds as CSV\n"
+      "  --trace=i,j,...        print the cwnd traces of these clients\n"
+      "                         (0-based), read from a full event trace\n"
+      "  --csv=PATH             with --trace, also write each as CSV:\n"
+      "                         PATH.client <i+1>.csv\n"
       "  --trace-out=PATH       structured event trace: writes PATH.jsonl\n"
       "                         and PATH.perfetto.json (open in Perfetto);\n"
       "                         with --lp>1 each LP records its own ring,\n"

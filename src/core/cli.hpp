@@ -20,6 +20,8 @@ struct CliRequest {
   std::string scenario_file;  // empty = the flag-built dumbbell
   bool validate = false;      // --validate: check the file, do not run
   ExperimentOptions options;
+  std::vector<int> cwnd_clients;  // --trace: clients whose cwnd traces
+                                  // are read from a full event trace
   std::string csv_path;    // if non-empty, write cwnd traces as CSV here
   std::string trace_path;  // if non-empty, attach a TraceSink and write
                            // <path>.jsonl + <path>.perfetto.json (and, for

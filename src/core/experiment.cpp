@@ -15,30 +15,6 @@
 
 namespace burst {
 
-namespace {
-
-/// @p changes (every cwnd write) with the periodic grid t_1 = period,
-/// t_{k+1} = t_k + period (while <= until) interleaved. A grid point holds
-/// the last value at or before its time, and a change at the same instant
-/// goes first: the times, values and order an event-scheduled sampler
-/// produced, without its events.
-TraceSeries with_sample_grid(const TraceSeries& changes, Time period,
-                             Time until) {
-  TraceSeries out(changes.name());
-  const auto& pts = changes.points();
-  std::size_t i = 0;
-  for (Time t = period; t <= until; t += period) {
-    for (; i < pts.size() && pts[i].first <= t; ++i) {
-      out.record(pts[i].first, pts[i].second);
-    }
-    out.record(t, out.points().back().second);
-  }
-  for (; i < pts.size(); ++i) out.record(pts[i].first, pts[i].second);
-  return out;
-}
-
-}  // namespace
-
 ExperimentResult run_experiment(const Scenario& scenario,
                                 const ExperimentOptions& options) {
   return run_experiment(make_dumbbell_spec(scenario), options);
@@ -111,22 +87,6 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   ExperimentResult result;
   result.scenario = sc;
   result.lp_shards = part.shards;
-  result.cwnd_traces.reserve(options.trace_clients.size());
-  for (int c : options.trace_clients) {
-    result.cwnd_traces.emplace_back("client " + std::to_string(c + 1));
-  }
-  // Each traced sender records every set_cwnd write into its own series
-  // from its own LP; nothing is scheduled, so tracing shards like event
-  // tracing does and leaves the event sequence untouched.
-  std::size_t ti = 0;
-  for (int c : options.trace_clients) {
-    if (c >= 0 && c < net->num_flows()) {
-      if (TcpSender* s = net->tcp_sender(c)) {
-        s->set_cwnd_trace(&result.cwnd_traces[ti]);
-      }
-    }
-    ++ti;
-  }
 
   net->start_sources();
   const auto wall0 = std::chrono::steady_clock::now();
@@ -147,15 +107,6 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   result.sim_wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
-  if (options.cwnd_sample_period > 0.0) {
-    // An attached series starts with its attach-time point; an empty one
-    // belongs to a client with no TCP sender and stays empty.
-    for (TraceSeries& t : result.cwnd_traces) {
-      if (!t.empty()) {
-        t = with_sample_grid(t, options.cwnd_sample_period, sc.duration);
-      }
-    }
-  }
 
   const RunningStats bin_stats = arrivals.stats_until(sc.duration);
   result.cov = bin_stats.cov();

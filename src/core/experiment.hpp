@@ -1,7 +1,9 @@
 // Runs one scenario end to end and gathers every metric the paper reports:
 // c.o.v. of per-RTT gateway arrivals (Fig 2), delivered packets (Fig 3),
-// loss percentage (Fig 4), congestion-window traces (Figs 5-12) and
-// timeout / duplicate-ACK counters (Fig 13), plus fairness (Sec 3.2.2).
+// loss percentage (Fig 4) and timeout / duplicate-ACK counters (Fig 13),
+// plus fairness (Sec 3.2.2). The congestion-window traces of Figs 5-12
+// are read from the event trace (ExperimentOptions::trace,
+// TraceSink::cwnd_series).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/parallel/lp_stats.hpp"
-#include "src/sim/trace.hpp"
 #include "src/stats/running_stats.hpp"
 
 namespace burst {
@@ -21,15 +22,6 @@ class FlightRecorder;
 struct TopoSpec;
 
 struct ExperimentOptions {
-  /// Client indices whose congestion windows should be traced. Each
-  /// traced sender records every window write; nothing is scheduled, so a
-  /// traced run executes the untraced run's events and shards like one.
-  std::vector<int> trace_clients;
-  /// Period of the grid added to each cwnd trace after the run (0 = only
-  /// the change points). Grid point t_k = t_{k-1} + period, t_1 = period,
-  /// up to the duration, holds the last value at or before t_k. The
-  /// figures use 0.1 s like the paper's x-axis.
-  Time cwnd_sample_period = 0.0;
   /// Structured event-trace sink. When non-null, every tap point in the
   /// topology (queue, measured link, TCP sinks, sources, transport
   /// transitions, drop clustering) emits into it; the simulation itself is
@@ -44,9 +36,9 @@ struct ExperimentOptions {
   /// than lp=1, so the scenario key is salted with this field whenever it
   /// exceeds 1 (the result cache must never mix shard counts). Requests
   /// the topology cannot honor (no cut, zero lookahead) clamp back to 1.
-  /// Tracing shards fine: cwnd traces are written by each sender's own
-  /// LP, and event traces go to per-LP rings merged deterministically at
-  /// export (DESIGN.md §14).
+  /// Tracing shards fine: event traces go to per-LP rings merged
+  /// deterministically at export (DESIGN.md §14), and a flow's
+  /// cwnd_change records all come from the LP that runs its sender.
   int lp_shards = 1;
   /// Optional fixed-budget streaming sampler for huge-N runs (DESIGN.md
   /// §14.3). When non-null it is wired to the measured queue, the flow
@@ -91,9 +83,6 @@ struct ExperimentResult {
 
   // One-way data-path delay across all flows (propagation + queueing).
   RunningStats delay;
-
-  // Congestion-window traces for the requested clients (Figs 5-12).
-  std::vector<TraceSeries> cwnd_traces;
 
   // Component metrics registered at end of run (schema v3). Deterministic:
   // identical runs — traced or not — produce equal snapshots.

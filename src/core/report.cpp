@@ -7,6 +7,9 @@
 #include <ostream>
 #include <sstream>
 
+#include "src/obs/format.hpp"
+#include "src/obs/trace.hpp"
+
 namespace burst {
 
 void print_table(std::ostream& os, const std::vector<std::string>& header,
@@ -60,7 +63,18 @@ void print_metric_vs_clients(std::ostream& os,
   print_table(os, header, rows);
 }
 
-void print_cwnd_traces(std::ostream& os,
+std::optional<std::vector<TraceSeries>> client_cwnd_series(
+    const TraceSink& sink, const std::vector<int>& clients) {
+  if (sink.dropped() > 0) return std::nullopt;
+  std::vector<TraceSeries> out;
+  out.reserve(clients.size());
+  for (const int c : clients) {
+    out.push_back(sink.cwnd_series(c, "client " + std::to_string(c + 1)));
+  }
+  return out;
+}
+
+void print_cwnd_series(std::ostream& os,
                        const std::vector<TraceSeries>& traces, Time t_end,
                        Time sample_period, int max_rows) {
   if (traces.empty()) return;
@@ -82,8 +96,14 @@ void print_cwnd_traces(std::ostream& os,
 bool write_trace_csv(const std::string& path, const TraceSeries& trace) {
   std::ofstream f(path);
   if (!f) return false;
-  f << "time," << trace.name() << '\n';
-  for (const auto& [t, v] : trace.points()) f << t << ',' << v << '\n';
+  std::string out = "time," + trace.name() + '\n';
+  for (const auto& [t, v] : trace.points()) {
+    obs_format::append_double(out, t);
+    out += ',';
+    obs_format::append_double(out, v);
+    out += '\n';
+  }
+  f << out;
   f.flush();
   return static_cast<bool>(f);
 }

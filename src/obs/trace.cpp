@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <ostream>
+#include <utility>
 
 #include "src/obs/format.hpp"
 
@@ -242,6 +243,17 @@ void TraceSink::merge_from(const std::vector<const TraceSink*>& parts) {
     // Already stamped by the originating sink: keep its (tie, lp).
     put(m, m.tie, m.lp);
   }
+}
+
+TraceSeries TraceSink::cwnd_series(std::int32_t flow,
+                                   std::string name) const {
+  TraceSeries out(std::move(name));
+  for_each_ordered([&](const TraceRecord& r) {
+    if (r.type == TraceEventType::kCwndChange && r.flow == flow) {
+      out.record(r.time, r.value);
+    }
+  });
+  return out;
 }
 
 bool TraceSink::write_jsonl(std::ostream& os) const {

@@ -147,26 +147,9 @@ std::string result_to_json(const ExperimentResult& r) {
   append_field(out, "m2", r.delay.m2());
   append_field(out, "min", r.delay.min());
   append_field(out, "max", r.delay.max());
-  out += "},\"cwnd_traces\":[";
-  for (std::size_t i = 0; i < r.cwnd_traces.size(); ++i) {
-    const TraceSeries& t = r.cwnd_traces[i];
-    if (i) out += ',';
-    out += "{\"name\":\"";
-    append_escaped(out, t.name());
-    out += "\",\"points\":[";
-    bool first = true;
-    for (const auto& [time, value] : t.points()) {
-      if (!first) out += ',';
-      first = false;
-      out += '[';
-      append_double(out, time);
-      out += ',';
-      append_double(out, value);
-      out += ']';
-    }
-    out += "]}";
-  }
-  out += "],\"metrics\":[";
+  // The always-empty trace array keeps every stored line's bytes; see
+  // result_from_json.
+  out += "},\"cwnd_traces\":[],\"metrics\":[";
   for (std::size_t i = 0; i < r.metrics.points.size(); ++i) {
     const MetricPoint& m = r.metrics.points[i];
     if (i) out += ',';
@@ -219,43 +202,14 @@ bool result_from_json(const std::string& json, ExperimentResult* out) {
   if (!rd.consume('}')) return false;
   r.delay = RunningStats::from_moments(n, mean, m2, dmin, dmax);
 
-  // cwnd traces.
+  // Results carried per-flow cwnd traces here before those moved to the
+  // event trace (TraceSink::cwnd_series). Every campaign stored `[]`, so
+  // that is all a current line holds; a line with traces is stale.
   rd.consume(',');
   if (!rd.read_string(&key) || key != "cwnd_traces" || !rd.consume(':') ||
-      !rd.consume('[')) {
+      !rd.consume('[') || !rd.consume(']')) {
     return false;
   }
-  while (!rd.peek(']')) {
-    if (!r.cwnd_traces.empty() && !rd.consume(',')) return false;
-    if (!rd.consume('{')) return false;
-    std::string name;
-    if (!rd.read_string(&key) || key != "name" || !rd.consume(':') ||
-        !rd.read_string(&name)) {
-      return false;
-    }
-    TraceSeries trace(name);
-    if (!rd.consume(',') || !rd.read_string(&key) || key != "points" ||
-        !rd.consume(':') || !rd.consume('[')) {
-      return false;
-    }
-    bool first_point = true;
-    while (!rd.peek(']')) {
-      if (!first_point && !rd.consume(',')) return false;
-      first_point = false;
-      std::string t_tok, v_tok;
-      double t = 0, v = 0;
-      if (!rd.consume('[') || !rd.read_number_token(&t_tok) ||
-          !rd.consume(',') || !rd.read_number_token(&v_tok) ||
-          !rd.consume(']') || !token_to_double(t_tok, &t) ||
-          !token_to_double(v_tok, &v)) {
-        return false;
-      }
-      trace.record(t, v);
-    }
-    if (!rd.consume(']') || !rd.consume('}')) return false;
-    r.cwnd_traces.push_back(std::move(trace));
-  }
-  if (!rd.consume(']')) return false;
 
   // metrics snapshot (v3). Every point carries all fields; counters and
   // gauges just have empty bounds/buckets.

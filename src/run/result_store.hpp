@@ -27,11 +27,11 @@
 // wait on one inode.
 //
 // The stored JSON holds the field list's scalars (for_each_result_field,
-// in list order), the delay moments, the cwnd traces and the metrics
-// snapshot. It leaves out the embedded Scenario — the key already binds
-// the result to its scenario, and the campaign layer re-attaches the
-// Scenario it planned with — and the machine-dependent wall clock and
-// per-LP profile.
+// in list order), the delay moments, an always-empty `cwnd_traces` array
+// (kept so stored lines keep their bytes) and the metrics snapshot. It
+// leaves out the embedded Scenario — the key already binds the result to
+// its scenario, and the campaign layer re-attaches the Scenario it
+// planned with — and the machine-dependent wall clock and per-LP profile.
 #pragma once
 
 #include <array>

@@ -98,13 +98,12 @@ std::string canonical_string(const Scenario& s, const ExperimentOptions& opts) {
       c.field(f.key, v);
     }
   });
-  // Experiment options.
-  {
-    std::ostringstream tc;
-    for (const int i : opts.trace_clients) tc << i << ',';
-    c.field("trace_clients", tc.str());
-  }
-  c.field("cwnd_sample_period", opts.cwnd_sample_period);
+  // Two experiment options the key once rendered, a cwnd trace client
+  // list and a sample period, are gone: cwnd traces are read from the
+  // event trace, which no key covers. Every stored key was written with
+  // both empty, so their text stays, constant, to keep those keys.
+  c.field("trace_clients", std::string());
+  c.field("cwnd_sample_period", 0.0);
   // Parallel runs are deterministic per shard count but may order exact
   // same-instant ties differently than the sequential engine, so the
   // cache must key on the shard count. Appended only when > 1 so every

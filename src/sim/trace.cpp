@@ -14,16 +14,4 @@ double TraceSeries::value_at(Time t, double fallback) const {
   return std::prev(it)->second;
 }
 
-std::vector<std::pair<Time, double>> TraceSeries::downsample(
-    std::size_t max_points) const {
-  std::vector<std::pair<Time, double>> out;
-  if (points_.empty() || max_points == 0) return out;
-  const std::size_t stride = std::max<std::size_t>(1, points_.size() / max_points);
-  for (std::size_t i = 0; i < points_.size(); i += stride) {
-    out.push_back(points_[i]);
-  }
-  if (out.back() != points_.back()) out.push_back(points_.back());
-  return out;
-}
-
 }  // namespace burst

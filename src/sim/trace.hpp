@@ -1,5 +1,6 @@
-// Lightweight tracing: named (time, value) streams that experiments can
-// sample (e.g. per-flow congestion windows) and later dump or analyze.
+// Lightweight tracing: named (time, value) streams, such as a flow's
+// congestion window read from the event trace (TraceSink::cwnd_series),
+// to dump or analyze.
 #pragma once
 
 #include <string>
@@ -25,10 +26,6 @@ class TraceSeries {
 
   /// Last value at or before @p t, or @p fallback if none.
   double value_at(Time t, double fallback = 0.0) const;
-
-  /// Downsamples to at most @p max_points by keeping every k-th sample
-  /// (always keeps the final sample). Used when printing long cwnd traces.
-  std::vector<std::pair<Time, double>> downsample(std::size_t max_points) const;
 
  private:
   std::string name_;

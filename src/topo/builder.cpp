@@ -291,7 +291,12 @@ void TopoNet::attach_trace(TraceSink& sink, const TopoTraceNames& names) {
   const std::vector<MemberFlow>& flows = graph_.flows();
 
   measured_->queue().set_trace(&measured_sink, queue_site);
-  measured_->set_trace(&measured_sink, link_site);
+  // A ring has one writer, its LP's thread. The measured link's deliveries
+  // run on the receiver's LP (a cut link hands each packet over,
+  // SimplexLink::deliver_remote), so its records go to that LP's ring.
+  const MemberLink& measured_link = graph_.links()[static_cast<std::size_t>(
+      graph_.first_member(spec_.measure_link))];
+  measured_->set_trace(&sink_of_node(measured_link.to), link_site);
 
   for (std::size_t i = 0; i < sinks_.size(); ++i) {
     if (auto* tcp = dynamic_cast<TcpSink*>(sinks_[i].get())) {

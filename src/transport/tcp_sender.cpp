@@ -30,11 +30,6 @@ TcpSender::TcpSender(Simulator& sim, Node& node, FlowId flow, NodeId peer,
       // a field write with no scheduler traffic.
       rto_timer_(sim, [this] { on_rto(); }) {}
 
-void TcpSender::set_cwnd_trace(TraceSeries* trace) {
-  cwnd_trace_ = trace;
-  if (cwnd_trace_) cwnd_trace_->record(sim_.now(), cwnd());
-}
-
 void TcpSender::notify(TcpSenderEvent::Kind kind, std::int64_t seq,
                        bool retransmit) {
   if (!observer_) return;
@@ -52,11 +47,6 @@ void TcpSender::notify(TcpSenderEvent::Kind kind, std::int64_t seq,
   e.rtt_samples = stats_.rtt_samples;
   e.state = cc_state();
   observer_->on_sender_event(e);
-}
-
-void TcpSender::set_cwnd(double v) {
-  arena_->cwnd(slot_) = std::max(1.0, v);
-  if (cwnd_trace_) cwnd_trace_->record(sim_.now(), cwnd());
 }
 
 void TcpSender::app_send(int packets) {

@@ -12,11 +12,11 @@
 // Vegas) override the window-adjustment hooks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string_view>
 
-#include "src/sim/trace.hpp"
 #include "src/transport/agent.hpp"
 #include "src/transport/flow_arena.hpp"
 #include "src/transport/rto_estimator.hpp"
@@ -121,12 +121,10 @@ class TcpSender : public Agent {
   const RtoEstimator& rto_estimator() const { return estimator_; }
   const TcpConfig& config() const { return cfg_; }
 
-  /// If set, every congestion-window change is recorded (Figs 5-12).
-  void set_cwnd_trace(TraceSeries* trace);
-
   /// If set, every protocol event (send, ack, dup ack, timeout, ECN echo)
-  /// is reported with a post-event state snapshot. Test-only hook; the
-  /// hot path pays one null check per event when unset.
+  /// is reported with a post-event state snapshot. Traced runs install a
+  /// TransportTracer here, and the conformance testkit its golden-trace
+  /// recorder; the hot path pays one null check per event when unset.
   void set_observer(TcpSenderObserver* observer) { observer_ = observer; }
 
   /// Human-readable congestion-control phase for traces ("slow-start",
@@ -152,8 +150,8 @@ class TcpSender : public Agent {
   virtual void on_ecn_echo();
 
   // --- Services for subclasses -----------------------------------------
-  /// Updates cwnd (floored at 1 packet) and records the trace point.
-  void set_cwnd(double v);
+  /// Updates cwnd (floored at 1 packet).
+  void set_cwnd(double v) { arena_->cwnd(slot_) = std::max(1.0, v); }
   void set_ssthresh(double v) { arena_->ssthresh(slot_) = v; }
   /// Standard slow-start / congestion-avoidance growth on a new ACK,
   /// honoring cwnd_validation. Used by the Reno-family policies.
@@ -204,7 +202,6 @@ class TcpSender : public Agent {
   RtoEstimator estimator_;
   Timer rto_timer_;
 
-  TraceSeries* cwnd_trace_ = nullptr;
   TcpSenderObserver* observer_ = nullptr;
 };
 

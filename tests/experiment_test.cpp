@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "src/core/report.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/stats/trace_analysis.hpp"
 #include "src/topo/builder.hpp"
 #include "src/topo/spec.hpp"
 #include "src/transport/tcp_sender.hpp"
@@ -102,39 +107,26 @@ TEST(Experiment, CongestedHasLossAndRecovery) {
 }
 
 TEST(Experiment, CwndTracesRequested) {
+  TraceSink sink;
   ExperimentOptions opts;
-  opts.trace_clients = {0, 2};
-  const auto r = run_experiment(quick(10), opts);
-  ASSERT_EQ(r.cwnd_traces.size(), 2u);
-  EXPECT_EQ(r.cwnd_traces[0].name(), "client 1");
-  EXPECT_EQ(r.cwnd_traces[1].name(), "client 3");
-  EXPECT_FALSE(r.cwnd_traces[0].empty());
-}
-
-TEST(Experiment, PeriodicCwndSampling) {
-  ExperimentOptions opts;
-  opts.trace_clients = {0};
-  opts.cwnd_sample_period = 0.1;
-  Scenario s = quick(10);
-  const auto r = run_experiment(s, opts);
-  ASSERT_EQ(r.cwnd_traces.size(), 1u);
-  // At least ~duration/period points (plus change-driven ones).
-  EXPECT_GE(r.cwnd_traces[0].points().size(),
-            static_cast<std::size_t>(s.duration / 0.1) - 2);
-}
-
-ExperimentOptions trace_all(int clients) {
-  ExperimentOptions opts;
-  for (int i = 0; i < clients; ++i) opts.trace_clients.push_back(i);
-  opts.cwnd_sample_period = 0.1;
-  return opts;
+  opts.trace = &sink;
+  run_experiment(quick(10), opts);
+  const auto traces = client_cwnd_series(sink, {0, 2});
+  ASSERT_TRUE(traces.has_value());
+  ASSERT_EQ(traces->size(), 2u);
+  EXPECT_EQ((*traces)[0].name(), "client 1");
+  EXPECT_EQ((*traces)[1].name(), "client 3");
+  EXPECT_FALSE((*traces)[0].empty());
 }
 
 TEST(Experiment, CwndTracingAddsNoEvents) {
   Scenario s = quick(30);
   s.gateway = GatewayQueue::kRed;
   const auto bare = run_experiment(s);
-  const auto traced = run_experiment(s, trace_all(30));
+  TraceSink sink;
+  ExperimentOptions opts;
+  opts.trace = &sink;
+  const auto traced = run_experiment(s, opts);
   EXPECT_EQ(traced.sim_events, bare.sim_events);
   EXPECT_EQ(traced.peak_pending, bare.peak_pending);
   EXPECT_EQ(traced.metrics, bare.metrics);
@@ -142,14 +134,33 @@ TEST(Experiment, CwndTracingAddsNoEvents) {
   EXPECT_EQ(traced.delivered, bare.delivered);
   EXPECT_EQ(traced.gw_drops, bare.gw_drops);
   EXPECT_EQ(traced.timeouts, bare.timeouts);
-  ASSERT_EQ(traced.cwnd_traces.size(), 30u);
-  EXPECT_GT(traced.cwnd_traces[0].points().size(),
-            static_cast<std::size_t>(s.duration / 0.1) - 2);
+  EXPECT_EQ(sink.dropped(), 0u);
+  for (int c = 0; c < s.num_clients; ++c) {
+    EXPECT_FALSE(sink.cwnd_series(c, "").empty()) << "client " << c + 1;
+  }
 }
 
-// The event-scheduled sampler run_experiment used before the grid was
-// filled after the run, kept as the reference: one event chain per traced
-// sender, first at `period`, then every `period` while <= until.
+// fig10 samples a flow's window every 0.1 s: its cwnd_change series,
+// resampled, with the initial window of 1 before the first change.
+TEST(Experiment, PeriodicCwndSampling) {
+  TraceSink sink;
+  ExperimentOptions opts;
+  opts.trace = &sink;
+  Scenario s = quick(10);
+  run_experiment(s, opts);
+  const TraceSeries cwnd = sink.cwnd_series(0, "client 1");
+  ASSERT_FALSE(cwnd.empty());
+  EXPECT_GT(cwnd.points().front().first, 0.0);
+  const std::vector<double> grid = resample(cwnd, 0.0, s.duration, 0.1, 1.0);
+  EXPECT_GE(grid.size(), static_cast<std::size_t>(s.duration / 0.1));
+  EXPECT_EQ(grid.front(), 1.0);
+  EXPECT_GT(*std::max_element(grid.begin(), grid.end()), 1.0);
+  for (const double v : grid) EXPECT_GE(v, 1.0);
+}
+
+// The event-scheduled sampler run_experiment once ran, kept as the
+// reference: one event chain per sender, first at `period`, then every
+// `period` while <= until, reading the sender's window.
 void arm_sampler(Simulator& sim, const TcpSender* s, TraceSeries* t,
                  Time period, Time until) {
   if (sim.now() + period > until) return;
@@ -159,6 +170,8 @@ void arm_sampler(Simulator& sim, const TcpSender* s, TraceSeries* t,
   });
 }
 
+// Between events a sender's window is its last cwnd_change value, so the
+// cwnd series, read at any instant, is what a live sampler would read.
 TEST(Experiment, CwndGridMatchesAScheduledSampler) {
   for (const auto& [n, transport, queue] :
        {std::tuple{60, Transport::kReno, GatewayQueue::kRed},
@@ -166,26 +179,40 @@ TEST(Experiment, CwndGridMatchesAScheduledSampler) {
     Scenario s = quick(n, transport);
     s.gateway = queue;
     s.duration = 10.0;
-    const auto r = run_experiment(s, trace_all(n));
+    TraceSink sink;
+    ExperimentOptions opts;
+    opts.trace = &sink;
+    run_experiment(s, opts);
+    ASSERT_EQ(sink.dropped(), 0u);
 
     Simulator sim(s.seed);
     TopoNet net(sim, make_dumbbell_spec(s));
     std::vector<TraceSeries> ref;
+    std::vector<double> initial;
     ref.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       ref.emplace_back("client " + std::to_string(i + 1));
-      TcpSender* sender = net.tcp_sender(i);
-      sender->set_cwnd_trace(&ref.back());
+      const TcpSender* sender = net.tcp_sender(i);
+      initial.push_back(sender->cwnd());
       arm_sampler(sim, sender, &ref.back(), 0.1, s.duration);
     }
     net.start_sources();
     sim.run(s.duration);
 
-    ASSERT_EQ(r.cwnd_traces.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(r.cwnd_traces[i].name(), ref[i].name());
-      EXPECT_EQ(r.cwnd_traces[i].points(), ref[i].points())
-          << s.label() << " " << ref[i].name();
+    for (int i = 0; i < n; ++i) {
+      const auto c = static_cast<std::size_t>(i);
+      const TraceSeries cwnd = sink.cwnd_series(i, ref[c].name());
+      ASSERT_GE(ref[c].points().size(),
+                static_cast<std::size_t>(s.duration / 0.1) - 1);
+      const std::vector<double> grid =
+          resample(cwnd, 0.1, ref[c].points().back().first + 0.05, 0.1,
+                   initial[c]);
+      ASSERT_EQ(grid.size(), ref[c].points().size()) << ref[c].name();
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        EXPECT_EQ(grid[k], ref[c].points()[k].second)
+            << s.label() << " " << ref[c].name() << " t="
+            << ref[c].points()[k].first;
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.hpp"
@@ -32,6 +33,12 @@ TraceRecord record(TraceEventType type, Time t, double value = 0.0) {
   r.type = type;
   r.time = t;
   r.value = value;
+  return r;
+}
+
+TraceRecord cwnd_change(std::int32_t flow, Time t, double cwnd) {
+  TraceRecord r = record(TraceEventType::kCwndChange, t, cwnd);
+  r.flow = flow;
   return r;
 }
 
@@ -149,6 +156,44 @@ TEST(TraceSink, RegisterSiteDeduplicatesAndInternsStates) {
   const std::uint16_t s = sink.intern_state("slow-start");
   EXPECT_EQ(sink.intern_state("slow-start"), s);
   EXPECT_EQ(sink.states()[s], "slow-start");
+}
+
+// A flow's cwnd series keeps only its own kCwndChange records, in
+// ordered()'s order: a late emission sorts by time, and a same-instant
+// pair keeps its emission order, so value_at reads the later one.
+TEST(TraceSink, CwndSeriesIsOneFlowsCwndChangesInExportOrder) {
+  TraceSink sink;
+  sink.emit(cwnd_change(0, 1.0, 2.0));
+  sink.emit(cwnd_change(1, 1.5, 5.0));
+  TraceRecord state = record(TraceEventType::kCcStateChange, 2.0, 3.0);
+  state.flow = 0;
+  sink.emit(state);
+  sink.emit(cwnd_change(0, 3.0, 4.0));
+  sink.emit(cwnd_change(0, 3.0, 3.5));
+  sink.emit(cwnd_change(0, 2.5, 6.0));
+  using Points = std::vector<std::pair<Time, double>>;
+  const TraceSeries flow0 = sink.cwnd_series(0, "client 1");
+  EXPECT_EQ(flow0.name(), "client 1");
+  EXPECT_EQ(flow0.points(),
+            (Points{{1.0, 2.0}, {2.5, 6.0}, {3.0, 4.0}, {3.0, 3.5}}));
+  EXPECT_EQ(flow0.value_at(3.0), 3.5);
+  EXPECT_EQ(sink.cwnd_series(1, "client 2").points(), (Points{{1.5, 5.0}}));
+  const TraceSeries untraced = sink.cwnd_series(2, "client 3");
+  EXPECT_EQ(untraced.name(), "client 3");
+  EXPECT_TRUE(untraced.empty());
+}
+
+// A ring that overwrote records holds only a flow's newest changes, so
+// its series starts late: readers refuse a sink with dropped() > 0.
+TEST(TraceSink, CwndSeriesOfAWrappedRingStartsLate) {
+  TraceSink sink(/*capacity=*/4);
+  for (int i = 0; i < 6; ++i) {
+    sink.emit(cwnd_change(0, static_cast<Time>(i), i + 1.0));
+  }
+  ASSERT_EQ(sink.dropped(), 2u);
+  EXPECT_EQ(sink.cwnd_series(0, "").points(),
+            (std::vector<std::pair<Time, double>>{
+                {2.0, 3.0}, {3.0, 4.0}, {4.0, 5.0}, {5.0, 6.0}}));
 }
 
 // Golden JSONL export for a hand-built link scenario whose every timestamp

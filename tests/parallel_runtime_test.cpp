@@ -22,11 +22,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.hpp"
 #include "src/net/drop_tail_queue.hpp"
 #include "src/net/link.hpp"
+#include "src/obs/trace.hpp"
 #include "src/run/scenario_key.hpp"
 #include "src/sim/parallel/barrier.hpp"
 #include "src/sim/parallel/spsc_channel.hpp"
@@ -289,31 +291,76 @@ TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
   }
 }
 
-// cwnd traces only observe: each sender records its own window writes on
-// its own LP and the sample grid is filled after the run, so a traced run
-// shards like any other and its traces equal the sequential run's.
+// A traced run at @p shards LPs: its result, its merged records and every
+// flow's cwnd series.
+struct TracedRun {
+  ExperimentResult result;
+  std::uint64_t dropped = 0;
+  std::vector<TraceRecord> records;
+  std::vector<TraceSeries> series;
+};
+
+TracedRun traced_run(const Scenario& sc, int shards) {
+  TraceSink sink;
+  ExperimentOptions opt;
+  opt.trace = &sink;
+  opt.lp_shards = shards;
+  TracedRun run;
+  run.result = run_experiment(sc, opt);
+  run.dropped = sink.dropped();
+  run.records = sink.ordered();
+  for (int c = 0; c < sc.num_clients; ++c) {
+    run.series.push_back(
+        sink.cwnd_series(c, "client " + std::to_string(c + 1)));
+  }
+  return run;
+}
+
+std::vector<Scenario> cwnd_traced_scenarios() {
+  return {small(12, Transport::kReno, GatewayQueue::kRed, 11),
+          small(10, Transport::kVegas, GatewayQueue::kDropTail, 3)};
+}
+
+// Tracing only observes, so a traced run shards like any other, and every
+// flow's cwnd series equals the sequential run's: all of a flow's
+// cwnd_change records come from the LP that runs its sender.
 TEST(ParallelEquivalence, CwndTracedRunsShardAndMatchLp1) {
-  for (const Scenario& sc :
-       {small(12, Transport::kReno, GatewayQueue::kRed, 11),
-        small(10, Transport::kVegas, GatewayQueue::kDropTail, 3)}) {
-    ExperimentOptions opt;
-    for (int i = 0; i < sc.num_clients; ++i) opt.trace_clients.push_back(i);
-    opt.cwnd_sample_period = 0.1;
-    const ExperimentResult lp1 = run_experiment(sc, opt);
-    ASSERT_EQ(lp1.cwnd_traces.size(),
-              static_cast<std::size_t>(sc.num_clients));
+  for (const Scenario& sc : cwnd_traced_scenarios()) {
+    const TracedRun lp1 = traced_run(sc, 1);
     for (int shards : {2, 4}) {
-      opt.lp_shards = shards;
-      const ExperimentResult r = run_experiment(sc, opt);
-      EXPECT_EQ(r.lp_shards, shards) << "request was not honored";
-      EXPECT_EQ(r.lp_stats.size(), static_cast<std::size_t>(shards));
-      EXPECT_EQ(canon(lp1), canon(r)) << "lp=" << shards;
-      EXPECT_EQ(lp1.sim_events, r.sim_events) << "lp=" << shards;
-      ASSERT_EQ(r.cwnd_traces.size(), lp1.cwnd_traces.size());
-      for (std::size_t i = 0; i < r.cwnd_traces.size(); ++i) {
-        EXPECT_EQ(r.cwnd_traces[i].name(), lp1.cwnd_traces[i].name());
-        EXPECT_EQ(r.cwnd_traces[i].points(), lp1.cwnd_traces[i].points())
-            << lp1.cwnd_traces[i].name() << " lp=" << shards;
+      const TracedRun r = traced_run(sc, shards);
+      EXPECT_EQ(r.result.lp_shards, shards) << "request was not honored";
+      EXPECT_EQ(r.result.lp_stats.size(), static_cast<std::size_t>(shards));
+      EXPECT_EQ(canon(lp1.result), canon(r.result)) << "lp=" << shards;
+      EXPECT_EQ(lp1.result.sim_events, r.result.sim_events)
+          << "lp=" << shards;
+      ASSERT_EQ(r.series.size(), lp1.series.size());
+      for (std::size_t c = 0; c < r.series.size(); ++c) {
+        EXPECT_EQ(r.series[c].name(), lp1.series[c].name());
+        EXPECT_EQ(r.series[c].points(), lp1.series[c].points())
+            << sc.label() << " " << lp1.series[c].name() << " lp=" << shards;
+      }
+    }
+  }
+}
+
+// A flow's cwnd series is its cwnd_change records, at every shard count.
+TEST(ParallelEquivalence, CwndSeriesAreTheCwndChangeRecordsAtEveryLp) {
+  for (const Scenario& sc : cwnd_traced_scenarios()) {
+    for (int shards : {1, 2, 4}) {
+      const TracedRun r = traced_run(sc, shards);
+      EXPECT_EQ(r.result.lp_shards, shards) << "request was not honored";
+      ASSERT_EQ(r.dropped, 0u);
+      for (int c = 0; c < sc.num_clients; ++c) {
+        std::vector<std::pair<Time, double>> changes;
+        for (const TraceRecord& rec : r.records) {
+          if (rec.type == TraceEventType::kCwndChange && rec.flow == c) {
+            changes.emplace_back(rec.time, rec.value);
+          }
+        }
+        EXPECT_FALSE(changes.empty()) << sc.label() << " client " << c + 1;
+        EXPECT_EQ(r.series[static_cast<std::size_t>(c)].points(), changes)
+            << sc.label() << " client " << c + 1 << " lp=" << shards;
       }
     }
   }

@@ -52,13 +52,24 @@
 //    after the run from the recorded window writes. The 120 events are
 //    2 traced clients x 60 grid points; the new counters equal the same
 //    scenario run untraced.
+//  * reno_delack_n45_traced re-pinned 58adc366b915eda1 -> bfb10609129ae0e7,
+//    its counters unchanged, when cwnd stopped being recorded twice: its
+//    two series are now read from the event trace (TraceSink::cwnd_series),
+//    which holds the post-event window changes only. Each series lost its
+//    attach-time point and its 0.1 s grid, and client 10's also lost one
+//    same-instant write that repeated the window's value (195 writes,
+//    193 changes; client 1 had 162 and 161). Every change point is kept.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/experiment.hpp"
+#include "src/core/report.hpp"
+#include "src/obs/trace.hpp"
 #include "src/run/scenario_key.hpp"
 
 namespace burst {
@@ -72,8 +83,10 @@ void append_double(std::ostringstream& os, double v) {
 
 void append_u64(std::ostringstream& os, std::uint64_t v) { os << v << ';'; }
 
-// Every deterministic field of ExperimentResult, in declaration order.
-std::string canonical_metrics(const ExperimentResult& r) {
+// Every deterministic field of ExperimentResult, in declaration order,
+// then the traced clients' cwnd series.
+std::string canonical_metrics(const ExperimentResult& r,
+                              const std::vector<TraceSeries>& cwnd = {}) {
   std::ostringstream os;
   append_double(os, r.cov);
   append_double(os, r.poisson_cov);
@@ -99,7 +112,7 @@ std::string canonical_metrics(const ExperimentResult& r) {
   // sim_events / peak_pending are intentionally NOT part of this hash:
   // they are pinned separately (expected_events / expected_peak below),
   // so event-count-only changes are distinguishable from timing changes.
-  for (const TraceSeries& t : r.cwnd_traces) {
+  for (const TraceSeries& t : cwnd) {
     os << t.name() << ';';
     for (const auto& [time, value] : t.points()) {
       append_double(os, time);
@@ -109,10 +122,10 @@ std::string canonical_metrics(const ExperimentResult& r) {
   return os.str();
 }
 
-std::string result_hash(const ExperimentResult& r) {
+std::string result_hash(const std::string& canonical) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(canonical_metrics(r))));
+                static_cast<unsigned long long>(fnv1a64(canonical)));
   return buf;
 }
 
@@ -130,7 +143,7 @@ Scenario pinned(int clients, Transport t, GatewayQueue q) {
 struct Pin {
   const char* label;
   Scenario scenario;
-  ExperimentOptions options;
+  std::vector<int> traced_clients;  // cwnd series hashed after the metrics
   const char* expected_hash;      // packet-timing metrics, counters excluded
   std::uint64_t expected_events;  // sim_events (scheduler events executed)
   std::uint64_t expected_peak;    // peak_pending (event-heap high-water mark)
@@ -155,22 +168,34 @@ std::vector<Pin> pins() {
   p.push_back({"udp_droptail_n25",
                pinned(25, Transport::kUdp, GatewayQueue::kDropTail), {},
                "09f22cb5ab59cf30", 56023, 164});
-  // Traces + the periodic sample grid; tracing adds no events, so the
-  // counters are the untraced run's.
+  // An event trace with two clients' cwnd series read from it; tracing
+  // adds no events, so the counters are the untraced run's.
   Pin traced{"reno_delack_n45_traced",
-             pinned(45, Transport::kReno, GatewayQueue::kDropTail), {},
-             "58adc366b915eda1", 118305, 396};
+             pinned(45, Transport::kReno, GatewayQueue::kDropTail), {0, 9},
+             "bfb10609129ae0e7", 118305, 396};
   traced.scenario.delayed_ack = true;
-  traced.options.trace_clients = {0, 9};
-  traced.options.cwnd_sample_period = 0.1;
   p.push_back(traced);
   return p;
 }
 
+// Runs @p pin, traced when it names clients, and returns its result and
+// its canonical text.
+std::pair<ExperimentResult, std::string> run_pin(const Pin& pin) {
+  TraceSink sink;
+  ExperimentOptions opts;
+  if (!pin.traced_clients.empty()) opts.trace = &sink;
+  ExperimentResult r = run_experiment(pin.scenario, opts);
+  const auto cwnd = client_cwnd_series(sink, pin.traced_clients);
+  EXPECT_TRUE(cwnd.has_value()) << pin.label << ": the trace ring overflowed";
+  std::string text =
+      canonical_metrics(r, cwnd ? *cwnd : std::vector<TraceSeries>{});
+  return {std::move(r), std::move(text)};
+}
+
 TEST(ResultIdentity, PinnedScenariosAreByteIdentical) {
   for (const Pin& pin : pins()) {
-    const ExperimentResult r = run_experiment(pin.scenario, pin.options);
-    EXPECT_EQ(result_hash(r), pin.expected_hash)
+    const auto [r, text] = run_pin(pin);
+    EXPECT_EQ(result_hash(text), pin.expected_hash)
         << pin.label << ": metrics changed bit-for-bit. If intentional, "
         << "re-pin with the hash above and document why.";
     EXPECT_EQ(r.sim_events, pin.expected_events)
@@ -188,9 +213,7 @@ TEST(ResultIdentity, PinnedScenariosAreByteIdentical) {
 // this separates "scheduler nondeterminism" from "pin needs updating".
 TEST(ResultIdentity, RerunInProcessIsByteIdentical) {
   const Pin pin = pins()[1];  // Reno/RED: the most event-churn-heavy pin
-  const ExperimentResult a = run_experiment(pin.scenario, pin.options);
-  const ExperimentResult b = run_experiment(pin.scenario, pin.options);
-  EXPECT_EQ(canonical_metrics(a), canonical_metrics(b));
+  EXPECT_EQ(run_pin(pin).second, run_pin(pin).second);
 }
 
 }  // namespace

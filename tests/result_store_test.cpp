@@ -33,11 +33,6 @@ ExperimentResult sample_result() {
   r.sim_events = 368516;
   r.peak_pending = 73;
   for (double d : {0.081, 0.0912, 0.1203, 0.0805}) r.delay.add(d);
-  TraceSeries t("client 3");
-  t.record(0.1, 1.0);
-  t.record(0.2, 2.0);
-  t.record(0.30000000000000004, 4.0);
-  r.cwnd_traces.push_back(t);
   return r;
 }
 
@@ -65,11 +60,7 @@ void expect_bit_identical(const ExperimentResult& a, const ExperimentResult& b) 
   EXPECT_EQ(a.delay.m2(), b.delay.m2());
   EXPECT_EQ(a.delay.min(), b.delay.min());
   EXPECT_EQ(a.delay.max(), b.delay.max());
-  ASSERT_EQ(a.cwnd_traces.size(), b.cwnd_traces.size());
-  for (std::size_t i = 0; i < a.cwnd_traces.size(); ++i) {
-    EXPECT_EQ(a.cwnd_traces[i].name(), b.cwnd_traces[i].name());
-    EXPECT_EQ(a.cwnd_traces[i].points(), b.cwnd_traces[i].points());
-  }
+  EXPECT_EQ(a.metrics, b.metrics);
 }
 
 std::string fresh_dir(const std::string& name) {
@@ -89,17 +80,14 @@ TEST(ResultJson, RoundTripsBitIdentically) {
 }
 
 // A result that reaches every branch of the writer: all 18 scalars, a
-// delay with samples, a cwnd trace whose name needs escaping, and a
-// counter, a gauge and a histogram metric.
+// delay with samples, and a counter, a gauge and a histogram metric, one
+// of them named so that it needs escaping.
 ExperimentResult frozen_result() {
   ExperimentResult r = sample_result();
   r.routing_errors = 3;
-  TraceSeries odd("say \"hi\" \\ \x01 end");
-  odd.record(0.0, -0.0);
-  odd.record(1e-7, 1e21);
-  r.cwnd_traces.push_back(odd);
   MetricsRegistry reg;
   reg.add_counter("tcp.dupacks", 1234);
+  reg.add_counter("say \"hi\" \\ \x01 end", 7);
   reg.add_gauge("parallel.lookahead", 0.02);
   Histogram& h = reg.histogram("queue.gateway.len_at_arrival", {0, 1, 2, 4});
   for (double v : {0.0, 1.0, 3.0, 9.0}) h.add(v);
@@ -112,6 +100,30 @@ ExperimentResult frozen_result() {
 // round-trip tests alone would pass a formatter change that alters the
 // writer and the reader at once.
 constexpr const char* kFrozenLine =
+    R"({"cov":0.31415926535897931,"poisson_cov":0.33333333333333331,)"
+    R"("mean_per_bin":309.66666666666663,"app_generated":16211,)"
+    R"("delivered":8487,"gw_arrivals":8989,"gw_drops":234,)"
+    R"("loss_pct":2.6031816664812548,"timeouts":52,"fast_retransmits":81,)"
+    R"("dupacks":1234,"retransmits":140,"data_pkts_sent":9000,)"
+    R"("timeout_dupack_ratio":0.042139384116693678,)"
+    R"("fairness":0.98765432109876539,"routing_errors":3,)"
+    R"("sim_events":368516,"peak_pending":73,)"
+    R"("delay":{"n":4,"mean":0.09325,"m2":0.0010485299999999998,)"
+    R"("min":0.080500000000000002,"max":0.1203},)"
+    R"("cwnd_traces":[],)"
+    R"("metrics":[{"name":"parallel.lookahead","kind":1,"value":0.02,)"
+    R"("sum":0,"bounds":[],"buckets":[]},)"
+    R"({"name":"queue.gateway.len_at_arrival","kind":2,"value":4,"sum":13,)"
+    R"("bounds":[0,1,2,4],"buckets":[1,1,0,1,1]},)"
+    R"({"name":"say \"hi\" \\   end","kind":0,"value":7,"sum":0,)"
+    R"("bounds":[],"buckets":[]},)"
+    R"({"name":"tcp.dupacks","kind":0,"value":1234,"sum":0,"bounds":[],)"
+    R"("buckets":[]}]})";
+
+// A store line as written while results still carried cwnd traces: the
+// frozen line of that time, with two traces in its `cwnd_traces` array.
+// Campaigns only ever stored `[]` there.
+constexpr const char* kLineWithCwndTraces =
     R"({"cov":0.31415926535897931,"poisson_cov":0.33333333333333331,)"
     R"("mean_per_bin":309.66666666666663,"app_generated":16211,)"
     R"("delivered":8487,"gw_arrivals":8989,"gw_drops":234,)"
@@ -231,6 +243,28 @@ TEST(ResultStore, IgnoresOtherSchemaVersions) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.skipped_entries(), 1u);
   EXPECT_FALSE(store.get(key).has_value());  // never serves stale schema
+}
+
+TEST(ResultStore, SkipsALineWithCwndTraces) {
+  ExperimentResult parsed;
+  EXPECT_FALSE(result_from_json(kLineWithCwndTraces, &parsed));
+  const std::string dir = fresh_dir("store_cwnd_traces");
+  const ScenarioKey key = scenario_key(Scenario::paper_default());
+  std::string segment;
+  {
+    ResultStore store(dir);
+    segment = store.segment_path(key);
+  }
+  {
+    std::ofstream out(segment);
+    out << "{\"key\":\"" << key.hex()
+        << "\",\"schema\":" << kResultSchemaVersion
+        << ",\"result\":" << kLineWithCwndTraces << "}\n";
+  }
+  ResultStore store(dir);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.skipped_entries(), 1u);
+  EXPECT_FALSE(store.get(key).has_value());
 }
 
 TEST(ResultStore, IgnoresAPreShardingResultsFile) {

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "src/obs/trace.hpp"
+
 namespace burst {
 namespace {
 
@@ -59,15 +61,25 @@ TEST(ScenarioKey, EveryAxisChangesTheKey) {
   EXPECT_TRUE(differs([](Scenario& s) { s.mean_interarrival += 1e-12; }));
 }
 
+// The shard count can reorder same-instant ties, so it is part of the
+// key; a trace sink only observes, so a traced run shares the bare key.
 TEST(ScenarioKey, OptionsArePartOfTheKey) {
   const Scenario s = Scenario::paper_default();
+  ExperimentOptions lp1;
+  lp1.lp_shards = 1;
+  ExperimentOptions lp2;
+  lp2.lp_shards = 2;
+  ExperimentOptions lp4;
+  lp4.lp_shards = 4;
+  EXPECT_EQ(scenario_key(s), scenario_key(s, lp1));
+  EXPECT_NE(scenario_key(s), scenario_key(s, lp2));
+  EXPECT_NE(scenario_key(s, lp2), scenario_key(s, lp4));
+  TraceSink sink;
   ExperimentOptions traced;
-  traced.trace_clients = {0, 5};
-  traced.cwnd_sample_period = 0.1;
-  EXPECT_NE(scenario_key(s), scenario_key(s, traced));
-  ExperimentOptions traced2 = traced;
-  traced2.trace_clients = {0, 6};
-  EXPECT_NE(scenario_key(s, traced), scenario_key(s, traced2));
+  traced.trace = &sink;
+  EXPECT_EQ(scenario_key(s), scenario_key(s, traced));
+  traced.lp_shards = 2;
+  EXPECT_EQ(scenario_key(s, lp2), scenario_key(s, traced));
 }
 
 TEST(ScenarioKey, CanonicalStringCarriesSchemaVersion) {
@@ -75,6 +87,9 @@ TEST(ScenarioKey, CanonicalStringCarriesSchemaVersion) {
   EXPECT_NE(canon.find("schema=" + std::to_string(kResultSchemaVersion) + ";"),
             std::string::npos);
   EXPECT_NE(canon.find("transport=Reno;"), std::string::npos);
+  // The text of two deleted options, kept so every stored key holds.
+  EXPECT_NE(canon.find(";trace_clients=;cwnd_sample_period=0x0p+0;"),
+            std::string::npos);
 }
 
 // canonical_string as it was written before its Scenario part came from
@@ -153,13 +168,11 @@ std::string frozen_canonical_string(const Scenario& s,
   c.field("client_queue_buffer",
           static_cast<std::uint64_t>(s.client_queue_buffer));
   c.field("seed", s.seed);
-  // Experiment options.
-  {
-    std::ostringstream tc;
-    for (const int i : opts.trace_clients) tc << i << ',';
-    c.field("trace_clients", tc.str());
-  }
-  c.field("cwnd_sample_period", opts.cwnd_sample_period);
+  // Experiment options. The cwnd trace client list and sample period
+  // were options then; every stored key rendered them empty, the only
+  // value they can take now.
+  c.field("trace_clients", std::string());
+  c.field("cwnd_sample_period", 0.0);
   // Parallel runs are deterministic per shard count but may order exact
   // same-instant ties differently than the sequential engine, so the
   // cache must key on the shard count. Appended only when > 1 so every
@@ -217,9 +230,6 @@ TEST(ScenarioKey, CanonicalStringMatchesTheFrozenRendering) {
     s.client_queue_buffer = static_cast<std::size_t>(rng());
     s.seed = rng();
     ExperimentOptions opts;
-    opts.trace_clients.resize(rng() % 4);
-    for (int& c : opts.trace_clients) c = integer();
-    opts.cwnd_sample_period = real();
     opts.lp_shards = 1 + static_cast<int>(rng() % 4);
     ASSERT_EQ(canonical_string(s, opts), frozen_canonical_string(s, opts))
         << "draw " << i;

@@ -86,12 +86,12 @@ TEST(TcpReno, TimeoutResetsToSlowStart) {
   auto* s = h.make_sender<TcpReno>();
   s->app_send(3);
   h.sim.run(1.0);
-  TraceSeries trace("w");
-  s->set_cwnd_trace(&trace);
+  testing::CwndRecorder recorder(*s);
   s->app_send(6);  // burst overflows; tail loss -> timeout
   h.sim.run(30.0);
   ASSERT_GT(s->stats().timeouts, 0u);
   // The trace must contain a reset to 1.
+  const TraceSeries trace = recorder.series();
   bool saw_one = false;
   for (const auto& [t, w] : trace.points()) saw_one |= (w == 1.0);
   EXPECT_TRUE(saw_one);

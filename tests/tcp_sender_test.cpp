@@ -96,13 +96,17 @@ TEST(TcpSender, StatsCountAppAndDataPackets) {
 TEST(TcpSender, CwndTraceRecordsChanges) {
   TcpHarness h;
   auto* s = h.make_sender<TcpReno>();
-  TraceSeries trace("cwnd");
-  s->set_cwnd_trace(&trace);
+  testing::CwndRecorder recorder(*s);
   s->app_send(30);
   h.sim.run();
+  const TraceSeries trace = recorder.series();
   ASSERT_GE(trace.points().size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.points().front().second, 1.0);  // initial cwnd
-  EXPECT_GT(trace.points().back().second, 1.0);          // grew
+  // No point at t=0: the window held the initial cwnd (1) until the
+  // first ACK, whose slow-start growth is the first change.
+  EXPECT_GT(trace.points().front().first, 0.0);
+  EXPECT_DOUBLE_EQ(trace.points().front().second,
+                   s->config().initial_cwnd + 1.0);
+  EXPECT_GT(trace.points().back().second, 1.0);  // grew
 }
 
 TEST(TcpSender, NoTrafficNoTimer) {

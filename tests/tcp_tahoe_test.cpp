@@ -35,11 +35,11 @@ TEST(TcpTahoe, LossResetsWindowToOne) {
   auto* s = h.make_sender<TcpTahoe>();
   s->app_send(12);
   h.sim.run(1.0);
-  TraceSeries trace("w");
-  s->set_cwnd_trace(&trace);
+  testing::CwndRecorder recorder(*s);
   s->app_send(12);
   h.sim.run(30.0);
   ASSERT_GE(s->stats().fast_retransmits + s->stats().timeouts, 1u);
+  const TraceSeries trace = recorder.series();
   bool saw_one = false;
   for (const auto& [t, w] : trace.points()) saw_one |= (w == 1.0);
   EXPECT_TRUE(saw_one);  // Tahoe always re-slow-starts

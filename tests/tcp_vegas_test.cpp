@@ -107,10 +107,10 @@ TEST(TcpVegas, GentlerLossReactionThanReno) {
   auto* s = h.make_sender<TcpVegas>();
   s->app_send(12);
   h.sim.run(1.0);
-  TraceSeries trace("w");
-  s->set_cwnd_trace(&trace);
+  testing::CwndRecorder recorder(*s);
   s->app_send(14);
   h.sim.run(30.0);
+  const TraceSeries trace = recorder.series();
   EXPECT_EQ(h.sink->rcv_nxt(), 26);
   // If a fast retransmit happened, the cut was 3/4, not 1/2: the minimum
   // traced window right after a cut is >= 0.7 * the preceding maximum,

@@ -12,6 +12,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.hpp"
@@ -257,6 +258,37 @@ TEST(TraceMerge, EqualsStableSortOfTheConcatenation) {
   for (const TraceRecord& r : got) ids.push_back(r.seq);
   EXPECT_EQ(ids, (std::vector<std::int64_t>{1, 2, 11, 5, 16, 3, 4, 12, 13,
                                             14, 6, 15}));
+}
+
+// Each flow's cwnd_change records come from one part, the LP that runs
+// its sender, so a flow's series read from the merge is its part's own,
+// however the parts' records interleave.
+TEST(TraceMerge, CwndSeriesOfTheMergeIsEachPartsOwn) {
+  HandPart a(0), b(1);
+  const auto change = [](HandPart& p, Time t, std::int32_t flow,
+                         double cwnd) {
+    p.clock = t;
+    p.sink.emit(rec(TraceEventType::kCwndChange, t, flow, 0, cwnd));
+  };
+  change(a, 0.5, 0, 2.0);
+  b.live(0.5, 0.5, 1);
+  change(b, 0.5, 1, 2.0);
+  change(a, 1.0, 0, 3.0);
+  change(b, 1.0, 1, 1.0);
+  a.live(1.2, 1.2, 2);
+  change(a, 1.5, 2, 2.0);
+  change(a, 1.5, 0, 1.5);
+  change(b, 2.0, 1, 2.0);
+
+  TraceSink merged(64);
+  merged.merge_from({&a.sink, &b.sink});
+  for (const auto& [flow, part] :
+       {std::pair<std::int32_t, const HandPart*>{0, &a}, {1, &b}, {2, &a}}) {
+    const TraceSeries own = part->sink.cwnd_series(flow, "");
+    EXPECT_FALSE(own.empty()) << "flow " << flow;
+    EXPECT_EQ(merged.cwnd_series(flow, "").points(), own.points())
+        << "flow " << flow;
+  }
 }
 
 // The same equality over random parts: three LPs, coarse keys so equal

@@ -33,75 +33,6 @@ TEST(TraceSeries, ValueAtEmptyReturnsFallback) {
   EXPECT_DOUBLE_EQ(t.value_at(3.0, 7.0), 7.0);
 }
 
-TEST(TraceSeries, DownsampleKeepsEndpointsAndBounds) {
-  TraceSeries t("x");
-  for (int i = 0; i < 1000; ++i) {
-    t.record(static_cast<Time>(i), static_cast<double>(i));
-  }
-  auto d = t.downsample(100);
-  EXPECT_LE(d.size(), 102u);
-  EXPECT_DOUBLE_EQ(d.front().first, 0.0);
-  EXPECT_DOUBLE_EQ(d.back().first, 999.0);
-}
-
-TEST(TraceSeries, DownsampleSmallSeriesIsIdentity) {
-  TraceSeries t("x");
-  t.record(0.0, 1.0);
-  t.record(1.0, 2.0);
-  auto d = t.downsample(100);
-  EXPECT_EQ(d.size(), 2u);
-}
-
-TEST(TraceSeries, DownsampleZeroReturnsEmpty) {
-  TraceSeries t("x");
-  t.record(0.0, 1.0);
-  EXPECT_TRUE(t.downsample(0).empty());
-}
-
-TEST(TraceSeries, DownsampleEmptySeriesReturnsEmpty) {
-  TraceSeries t("x");
-  EXPECT_TRUE(t.downsample(100).empty());
-  EXPECT_TRUE(t.downsample(0).empty());
-}
-
-TEST(TraceSeries, DownsampleMaxPointsEqualToSizeIsIdentity) {
-  TraceSeries t("x");
-  for (int i = 0; i < 10; ++i) {
-    t.record(static_cast<Time>(i), static_cast<double>(i));
-  }
-  // stride = size / max_points = 1: every point survives, none duplicated.
-  const auto d = t.downsample(10);
-  ASSERT_EQ(d.size(), 10u);
-  EXPECT_EQ(d, t.points());
-}
-
-TEST(TraceSeries, DownsampleRetainsFinalSampleOffStride) {
-  TraceSeries t("x");
-  // 7 points, max 3 -> stride 2 visits indices 0,2,4,6; the last point IS
-  // on-stride here, so build an off-stride case too: 8 points, stride 2
-  // visits 0,2,4,6 and must append index 7 explicitly.
-  for (int i = 0; i < 8; ++i) {
-    t.record(static_cast<Time>(i), static_cast<double>(10 * i));
-  }
-  const auto d = t.downsample(4);
-  ASSERT_GE(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d.back().first, 7.0);
-  EXPECT_DOUBLE_EQ(d.back().second, 70.0);
-  // Monotone time order must survive the final-sample append.
-  for (std::size_t i = 1; i < d.size(); ++i) {
-    EXPECT_LT(d[i - 1].first, d[i].first);
-  }
-}
-
-TEST(TraceSeries, DownsampleSinglePoint) {
-  TraceSeries t("x");
-  t.record(2.5, 9.0);
-  const auto d = t.downsample(1);
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_DOUBLE_EQ(d.front().first, 2.5);
-  EXPECT_DOUBLE_EQ(d.front().second, 9.0);
-}
-
 TEST(TraceSeries, ValueAtExactlyFirstAndBetweenPoints) {
   TraceSeries t("x");
   t.record(1.0, 10.0);

@@ -7,6 +7,7 @@
 
 #include "src/net/drop_tail_queue.hpp"
 #include "src/net/node.hpp"
+#include "src/obs/transport_trace.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/transport/tcp_sender.hpp"
 #include "src/transport/tcp_sink.hpp"
@@ -58,6 +59,24 @@ class TcpHarness {
   SimplexLink ab, ba;
   std::unique_ptr<TcpSender> sender;
   std::unique_ptr<TcpSink> sink;
+};
+
+/// Records a sender's window changes from construction on, the way a
+/// traced run does: a TransportTracer feeding an event trace, read back
+/// with TraceSink::cwnd_series.
+class CwndRecorder {
+ public:
+  explicit CwndRecorder(TcpSender& sender)
+      : sender_(sender), tracer_(sink_, sender) {
+    sender.set_observer(&tracer_);
+  }
+
+  TraceSeries series() const { return sink_.cwnd_series(sender_.flow(), "w"); }
+
+ private:
+  const TcpSender& sender_;
+  TraceSink sink_;
+  TransportTracer tracer_;
 };
 
 }  // namespace burst::testing

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/cli.hpp"
@@ -105,8 +106,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // --trace reads its cwnd traces from the event trace, so it records
+  // one in memory even when --trace-out does not write it.
   std::unique_ptr<TraceSink> trace;
-  if (!request->trace_path.empty()) {
+  if (!request->trace_path.empty() || !request->cwnd_clients.empty()) {
     trace = std::make_unique<TraceSink>();
     request->options.trace = trace.get();
   }
@@ -137,13 +140,21 @@ int main(int argc, char** argv) {
   print_table(std::cout, {"metric", "value"}, rows);
   print_lp_stats(std::cout, r, request->profile);
 
-  if (!request->options.trace_clients.empty()) {
+  std::vector<TraceSeries> cwnd;
+  if (!request->cwnd_clients.empty()) {
+    auto traces = client_cwnd_series(*trace, request->cwnd_clients);
+    if (!traces) {
+      std::cerr << "burstsim: the trace ring overwrote " << trace->dropped()
+                << " records, so the cwnd traces would start late\n";
+      return 1;
+    }
+    cwnd = std::move(*traces);
     std::cout << '\n';
-    print_cwnd_traces(std::cout, r.cwnd_traces, sc.duration, 0.1, 40);
+    print_cwnd_series(std::cout, cwnd, sc.duration, 0.1, 40);
   }
   if (!request->csv_path.empty()) {
     bool csv_ok = true;
-    for (const auto& t : r.cwnd_traces) {
+    for (const auto& t : cwnd) {
       const std::string path =
           request->csv_path + "." + t.name() + ".csv";
       if (!write_trace_csv(path, t)) {
@@ -155,7 +166,7 @@ int main(int argc, char** argv) {
     }
     if (!csv_ok) return 1;
   }
-  if (trace) {
+  if (!request->trace_path.empty()) {
     std::cout << "trace: " << trace->emitted() << " records emitted, "
               << trace->dropped() << " overwritten (ring capacity)\n";
     if (!write_trace_file(*trace, request->trace_path + ".jsonl", false) ||
