@@ -5,10 +5,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "src/net/flow_monitor.hpp"
 #include "src/stats/correlation.hpp"
-#include "src/topo/builder.hpp"
-#include "src/topo/spec.hpp"
 
 namespace {
 
@@ -22,21 +19,20 @@ struct DependencyResult {
   double mean_flows_hit = 0.0;  // per gateway drop event
 };
 
+// A drop more than this long after the previous one opens the next drop
+// event.
+constexpr Time kDropEventGap = 0.002;
+
 DependencyResult measure(Transport transport, int n, Time duration) {
   Scenario sc = bench::paper_base();
   sc.transport = transport;
   sc.num_clients = n;
   sc.duration = duration;
 
-  Simulator sim(sc.seed);
-  TopoNet net(sim, make_dumbbell_spec(sc));
-  FlowMonitor monitor(net.measured_queue(), /*event_gap=*/0.002);
-
-  // Run via the library pieces directly so the monitor sees this run.
   TraceSink sink;
-  net.attach_trace(sink);
-  net.start_sources();
-  sim.run(sc.duration);
+  ExperimentOptions opts;
+  opts.trace = &sink;
+  run_experiment(sc, opts);
 
   // Per-flow indicator series: did the window decrease inside this 0.1 s
   // bin? Synchronized congestion decisions show up as correlated spikes.
@@ -49,7 +45,14 @@ DependencyResult measure(Transport transport, int n, Time duration) {
 
   DependencyResult out;
   out.cut_correlation = mean_pairwise_correlation(cuts);
-  out.mean_flows_hit = monitor.mean_flows_hit();
+  // Every drop event counts, the one still open at the end of the run too.
+  const std::vector<DropCluster> events = sink.drop_clusters(
+      sink.register_site("queue:gateway"), kDropEventGap);
+  double flows_hit = 0.0;
+  for (const DropCluster& e : events) flows_hit += e.flows;
+  if (!events.empty()) {
+    out.mean_flows_hit = flows_hit / static_cast<double>(events.size());
+  }
   return out;
 }
 

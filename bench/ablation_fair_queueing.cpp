@@ -10,10 +10,10 @@
 //     drop confines the loss to the hog and protects the light flows.
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "src/app/bulk_source.hpp"
-#include "src/net/flow_monitor.hpp"
 #include "src/topo/builder.hpp"
 #include "src/topo/spec.hpp"
 
@@ -37,7 +37,18 @@ HogResult run_hog(GatewayQueue q, Time duration) {
 
   Simulator sim(sc.seed);
   TopoNet net(sim, make_dumbbell_spec(sc));
-  FlowMonitor monitor(net.measured_queue(), 0.002);
+  // Per-flow data arrivals and drops at the gateway.
+  std::vector<std::uint64_t> arrivals(static_cast<std::size_t>(sc.num_clients));
+  std::vector<std::uint64_t> drops(arrivals.size());
+  const auto count_data = [](std::vector<std::uint64_t>& per_flow) {
+    return [&per_flow](const Packet& p, Time) {
+      if (p.type == PacketType::kData) {
+        ++per_flow[static_cast<std::size_t>(p.flow)];
+      }
+    };
+  };
+  net.measured_queue().taps().add_arrival_listener(count_data(arrivals));
+  net.measured_queue().taps().add_drop_listener(count_data(drops));
   // Client 0 becomes a greedy bulk transfer; the rest stay Poisson.
   BulkSource hog(sim, net.sender(0), 0);
   hog.start();
@@ -45,19 +56,14 @@ HogResult run_hog(GatewayQueue q, Time duration) {
   sim.run(sc.duration);
 
   HogResult out;
+  out.hog_loss_frac = arrivals[0] == 0
+                          ? 0.0
+                          : static_cast<double>(drops[0]) /
+                                static_cast<double>(arrivals[0]);
   std::uint64_t light_arr = 0, light_drop = 0;
-  const auto& flow_table = monitor.flow_table();
-  for (std::size_t flow = 0; flow < flow_table.size(); ++flow) {
-    const FlowMonitor::FlowCounters& c = flow_table[flow];
-    if (flow == 0) {
-      out.hog_loss_frac = c.arrivals == 0
-                              ? 0.0
-                              : static_cast<double>(c.drops) /
-                                    static_cast<double>(c.arrivals);
-    } else {
-      light_arr += c.arrivals;
-      light_drop += c.drops;
-    }
+  for (std::size_t flow = 1; flow < arrivals.size(); ++flow) {
+    light_arr += arrivals[flow];
+    light_drop += drops[flow];
   }
   out.light_loss_frac =
       light_arr == 0 ? 0.0

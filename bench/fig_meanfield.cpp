@@ -35,15 +35,8 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "src/net/flow_monitor.hpp"
 #include "src/obs/flight_recorder.hpp"
-#include "src/sim/parallel/runtime.hpp"
-#include "src/sim/simulator.hpp"
-#include "src/stats/binned_counter.hpp"
 #include "src/stats/meanfield.hpp"
-#include "src/topo/builder.hpp"
-#include "src/topo/partition.hpp"
-#include "src/topo/spec.hpp"
 #include "src/transport/flow_arena.hpp"
 
 namespace {
@@ -91,36 +84,6 @@ ProbeRow run_meanfield(int clients, int lp_shards = 1, bool flight = false,
                        double* cov = nullptr) {
   const Scenario sc = meanfield_scenario(clients, duration_for(clients));
 
-  // The budget knob is the point, not a formality: reserve under a hard
-  // per-flow ceiling so any per-flow state growth fails loudly here.
-  // Sharded builds split the reservation across per-LP arenas; the sum
-  // still has to respect the same per-flow budget.
-  FlowArena::set_default_budget_bytes(
-      (static_cast<std::size_t>(clients) + 1) * kBudgetPerFlowBytes);
-
-  const TopoSpec spec = make_dumbbell_spec(sc);
-  const LpPartition part = make_lp_partition(spec, lp_shards);
-  std::unique_ptr<Simulator> seq;
-  std::unique_ptr<ParallelRuntime> rt;
-  std::unique_ptr<TopoNet> net;
-  if (part.shards > 1) {
-    rt = std::make_unique<ParallelRuntime>(part.shards, part.lookahead,
-                                           sc.seed);
-    net = std::make_unique<TopoNet>(*rt, part, spec);
-  } else {
-    seq = std::make_unique<Simulator>(sc.seed);
-    net = std::make_unique<TopoNet>(*seq, spec);
-  }
-  FlowArena::set_default_budget_bytes(0);
-
-  BinnedCounter bins(sc.rtt_prop(), sc.warmup);
-  net->measured_queue().taps().add_arrival_listener(
-      [&bins](const Packet& p, Time now) {
-        if (p.type == PacketType::kData) bins.record(now);
-      });
-  FlowMonitor monitor(net->measured_queue());
-  monitor.reserve_flows(static_cast<std::size_t>(clients));
-
   std::unique_ptr<FlightRecorder> fr;
   if (flight) {
     // 1024-sample cap: 128 KiB reserved, exactly the 64-flow ceiling
@@ -129,33 +92,32 @@ ProbeRow run_meanfield(int clients, int lp_shards = 1, bool flight = false,
     FlightRecorderOptions fopts;
     fopts.max_samples = 1024;
     fr = std::make_unique<FlightRecorder>(fopts);
-    fr->observe_queue(&net->measured_queue());
-    if (rt == nullptr) fr->observe_arena(&net->flow_arena());
-    fr->arm(rt != nullptr ? rt->sim(0) : *seq, sc.duration);
-    // The recorder's whole budget must stay negligible next to the arena
-    // it observes — the point of sampling instead of tracing.
-    if (fr->bytes_reserved() > kBudgetPerFlowBytes * 64) {
-      std::cerr << "fig_meanfield: flight-recorder budget "
-                << fr->bytes_reserved() << " B exceeds its ceiling\n";
-      std::exit(1);
-    }
   }
+  ExperimentOptions opts;
+  opts.lp_shards = lp_shards;
+  opts.flight = fr.get();
 
-  net->start_sources();
-  const double t0 = now_s();
-  if (rt != nullptr) {
-    rt->run(sc.duration);
-  } else {
-    seq->run(sc.duration);
+  // The budget knob is the point, not a formality: reserve under a hard
+  // per-flow ceiling so any per-flow state growth fails loudly here.
+  // Sharded builds split the reservation across per-LP arenas; the sum
+  // still has to respect the same per-flow budget.
+  FlowArena::set_default_budget_bytes(
+      (static_cast<std::size_t>(clients) + 1) * kBudgetPerFlowBytes);
+  const ExperimentResult res = run_experiment(sc, opts);
+  FlowArena::set_default_budget_bytes(0);
+
+  // The recorder's whole budget must stay negligible next to the arena
+  // it observes — the point of sampling instead of tracing.
+  if (fr && fr->bytes_reserved() > kBudgetPerFlowBytes * 64) {
+    std::cerr << "fig_meanfield: flight-recorder budget "
+              << fr->bytes_reserved() << " B exceeds its ceiling\n";
+    std::exit(1);
   }
-  const double wall = now_s() - t0;
-  const std::uint64_t events =
-      rt != nullptr ? rt->total_events() : seq->events_run();
 
   std::string name = "meanfield_n" + std::to_string(clients);
-  if (part.shards > 1) name += "_lp" + std::to_string(part.shards);
+  if (res.lp_shards > 1) name += "_lp" + std::to_string(res.lp_shards);
   if (flight) name += "_fr";
-  ProbeRow r{std::move(name), events, wall, {}};
+  ProbeRow r{std::move(name), res.sim_events, res.sim_wall_s, {}};
 
   MeanfieldParams mp;
   mp.capacity_pps = sc.bottleneck_pps();  // already mean-field scaled
@@ -167,18 +129,21 @@ ProbeRow run_meanfield(int clients, int lp_shards = 1, bool flight = false,
   mp.max_window = sc.advertised_window;
   const MeanfieldFixedPoint fp = red_meanfield_fixed_point(mp);
 
-  const QueueStats& qs = net->measured_queue().stats();
-  const double run_cov = bins.stats_until(sc.duration).cov();
-  if (cov != nullptr) *cov = run_cov;
+  // Queue occupancy seen by arriving data packets (PASTA), in packets.
+  const MetricPoint* qlen =
+      res.metrics.find("queue.gateway.len_at_arrival");
+  const double queue_mean =
+      qlen == nullptr || qlen->value == 0.0 ? 0.0 : qlen->sum / qlen->value;
+  if (cov != nullptr) *cov = res.cov;
   r.add("clients", static_cast<std::uint64_t>(clients))
-      .add("cov", run_cov)  // c.o.v. of arrivals per RTT bin
-      .add("queue_mean", monitor.queue_at_arrival().mean())  // PASTA, pkts
+      .add("cov", res.cov)  // c.o.v. of arrivals per RTT bin
+      .add("queue_mean", queue_mean)
       .add("queue_fixed_point", fp.converged ? fp.queue_pkts : -1.0)
-      .add("drop_frac", qs.arrivals == 0
+      .add("drop_frac", res.gw_arrivals == 0
                             ? 0.0
-                            : static_cast<double>(qs.drops) /
-                                  static_cast<double>(qs.arrivals))
-      .add("bytes_per_flow", static_cast<double>(net->arena_bytes_reserved()) /
+                            : static_cast<double>(res.gw_drops) /
+                                  static_cast<double>(res.gw_arrivals))
+      .add("bytes_per_flow", static_cast<double>(res.arena_bytes) /
                                  static_cast<double>(clients));
   if (fr) {
     r.add("fr_samples", fr->samples().size())  // held at the end of the run

@@ -146,6 +146,7 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   result.fairness = jain_fairness(net->per_flow_delivered());
   result.delay = net->pooled_delay();
   result.routing_errors = net->routing_errors();
+  result.arena_bytes = net->arena_bytes_reserved();
 
   // Component metrics. Scheduler counters are deterministic (instrumented
   // runs execute the same event sequence); wall-clock values stay out so

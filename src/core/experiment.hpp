@@ -24,9 +24,10 @@ struct TopoSpec;
 struct ExperimentOptions {
   /// Structured event-trace sink. When non-null, every tap point in the
   /// topology (queue, measured link, TCP sinks, sources, transport
-  /// transitions, drop clustering) emits into it; the simulation itself is
-  /// bit-identical either way (no extra events, no RNG draws) — the
-  /// result-identity pins and the differential test enforce this.
+  /// transitions) emits into it, and the measured queue's drop clusters
+  /// are added after the run (TopoNet::finalize_trace); the simulation
+  /// itself is bit-identical either way (no extra events, no RNG draws) —
+  /// the result-identity pins and the differential test enforce this.
   TraceSink* trace = nullptr;
   /// Logical-process count for the conservative parallel engine
   /// (DESIGN.md §13). 1 (the default) runs today's sequential engine,
@@ -98,6 +99,9 @@ struct ExperimentResult {
   std::uint64_t sim_events = 0;    // events executed by the scheduler
   std::uint64_t peak_pending = 0;  // high-water mark of the event heap
   double sim_wall_s = 0.0;         // wall-clock seconds inside sim.run()
+  /// Bytes the flow arenas reserved (TopoNet::arena_bytes_reserved), for
+  /// the huge-N memory budget. Not persisted: a cache hit reports 0.
+  std::uint64_t arena_bytes = 0;
 
   /// Shard count the run actually used (1 when the partitioner declined
   /// the request — see ExperimentOptions::lp_shards). For parallel runs sim_events /

@@ -66,12 +66,12 @@ void print_metric_vs_clients(std::ostream& os,
 std::optional<std::vector<TraceSeries>> client_cwnd_series(
     const TraceSink& sink, const std::vector<int>& clients) {
   if (sink.dropped() > 0) return std::nullopt;
-  std::vector<TraceSeries> out;
-  out.reserve(clients.size());
+  std::vector<std::string> names;
+  names.reserve(clients.size());
   for (const int c : clients) {
-    out.push_back(sink.cwnd_series(c, "client " + std::to_string(c + 1)));
+    names.push_back("client " + std::to_string(c + 1));
   }
-  return out;
+  return sink.cwnd_series(clients, std::move(names));
 }
 
 void print_cwnd_series(std::ostream& os,

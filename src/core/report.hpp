@@ -29,8 +29,9 @@ void print_metric_vs_clients(
     int precision = 4);
 
 /// The cwnd traces of @p clients (0-based flow indices) read from
-/// @p sink with TraceSink::cwnd_series, named "client <index + 1>".
-/// nullopt if the ring overwrote records: a series would start late.
+/// @p sink in one walk (TraceSink::cwnd_series), named
+/// "client <index + 1>". nullopt if the ring overwrote records: a series
+/// would start late.
 std::optional<std::vector<TraceSeries>> client_cwnd_series(
     const TraceSink& sink, const std::vector<int>& clients);
 

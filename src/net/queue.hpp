@@ -30,7 +30,8 @@ struct QueueStats {
 
 /// Observers invoked on every arrival (before any drop decision) and every
 /// drop, with the arrival timestamp. Multiple listeners may be attached;
-/// the c.o.v. measurement and the FlowMonitor both tap the bottleneck.
+/// run_experiment's c.o.v. bins and occupancy histogram share one on
+/// the bottleneck.
 class QueueTaps {
  public:
   using Listener = std::function<void(const Packet&, Time)>;

@@ -44,10 +44,10 @@ struct KeyBefore {
 
 /// @p recs in std::stable_sort order under @p Less, produced lazily.
 /// Trace records arrive sorted except for a few late ones keyed below an
-/// earlier record (aggregates closed after later records, such as
-/// FlowMonitor's congestion events). Those are stably sorted on the side
-/// and merged back in (key, position) order, which is exactly the stable
-/// sort's order, without moving the in-order bulk.
+/// earlier record (aggregates written after later records, such as the
+/// congestion events TopoNet::finalize_trace appends). Those are stably
+/// sorted on the side and merged back in (key, position) order, which is
+/// exactly the stable sort's order, without moving the in-order bulk.
 template <class Less>
 class StableRun {
  public:
@@ -178,8 +178,8 @@ std::span<const TraceRecord> TraceSink::emission_order(
 template <class Fn>
 void TraceSink::for_each_ordered(Fn&& fn) const {
   // Emission order is execution order, which is time order except for
-  // lazily-closed aggregate records; the stable order keeps same-instant
-  // emission order (the scheduler's deterministic tie-break).
+  // aggregate records; the stable order keeps same-instant emission
+  // order (the scheduler's deterministic tie-break).
   std::vector<TraceRecord> scratch;
   for (StableRun<TimeBefore> run(emission_order(scratch));
        run.head() != nullptr; run.pop()) {
@@ -247,12 +247,70 @@ void TraceSink::merge_from(const std::vector<const TraceSink*>& parts) {
 
 TraceSeries TraceSink::cwnd_series(std::int32_t flow,
                                    std::string name) const {
-  TraceSeries out(std::move(name));
+  return std::move(
+      cwnd_series(std::vector<std::int32_t>{flow}, {std::move(name)})
+          .front());
+}
+
+std::vector<TraceSeries> TraceSink::cwnd_series(
+    const std::vector<std::int32_t>& flows,
+    std::vector<std::string> names) const {
+  assert(flows.size() == names.size());
+  std::vector<TraceSeries> out;
+  out.reserve(flows.size());
+  // slot[f]: the first series asked for flow f (-1: none). Records carry
+  // flow -1 only off the flow tracks, so a negative flow stays empty.
+  std::vector<int> slot;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    out.emplace_back(std::move(names[i]));
+    if (flows[i] < 0) continue;
+    const auto f = static_cast<std::size_t>(flows[i]);
+    if (f >= slot.size()) slot.resize(f + 1, -1);
+    if (slot[f] < 0) slot[f] = static_cast<int>(i);
+  }
   for_each_ordered([&](const TraceRecord& r) {
-    if (r.type == TraceEventType::kCwndChange && r.flow == flow) {
-      out.record(r.time, r.value);
+    if (r.type != TraceEventType::kCwndChange || r.flow < 0 ||
+        static_cast<std::size_t>(r.flow) >= slot.size()) {
+      return;
     }
+    const int s = slot[static_cast<std::size_t>(r.flow)];
+    if (s >= 0) out[static_cast<std::size_t>(s)].record(r.time, r.value);
   });
+  // A flow asked for twice gets its first series' points again.
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (flows[i] < 0) continue;
+    const auto s = static_cast<std::size_t>(
+        slot[static_cast<std::size_t>(flows[i])]);
+    if (s == i) continue;
+    for (const auto& [t, v] : out[s].points()) out[i].record(t, v);
+  }
+  return out;
+}
+
+std::vector<DropCluster> TraceSink::drop_clusters(std::uint8_t site,
+                                                  Time gap) const {
+  std::vector<DropCluster> out;
+  std::vector<std::int32_t> hit;  // the open cluster's flows, repeats kept
+  const auto close = [&] {
+    std::sort(hit.begin(), hit.end());
+    out.back().flows = static_cast<int>(
+        std::unique(hit.begin(), hit.end()) - hit.begin());
+    hit.clear();
+  };
+  for_each_ordered([&](const TraceRecord& r) {
+    if (r.type != TraceEventType::kQueueDrop || r.site != site ||
+        (r.detail & kTraceDetailAck) != 0) {
+      return;
+    }
+    if (out.empty() || r.time - out.back().last > gap) {
+      if (!out.empty()) close();
+      out.push_back({r.time, r.time, 0, 0});
+    }
+    out.back().last = r.time;
+    ++out.back().drops;
+    hit.push_back(r.flow);
+  });
+  if (!out.empty()) close();
   return out;
 }
 

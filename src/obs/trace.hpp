@@ -49,8 +49,9 @@ enum class TraceEventType : std::uint8_t {
   kFastRetransmit,   // seq = hole retransmitted, value = cwnd after
   kRto,              // retransmission timeout fired, value = cwnd after
   kVegasDiff,        // per-RTT decision: value = diff, aux = cwnd after
-  kCongestionEvent,  // FlowMonitor drop cluster closed: value = flows hit,
-                     // aux = event duration, seq = drops in event
+  kCongestionEvent,  // a closed drop cluster of the site's data drops
+                     // (TopoNet::finalize_trace): value = flows hit,
+                     // aux = cluster duration, seq = drops in cluster
 };
 
 /// Stable lowercase token for exports ("queue_drop", "cwnd_change", ...).
@@ -83,6 +84,17 @@ inline constexpr std::uint16_t kTraceDetailAck = 1;
 inline constexpr std::uint16_t kTraceDropForced = 0 << 1;
 inline constexpr std::uint16_t kTraceDropEarly = 1 << 1;
 inline constexpr std::uint16_t kTraceDropDisplaced = 2 << 1;
+
+/// A drop cluster (TraceSink::drop_clusters): a run of one site's data
+/// drops with no silence longer than a gap between two of them. Its
+/// flows count is the loss synchronization the paper blames for Reno's
+/// burstiness (Sec 3.2.1, Fig 9).
+struct DropCluster {
+  Time first = 0.0;         // first drop
+  Time last = 0.0;          // last drop
+  int flows = 0;            // distinct flows hit
+  std::uint64_t drops = 0;  // drops in the cluster
+};
 
 class TraceSink {
  public:
@@ -117,11 +129,12 @@ class TraceSink {
     put(r, tie_clock_ != nullptr ? *tie_clock_ : r.time, lp_);
   }
 
-  /// Appends a lazily-closed aggregate (a record emitted AFTER its logical
-  /// timestamp, like FlowMonitor's congestion events). Stamped with
-  /// tie = kTimeNever so merge_from() sorts it after every same-instant
-  /// live record — exactly where the sequential engine's late emission
-  /// plus stable time sort lands it.
+  /// Appends an aggregate: a record emitted AFTER its logical timestamp,
+  /// like the congestion events TopoNet::finalize_trace writes once the
+  /// run is over. Stamped with tie = kTimeNever so merge_from() sorts it
+  /// after every same-instant live record, and the exports place it by
+  /// time alone, after the live records of its instant, wherever it sits
+  /// in the ring.
   void emit_aggregate(const TraceRecord& r) { put(r, kTimeNever, lp_); }
 
   /// Records ever emitted (including any overwritten ones).
@@ -138,8 +151,8 @@ class TraceSink {
 
   /// The held records in nondecreasing time order. Components emit in
   /// event-execution order, which is already time order except for
-  /// lazily-closed aggregates (FlowMonitor's final congestion event), so
-  /// this is a near-no-op stable sort.
+  /// aggregates (emit_aggregate: the congestion events), so this is a
+  /// near-no-op stable sort.
   std::vector<TraceRecord> ordered() const;
 
   /// Deterministic multi-LP merge: appends every part's held records into
@@ -161,10 +174,24 @@ class TraceSink {
   /// Flow @p flow's congestion window as a series named @p name: the
   /// time and value of its kCwndChange records, in export order. Before
   /// the first point the window holds its value at attach time,
-  /// TcpConfig::initial_cwnd in a run traced from the start. A flow's
-  /// records all come from the LP that runs its sender, so the series is
-  /// the same at any shard count. If dropped() > 0 it may start late.
+  /// kInitialCwnd in a run traced from the start. A flow's records all
+  /// come from the LP that runs its sender, so the series is the same at
+  /// any shard count. If dropped() > 0 it may start late.
   TraceSeries cwnd_series(std::int32_t flow, std::string name) const;
+
+  /// cwnd_series(flows[i], names[i]) for every i, filled in one walk of
+  /// the held records.
+  std::vector<TraceSeries> cwnd_series(
+      const std::vector<std::int32_t>& flows,
+      std::vector<std::string> names) const;
+
+  /// Site @p site's kQueueDrop records of data packets (ACK drops are
+  /// skipped) in export order, cut into clusters: a drop more than @p gap
+  /// after the previous one opens the next cluster. A flow counts once
+  /// per cluster. The last cluster is returned too, although no later
+  /// drop closed it. If dropped() > 0 the clusters start at the oldest
+  /// drop still held.
+  std::vector<DropCluster> drop_clusters(std::uint8_t site, Time gap) const;
 
   /// One JSON object per line; schema in scripts/trace_event.schema.json.
   bool write_jsonl(std::ostream& os) const;

@@ -5,72 +5,35 @@ namespace burst::testkit {
 ScriptChannel::ScriptChannel(Simulator& sim, Time base_delay)
     : sim_(sim), base_delay_(base_delay) {}
 
-ScriptChannel& ScriptChannel::drop_nth(std::uint64_t nth) {
-  rules_.push_back({true, nth, 0, 0, Action::kDrop});
-  return *this;
-}
-
-ScriptChannel& ScriptChannel::delay_nth(std::uint64_t nth, Time extra) {
-  rules_.push_back({true, nth, 0, 0, Action::kDelay, extra});
-  return *this;
-}
-
-ScriptChannel& ScriptChannel::mark_nth(std::uint64_t nth) {
-  rules_.push_back({true, nth, 0, 0, Action::kMark});
-  return *this;
-}
-
-ScriptChannel& ScriptChannel::dup_nth(std::uint64_t nth) {
-  rules_.push_back({true, nth, 0, 0, Action::kDup});
-  return *this;
-}
-
 ScriptChannel& ScriptChannel::drop_seq(std::int64_t seq, int occurrence) {
-  rules_.push_back({false, 0, seq, occurrence, Action::kDrop});
+  rules_.push_back({seq, occurrence, Action::kDrop});
   return *this;
 }
 
 ScriptChannel& ScriptChannel::delay_seq(std::int64_t seq, Time extra,
                                         int occurrence) {
-  rules_.push_back({false, 0, seq, occurrence, Action::kDelay, extra});
+  rules_.push_back({seq, occurrence, Action::kDelay, extra});
   return *this;
 }
 
 ScriptChannel& ScriptChannel::mark_seq(std::int64_t seq, int occurrence) {
-  rules_.push_back({false, 0, seq, occurrence, Action::kMark});
+  rules_.push_back({seq, occurrence, Action::kMark});
   return *this;
-}
-
-ScriptChannel& ScriptChannel::drop_range(std::int64_t lo, std::int64_t hi) {
-  for (std::int64_t s = lo; s < hi; ++s) drop_seq(s, 1);
-  return *this;
-}
-
-void ScriptChannel::deliver_after(Time delay, const Packet& p) {
-  sim_.schedule(delay, [this, p] {
-    ++delivered_;
-    if (receiver_) receiver_(p);
-  });
 }
 
 void ScriptChannel::send(const Packet& p) {
-  const std::uint64_t index = offered_++;
+  ++offered_;
   const int occurrence = ++seen_[key_of(p)];
 
   Time extra = 0.0;
-  bool drop = false, mark = false, dup = false;
+  bool drop = false, mark = false;
   for (Rule& r : rules_) {
-    if (r.spent) continue;
-    const bool hit = r.by_index
-                         ? r.index == index
-                         : (r.seq == key_of(p) && r.occurrence == occurrence);
-    if (!hit) continue;
+    if (r.spent || r.seq != key_of(p) || r.occurrence != occurrence) continue;
     r.spent = true;
     switch (r.action) {
       case Action::kDrop: drop = true; break;
       case Action::kDelay: extra += r.extra; break;
       case Action::kMark: mark = true; break;
-      case Action::kDup: dup = true; break;
     }
   }
 
@@ -80,8 +43,10 @@ void ScriptChannel::send(const Packet& p) {
   }
   Packet out = p;
   if (mark) out.ecn_marked = true;
-  deliver_after(base_delay_ + extra, out);
-  if (dup) deliver_after(base_delay_ + extra, out);
+  sim_.schedule(base_delay_ + extra, [this, out] {
+    ++delivered_;
+    if (receiver_) receiver_(out);
+  });
 }
 
 }  // namespace burst::testkit

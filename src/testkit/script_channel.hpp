@@ -3,11 +3,10 @@
 // Where a SimplexLink models bandwidth, queueing and propagation, a
 // ScriptChannel delivers every packet after a fixed base delay — zero
 // serialization time, so the arrival instants are exact arithmetic on the
-// script — and applies per-packet *rules*: drop, extra delay (reordering),
-// duplicate, or ECN-mark. Rules select packets either by offer index (the
-// Nth packet handed to this channel, 0-based) or by sequence key (the Nth
+// script — and applies per-packet *rules*: drop, extra delay (reordering)
+// or ECN-mark. A rule selects a packet by sequence key: the Nth
 // transmission of a given seq for data, of a given cumulative ack for
-// ACKs). That is all a conformance script needs to steer a live
+// ACKs. That is all a conformance script needs to steer a live
 // TcpSender/TcpSink pair through any loss/reorder/marking pattern at
 // exact simulated times.
 //
@@ -38,13 +37,7 @@ class ScriptChannel : public PacketChannel {
     receiver_ = std::move(rx);
   }
 
-  // --- Rules by offer index (0-based, counts every packet offered) ----
-  ScriptChannel& drop_nth(std::uint64_t nth);
-  ScriptChannel& delay_nth(std::uint64_t nth, Time extra);
-  ScriptChannel& mark_nth(std::uint64_t nth);
-  ScriptChannel& dup_nth(std::uint64_t nth);
-
-  // --- Rules by sequence key -----------------------------------------
+  // --- Rules ----------------------------------------------------------
   // The key of a data packet is its seq; of an ACK its cumulative ack.
   // @p occurrence selects which transmission carrying that key the rule
   // applies to (1-based; the first retransmission of seq k is
@@ -53,9 +46,6 @@ class ScriptChannel : public PacketChannel {
   ScriptChannel& delay_seq(std::int64_t seq, Time extra, int occurrence = 1);
   ScriptChannel& mark_seq(std::int64_t seq, int occurrence = 1);
 
-  /// Drops the first transmission of every sequence in [lo, hi).
-  ScriptChannel& drop_range(std::int64_t lo, std::int64_t hi);
-
   void send(const Packet& p) override;
 
   std::uint64_t offered() const { return offered_; }
@@ -63,11 +53,9 @@ class ScriptChannel : public PacketChannel {
   std::uint64_t delivered() const { return delivered_; }
 
  private:
-  enum class Action : std::uint8_t { kDrop, kDelay, kMark, kDup };
+  enum class Action : std::uint8_t { kDrop, kDelay, kMark };
   struct Rule {
-    bool by_index;         // else by (seq key, occurrence)
-    std::uint64_t index;   // offer index when by_index
-    std::int64_t seq;      // sequence key otherwise
+    std::int64_t seq;      // sequence key
     int occurrence;        // 1-based transmission count for that key
     Action action;
     Time extra = 0.0;      // kDelay only
@@ -77,7 +65,6 @@ class ScriptChannel : public PacketChannel {
   static std::int64_t key_of(const Packet& p) {
     return p.type == PacketType::kData ? p.seq : p.ack;
   }
-  void deliver_after(Time delay, const Packet& p);
 
   Simulator& sim_;
   Time base_delay_;

@@ -48,6 +48,10 @@ std::unique_ptr<Queue> make_port_queue(const TopoLinkSpec& l,
   return std::make_unique<DropTailQueue>(sc.client_queue_buffer);
 }
 
+// The silence that closes a congestion event: a drop more than this long
+// after the previous one opens the next drop cluster (finalize_trace).
+constexpr Time kCongestionEventGap = 0.01;
+
 TcpConfig make_tcp_config(const Scenario& sc) {
   TcpConfig cfg;
   cfg.payload_bytes = sc.payload_bytes;
@@ -291,6 +295,8 @@ void TopoNet::attach_trace(TraceSink& sink, const TopoTraceNames& names) {
   const std::vector<MemberFlow>& flows = graph_.flows();
 
   measured_->queue().set_trace(&measured_sink, queue_site);
+  queue_trace_ = &measured_sink;
+  queue_trace_site_ = queue_site;
   // A ring has one writer, its LP's thread. The measured link's deliveries
   // run on the receiver's LP (a cut link hands each packet over,
   // SimplexLink::deliver_remote), so its records go to that LP's ring.
@@ -317,14 +323,26 @@ void TopoNet::attach_trace(TraceSink& sink, const TopoTraceNames& names) {
       vegas->set_vegas_trace(&ssink);
     }
   }
-
-  monitor_ = std::make_unique<FlowMonitor>();
-  monitor_->reserve_flows(senders_.size());
-  monitor_->attach(measured_->queue());
-  monitor_->set_trace(&measured_sink, queue_site);
 }
 
 void TopoNet::finalize_trace() {
+  if (queue_trace_ == nullptr) return;
+  // Into the measured queue's own ring, before any merge: each cluster
+  // becomes an aggregate of the LP that recorded its drops.
+  std::vector<DropCluster> clusters =
+      queue_trace_->drop_clusters(queue_trace_site_, kCongestionEventGap);
+  if (!clusters.empty()) clusters.pop_back();  // no later drop closed it
+  for (const DropCluster& c : clusters) {
+    TraceRecord r;
+    r.time = c.first;
+    r.type = TraceEventType::kCongestionEvent;
+    r.site = queue_trace_site_;
+    r.value = static_cast<double>(c.flows);
+    r.aux = c.last - c.first;
+    r.seq = static_cast<std::int64_t>(c.drops);
+    queue_trace_->emit_aggregate(r);
+  }
+  queue_trace_ = nullptr;
   if (trace_merge_target_ == nullptr) return;
   std::vector<const TraceSink*> parts;
   parts.reserve(lp_trace_sinks_.size());

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/app/poisson_source.hpp"
-#include "src/net/flow_monitor.hpp"
 #include "src/net/node.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/transport_trace.hpp"
@@ -79,17 +78,20 @@ class TopoNet {
   Queue& measured_queue() { return measured_->queue(); }
 
   /// Wires the measured queue/link, every TCP sink, every source, a
-  /// TransportTracer per TCP sender, a Vegas Diff tap where applicable,
-  /// and a drop-clustering FlowMonitor into @p sink. Call at most once;
-  /// @p sink must outlive the run. In a sharded build each component taps
-  /// a private per-LP ring instead; call finalize_trace() after the run
-  /// to merge them into @p sink deterministically.
+  /// TransportTracer per TCP sender and a Vegas Diff tap where applicable
+  /// into @p sink. Call at most once; @p sink must outlive the run. In a
+  /// sharded build each component taps a private per-LP ring instead.
+  /// Call finalize_trace() after the run.
   void attach_trace(TraceSink& sink, const TopoTraceNames& names = {});
 
-  /// Merges the per-LP trace rings of a sharded build into the sink given
-  /// to attach_trace() (TraceSink::merge_from). Sequential builds wrote
-  /// straight into the caller's sink, so this is a no-op for them. Call
-  /// at most once, after the run completes.
+  /// Completes the trace given to attach_trace(). It writes each drop
+  /// cluster of the measured queue's data drops (10 ms gap,
+  /// TraceSink::drop_clusters) that a later drop closed as a
+  /// kCongestionEvent aggregate: time = first drop, value = flows hit,
+  /// aux = duration, seq = drops. The cluster still open at the end is
+  /// not written. A sharded build then merges its per-LP rings into the
+  /// sink (TraceSink::merge_from). Call at most once, after the run
+  /// completes.
   void finalize_trace();
 
   /// The per-LP trace rings of a sharded traced build (empty otherwise);
@@ -171,7 +173,10 @@ class TopoNet {
   std::vector<std::unique_ptr<PoissonSource>> sources_;
 
   std::vector<std::unique_ptr<TransportTracer>> tracers_;
-  std::unique_ptr<FlowMonitor> monitor_;
+  /// The ring the measured queue writes to and its site there; null until
+  /// attach_trace(), and again once finalize_trace() has clustered it.
+  TraceSink* queue_trace_ = nullptr;
+  std::uint8_t queue_trace_site_ = 0;
   /// Sharded traced builds only: one ring per LP, merged by
   /// finalize_trace() into trace_merge_target_ (the attach_trace sink).
   std::vector<std::unique_ptr<TraceSink>> lp_trace_sinks_;

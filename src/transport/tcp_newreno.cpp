@@ -27,13 +27,13 @@ void TcpNewReno::on_dup_ack() {
     set_cwnd(cwnd() + 1.0);
     return;
   }
-  if (dupacks() != config().dupack_threshold) return;
+  if (dupacks() != kDupAckThreshold) return;
   ++stats_.fast_retransmits;
   recover_ = snd_nxt();
   set_ssthresh(std::max(static_cast<double>(flight()) / 2.0, 2.0));
   retransmit_una();
   in_recovery_ = true;
-  set_cwnd(ssthresh() + static_cast<double>(config().dupack_threshold));
+  set_cwnd(ssthresh() + static_cast<double>(kDupAckThreshold));
   restart_rto_timer();
 }
 

@@ -21,12 +21,12 @@ void TcpReno::on_dup_ack() {
     set_cwnd(cwnd() + 1.0);  // window inflation per extra dup ACK
     return;
   }
-  if (dupacks() != config().dupack_threshold) return;
+  if (dupacks() != kDupAckThreshold) return;
   ++stats_.fast_retransmits;
   set_ssthresh(std::max(static_cast<double>(flight()) / 2.0, 2.0));
   retransmit_una();
   in_recovery_ = true;
-  set_cwnd(ssthresh() + static_cast<double>(config().dupack_threshold));
+  set_cwnd(ssthresh() + static_cast<double>(kDupAckThreshold));
   restart_rto_timer();
 }
 

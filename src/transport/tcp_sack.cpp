@@ -81,7 +81,7 @@ void TcpSack::on_dup_ack() {
     fill_pipe();
     return;
   }
-  if (dupacks() != config().dupack_threshold) return;
+  if (dupacks() != kDupAckThreshold) return;
   enter_recovery();
 }
 

@@ -24,7 +24,7 @@ TcpSender::TcpSender(Simulator& sim, Node& node, FlowId flow, NodeId peer,
       cfg_(cfg),
       own_arena_(arena != nullptr ? nullptr : make_own_arena(cfg)),
       arena_(arena != nullptr ? arena : own_arena_.get()),
-      slot_(arena_->allocate_sender(cfg.initial_cwnd, cfg.initial_ssthresh)),
+      slot_(arena_->allocate_sender(kInitialCwnd, cfg.initial_ssthresh)),
       estimator_(cfg.rto, &arena_->rto_state(slot_)),
       // Every ACK pushes the RTO deadline forward: a soft-deadline move,
       // a field write with no scheduler traffic.

@@ -24,12 +24,15 @@
 
 namespace burst {
 
+/// Every connection starts in slow start from a one-packet window.
+inline constexpr double kInitialCwnd = 1.0;
+/// Duplicate ACKs that signal a loss (fast retransmit).
+inline constexpr int kDupAckThreshold = 3;
+
 struct TcpConfig {
   int payload_bytes = kDefaultPayloadBytes;
   double advertised_window = 20.0;  // receiver window, packets (Table 1)
-  double initial_cwnd = 1.0;
   double initial_ssthresh = 1e9;    // effectively "until the first loss"
-  int dupack_threshold = 3;
   bool ecn = false;                 // negotiate ECN-capable transport
   /// RFC 3042 limited transmit: send one new segment on each of the first
   /// two duplicate ACKs (without growing cwnd), so thin flows generate

@@ -9,7 +9,7 @@ void TcpTahoe::on_new_ack(std::int64_t /*acked*/, std::int64_t /*ack_seq*/) {
 }
 
 void TcpTahoe::on_dup_ack() {
-  if (dupacks() != config().dupack_threshold) return;
+  if (dupacks() != kDupAckThreshold) return;
   ++stats_.fast_retransmits;
   set_ssthresh(std::max(static_cast<double>(flight()) / 2.0, 2.0));
   rewind_to_una();   // Tahoe re-slow-starts from the hole

@@ -115,11 +115,11 @@ void TcpVegas::on_dup_ack() {
   // last_fine_rexmit_ guard, slow dup ACKs re-expire the just-resent
   // head and the first *and* second dup ACK both retransmit it.
   if (snd_una() == last_fine_rexmit_) return;
-  if (dupacks() >= config().dupack_threshold ||
+  if (dupacks() >= kDupAckThreshold ||
       (una_expired() && dupacks() <= 2)) {
     // Re-retransmitting the same hole on every later dup ACK would flood
     // the path; only act on the threshold crossing or the early check.
-    if (dupacks() == config().dupack_threshold || dupacks() <= 2) {
+    if (dupacks() == kDupAckThreshold || dupacks() <= 2) {
       loss_retransmit();
     }
   }

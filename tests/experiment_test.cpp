@@ -10,6 +10,7 @@
 
 #include "src/core/report.hpp"
 #include "src/obs/trace.hpp"
+#include "src/run/result_store.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/trace_analysis.hpp"
 #include "src/topo/builder.hpp"
@@ -37,6 +38,21 @@ TEST(Experiment, CollectsBasicMetrics) {
   EXPECT_GT(r.poisson_cov, 0.0);
   EXPECT_EQ(r.routing_errors, 0u);
   EXPECT_GE(r.fairness, 0.9);
+}
+
+// arena_bytes is the built topology's flow-arena reservation, and like
+// the wall time it stays out of the store line.
+TEST(Experiment, ReportsTheFlowArenaReservation) {
+  const Scenario sc = quick(10);
+  const ExperimentResult r = run_experiment(sc);
+  Simulator sim(sc.seed);
+  const TopoNet net(sim, make_dumbbell_spec(sc));
+  EXPECT_GT(r.arena_bytes, 0u);
+  EXPECT_EQ(r.arena_bytes, net.arena_bytes_reserved());
+  EXPECT_EQ(result_to_json(r).find("arena"), std::string::npos);
+  ExperimentResult loaded;
+  ASSERT_TRUE(result_from_json(result_to_json(r), &loaded));
+  EXPECT_EQ(loaded.arena_bytes, 0u);
 }
 
 TEST(Experiment, DeterministicForSameSeed) {

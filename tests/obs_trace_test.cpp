@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -12,9 +13,11 @@
 
 #include "src/core/experiment.hpp"
 #include "src/net/drop_tail_queue.hpp"
+#include "src/net/drr_queue.hpp"
 #include "src/net/link.hpp"
 #include "src/run/result_store.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/topo/builder.hpp"
 #include "src/topo/spec.hpp"
 
 namespace burst {
@@ -40,6 +43,23 @@ TraceRecord cwnd_change(std::int32_t flow, Time t, double cwnd) {
   TraceRecord r = record(TraceEventType::kCwndChange, t, cwnd);
   r.flow = flow;
   return r;
+}
+
+TraceRecord drop(std::uint8_t site, std::int32_t flow, Time t,
+                 std::uint16_t detail = kTraceDropForced) {
+  TraceRecord r = record(TraceEventType::kQueueDrop, t);
+  r.site = site;
+  r.flow = flow;
+  r.detail = detail;
+  return r;
+}
+
+std::vector<TraceRecord> of_type(const TraceSink& sink, TraceEventType type) {
+  std::vector<TraceRecord> out;
+  for (const TraceRecord& r : sink.ordered()) {
+    if (r.type == type) out.push_back(r);
+  }
+  return out;
 }
 
 TEST(TraceSink, RingOverwritesOldestAndCounts) {
@@ -134,7 +154,7 @@ TEST(TraceSink, OrderedSortsLateEmissionsByTime) {
   TraceSink sink;
   sink.emit(record(TraceEventType::kQueueDrop, 1.0));
   sink.emit(record(TraceEventType::kQueueDrop, 3.0));
-  // A lazily-closed aggregate (FlowMonitor's final congestion event) is
+  // An aggregate (a congestion event, written once the run is over) is
   // emitted after later records but carries the cluster's start time.
   sink.emit(record(TraceEventType::kCongestionEvent, 2.0));
   const std::vector<TraceRecord> got = sink.ordered();
@@ -194,6 +214,137 @@ TEST(TraceSink, CwndSeriesOfAWrappedRingStartsLate) {
   EXPECT_EQ(sink.cwnd_series(0, "").points(),
             (std::vector<std::pair<Time, double>>{
                 {2.0, 3.0}, {3.0, 4.0}, {4.0, 5.0}, {5.0, 6.0}}));
+}
+
+// The one-walk read gives each requested flow its own series under the
+// name asked for: a flow asked for twice gets it twice, and a flow with
+// no records, or a negative one, gets an empty series.
+TEST(TraceSink, CwndSeriesOfManyFlowsAreEachFlowsOwn) {
+  TraceSink sink;
+  sink.emit(cwnd_change(3, 1.0, 2.0));
+  sink.emit(cwnd_change(0, 1.5, 5.0));
+  sink.emit(cwnd_change(3, 2.0, 3.0));
+  sink.emit(cwnd_change(0, 0.5, 4.0));  // late: sorts first
+  const std::vector<TraceSeries> got =
+      sink.cwnd_series({3, 0, 3, 2, -1}, {"a", "b", "c", "d", "e"});
+  using Points = std::vector<std::pair<Time, double>>;
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_EQ(got[0].name(), "a");
+  EXPECT_EQ(got[0].points(), (Points{{1.0, 2.0}, {2.0, 3.0}}));
+  EXPECT_EQ(got[1].name(), "b");
+  EXPECT_EQ(got[1].points(), (Points{{0.5, 4.0}, {1.5, 5.0}}));
+  EXPECT_EQ(got[2].name(), "c");
+  EXPECT_EQ(got[2].points(), got[0].points());
+  EXPECT_EQ(got[3].name(), "d");
+  EXPECT_TRUE(got[3].empty());
+  EXPECT_EQ(got[4].name(), "e");
+  EXPECT_TRUE(got[4].empty());
+  EXPECT_TRUE(sink.cwnd_series(std::vector<std::int32_t>{}, {}).empty());
+}
+
+// A drop more than the gap after the previous one opens the next
+// cluster; a silence of exactly the gap does not. Each cluster keeps its
+// first and last drop, its drop count and the flows it hit.
+TEST(TraceSink, DropClustersSplitWhereTheSilenceExceedsTheGap) {
+  TraceSink sink;
+  const std::uint8_t q = sink.register_site("queue:gateway");
+  sink.emit(drop(q, 1, 1.0));
+  sink.emit(drop(q, 2, 1.25));
+  sink.emit(drop(q, 3, 1.75));  // exactly the gap after the previous
+  sink.emit(drop(q, 4, 2.5));
+  const std::vector<DropCluster> c = sink.drop_clusters(q, 0.5);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[0].first, 1.0);
+  EXPECT_EQ(c[0].last, 1.75);
+  EXPECT_EQ(c[0].flows, 3);
+  EXPECT_EQ(c[0].drops, 3u);
+  EXPECT_EQ(c[1].first, 2.5);
+  EXPECT_EQ(c[1].last, 2.5);
+  EXPECT_EQ(c[1].flows, 1);
+  EXPECT_EQ(c[1].drops, 1u);
+}
+
+TEST(TraceSink, DropClustersCountAFlowOncePerCluster) {
+  TraceSink sink;
+  const std::uint8_t q = sink.register_site("queue:gateway");
+  for (const Time t : {1.0, 1.01, 1.02}) sink.emit(drop(q, 7, t));
+  sink.emit(drop(q, 8, 1.03));
+  sink.emit(drop(q, 7, 5.0));
+  const std::vector<DropCluster> c = sink.drop_clusters(q, 0.5);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[0].flows, 2);
+  EXPECT_EQ(c[0].drops, 4u);
+  EXPECT_EQ(c[1].flows, 1);
+  EXPECT_EQ(c[1].drops, 1u);
+}
+
+// Only the site's data drops cluster: an ACK drop, another site's drop
+// or any other record in the silence does not bridge it.
+TEST(TraceSink, DropClustersSkipAckDropsOtherSitesAndOtherRecords) {
+  TraceSink sink;
+  const std::uint8_t q = sink.register_site("queue:gateway");
+  const std::uint8_t other = sink.register_site("queue:access");
+  sink.emit(drop(q, 1, 1.0));
+  sink.emit(drop(q, 2, 1.4, kTraceDropForced | kTraceDetailAck));
+  sink.emit(drop(other, 3, 1.5));
+  TraceRecord enqueue = record(TraceEventType::kQueueEnqueue, 1.6);
+  enqueue.site = q;
+  sink.emit(enqueue);
+  sink.emit(drop(q, 4, 1.8));
+  const std::vector<DropCluster> c = sink.drop_clusters(q, 0.5);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[0].first, 1.0);
+  EXPECT_EQ(c[0].drops, 1u);
+  EXPECT_EQ(c[1].first, 1.8);
+  EXPECT_EQ(c[1].drops, 1u);
+  EXPECT_EQ(sink.drop_clusters(other, 0.5).size(), 1u);
+}
+
+TEST(TraceSink, DropClustersOfALosslessTraceAreEmpty) {
+  DropTailQueue q(100);
+  TraceSink sink;
+  const std::uint8_t site = sink.register_site("queue:gateway");
+  q.set_trace(&sink, site);
+  for (int i = 0; i < 5; ++i) q.enqueue(data(i, 0), 0.1 * i);
+  ASSERT_EQ(sink.size(), 5u);
+  EXPECT_TRUE(sink.drop_clusters(site, 0.01).empty());
+}
+
+// DRR's longest-queue drop displaces a buffered packet of another flow:
+// that flow was hit too.
+TEST(TraceSink, DropClustersCountDisplacedDrops) {
+  DrrConfig cfg;
+  cfg.capacity = 2;
+  DrrQueue q(cfg);
+  TraceSink sink;
+  const std::uint8_t site = sink.register_site("queue:gateway");
+  q.set_trace(&sink, site);
+  q.enqueue(data(1, 0), 0.0);
+  q.enqueue(data(1, 1), 0.0);
+  EXPECT_TRUE(q.enqueue(data(2, 0), 1.0));    // displaces flow 1's tail
+  EXPECT_FALSE(q.enqueue(data(2, 1), 1.002));  // flow 2 is now longest
+  const std::vector<TraceRecord> drops =
+      of_type(sink, TraceEventType::kQueueDrop);
+  ASSERT_EQ(drops.size(), 2u);
+  EXPECT_EQ(drops[0].flow, 1);
+  EXPECT_EQ(drops[0].detail, kTraceDropDisplaced);
+  const std::vector<DropCluster> c = sink.drop_clusters(site, 0.01);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].flows, 2);
+  EXPECT_EQ(c[0].drops, 2u);
+}
+
+// A ring that overwrote records clusters the drops it still holds.
+TEST(TraceSink, DropClustersOfAWrappedRingStartAtTheOldestHeldDrop) {
+  TraceSink sink(/*capacity=*/3);
+  const std::uint8_t q = sink.register_site("queue:gateway");
+  for (int f = 1; f <= 5; ++f) sink.emit(drop(q, f, 1.0 + 0.001 * f));
+  ASSERT_EQ(sink.dropped(), 2u);
+  const std::vector<DropCluster> c = sink.drop_clusters(q, 0.01);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].first, 1.003);
+  EXPECT_EQ(c[0].flows, 3);
+  EXPECT_EQ(c[0].drops, 3u);
 }
 
 // Golden JSONL export for a hand-built link scenario whose every timestamp
@@ -380,6 +531,100 @@ TEST(TraceExperiment, TracedRunIsBitIdenticalToUntraced) {
   EXPECT_EQ(result_to_json(plain), result_to_json(traced));
   EXPECT_EQ(plain.metrics, traced.metrics);
 }
+
+// finalize_trace writes the measured queue's drop clusters (10 ms gap)
+// as congestion_event records, all but the last one, which no later drop
+// closed: the trace holds none before it runs, and the open cluster
+// stays readable, unrecorded.
+TEST(TraceExperiment, FinalizeTraceRecordsEveryClusterButTheOpenOne) {
+  Scenario sc = Scenario::paper_default();
+  sc.num_clients = 40;
+  sc.duration = 5.0;
+  Simulator sim(sc.seed);
+  TopoNet net(sim, make_dumbbell_spec(sc));
+  TraceSink sink;
+  net.attach_trace(sink);
+  net.start_sources();
+  sim.run(sc.duration);
+  EXPECT_TRUE(of_type(sink, TraceEventType::kCongestionEvent).empty());
+
+  const std::uint8_t q = sink.register_site("queue:measured");
+  const std::vector<DropCluster> clusters = sink.drop_clusters(q, 0.01);
+  ASSERT_GE(clusters.size(), 2u);
+  net.finalize_trace();
+  const std::vector<TraceRecord> events =
+      of_type(sink, TraceEventType::kCongestionEvent);
+  ASSERT_EQ(events.size(), clusters.size() - 1);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(events[i].time, clusters[i].first);
+    EXPECT_EQ(events[i].site, q);
+    EXPECT_EQ(events[i].flow, -1);
+    EXPECT_EQ(events[i].value, static_cast<double>(clusters[i].flows));
+    EXPECT_EQ(events[i].aux, clusters[i].last - clusters[i].first);
+    EXPECT_EQ(events[i].seq, static_cast<std::int64_t>(clusters[i].drops));
+  }
+  const std::vector<DropCluster> after = sink.drop_clusters(q, 0.01);
+  ASSERT_EQ(after.size(), clusters.size());
+  EXPECT_EQ(after.back().first, clusters.back().first);
+}
+
+// A traced N=60 Reno/RED run's congestion_event records are the drop
+// clusters an independent loop finds in its gateway queue_drop records,
+// minus the one still open at the end, at every shard count.
+class TraceCongestionEvents : public ::testing::TestWithParam<int> {};
+
+TEST_P(TraceCongestionEvents, AreTheClosedClustersOfTheGatewayDrops) {
+  Scenario sc = Scenario::paper_default();
+  sc.transport = Transport::kReno;
+  sc.gateway = GatewayQueue::kRed;
+  sc.num_clients = 60;
+  sc.duration = 20.0;
+  TraceSink sink;
+  ExperimentOptions opts;
+  opts.trace = &sink;
+  opts.lp_shards = GetParam();
+  ASSERT_EQ(run_experiment(sc, opts).lp_shards, GetParam());
+  ASSERT_EQ(sink.dropped(), 0u);
+
+  const std::uint8_t gateway = sink.register_site("queue:gateway");
+  struct Cluster {
+    Time first = 0.0;
+    Time last = 0.0;
+    std::set<std::int32_t> flows;
+    std::int64_t drops = 0;
+  };
+  std::vector<Cluster> want;
+  std::vector<TraceRecord> got;
+  for (const TraceRecord& r : sink.ordered()) {
+    if (r.type == TraceEventType::kCongestionEvent) got.push_back(r);
+    if (r.type != TraceEventType::kQueueDrop || r.site != gateway ||
+        (r.detail & kTraceDetailAck) != 0) {
+      continue;
+    }
+    if (want.empty() || r.time - want.back().last > 0.01) {
+      want.push_back({r.time, r.time, {}, 0});
+    }
+    want.back().last = r.time;
+    want.back().flows.insert(r.flow);
+    ++want.back().drops;
+  }
+  // Seed 1: 143 clusters, the last still open when the run ends.
+  ASSERT_EQ(want.size(), 143u);
+  want.pop_back();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(got[i].site, gateway);
+    EXPECT_EQ(got[i].time, want[i].first);
+    EXPECT_EQ(got[i].value, static_cast<double>(want[i].flows.size()));
+    EXPECT_EQ(got[i].aux, want[i].last - want[i].first);
+    EXPECT_EQ(got[i].seq, want[i].drops);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lp, TraceCongestionEvents,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace burst

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/flow_monitor.hpp"
+#include "src/core/experiment.hpp"
 #include "src/topo/builder.hpp"
 #include "src/topo/spec.hpp"
 
@@ -69,25 +69,24 @@ TEST_P(Md1ValidationTest, SimulatedQueueMatchesPollaczekKhinchine) {
   // UDP/Poisson through the dumbbell: arrivals at the bottleneck are
   // Poisson (sum of independent Poisson clients), service is
   // deterministic => M/D/1. By PASTA the queue seen at arrivals equals the
-  // time average, so FlowMonitor's sampler must match theory.
+  // time average, so the run's len_at_arrival histogram must match theory.
   const int clients = GetParam();
   Scenario sc = Scenario::paper_default();
   sc.transport = Transport::kUdp;
   sc.num_clients = clients;
   sc.duration = 120.0;
   sc.gateway_buffer = 100000;  // effectively infinite: pure M/D/1
-
-  Simulator sim(5);
-  TopoNet net(sim, make_dumbbell_spec(sc));
-  FlowMonitor monitor(net.measured_queue());
-  net.start_sources();
-  sim.run(sc.duration);
+  sc.seed = 5;
+  const ExperimentResult r = run_experiment(sc);
 
   const double rho = sc.utilization();
   ASSERT_LT(rho, 1.0);
-  // The monitor samples the *waiting* packets (the one in transmission has
-  // already left the queue), i.e. Lq of M/D/1.
-  const double measured = monitor.queue_at_arrival().mean();
+  // The histogram samples the *waiting* packets (the one in transmission
+  // has already left the queue), i.e. Lq of M/D/1.
+  const MetricPoint* qlen = r.metrics.find("queue.gateway.len_at_arrival");
+  ASSERT_NE(qlen, nullptr);
+  ASSERT_GT(qlen->value, 0.0);
+  const double measured = qlen->sum / qlen->value;
   const double theory = md1_mean_queue(rho);
   EXPECT_NEAR(measured, theory, 0.15 * theory + 0.05)
       << "clients=" << clients << " rho=" << rho;

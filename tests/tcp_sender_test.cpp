@@ -104,8 +104,7 @@ TEST(TcpSender, CwndTraceRecordsChanges) {
   // No point at t=0: the window held the initial cwnd (1) until the
   // first ACK, whose slow-start growth is the first change.
   EXPECT_GT(trace.points().front().first, 0.0);
-  EXPECT_DOUBLE_EQ(trace.points().front().second,
-                   s->config().initial_cwnd + 1.0);
+  EXPECT_DOUBLE_EQ(trace.points().front().second, kInitialCwnd + 1.0);
   EXPECT_GT(trace.points().back().second, 1.0);  // grew
 }
 

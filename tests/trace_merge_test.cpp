@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/core/experiment.hpp"
+#include "src/core/report.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/runtime_trace.hpp"
 #include "src/obs/trace.hpp"
@@ -288,6 +289,33 @@ TEST(TraceMerge, CwndSeriesOfTheMergeIsEachPartsOwn) {
     EXPECT_FALSE(own.empty()) << "flow " << flow;
     EXPECT_EQ(merged.cwnd_series(flow, "").points(), own.points())
         << "flow " << flow;
+  }
+}
+
+// The one-walk read of every flow's cwnd series from a merged lp2 sink
+// equals the per-flow read, flow by flow and name by name.
+TEST(TraceMerge, OnePassCwndReadEqualsThePerFlowRead) {
+  Scenario sc = small_scenario(Transport::kReno, GatewayQueue::kRed);
+  sc.num_clients = 12;
+  TraceSink sink;
+  ExperimentOptions opts;
+  opts.trace = &sink;
+  opts.lp_shards = 2;
+  ASSERT_EQ(run_experiment(sc, opts).lp_shards, 2);
+  std::vector<int> clients(static_cast<std::size_t>(sc.num_clients));
+  for (int c = 0; c < sc.num_clients; ++c) {
+    clients[static_cast<std::size_t>(c)] = c;
+  }
+  const auto all = client_cwnd_series(sink, clients);
+  ASSERT_TRUE(all.has_value());
+  ASSERT_EQ(all->size(), clients.size());
+  for (const int c : clients) {
+    const std::string name = "client " + std::to_string(c + 1);
+    const TraceSeries one = sink.cwnd_series(c, name);
+    const TraceSeries& got = (*all)[static_cast<std::size_t>(c)];
+    EXPECT_FALSE(one.empty()) << name;
+    EXPECT_EQ(got.name(), name);
+    EXPECT_EQ(got.points(), one.points()) << name;
   }
 }
 
