@@ -3,6 +3,7 @@
 
 Usage:
     python3 scripts/validate_trace.py TRACE.jsonl [--max-errors=N]
+    python3 scripts/validate_trace.py TRACE.jsonl --perfetto TRACE.perfetto.json
 
 Implements the schema's contract with no third-party dependencies (the
 repository is dependency-free beyond the C++ toolchain). A line is either
@@ -12,6 +13,11 @@ families are checked for required keys, no unknown keys, per-field
 types/ranges, the cc_state_change <-> "state" pairing, the fr_sample
 histogram shape, and nondecreasing timestamps (every export is sorted by
 simulated time). Exits 0 when the trace is valid.
+
+--perfetto FILE also cross-checks FILE, the Perfetto export of the same
+TraceSink, against the JSONL: FILE must hold exactly one non-metadata
+event per JSONL record, in the same order, each at ts == t * 1e6 and
+with the name and phase its record type maps to (PERFETTO_EVENTS).
 
 CI runs this on small traced scenarios (sequential, --lp=2, and a
 flight-recorded run); see .github/workflows/ci.yml.
@@ -57,6 +63,23 @@ def load_schema_contract():
     bins = defs["fr_sample"]["properties"]["cwnd_hist"]["minItems"]
     assert bins == FR_HIST_BINS, "schema cwnd_hist bin count drifted"
     return set(tokens)
+
+
+# The Perfetto event (name, phase) TraceSink::write_chrome_trace writes
+# for each JSONL record type. Queue occupancy and state changes take their
+# name from the record: see perfetto_event.
+PERFETTO_EVENTS = {
+    "source_emit": ("app_emit", "i"),
+    "queue_drop": ("drop", "i"),
+    "link_deliver": ("deliver", "i"),
+    "sink_ack": ("ack", "i"),
+    "cwnd_change": ("cwnd", "C"),
+    "ssthresh_change": ("ssthresh", "C"),
+    "fast_retransmit": ("fast_retransmit", "i"),
+    "rto": ("rto", "i"),
+    "vegas_diff": ("vegas_diff", "C"),
+    "congestion_event": ("congestion_event", "i"),
+}
 
 
 def is_number(v):
@@ -217,24 +240,84 @@ def validate(path, max_errors):
     return 0
 
 
+def perfetto_event(rec):
+    """The (name, phase) of the Perfetto event for one JSONL record."""
+    typ = rec.get("type")
+    if typ in ("queue_enqueue", "queue_dequeue"):
+        return f"qlen {rec.get('site')}", "C"
+    if typ == "cc_state_change":
+        return f"state: {rec.get('state', '?')}", "i"
+    return PERFETTO_EVENTS.get(typ, (None, None))
+
+
+def cross_check(path, perfetto_path, max_errors):
+    """Checks the Perfetto export against the JSONL export, event by record."""
+    try:
+        with open(perfetto_path) as f:
+            doc = json.load(f)
+        events = [e for e in doc["traceEvents"] if e.get("ph") != "M"]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        print(f"{perfetto_path}: not a Perfetto trace-event export: {e}",
+              file=sys.stderr)
+        return 1
+    errors = 0
+    records = 0
+    with open(path) as f:
+        for line_no, line in enumerate(f, start=1):
+            rec = json.loads(line)
+            records += 1
+            if records > len(events):
+                continue
+            ev = events[records - 1]
+            name, ph = perfetto_event(rec)
+            want = (name, ph, rec.get("t") * 1e6)
+            got = (ev.get("name"), ev.get("ph"), ev.get("ts"))
+            if got != want:
+                errors += 1
+                if errors <= max_errors:
+                    print(f"{path}:{line_no}: Perfetto event {records} is "
+                          f"{got}, want {want}", file=sys.stderr)
+    if len(events) != records:
+        errors += 1
+        print(f"{perfetto_path}: {len(events)} events for {records} "
+              f"records", file=sys.stderr)
+    if errors:
+        print(f"{perfetto_path}: DIFFERS from {path} ({errors} errors)",
+              file=sys.stderr)
+        return 1
+    print(f"{perfetto_path}: OK ({records} events match {path})")
+    return 0
+
+
 def main():
     args = [a for a in sys.argv[1:]]
     max_errors = 20
+    perfetto = None
     paths = []
-    for a in args:
+    while args:
+        a = args.pop(0)
         if a.startswith("--max-errors="):
             max_errors = int(a.split("=", 1)[1])
+        elif a.startswith("--perfetto="):
+            perfetto = a.split("=", 1)[1]
+        elif a == "--perfetto" and args:
+            perfetto = args.pop(0)
         elif a in ("-h", "--help"):
             print(__doc__)
             return 0
+        elif a.startswith("--"):
+            print(f"unknown option {a}\n{__doc__}", file=sys.stderr)
+            return 2
         else:
             paths.append(a)
-    if not paths:
+    if not paths or (perfetto is not None and len(paths) != 1):
         print(__doc__, file=sys.stderr)
         return 2
     rc = 0
     for p in paths:
         rc |= validate(p, max_errors)
+    if perfetto is not None and rc == 0:
+        rc = cross_check(paths[0], perfetto, max_errors)
     return rc
 
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cstring>
 #include <ostream>
 #include <utility>
 
@@ -10,15 +12,6 @@
 namespace burst {
 
 namespace {
-
-using obs_format::append_double;
-using obs_format::append_escaped;
-using obs_format::append_i64;
-
-constexpr double kMicrosPerSec = 1e6;
-
-// Exports hand the stream one buffer per this many bytes.
-constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
 
 // Growth starts here, then doubles up to the ring's bound. 64Ki records
 // is 3.5 MiB of address space, paged in only as records land; starting
@@ -314,43 +307,131 @@ std::vector<DropCluster> TraceSink::drop_clusters(std::uint8_t site,
   return out;
 }
 
+namespace {
+
+using obs_format::write_double;
+
+constexpr double kMicrosPerSec = 1e6;
+
+// Exports hand the stream one block of this many bytes at a time.
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+// Room for any one export record but its names: its literal text, three
+// doubles, its integers and a fixed event name take at most 223 bytes
+// (a Perfetto congestion_event). Each export adds its longest escaped
+// site or state name.
+constexpr std::size_t kRecordRoom = 256;
+
+// Export text goes through a cursor into one block, which the stream
+// receives whenever the next record might not fit in what is left of it.
+class BlockWriter {
+ public:
+  explicit BlockWriter(std::ostream& os)
+      : os_(os), block_(kBlockBytes), cur_(block_.data()) {}
+
+  /// The cursor, with at least @p n bytes of room behind it.
+  char* room(std::size_t n) {
+    if (static_cast<std::size_t>(block_.data() + block_.size() - cur_) < n) {
+      flush();
+      if (block_.size() < n) {
+        block_.resize(n);
+        cur_ = block_.data();
+      }
+    }
+    return cur_;
+  }
+
+  /// Ends the text written so far at @p end.
+  void advance(char* end) { cur_ = end; }
+
+  /// Hands the rest of the block to the stream; true while it is good.
+  bool finish() {
+    flush();
+    return static_cast<bool>(os_);
+  }
+
+ private:
+  void flush() {
+    os_.write(block_.data(), cur_ - block_.data());
+    cur_ = block_.data();
+  }
+
+  std::ostream& os_;
+  std::vector<char> block_;
+  char* cur_;
+};
+
+template <std::size_t N>
+char* put_text(char* p, const char (&text)[N]) {
+  std::memcpy(p, text, N - 1);
+  return p + (N - 1);
+}
+
+char* put_text(char* p, std::string_view text) {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
+}
+
+char* put_int(char* p, std::int64_t v) {
+  return std::to_chars(p, p + 20, v).ptr;
+}
+
+/// @p prefix + each of @p names, escaped for a JSON string once per
+/// export instead of once per record.
+std::vector<std::string> escaped(std::string_view prefix,
+                                 const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  out.reserve(names.size());
+  for (const std::string& name : names) {
+    out.emplace_back(prefix);
+    obs_format::append_escaped(out.back(), name);
+  }
+  return out;
+}
+
+std::size_t longest(const std::vector<std::string>& names) {
+  std::size_t n = 0;
+  for (const std::string& name : names) n = std::max(n, name.size());
+  return n;
+}
+
+}  // namespace
+
 bool TraceSink::write_jsonl(std::ostream& os) const {
-  std::string out;
+  const std::vector<std::string> sites = escaped("", sites_);
+  const std::vector<std::string> states = escaped("", states_);
+  const std::size_t room = kRecordRoom + longest(sites) + longest(states);
+  BlockWriter w(os);
   for_each_ordered([&](const TraceRecord& r) {
-    out += "{\"t\":";
-    append_double(out, r.time);
-    out += ",\"type\":\"";
-    out += to_string(r.type);
-    out += "\",\"site\":\"";
-    append_escaped(out, sites_[r.site < sites_.size() ? r.site : 0]);
-    out += "\",\"flow\":";
-    append_i64(out, r.flow);
-    out += ",\"seq\":";
-    append_i64(out, r.seq);
-    out += ",\"value\":";
-    append_double(out, r.value);
-    out += ",\"aux\":";
-    append_double(out, r.aux);
-    out += ",\"detail\":";
-    append_i64(out, r.detail);
+    char* p = w.room(room);
+    p = put_text(p, "{\"t\":");
+    p = write_double(p, r.time);
+    p = put_text(p, ",\"type\":\"");
+    p = put_text(p, to_string(r.type));
+    p = put_text(p, "\",\"site\":\"");
+    p = put_text(p, sites[r.site < sites.size() ? r.site : 0]);
+    p = put_text(p, "\",\"flow\":");
+    p = put_int(p, r.flow);
+    p = put_text(p, ",\"seq\":");
+    p = put_int(p, r.seq);
+    p = put_text(p, ",\"value\":");
+    p = write_double(p, r.value);
+    p = put_text(p, ",\"aux\":");
+    p = write_double(p, r.aux);
+    p = put_text(p, ",\"detail\":");
+    p = put_int(p, r.detail);
     if (r.type == TraceEventType::kCcStateChange &&
-        r.detail < states_.size()) {
-      out += ",\"state\":\"";
-      append_escaped(out, states_[r.detail]);
-      out += '"';
+        r.detail < states.size()) {
+      p = put_text(p, ",\"state\":\"");
+      p = put_text(p, states[r.detail]);
+      p = put_text(p, "\"");
     }
-    out += "}\n";
-    if (out.size() >= kFlushBytes) {
-      os << out;
-      out.clear();
-    }
+    w.advance(put_text(p, "}\n"));
   });
-  os << out;
-  return static_cast<bool>(os);
+  return w.finish();
 }
 
 bool TraceSink::write_chrome_trace(std::ostream& os) const {
-
   // Flow tracks get their own pid so Perfetto groups each flow's counter
   // and instant tracks together; network sites share pid 1.
   constexpr int kNetPid = 1;
@@ -364,26 +445,34 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
       flow_seen[static_cast<std::size_t>(r.flow)] = true;
     }
   }
+  const std::vector<std::string> sites = escaped("", sites_);
+  const std::vector<std::string> qlen_names = escaped("qlen ", sites_);
+  const std::vector<std::string> state_names = escaped("state: ", states_);
+  const std::size_t room =
+      kRecordRoom + std::max(longest(qlen_names), longest(state_names));
 
-  std::string out;
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  BlockWriter w(os);
+  w.advance(put_text(w.room(kRecordRoom),
+                     "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"));
   bool first = true;
-  auto meta = [&](const char* kind, int pid, int tid, std::string_view name) {
-    if (!first) out += ",\n";
+  auto meta = [&](std::string_view kind, int pid, int tid,
+                  std::string_view name) {
+    char* p = w.room(kRecordRoom + name.size());
+    if (!first) p = put_text(p, ",\n");
     first = false;
-    out += "{\"name\":\"";
-    out += kind;
-    out += "\",\"ph\":\"M\",\"pid\":";
-    append_i64(out, pid);
-    out += ",\"tid\":";
-    append_i64(out, tid);
-    out += ",\"args\":{\"name\":\"";
-    append_escaped(out, name);
-    out += "\"}}";
+    p = put_text(p, "{\"name\":\"");
+    p = put_text(p, kind);
+    p = put_text(p, "\",\"ph\":\"M\",\"pid\":");
+    p = put_int(p, pid);
+    p = put_text(p, ",\"tid\":");
+    p = put_int(p, tid);
+    p = put_text(p, ",\"args\":{\"name\":\"");
+    p = put_text(p, name);
+    w.advance(put_text(p, "\"}}"));
   };
   meta("process_name", kNetPid, 0, "network");
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    meta("thread_name", kNetPid, static_cast<int>(i), sites_[i]);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    meta("thread_name", kNetPid, static_cast<int>(i), sites[i]);
   }
   for (std::size_t f = 0; f < flow_seen.size(); ++f) {
     if (!flow_seen[f]) continue;
@@ -392,131 +481,127 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
     meta("thread_name", kFlowPidBase + static_cast<int>(f), 0, "events");
   }
 
-  auto header = [&](std::string_view name, char ph, int pid, int tid,
-                    Time t) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"";
-    append_escaped(out, name);
-    out += "\",\"ph\":\"";
-    out.push_back(ph);
-    out += "\",\"ts\":";
-    append_double(out, t * kMicrosPerSec);
-    out += ",\"pid\":";
-    append_i64(out, pid);
-    out += ",\"tid\":";
-    append_i64(out, tid);
+  // Every record's event follows the metadata above, so it opens with a
+  // comma. @p name is escaped already, or a fixed name.
+  const auto header = [](char* p, std::string_view name, char ph, int pid,
+                         int tid, Time t) {
+    p = put_text(p, ",\n{\"name\":\"");
+    p = put_text(p, name);
+    p = put_text(p, "\",\"ph\":\"");
+    *p++ = ph;
+    p = put_text(p, "\",\"ts\":");
+    p = write_double(p, t * kMicrosPerSec);
+    p = put_text(p, ",\"pid\":");
+    p = put_int(p, pid);
+    p = put_text(p, ",\"tid\":");
+    return put_int(p, tid);
   };
-  auto counter1 = [&](std::string_view name, int pid, Time t,
-                      std::string_view series, double v) {
-    header(name, 'C', pid, 0, t);
-    out += ",\"args\":{\"";
-    append_escaped(out, series);
-    out += "\":";
-    append_double(out, v);
-    out += "}}";
+  const auto counter = [&header](char* p, std::string_view name, int pid,
+                                 Time t, std::string_view series, double v) {
+    p = header(p, name, 'C', pid, 0, t);
+    p = put_text(p, ",\"args\":{\"");
+    p = put_text(p, series);
+    p = put_text(p, "\":");
+    p = write_double(p, v);
+    return put_text(p, "}}");
   };
-  auto instant_begin = [&](std::string_view name, int pid, int tid, Time t) {
-    header(name, 'i', pid, tid, t);
-    out += ",\"s\":\"t\",\"args\":{";
+  const auto instant = [&header](char* p, std::string_view name, int pid,
+                                 int tid, Time t) {
+    p = header(p, name, 'i', pid, tid, t);
+    return put_text(p, ",\"s\":\"t\",\"args\":{");
   };
-  std::vector<std::string> qlen_names;
-  qlen_names.reserve(sites_.size());
-  for (const std::string& site : sites_) qlen_names.push_back("qlen " + site);
 
   for_each_ordered([&](const TraceRecord& r) {
     const int site_tid = r.site < sites_.size() ? r.site : 0;
     const int flow_pid = kFlowPidBase + (r.flow >= 0 ? r.flow : 0);
+    char* p = w.room(room);
     switch (r.type) {
       case TraceEventType::kQueueEnqueue:
       case TraceEventType::kQueueDequeue:
-        counter1(qlen_names[static_cast<std::size_t>(site_tid)], kNetPid,
-                 r.time, "packets", r.value);
+        p = counter(p, qlen_names[static_cast<std::size_t>(site_tid)],
+                    kNetPid, r.time, "packets", r.value);
         break;
       case TraceEventType::kQueueDrop:
-        instant_begin("drop", kNetPid, site_tid, r.time);
-        out += "\"flow\":";
-        append_i64(out, r.flow);
-        out += ",\"seq\":";
-        append_i64(out, r.seq);
-        out += ",\"qlen\":";
-        append_double(out, r.value);
-        out += ",\"reason\":\"";
-        out += (r.detail >> 1) == 1   ? "early"
-               : (r.detail >> 1) == 2 ? "displaced"
-                                      : "forced";
-        out += "\"}}";
+        p = instant(p, "drop", kNetPid, site_tid, r.time);
+        p = put_text(p, "\"flow\":");
+        p = put_int(p, r.flow);
+        p = put_text(p, ",\"seq\":");
+        p = put_int(p, r.seq);
+        p = put_text(p, ",\"qlen\":");
+        p = write_double(p, r.value);
+        p = put_text(p, ",\"reason\":\"");
+        p = put_text(p, (r.detail >> 1) == 1   ? "early"
+                   : (r.detail >> 1) == 2 ? "displaced"
+                                          : "forced");
+        p = put_text(p, "\"}}");
         break;
       case TraceEventType::kLinkDeliver:
-        instant_begin("deliver", kNetPid, site_tid, r.time);
-        out += "\"flow\":";
-        append_i64(out, r.flow);
-        out += ",\"seq\":";
-        append_i64(out, r.seq);
-        out += "}}";
+        p = instant(p, "deliver", kNetPid, site_tid, r.time);
+        p = put_text(p, "\"flow\":");
+        p = put_int(p, r.flow);
+        p = put_text(p, ",\"seq\":");
+        p = put_int(p, r.seq);
+        p = put_text(p, "}}");
         break;
       case TraceEventType::kSourceEmit:
-        instant_begin("app_emit", flow_pid, 0, r.time);
-        out += "\"n\":";
-        append_i64(out, r.seq);
-        out += "}}";
+        p = instant(p, "app_emit", flow_pid, 0, r.time);
+        p = put_text(p, "\"n\":");
+        p = put_int(p, r.seq);
+        p = put_text(p, "}}");
         break;
       case TraceEventType::kSinkAck:
-        instant_begin("ack", flow_pid, 0, r.time);
-        out += "\"ack\":";
-        append_i64(out, r.seq);
-        out += ",\"ooo\":";
-        append_double(out, r.value);
-        out += "}}";
+        p = instant(p, "ack", flow_pid, 0, r.time);
+        p = put_text(p, "\"ack\":");
+        p = put_int(p, r.seq);
+        p = put_text(p, ",\"ooo\":");
+        p = write_double(p, r.value);
+        p = put_text(p, "}}");
         break;
       case TraceEventType::kCwndChange:
-        counter1("cwnd", flow_pid, r.time, "cwnd", r.value);
+        p = counter(p, "cwnd", flow_pid, r.time, "cwnd", r.value);
         break;
       case TraceEventType::kSsthreshChange:
-        counter1("ssthresh", flow_pid, r.time, "ssthresh", r.value);
+        p = counter(p, "ssthresh", flow_pid, r.time, "ssthresh", r.value);
         break;
       case TraceEventType::kVegasDiff:
-        counter1("vegas_diff", flow_pid, r.time, "diff", r.value);
+        p = counter(p, "vegas_diff", flow_pid, r.time, "diff", r.value);
         break;
-      case TraceEventType::kCcStateChange: {
-        std::string name = "state: ";
-        name += r.detail < states_.size() ? states_[r.detail] : "?";
-        instant_begin(name, flow_pid, 0, r.time);
-        out += "\"cwnd\":";
-        append_double(out, r.value);
-        out += "}}";
+      case TraceEventType::kCcStateChange:
+        p = instant(p,
+                    r.detail < state_names.size()
+                        ? std::string_view(state_names[r.detail])
+                        : "state: ?",
+                    flow_pid, 0, r.time);
+        p = put_text(p, "\"cwnd\":");
+        p = write_double(p, r.value);
+        p = put_text(p, "}}");
         break;
-      }
       case TraceEventType::kFastRetransmit:
       case TraceEventType::kRto:
-        instant_begin(r.type == TraceEventType::kRto ? "rto"
-                                                     : "fast_retransmit",
-                      flow_pid, 0, r.time);
-        out += "\"seq\":";
-        append_i64(out, r.seq);
-        out += ",\"cwnd\":";
-        append_double(out, r.value);
-        out += "}}";
+        p = instant(p,
+                    r.type == TraceEventType::kRto ? "rto" : "fast_retransmit",
+                    flow_pid, 0, r.time);
+        p = put_text(p, "\"seq\":");
+        p = put_int(p, r.seq);
+        p = put_text(p, ",\"cwnd\":");
+        p = write_double(p, r.value);
+        p = put_text(p, "}}");
         break;
       case TraceEventType::kCongestionEvent:
-        instant_begin("congestion_event", kNetPid, site_tid, r.time);
-        out += "\"flows_hit\":";
-        append_double(out, r.value);
-        out += ",\"duration\":";
-        append_double(out, r.aux);
-        out += ",\"drops\":";
-        append_i64(out, r.seq);
-        out += "}}";
+        p = instant(p, "congestion_event", kNetPid, site_tid, r.time);
+        p = put_text(p, "\"flows_hit\":");
+        p = write_double(p, r.value);
+        p = put_text(p, ",\"duration\":");
+        p = write_double(p, r.aux);
+        p = put_text(p, ",\"drops\":");
+        p = put_int(p, r.seq);
+        p = put_text(p, "}}");
         break;
     }
-    if (out.size() >= kFlushBytes) {
-      os << out;
-      out.clear();
-    }
+    w.advance(p);
   });
-  out += "\n]}\n";
-  os << out;
-  return static_cast<bool>(os);
+  w.advance(put_text(w.room(kRecordRoom), "\n]}\n"));
+  return w.finish();
 }
 
 }  // namespace burst

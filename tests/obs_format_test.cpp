@@ -1,13 +1,18 @@
 // The shared export formatter (src/obs/format.hpp) against the printf
 // spellings every trace, flight-recorder and runtime-timeline export was
 // first written with. The exports are golden-tested byte for byte, so
-// std::to_chars(general, 17) must spell every double exactly as
-// snprintf("%.17g") does, and the integer helpers exactly as PRId64 /
-// PRIu64. snprintf stays here as the reference.
+// write_double must spell every double exactly as snprintf("%.17g")
+// does, and the integer helpers exactly as PRId64 / PRIu64. snprintf
+// stays here as the reference. write_double has two paths: integer
+// arithmetic for integral values below 1e17 and for fixed-style values
+// from 1e-4 up (binades 2^-14 to 2^56), and std::to_chars(general, 17)
+// for everything else, so the inputs below reach both paths, the switch
+// between them, and the integer path's rounding ties.
 #include "src/obs/format.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cinttypes>
 #include <cmath>
@@ -68,14 +73,50 @@ TEST(ObsFormat, DoubleEdgeCasesMatchPrintf) {
       std::numeric_limits<double>::infinity(),
       -std::numeric_limits<double>::infinity(),
   };
-  // %g switches to exponent form below 1e-4 and at 1e17 (precision 17):
-  // probe both sides of every switch and of the decade before it.
-  for (const double edge : {1e-5, 1e-4, 1e16, 1e17}) {
-    add_neighbourhood(values, edge);
+  // %g switches to exponent form below 1e-4 and at 1e17 (precision 17),
+  // and the integer path picks the decade of every fixed-style value:
+  // probe both sides of every power of ten from the decade below 1e-4
+  // up to 1e17.
+  for (int e = -5; e <= 17; ++e) add_neighbourhood(values, std::pow(10.0, e));
+  // Every power of ten and of two in range. Some doubles nearest a power
+  // of ten lie just below it and round up to it at 17 digits, a carry
+  // into the next decade: 1e-14 and 1e98, for example. In fixed style
+  // none does (10^0..10^17 are exact, and the doubles nearest 10^-4..
+  // 10^-1 lie above them), so the carries reach the fallback.
+  std::size_t carries = 0;
+  for (int e = -323; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    values.push_back(p);
+    char at17[40], at25[40];
+    std::snprintf(at17, sizeof(at17), "%.17g", p);
+    std::snprintf(at25, sizeof(at25), "%.25g", p);
+    carries += at17[0] == '1' && at25[0] == '9';
   }
-  // Every power of ten and of two in range.
-  for (int e = -323; e <= 308; ++e) values.push_back(std::pow(10.0, e));
+  EXPECT_GT(carries, 0u) << "no power of ten carried at 17 digits";
   for (int e = -1074; e <= 1023; ++e) values.push_back(std::ldexp(1.0, e));
+  // Exact ties at the 17th digit, which the integer path rounds half to
+  // even: |v| * 10^(16 - X) ends in exactly .5 when v = odd * 2^(X - 17).
+  // For X = 15 that is a 16-digit n + 0.25 or n + 0.75, for X = 14 a
+  // 15-digit n + 0.125, and so on down to X = -4.
+  std::mt19937_64 rng(17);
+  for (int x = -4; x <= 15; ++x) {
+    // Odd m with 10^x <= m * 2^(x - 17) < 10^(x + 1) and m < 2^53.
+    const double lo = std::ceil(std::ldexp(std::pow(10.0, x), 17 - x));
+    const double hi = std::min(std::ldexp(std::pow(10.0, x + 1), 17 - x),
+                               std::ldexp(1.0, 53));
+    const auto base = static_cast<std::uint64_t>(lo);
+    const auto span = static_cast<std::uint64_t>(hi - lo);
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t m = (base + rng() % span) | 1;
+      const double v = std::ldexp(static_cast<double>(m), x - 17);
+      // 18 digits show the tie: the 17-digit rounding drops an exact 5.
+      char at18[40];
+      std::snprintf(at18, sizeof(at18), "%.18g", v);
+      ASSERT_EQ(at18[std::strlen(at18) - 1], '5') << at18;
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
   expect_doubles_match(values);
 }
 
@@ -105,16 +146,25 @@ TEST(ObsFormat, TraceLikeValuesMatchPrintf) {
 }
 
 // A fixed-seed sweep over raw bit patterns: every exponent, both signs,
-// subnormals included (non-finite patterns are skipped).
+// subnormals included (non-finite patterns are skipped). Uniform
+// exponents put few inputs near 1, so every binade the integer path
+// serves (2^-14 to 2^56) also gets its own random mantissas.
 TEST(ObsFormat, RandomBitPatternsMatchPrintf) {
   std::mt19937_64 rng(20001);
   std::vector<double> values;
-  values.reserve(1000000);
-  while (values.size() < 1000000) {
-    const std::uint64_t bits = rng();
+  values.reserve(1000000 + 71 * 8192);
+  const auto add = [&values](std::uint64_t bits) {
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     if (std::isfinite(v)) values.push_back(v);
+  };
+  while (values.size() < 1000000) add(rng());
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  for (std::uint64_t e = 1023 - 14; e <= 1023 + 56; ++e) {
+    for (int i = 0; i < 8192; ++i) {
+      const std::uint64_t r = rng();
+      add((r & (std::uint64_t{1} << 63)) | e << 52 | (r & kMantissa));
+    }
   }
   expect_doubles_match(values);
 }

@@ -424,6 +424,50 @@ TEST(TraceExport, ChromeTraceStructure) {
   EXPECT_NE(out.find("\"ts\":1500000"), std::string::npos);
 }
 
+// Site and state names are escaped once per export, not per record: a
+// name holding a quote, a backslash or a control character must still
+// come out escaped wherever it lands, in the JSONL site and state
+// fields and in Perfetto's thread name, qlen counter and state instant.
+TEST(TraceExport, NamesAreEscapedInBothExports) {
+  TraceSink sink;
+  TraceRecord enqueue = record(TraceEventType::kQueueEnqueue, 0.5, 3.0);
+  enqueue.site = sink.register_site("q\"a\\b\tc");
+  enqueue.flow = 0;
+  sink.emit(enqueue);
+  TraceRecord state = record(TraceEventType::kCcStateChange, 0.75, 2.0);
+  state.flow = 0;
+  state.detail = sink.intern_state("fast\"rec");
+  sink.emit(state);
+
+  std::ostringstream jsonl, perfetto;
+  ASSERT_TRUE(sink.write_jsonl(jsonl));
+  ASSERT_TRUE(sink.write_chrome_trace(perfetto));
+  EXPECT_EQ(jsonl.str(),
+            "{\"t\":0.5,\"type\":\"queue_enqueue\","
+            "\"site\":\"q\\\"a\\\\b c\",\"flow\":0,\"seq\":-1,"
+            "\"value\":3,\"aux\":0,\"detail\":0}\n"
+            "{\"t\":0.75,\"type\":\"cc_state_change\",\"site\":\"unknown\","
+            "\"flow\":0,\"seq\":-1,\"value\":2,\"aux\":0,\"detail\":0,"
+            "\"state\":\"fast\\\"rec\"}\n");
+  EXPECT_EQ(perfetto.str(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+            "\"args\":{\"name\":\"network\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+            "\"args\":{\"name\":\"unknown\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
+            "\"args\":{\"name\":\"q\\\"a\\\\b c\"}},\n"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1000,\"tid\":0,"
+            "\"args\":{\"name\":\"flow 0\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1000,\"tid\":0,"
+            "\"args\":{\"name\":\"events\"}},\n"
+            "{\"name\":\"qlen q\\\"a\\\\b c\",\"ph\":\"C\",\"ts\":500000,"
+            "\"pid\":1,\"tid\":0,\"args\":{\"packets\":3}},\n"
+            "{\"name\":\"state: fast\\\"rec\",\"ph\":\"i\",\"ts\":750000,"
+            "\"pid\":1000,\"tid\":0,\"s\":\"t\",\"args\":{\"cwnd\":2}}"
+            "\n]}\n");
+}
+
 // A traced full experiment emits every record in nondecreasing ordered()
 // time, covers the expected sites, and sees the transport transitions.
 TEST(TraceExperiment, OrderedAgainstSchedulerTime) {

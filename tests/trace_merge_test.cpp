@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <random>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/runtime_trace.hpp"
 #include "src/obs/trace.hpp"
+#include "src/run/scenario_key.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace burst {
@@ -57,20 +59,36 @@ TracedRun traced_run(const Scenario& sc, int lp_shards) {
   return out;
 }
 
+std::string hash_of(const std::string& text) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(text)));
+  return buf;
+}
+
 // The tentpole acceptance: both exports byte-identical between the
 // sequential engine and the 2-LP conservative engine, across the CC/AQM
 // grid (Vegas adds vegas_diff records, RED adds early drops — the record
-// mix differs per cell, the identity must not).
+// mix differs per cell, the identity must not). The sequential exports
+// are pinned too (fnv1a64), so a change to the writer itself, which the
+// lp1-vs-lp2 comparison shares, still shows. Re-pin only for an
+// intentional change of the export format, and document why.
 TEST(TraceMergeDifferential, Lp2ByteIdenticalAcrossProtocolGrid) {
   const struct {
     Transport t;
     GatewayQueue q;
     const char* label;
+    const char* jsonl_hash;
+    const char* perfetto_hash;
   } grid[] = {
-      {Transport::kReno, GatewayQueue::kDropTail, "reno/fifo"},
-      {Transport::kReno, GatewayQueue::kRed, "reno/red"},
-      {Transport::kVegas, GatewayQueue::kDropTail, "vegas/fifo"},
-      {Transport::kVegas, GatewayQueue::kRed, "vegas/red"},
+      {Transport::kReno, GatewayQueue::kDropTail, "reno/fifo",
+       "9cb3791bf057f340", "a3da3cd9f42564be"},
+      {Transport::kReno, GatewayQueue::kRed, "reno/red",
+       "9cb3791bf057f340", "a3da3cd9f42564be"},
+      {Transport::kVegas, GatewayQueue::kDropTail, "vegas/fifo",
+       "d1e83c5849aea3d2", "4e9c64f2f33c480b"},
+      {Transport::kVegas, GatewayQueue::kRed, "vegas/red",
+       "d1e83c5849aea3d2", "4e9c64f2f33c480b"},
   };
   for (const auto& cell : grid) {
     SCOPED_TRACE(cell.label);
@@ -78,6 +96,8 @@ TEST(TraceMergeDifferential, Lp2ByteIdenticalAcrossProtocolGrid) {
     const TracedRun par = traced_run(small_scenario(cell.t, cell.q), 2);
     ASSERT_EQ(par.result.lp_shards, 2) << "partitioner declined the split";
     EXPECT_GT(seq.jsonl.size(), 0u);
+    EXPECT_EQ(hash_of(seq.jsonl), cell.jsonl_hash);
+    EXPECT_EQ(hash_of(seq.perfetto), cell.perfetto_hash);
     EXPECT_EQ(seq.jsonl, par.jsonl);
     EXPECT_EQ(seq.perfetto, par.perfetto);
     // Tracing must not have perturbed the dynamics either.
