@@ -1,7 +1,7 @@
 // sched_events: the event-core performance probe.
 //
 // Measures the scheduler hot loop in isolation (schedule/pop, with and
-// without cancellations, at the heap depths a paper run actually sees)
+// without cancellations, at the pending counts a paper run actually sees)
 // plus a timer-chain and a full N=100-client Reno/RED experiment, and
 // writes the numbers to a JSON file (default BENCH_sched.json) so the
 // perf trajectory across PRs has data instead of folklore.
@@ -60,13 +60,10 @@ ProbeRow schedule_cancel_pop_row(std::uint64_t ops, std::size_t depth,
 
 // The mean-field steady state: `pending` timers permanently armed while
 // the hot loop pops the earliest and re-arms it over a fixed horizon.
-// The heap variant (schedule_at) pays O(log pending) per op; the wheel
-// variant (schedule_soft_at) parks far deadlines in O(1) buckets, so its
-// cost tracks the near-term horizon instead. The paired rows measure the
-// crossover (recorded in EXPERIMENTS.md): identical op sequence, same
-// deadlines, only the backend differs.
-ProbeRow pop_rearm_row(std::uint64_t ops, std::size_t pending, bool wheel,
-                       int repeat) {
+// Every re-arm parks in the timing wheel (O(1)) and the heap holds only
+// the current tick, so the cost tracks the near-term horizon rather than
+// the armed population (EXPERIMENTS.md records the sweep).
+ProbeRow pop_rearm_row(std::uint64_t ops, std::size_t pending, int repeat) {
   constexpr Time kHorizon = 2.0;  // seconds of re-arm spread (RTO-scale)
   // The wheel's O(1) is amortized: cascades of coarse buckets land in
   // bursts as the cursor crosses level boundaries. A timed window
@@ -78,13 +75,7 @@ ProbeRow pop_rearm_row(std::uint64_t ops, std::size_t pending, bool wheel,
     Scheduler s;
     Mix mix{1234};
     Time now = 0.0;
-    const auto rearm = [&s, &now, wheel](Time at) {
-      if (wheel) {
-        s.schedule_soft_at(at, [] {}, now);
-      } else {
-        s.schedule_at(at, [] {}, now);
-      }
-    };
+    const auto rearm = [&s, &now](Time at) { s.schedule_at(at, [] {}, now); };
     for (std::size_t i = 0; i < pending; ++i) {
       rearm(now + kHorizon * (0.5 + 0.5 * mix.next()));
     }
@@ -106,9 +97,7 @@ ProbeRow pop_rearm_row(std::uint64_t ops, std::size_t pending, bool wheel,
     }
     return now_s() - t0;
   });
-  return {(wheel ? "pop_rearm_wheel_p" : "pop_rearm_heap_p") +
-              std::to_string(pending),
-          timed_ops, wall, {}};
+  return {"pop_rearm_p" + std::to_string(pending), timed_ops, wall, {}};
 }
 
 ProbeRow timer_chain_row(std::uint64_t events, int repeat) {
@@ -157,19 +146,18 @@ int main(int argc, char** argv) {
   const double exp_duration = 10.0;
 
   std::vector<ProbeRow> rows;
-  // The hot loop at the heap depths a Table-1 N=60 run sees (a few
-  // hundred events pending: one per timer/in-flight packet).
+  // The hot loop at the pending counts a Table-1 N=60 run sees (a few
+  // hundred events: one per timer/in-flight packet).
   for (const std::size_t depth : {std::size_t{64}, std::size_t{512}}) {
     add_row(&rows, schedule_pop_row("schedule_pop_d" + std::to_string(depth),
                                     hot_ops, depth, repeat));
   }
   add_row(&rows, schedule_cancel_pop_row(hot_ops / 2, 512, repeat));
-  // Heap-vs-wheel crossover sweep: 10^3..10^6 armed soft-deadline timers.
+  // Armed-timer sweep: 10^3..10^6 timers pending.
   for (const std::size_t pending :
        {std::size_t{1000}, std::size_t{10000}, std::size_t{100000},
         std::size_t{1000000}}) {
-    add_row(&rows, pop_rearm_row(hot_ops / 10, pending, false, repeat));
-    add_row(&rows, pop_rearm_row(hot_ops / 10, pending, true, repeat));
+    add_row(&rows, pop_rearm_row(hot_ops / 10, pending, repeat));
   }
   add_row(&rows, timer_chain_row(hot_ops / 2, repeat));
   add_row(&rows, experiment_row(exp_duration, repeat));

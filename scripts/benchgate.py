@@ -91,8 +91,9 @@ def check_wall(name, cur_row, base_row, calib, threshold, failures):
     ok = c_ratio <= b_ratio * (1 + threshold)
     print(
         f"  {name}: normalized {c_ratio:.3f} vs baseline {b_ratio:.3f}"
-        f" ({(c_ratio / b_ratio - 1) * 100:+.1f}%)"
-        f" {'ok' if ok else 'REGRESSION'}"
+        f" ({(c_ratio / b_ratio - 1) * 100:+.1f}%;"
+        f" raw {cur_row['ns_per_op']:.1f} vs {base_row['ns_per_op']:.1f}"
+        f" ns/op) {'ok' if ok else 'REGRESSION'}"
     )
     if not ok:
         failures.append(

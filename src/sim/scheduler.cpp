@@ -101,7 +101,7 @@ void Scheduler::free_slot(std::uint32_t idx) {
   free_.push_back(idx);
 }
 
-EventId Scheduler::schedule_at(Time at, SmallFn fn, Time tie_time) {
+EventId Scheduler::schedule_at(Time at, SmallFn&& fn, Time tie_time) {
   return schedule_at_reserved(at, tie_time, next_seq_++, std::move(fn));
 }
 
@@ -109,12 +109,11 @@ void Scheduler::heap_insert(const Key& k, std::uint32_t slot) {
   const std::uint32_t pos = static_cast<std::uint32_t>(keys_.size());
   keys_.push_back(k);
   heap_slot_.push_back(slot);
-  slots_[slot].heap_pos = pos;
-  sift_up(pos);
+  sift_up(pos);  // its last place() records the slot's heap position
 }
 
 EventId Scheduler::schedule_at_reserved(Time at, Time tie_time,
-                                        std::uint64_t order, SmallFn fn) {
+                                        std::uint64_t order, SmallFn&& fn) {
   std::uint32_t idx;
   if (!free_.empty()) {
     idx = free_.back();
@@ -125,52 +124,37 @@ EventId Scheduler::schedule_at_reserved(Time at, Time tie_time,
   }
   Slot& s = slots_[idx];
   s.fn = std::move(fn);
-  heap_insert(Key{at, tie_time, order}, idx);
-  ++scheduled_count_;
-  if (size() > peak_pending_) peak_pending_ = size();
-  return make_id(idx, s.generation);
-}
-
-EventId Scheduler::schedule_soft_at(Time at, SmallFn fn, Time tie_time) {
-  // Consume the same FIFO rank a schedule_at at this instant would have:
-  // the full (at, tie_time, seq) key rides along through the wheel, so
-  // the eventual pop order is identical whichever structure held it.
-  const std::uint64_t order = next_seq_++;
-  if (!wheel_.accepts(at)) {
-    return schedule_at_reserved(at, tie_time, order, std::move(fn));
-  }
-  std::uint32_t idx;
-  if (!free_.empty()) {
-    idx = free_.back();
-    free_.pop_back();
-  } else {
-    idx = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[idx];
-  s.fn = std::move(fn);
-  const std::uint32_t node = wheel_.insert({at, tie_time, order, idx});
-  assert((node & kWheelBit) == 0 && "wheel node handle overflow");
-  s.heap_pos = kWheelBit | node;
-  ++scheduled_count_;
-  if (size() > peak_pending_) peak_pending_ = size();
-  return make_id(idx, s.generation);
-}
-
-void Scheduler::settle() {
-  // Flush wheel buckets until the heap's top (if any) is strictly earlier
-  // than every wheel resident's conservative bound; only then is popping
-  // from the heap alone guaranteed to follow global (at, tie_time, seq)
-  // order. Each flushed bucket is a single wheel tick, and ticks are
-  // monotone in `at`, so a flush can never leapfrog a remaining resident.
-  while (!wheel_.empty()) {
-    if (!keys_.empty() && keys_[0].at < wheel_.min_at_bound()) break;
-    flush_buf_.clear();
-    wheel_.pop_earliest(flush_buf_);
-    for (const TimingWheel::Entry& e : flush_buf_) {
-      heap_insert(Key{e.at, e.tie_time, e.seq}, e.sched_slot);
+  // The full (at, tie_time, order) key rides along through the wheel, so
+  // the eventual pop order is identical whichever store held the event.
+  const Key k{at, tie_time, order};
+  if (at < wheel_.min_at_bound() && (keys_.empty() || at < keys_[0].at)) {
+    // Due before everything pending, so it pops next: it goes on the
+    // heap, where settle() would hand its tick straight back anyway. The
+    // heap keeps at most one event past the cursor's tick: if it holds
+    // one, it holds nothing else (a current-tick event would precede
+    // this one), and that event moves to the wheel.
+    if (!keys_.empty() && wheel_.accepts(keys_[0].at)) {
+      assert(keys_.size() == 1);
+      const std::uint32_t prev = heap_slot_[0];
+      wheel_.insert(prev, keys_[0]);
+      remove_root();
+      slots_[prev].heap_pos = kInWheel;
     }
+    heap_insert(k, idx);
+  } else if (wheel_.accepts(at)) {
+    wheel_.insert(idx, k);
+    s.heap_pos = kInWheel;
+  } else {
+    heap_insert(k, idx);  // due within the cursor's tick
   }
+  ++scheduled_count_;
+  if (size() > peak_pending_) peak_pending_ = size();
+  return make_id(idx, s.generation);
+}
+
+void Scheduler::flush_earliest_tick() {
+  wheel_.pop_earliest(
+      [this](std::uint32_t slot, const Key& k) { heap_insert(k, slot); });
 }
 
 void Scheduler::cancel(EventId id) {
@@ -181,8 +165,8 @@ void Scheduler::cancel(EventId id) {
   const std::uint32_t idx = slot_of(id);
   slots_[idx].fn.reset();  // release captures now, not at pop time
   const std::uint32_t pos = slots_[idx].heap_pos;
-  if (pos & kWheelBit) {  // pending() ruled out kFreePos
-    wheel_.remove(pos & ~kWheelBit);
+  if (pos == kInWheel) {
+    wheel_.remove(idx);
   } else {
     remove_heap_entry(pos);
   }

@@ -1,5 +1,6 @@
-// Event scheduler: an indexed 4-ary min-heap of (time, tie-time, sequence)
-// ordered events with generation-tagged handles.
+// Event scheduler: (time, tie-time, sequence) ordered events with
+// generation-tagged handles, held in a hierarchical timing wheel until
+// their tick comes up and in an indexed 4-ary min-heap within it.
 //
 // Two events scheduled for the same instant fire in the order they were
 // scheduled (FIFO tie-break via a monotone sequence number), which keeps
@@ -9,12 +10,13 @@
 // event inserted early can still claim the heap position its unfused
 // ancestor would have had. Since seq is monotone in insertion (and hence
 // in simulated time), tie_time == insertion time reproduces plain FIFO
-// exactly — which is what Simulator passes by default. The heap stores
-// slot indices and every slot knows its heap position, so:
+// exactly — which is what Simulator passes by default. The heap and the
+// wheel store slot indices and every slot knows where it is held, so:
 //
 //  * pending() is an O(1) generation check (no shadow hash set),
-//  * cancel() is a true O(log n) removal that frees the callback
-//    immediately (no tombstones to skip at pop time),
+//  * cancel() is a true removal — O(1) from the wheel, O(log n) from the
+//    heap — that frees the callback immediately (no tombstones to skip
+//    at pop time),
 //  * callbacks live in SmallFn's inline buffer, so the common
 //    timer/packet-arrival event never heap-allocates.
 //
@@ -27,16 +29,19 @@
 // std::functions) for the schedule/pop mix that dominates runs (see
 // bench/sched_events and bench/packet_path).
 //
-// Two-tier storage (DESIGN.md §11): exact-order packet events live on
-// the heap; the *soft-deadline* timer class — schedule_soft_at(), used by
-// Timer for RTO/delayed-ACK deadlines — is parked in a hierarchical
-// timing wheel when far enough out, and flushed into the heap (full sort
-// key attached) before any pop that could reach it.
-// Every pop still leaves the heap, in exact (at, tie_time, seq) order,
-// so runs are bit-identical whichever structure held an event; what
-// changes is cost: heap depth tracks the near-term horizon instead of
-// the total armed-timer count, which is what keeps 10^5–10^6 pending
-// RTO timers from turning every packet event into a deep sift.
+// One insert path, two stores (DESIGN.md §11): schedule_at_reserved()
+// parks every event whose tick (256 µs) lies past the wheel cursor in a
+// hierarchical timing wheel, O(1), and puts the rest — events due within
+// the current tick — on the heap. The one exception is an event due
+// before everything pending: it pops next, so it goes straight on the
+// heap instead of taking a round trip through the wheel (the heap keeps
+// at most one such event). Before any pop that could reach a wheel
+// resident, settle() flushes the wheel's earliest tick into the heap,
+// full sort key attached. So the heap holds only the events of the
+// current tick, a handful, and every pop still leaves it in exact
+// (at, tie_time, seq) order: runs are bit-identical whichever store held
+// an event, and the heap's depth does not grow with the in-flight packet
+// and armed-timer count.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +75,7 @@ class Scheduler {
   /// @p tie_time (Simulator does) for plain FIFO, or an explicit virtual
   /// instant to splice a fused event into the order an unfused event
   /// inserted at that instant would have had.
-  EventId schedule_at(Time at, SmallFn fn, Time tie_time = 0.0);
+  EventId schedule_at(Time at, SmallFn&& fn, Time tie_time = 0.0);
 
   /// Reserves the FIFO position the next schedule_at call would receive,
   /// without inserting anything. A fused caller burns one of these at the
@@ -82,18 +87,11 @@ class Scheduler {
 
   /// Schedules @p fn at @p at with an explicit (tie_time, order) rank from
   /// reserve_order(). Events with equal @p at order by (tie_time, order).
+  /// The one insert path: an event due after the wheel cursor's tick parks
+  /// in the timing wheel, one due within it — or due before everything
+  /// pending — goes on the heap.
   EventId schedule_at_reserved(Time at, Time tie_time, std::uint64_t order,
-                               SmallFn fn);
-
-  /// Schedules a *soft-deadline* event: identical observable semantics to
-  /// schedule_at() — same FIFO rank consumption, same firing order, full
-  /// cancel/pending support — but far-future events are parked in the
-  /// timing wheel (O(1)) instead of the heap (O(log n)). For the lazy
-  /// RTO/delayed-ACK timers that keep one event armed per flow, this is
-  /// what holds heap depth at the near-term horizon when 10^5+ flows are
-  /// idle-armed. Events due within the current wheel tick go straight to
-  /// the heap.
-  EventId schedule_soft_at(Time at, SmallFn fn, Time tie_time = 0.0);
+                               SmallFn&& fn);
 
   /// Cancels a pending event, releasing its callback immediately.
   /// Cancelling an already-fired, already-cancelled, or invalid id is a
@@ -152,29 +150,22 @@ class Scheduler {
   std::size_t wheel_size() const { return wheel_.size(); }
 
  private:
-  /// heap_pos is the slot's location tag: kFreePos when free, a heap
-  /// index for heap-resident events, or (kWheelBit | wheel node index)
-  /// for events parked in the timing wheel.
+  /// heap_pos is the slot's location tag: kFreePos when free, kInWheel
+  /// for an event parked in the timing wheel (under the slot's own
+  /// index), or its heap index.
   struct Slot {
     SmallFn fn;
     std::uint32_t generation = 0;
     std::uint32_t heap_pos = kFreePos;
   };
-  /// The full (time, tie-time, seq) sort key. Keys live in their own
-  /// contiguous array, separate from the slot indices, so the sift-down
-  /// child scan — the single hottest loop in a simulation — reads pure
+  /// The full (time, tie-time, seq) sort key, the same in the wheel and
+  /// the heap. Heap keys live in their own contiguous array, separate
+  /// from the slot indices, so the sift-down child scan reads pure
   /// 24-byte keys: a 4-child scan touches 96 bytes instead of the 160 a
   /// combined key+slot entry would.
-  struct Key {
-    Time at;
-    Time tie_time;           // virtual insertion instant (see schedule_at)
-    std::uint64_t seq;       // FIFO tie-break among equal-(at, tie_time)
-  };
+  using Key = TimingWheel::Entry;
   static constexpr std::uint32_t kFreePos = 0xffffffffu;
-  /// High bit of heap_pos marks a wheel resident; the low 31 bits then
-  /// hold the TimingWheel node handle. kFreePos also has the high bit
-  /// set, so "free" must be checked before "wheel".
-  static constexpr std::uint32_t kWheelBit = 0x80000000u;
+  static constexpr std::uint32_t kInWheel = 0xfffffffeu;
 
   static std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
@@ -214,8 +205,17 @@ class Scheduler {
   /// schedule_at_reserved and the wheel flush; does not touch counters).
   void heap_insert(const Key& k, std::uint32_t slot);
   /// Flushes wheel buckets into the heap until the heap top is a safe
-  /// global minimum (heap top earlier than every wheel resident's bound).
-  void settle();
+  /// global minimum: earlier than every wheel resident's bound. Each
+  /// flushed bucket is one wheel tick, and ticks are monotone in `at`, so
+  /// a flush can never leapfrog a remaining resident.
+  void settle() {
+    while (!wheel_.empty() &&
+           (keys_.empty() || keys_[0].at >= wheel_.min_at_bound())) {
+      flush_earliest_tick();
+    }
+  }
+  /// Moves the wheel's earliest tick into the heap.
+  void flush_earliest_tick();
 
   std::vector<Slot> slots_;   // stable storage for pending callbacks
   // 4-ary min-heap on (at, tie_time, seq); keys_ and heap_slot_ are
@@ -229,8 +229,7 @@ class Scheduler {
   std::uint64_t peak_pending_ = 0;
   std::uint64_t stale_cancels_ = 0;
 
-  TimingWheel wheel_;                          // soft-deadline far events
-  std::vector<TimingWheel::Entry> flush_buf_;  // settle() scratch
+  TimingWheel wheel_;  // events due after the cursor's tick
 };
 
 }  // namespace burst

@@ -7,29 +7,24 @@
 
 namespace burst {
 
-EventId Simulator::schedule(Time delay, SmallFn fn) {
+EventId Simulator::schedule(Time delay, SmallFn&& fn) {
   assert(delay >= 0.0 && "cannot schedule into the past");
   return scheduler_.schedule_at(now_ + delay, std::move(fn), now_);
 }
 
-EventId Simulator::schedule_at(Time at, SmallFn fn) {
+EventId Simulator::schedule_at(Time at, SmallFn&& fn) {
   assert(at >= now_ && "cannot schedule into the past");
   return scheduler_.schedule_at(at, std::move(fn), now_);
 }
 
-EventId Simulator::schedule_soft_at(Time at, SmallFn fn) {
-  assert(at >= now_ && "cannot schedule into the past");
-  return scheduler_.schedule_soft_at(at, std::move(fn), now_);
-}
-
-EventId Simulator::schedule_at_as_of(Time at, Time tie_time, SmallFn fn) {
+EventId Simulator::schedule_at_as_of(Time at, Time tie_time, SmallFn&& fn) {
   assert(at >= now_ && "cannot schedule into the past");
   assert(tie_time <= at && "tie-break instant must not trail the event");
   return scheduler_.schedule_at(at, std::move(fn), tie_time);
 }
 
 EventId Simulator::schedule_at_reserved(Time at, Time tie_time,
-                                        std::uint64_t order, SmallFn fn) {
+                                        std::uint64_t order, SmallFn&& fn) {
   assert(at >= now_ && "cannot schedule into the past");
   assert(tie_time <= at && "tie-break instant must not trail the event");
   return scheduler_.schedule_at_reserved(at, tie_time, order, std::move(fn));

@@ -24,17 +24,10 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules @p fn to run @p delay seconds from now (delay >= 0).
-  EventId schedule(Time delay, SmallFn fn);
+  EventId schedule(Time delay, SmallFn&& fn);
 
   /// Schedules @p fn at absolute time @p at (>= now()).
-  EventId schedule_at(Time at, SmallFn fn);
-
-  /// Schedules a soft-deadline event at absolute time @p at (>= now()):
-  /// same observable ordering as schedule_at(), but far-future events are
-  /// parked in the scheduler's timing wheel (O(1)) instead of the heap.
-  /// Used by Timer — the per-flow RTO/delayed-ACK deadlines
-  /// whose pending count scales with the flow count.
-  EventId schedule_soft_at(Time at, SmallFn fn);
+  EventId schedule_at(Time at, SmallFn&& fn);
 
   /// Schedules @p fn at absolute time @p at, ordered among same-time
   /// events *as if* it had been inserted at instant @p tie_time
@@ -43,7 +36,7 @@ class Simulator {
   /// the unfused chain's final event would have had, keeping runs
   /// bit-identical across the fusion. Plain schedule_at() is the
   /// tie_time == now() special case.
-  EventId schedule_at_as_of(Time at, Time tie_time, SmallFn fn);
+  EventId schedule_at_as_of(Time at, Time tie_time, SmallFn&& fn);
 
   /// Reserves the same-instant FIFO rank the next scheduled event would
   /// receive, without inserting one. Redeem it with
@@ -56,7 +49,7 @@ class Simulator {
   /// Schedules @p fn at @p at ranked by (@p tie_time, @p order) among
   /// same-time events, where @p order came from reserve_order().
   EventId schedule_at_reserved(Time at, Time tie_time, std::uint64_t order,
-                               SmallFn fn);
+                               SmallFn&& fn);
 
   /// Cancels a pending event; no-op for fired/invalid ids.
   void cancel(EventId id) { scheduler_.cancel(id); }
@@ -86,7 +79,7 @@ class Simulator {
 
   /// Earliest pending event's time (kTimeNever if none): the lower bound
   /// this LP publishes to the window barrier. Settles the timing wheel,
-  /// so the bound is exact across both storage tiers.
+  /// so the bound is exact across the heap and the wheel.
   Time next_event_time() { return scheduler_.next_time(); }
 
   /// Requests that run() return after the current event completes.

@@ -21,10 +21,7 @@ void Timer::arm(Time at) {
   auto fire = [this] { on_event(); };
   static_assert(SmallFn::stores_inline<decltype(fire)>(),
                 "the timer trampoline must fit SmallFn's inline buffer");
-  // The armed event tolerates deferred firing by construction, so it
-  // rides the timing wheel: O(1) to park, and the far-future RTO majority
-  // stays out of the heap entirely.
-  id_ = sim_.schedule_soft_at(at, std::move(fire));
+  id_ = sim_.schedule_at(at, std::move(fire));
 }
 
 void Timer::disarm() {

@@ -14,9 +14,9 @@
 // callback still runs exactly at the latest scheduled deadline and never
 // after a cancel, as if every schedule()/cancel() were a scheduler
 // insert/cancel (tests/timer_test.cpp checks this against such an exact
-// timer). The armed event is a soft-deadline scheduler event
-// (Simulator::schedule_soft_at), so at large flow counts it parks in the
-// timing wheel, not the heap.
+// timer). The armed event is an ordinary scheduler event; like other
+// events due after the current tick, it waits in the scheduler's timing
+// wheel, so a large armed-timer population costs O(1) per arm.
 #pragma once
 
 #include <utility>

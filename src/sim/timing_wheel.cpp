@@ -31,24 +31,9 @@ int TimingWheel::level_for(std::uint64_t tick) const {
   return kLevels;
 }
 
-std::uint32_t TimingWheel::alloc_node(const Entry& entry) {
-  std::uint32_t n;
-  if (!free_.empty()) {
-    n = free_.back();
-    free_.pop_back();
-  } else {
-    n = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  Node& node = nodes_[n];
-  node.entry = entry;
-  node.prev = kNil;
-  node.next = kNil;
-  return n;
-}
-
 void TimingWheel::link(std::uint32_t n, std::uint64_t tick, int level) {
   Node& node = nodes_[n];
+  node.prev = kNil;
   if (level >= kLevels) {
     node.bucket = kFarBucket;
     node.next = far_head_;
@@ -93,26 +78,27 @@ void TimingWheel::unlink(std::uint32_t n) {
     occupied_[node.bucket / kSlotsPerLevel] &=
         ~(std::uint64_t{1} << (node.bucket % kSlotsPerLevel));
   }
-  node.prev = kNil;
-  node.next = kNil;
 }
 
-std::uint32_t TimingWheel::insert(const Entry& entry) {
+void TimingWheel::insert(std::uint32_t id, const Entry& entry) {
   const std::uint64_t tick = tick_of(entry.at);
   assert(tick > cursor_ && "insert requires accepts(at)");
-  const std::uint32_t n = alloc_node(entry);
-  link(n, tick, level_for(tick));
+  assert(id != kNil);
+  if (id >= nodes_.size()) nodes_.resize(std::size_t{id} + 1);
+  nodes_[id].entry = entry;
+  link(id, tick, level_for(tick));
   ++size_;
-  return n;
+  if (entry.at < min_bound_) min_bound_ = entry.at;
 }
 
-void TimingWheel::remove(std::uint32_t n) {
-  unlink(n);
-  free_.push_back(n);
+void TimingWheel::remove(std::uint32_t id) {
+  const Time at = nodes_[id].entry.at;
+  unlink(id);
   --size_;
+  if (at <= min_bound_) refresh_min();
 }
 
-Time TimingWheel::min_at_bound() const {
+void TimingWheel::refresh_min() {
   Time m = far_min_;
   for (int i = 0; i < kLevels; ++i) {
     if (!occupied_[i]) continue;
@@ -128,7 +114,7 @@ Time TimingWheel::min_at_bound() const {
                  bucket_min_[static_cast<std::uint32_t>(i) * kSlotsPerLevel +
                              slot]);
   }
-  return m;
+  min_bound_ = m;
 }
 
 void TimingWheel::refill_from_far() {
@@ -144,15 +130,13 @@ void TimingWheel::refill_from_far() {
   far_min_ = kTimeNever;
   while (n != kNil) {
     const std::uint32_t next = nodes_[n].next;
-    nodes_[n].prev = kNil;
-    nodes_[n].next = kNil;
     const std::uint64_t tick = tick_of(nodes_[n].entry.at);
     link(n, tick, level_for(tick));
     n = next;
   }
 }
 
-void TimingWheel::pop_earliest(std::vector<Entry>& out) {
+std::uint32_t TimingWheel::detach_earliest_tick() {
   assert(size_ > 0 && "pop_earliest on empty wheel");
   for (;;) {
     int best_level = -1;
@@ -188,24 +172,15 @@ void TimingWheel::pop_earliest(std::vector<Entry>& out) {
     occupied_[best_level] &=
         ~(std::uint64_t{1} << (best_bucket % kSlotsPerLevel));
     if (best_level == 0) {
-      // A level-0 bucket is a single tick: hand its entries to the heap,
+      // A level-0 bucket is a single tick: its entries go to the heap,
       // which restores exact (at, tie_time, seq) order among them.
-      while (n != kNil) {
-        const std::uint32_t next = nodes_[n].next;
-        out.push_back(nodes_[n].entry);
-        free_.push_back(n);
-        --size_;
-        n = next;
-      }
-      return;
+      return n;
     }
     // Coarse bucket: redistribute one level (or more) down. Each entry's
     // slot-index distance from the new cursor is < 64 at the level below,
     // so the cascade strictly descends and terminates.
     while (n != kNil) {
       const std::uint32_t next = nodes_[n].next;
-      nodes_[n].prev = kNil;
-      nodes_[n].next = kNil;
       const std::uint64_t tick = tick_of(nodes_[n].entry.at);
       const int level = level_for(tick);
       assert(level < best_level);

@@ -1,16 +1,12 @@
-// Hierarchical timing wheel (Varghese & Lauck): the Scheduler's second
-// backend, holding the soft-deadline timer class — the RTO and
-// delayed-ACK timers that dominate *pending* events at large N but are a
-// vanishing fraction of *executed* events.
+// Hierarchical timing wheel (Varghese & Lauck): where the Scheduler
+// parks the events that are due after the current tick.
 //
-// Why a second structure at all: the indexed 4-ary heap pays O(log n) per
-// insert/cancel where n is the total pending count. A mean-field run
-// (10^5–10^6 flows) keeps one RTO timer per flow permanently armed, so n
-// is flow-count-sized even though the near-term event horizon — the
-// packets and timers actually about to fire — stays small. The wheel
-// stores the far-future majority in O(1) buckets and feeds the heap only
-// the events whose turn is near, so heap depth tracks the horizon, not
-// the flow count (DESIGN.md §11; crossover measured in EXPERIMENTS.md).
+// Why: the indexed 4-ary heap pays O(log n) per insert and pop, where n
+// is everything pending. A paper run keeps a few hundred in-flight
+// packets, Poisson ticks and timers pending; a mean-field run (10^5–10^6
+// flows) keeps one RTO timer per flow armed. The wheel stores all of
+// them in O(1) buckets and feeds the heap one tick at a time, so the
+// heap holds only the events of the current tick (DESIGN.md §11).
 //
 // Structure: kLevels levels of 64 slots each; a level-i slot spans
 // 64^i base ticks (tick = floor(at / granularity)). An entry lands on the
@@ -19,18 +15,18 @@
 // One occupancy bitmap per level makes "next non-empty bucket" a ctz, so
 // advancing across long empty gaps never walks slots one by one.
 //
-// Ordering contract (what makes the two-tier scheduler bit-identical):
-// the wheel never fires anything itself. pop_earliest() always surrenders
+// Ordering contract (what keeps the scheduler's pop order exact): the
+// wheel never fires anything itself. pop_earliest() always surrenders
 // the bucket with the smallest base tick — cascading coarse buckets down
 // level by level — until a level-0 bucket (a single tick) is due, and
 // hands its entries, full (at, tie_time, seq) keys attached, to the
 // caller to merge into the heap. Because tick = floor(at/granularity) is
 // monotone in `at`, an entry still in the wheel can never sort before one
 // the wheel has already surrendered; exact (at, tie_time, seq) order —
-// including cross-structure ties — is restored by the heap. min_at_bound()
-// gives the caller a conservative lower bound on every resident's `at`,
-// so the heap can keep popping without touching the wheel until a wheel
-// entry could actually be next.
+// including ties between heap and wheel residents — is restored by the
+// heap. min_at_bound() gives the caller a cached lower bound on every
+// resident's `at`, so the heap can keep popping without touching the
+// wheel until a wheel entry could actually be next.
 #pragma once
 
 #include <cstdint>
@@ -42,26 +38,24 @@ namespace burst {
 
 class TimingWheel {
  public:
-  /// Sentinel node index meaning "none".
+  /// Sentinel node id meaning "none".
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   static constexpr int kLevels = 5;
   static constexpr std::uint32_t kSlotsPerLevel = 64;
 
-  /// A resident event: the scheduler's full sort key plus the owning
-  /// callback slot, carried verbatim so the heap can merge flushed
-  /// entries into exact global order.
+  /// A resident event's full sort key, carried verbatim so the heap can
+  /// merge surrendered entries into exact global order.
   struct Entry {
     Time at;
-    Time tie_time;
-    std::uint64_t seq;
-    std::uint32_t sched_slot;
+    Time tie_time;  // virtual insertion instant (see Scheduler::schedule_at)
+    std::uint64_t seq;  // FIFO tie-break among equal-(at, tie_time)
   };
 
   /// @p granularity is the level-0 tick width in seconds. The default
-  /// (256 µs) keeps ms-scale delayed-ACK deadlines multiple ticks out
-  /// while spanning ~4.5 simulated months before the far list engages
-  /// (64^5 ticks).
+  /// (256 µs) holds a few events per tick at the paper's load while
+  /// spanning ~3.2 simulated days before the far list engages (64^5
+  /// ticks).
   explicit TimingWheel(Time granularity = 256e-6);
 
   /// True if @p at is far enough out to bucket (strictly after the
@@ -69,28 +63,45 @@ class TimingWheel {
   /// they are due within the current tick, where bucketing buys nothing.
   bool accepts(Time at) const { return tick_of(at) > cursor_; }
 
-  /// Inserts an entry (precondition: accepts(entry.at)). Returns a node
-  /// handle for remove(). O(1).
-  std::uint32_t insert(const Entry& entry);
+  /// Inserts @p entry under the caller's id @p id: any index no resident
+  /// holds (the scheduler passes the event's slot index, so the wheel
+  /// keeps no node free list; node storage grows to the largest id).
+  /// Precondition: accepts(entry.at). O(1).
+  void insert(std::uint32_t id, const Entry& entry);
 
-  /// Unlinks and frees a resident node (true cancel). O(1).
-  void remove(std::uint32_t node);
+  /// Unlinks resident @p id (true cancel). O(1).
+  void remove(std::uint32_t id);
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Conservative lower bound on the `at` of every resident entry, or
-  /// kTimeNever when empty. May be stale-low after removals (a removed
-  /// minimum is not rediscovered), which can only make the caller flush
-  /// a bucket early — never pop the heap past a resident entry.
-  Time min_at_bound() const;
+  /// Lower bound on the `at` of every resident entry, or kTimeNever when
+  /// empty. O(1): a cached value, lowered by insert() and recomputed
+  /// when pop_earliest() surrenders a bucket or remove() takes out the
+  /// minimum. It may sit below the true minimum (a bucket's minimum is
+  /// not recomputed when another of its entries leaves), which can only
+  /// make the caller flush a bucket early — never pop the heap past a
+  /// resident entry.
+  Time min_at_bound() const { return min_bound_; }
 
-  /// Appends the entries of the earliest-tick bucket to @p out,
-  /// cascading coarser buckets down levels as needed, and advances the
-  /// cursor to that tick. Precondition: !empty(); postcondition: at
-  /// least one entry appended. Amortized O(1) per entry over its
+  /// Surrenders the earliest-tick bucket: cascades coarser buckets down
+  /// levels as needed, advances the cursor to that tick, and calls
+  /// @p take(std::uint32_t id, const Entry&) on each of its entries (at
+  /// least one), which leave the wheel. @p take must not touch the
+  /// wheel. Precondition: !empty(). Amortized O(1) per entry over its
   /// lifetime (each node cascades at most kLevels times).
-  void pop_earliest(std::vector<Entry>& out);
+  template <typename Take>
+  void pop_earliest(Take&& take) {
+    std::uint32_t n = detach_earliest_tick();
+    while (n != kNil) {
+      const Node& node = nodes_[n];
+      const std::uint32_t next = node.next;
+      take(n, node.entry);
+      --size_;
+      n = next;
+    }
+    refresh_min();
+  }
 
   /// Total entries ever cascaded one level down (diagnostics).
   std::uint64_t cascades() const { return cascades_; }
@@ -118,8 +129,8 @@ class TimingWheel {
   /// window reaches 64 slot indices from the cursor's).
   int level_for(std::uint64_t tick) const;
 
-  /// Links @p node into the bucket for @p tick at @p level (or the far
-  /// list for level == kLevels).
+  /// Links @p node at the head of the bucket for @p tick at @p level (or
+  /// of the far list for level == kLevels), setting its prev/next.
   void link(std::uint32_t node, std::uint64_t tick, int level);
   void unlink(std::uint32_t node);
 
@@ -127,16 +138,23 @@ class TimingWheel {
   /// levels are empty, after advancing the cursor to the far minimum.
   void refill_from_far();
 
-  std::uint32_t alloc_node(const Entry& entry);
+  /// pop_earliest()'s cascade: unlinks the earliest level-0 bucket, once
+  /// coarser buckets have cascaded down to it, advances the cursor to its
+  /// tick and returns the head of its node list.
+  std::uint32_t detach_earliest_tick();
+
+  /// Recomputes min_bound_ from the earliest occupied bucket of each
+  /// level and the far list.
+  void refresh_min();
 
   Time granularity_;
   double inv_granularity_;
   std::uint64_t cursor_ = 0;  // last surrendered (or start) tick
   std::size_t size_ = 0;
   std::uint64_t cascades_ = 0;
+  Time min_bound_ = kTimeNever;  // see min_at_bound()
 
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_;
+  std::vector<Node> nodes_;  // indexed by the caller's id
 
   // Per-level occupancy bitmap (bit = slot), bucket list heads, and a
   // conservative per-bucket minimum `at` (maintained on insert/link,

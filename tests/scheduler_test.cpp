@@ -123,5 +123,43 @@ TEST(Scheduler, ScheduledCountIsCumulative) {
   EXPECT_EQ(s.scheduled_count(), 4u);
 }
 
+// Every event due after the current wheel tick waits in the timing wheel,
+// in-flight packets as much as timers: with the current tick's event on
+// the heap, 1000 events 1 ms to 1 s out all park in the wheel. A change
+// that sends some events back to the heap fails here.
+TEST(Scheduler, FutureEventsWaitInTheWheel) {
+  Scheduler s;
+  s.schedule_at(0.0, [] {});  // due within the cursor's tick: the heap
+  for (int i = 0; i < 1000; ++i) {
+    const Time at = 1e-3 + (1.0 - 1e-3) * i / 999.0;  // 1 ms .. 1 s out
+    s.schedule_at(at, [] {});
+  }
+  EXPECT_EQ(s.wheel_size(), 1000u);
+  EXPECT_EQ(s.size(), 1001u);
+  EXPECT_EQ(s.peak_pending(), 1001u);
+  EXPECT_DOUBLE_EQ(s.take_next().at, 0.0);
+  // Popping the next settles its tick into the heap; the rest stay put.
+  EXPECT_DOUBLE_EQ(s.take_next().at, 1e-3);
+  EXPECT_EQ(s.wheel_size(), 999u);
+}
+
+// An event due before everything pending pops next, so it goes straight
+// on the heap; the heap keeps at most one such event, so the one it held
+// moves to the wheel. Pop order is unchanged.
+TEST(Scheduler, TheNextEventSkipsTheWheel) {
+  Scheduler s;
+  s.schedule_at(5e-3, [] {});
+  EXPECT_EQ(s.wheel_size(), 0u);  // alone: it pops next
+  s.schedule_at(3e-3, [] {});
+  EXPECT_EQ(s.wheel_size(), 1u);  // 3 ms pops next; 5 ms moved over
+  s.schedule_at(10e-3, [] {});
+  EXPECT_EQ(s.wheel_size(), 2u);  // due after both: the wheel
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_DOUBLE_EQ(s.take_next().at, 3e-3);
+  EXPECT_DOUBLE_EQ(s.take_next().at, 5e-3);
+  EXPECT_DOUBLE_EQ(s.take_next().at, 10e-3);
+  EXPECT_TRUE(s.empty());
+}
+
 }  // namespace
 }  // namespace burst

@@ -1,17 +1,15 @@
-// TimingWheel unit tests plus the heap-vs-wheel differential fuzz: the
-// same random schedule/cancel/advance script driven through a pure-heap
-// scheduler (schedule_at) and a wheel-routed one (schedule_soft_at) must
-// fire the identical (time, label) sequence — the wheel is a storage
-// optimization, never an ordering change.
+// TimingWheel unit tests: surrender order across levels and the far
+// list, true removal, and the cached min_at_bound(). The Scheduler that
+// parks events in the wheel is fuzzed against an ordered-set model in
+// scheduler_fuzz_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/random.hpp"
-#include "src/sim/scheduler.hpp"
 #include "src/sim/timing_wheel.hpp"
 
 namespace burst {
@@ -19,22 +17,34 @@ namespace {
 
 using Entry = TimingWheel::Entry;
 
+// A surrendered entry and the id it was inserted under.
+struct Popped {
+  std::uint32_t id;
+  Entry e;
+};
+
+// pop_earliest() into @p out.
+void pop_into(TimingWheel& wheel, std::vector<Popped>& out) {
+  wheel.pop_earliest(
+      [&out](std::uint32_t id, const Entry& e) { out.push_back({id, e}); });
+}
+
 // Drains the wheel through pop_earliest, asserting the surrender-order
 // invariant (each batch's minimum `at` is >= every previously surrendered
 // entry's `at`), and returns all entries in surrender order.
-std::vector<Entry> drain(TimingWheel& wheel) {
-  std::vector<Entry> out;
+std::vector<Popped> drain(TimingWheel& wheel) {
+  std::vector<Popped> out;
   Time last_batch_max = -1.0;
-  std::vector<Entry> batch;
+  std::vector<Popped> batch;
   while (!wheel.empty()) {
     batch.clear();
-    wheel.pop_earliest(batch);
+    pop_into(wheel, batch);
     EXPECT_FALSE(batch.empty());
     Time batch_min = kTimeNever;
     Time batch_max = -1.0;
-    for (const Entry& e : batch) {
-      batch_min = std::min(batch_min, e.at);
-      batch_max = std::max(batch_max, e.at);
+    for (const Popped& p : batch) {
+      batch_min = std::min(batch_min, p.e.at);
+      batch_max = std::max(batch_max, p.e.at);
     }
     // A batch is one level-0 tick; ticks surrender in increasing order,
     // so no later batch may contain an earlier `at`.
@@ -53,16 +63,16 @@ TEST(TimingWheel, SingleEntryRoundTrips) {
   EXPECT_TRUE(wheel.empty());
   EXPECT_EQ(wheel.min_at_bound(), kTimeNever);
   ASSERT_TRUE(wheel.accepts(0.5));
-  wheel.insert({0.5, 0.1, 7, 42});
+  wheel.insert(42, {0.5, 0.1, 7});
   EXPECT_EQ(wheel.size(), 1u);
   EXPECT_LE(wheel.min_at_bound(), 0.5);
-  std::vector<Entry> out;
-  wheel.pop_earliest(out);
+  std::vector<Popped> out;
+  pop_into(wheel, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].at, 0.5);
-  EXPECT_DOUBLE_EQ(out[0].tie_time, 0.1);
-  EXPECT_EQ(out[0].seq, 7u);
-  EXPECT_EQ(out[0].sched_slot, 42u);
+  EXPECT_DOUBLE_EQ(out[0].e.at, 0.5);
+  EXPECT_DOUBLE_EQ(out[0].e.tie_time, 0.1);
+  EXPECT_EQ(out[0].e.seq, 7u);
+  EXPECT_EQ(out[0].id, 42u);
   EXPECT_TRUE(wheel.empty());
 }
 
@@ -84,16 +94,20 @@ TEST(TimingWheel, SurrendersInTickOrderAcrossLevels) {
     const double mag = rng.uniform(0.0, 9.0);  // 1e-5 .. 1e4 seconds
     const Time at = 1e-5 * std::pow(10.0, mag);
     if (!wheel.accepts(at)) continue;
-    wheel.insert({at, 0.0, static_cast<std::uint64_t>(i),
-                  static_cast<std::uint32_t>(i)});
+    wheel.insert(static_cast<std::uint32_t>(i),
+                 {at, 0.0, static_cast<std::uint64_t>(i)});
     ats.push_back(at);
   }
   ASSERT_GT(ats.size(), 1900u);
-  const std::vector<Entry> out = drain(wheel);
+  const std::vector<Popped> out = drain(wheel);
   ASSERT_EQ(out.size(), ats.size());
-  // Same multiset of times, and coarse levels actually cascaded.
+  // Same multiset of times, each under the id it went in with, and
+  // coarse levels actually cascaded.
   std::vector<Time> drained;
-  for (const Entry& e : out) drained.push_back(e.at);
+  for (const Popped& p : out) {
+    EXPECT_EQ(p.id, p.e.seq);
+    drained.push_back(p.e.at);
+  }
   std::sort(ats.begin(), ats.end());
   std::vector<Time> sorted = drained;
   std::sort(sorted.begin(), sorted.end());
@@ -103,154 +117,102 @@ TEST(TimingWheel, SurrendersInTickOrderAcrossLevels) {
 
 TEST(TimingWheel, RemoveUnlinksAndFreesSlot) {
   TimingWheel wheel(1e-3);
-  const std::uint32_t a = wheel.insert({0.25, 0.0, 1, 10});
-  const std::uint32_t b = wheel.insert({0.25, 0.0, 2, 11});
-  const std::uint32_t c = wheel.insert({0.75, 0.0, 3, 12});
-  (void)a;
-  (void)c;
-  wheel.remove(b);
+  wheel.insert(10, {0.25, 0.0, 1});
+  wheel.insert(11, {0.25, 0.0, 2});
+  wheel.insert(12, {0.75, 0.0, 3});
+  wheel.remove(11);
   EXPECT_EQ(wheel.size(), 2u);
-  const std::vector<Entry> out = drain(wheel);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].sched_slot, 10u);
-  EXPECT_EQ(out[1].sched_slot, 12u);
+  // The id is free again and can go back in.
+  wheel.insert(11, {0.5, 0.0, 4});
+  const std::vector<Popped> out = drain(wheel);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].id, 10u);
+  EXPECT_EQ(out[1].id, 11u);
+  EXPECT_EQ(out[1].e.seq, 4u);
+  EXPECT_EQ(out[2].id, 12u);
 }
 
 TEST(TimingWheel, RemoveHeadOfBucket) {
   TimingWheel wheel(1e-3);
-  wheel.insert({0.25, 0.0, 1, 10});
+  wheel.insert(10, {0.25, 0.0, 1});
   // Most-recent insert is the list head; removing it must keep the rest.
-  const std::uint32_t head = wheel.insert({0.2504, 0.0, 2, 11});
-  wheel.remove(head);
-  const std::vector<Entry> out = drain(wheel);
+  wheel.insert(11, {0.2504, 0.0, 2});
+  wheel.remove(11);
+  const std::vector<Popped> out = drain(wheel);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].sched_slot, 10u);
+  EXPECT_EQ(out[0].id, 10u);
 }
 
 TEST(TimingWheel, MinAtBoundNeverExceedsResidentMin) {
+  // The bound is cached: lowered on insert, recomputed when a bucket is
+  // surrendered or the minimum removed. Over a random insert / remove /
+  // pop_earliest mix it may sit below the earliest resident, never above
+  // it: a high bound would let the scheduler pop the heap past a wheel
+  // resident.
   TimingWheel wheel(1e-3);
   Random rng(7);
-  std::vector<std::pair<Time, std::uint32_t>> live;  // (at, node)
-  for (int i = 0; i < 500; ++i) {
-    const Time at = rng.uniform(1e-3, 50.0);
-    if (!wheel.accepts(at)) continue;
-    live.emplace_back(at, wheel.insert({at, 0.0,
-                                        static_cast<std::uint64_t>(i), 0}));
-    if (live.size() > 3 && rng.uniform() < 0.3) {
+  struct Live {
+    Time at;
+    std::uint32_t id;
+  };
+  std::vector<Live> live;
+  std::vector<Popped> out;
+  Time floor_at = 0.0;  // nothing earlier than the last surrender
+  int pops = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const double op = rng.uniform();
+    const auto id = static_cast<std::uint32_t>(i);
+    if (op < 0.5) {
+      const Time at = floor_at + rng.uniform(0.0, 50.0);
+      if (wheel.accepts(at)) {
+        wheel.insert(id, {at, 0.0, id});
+        live.push_back({at, id});
+      }
+    } else if (op < 0.75 && !live.empty()) {
       const auto idx = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(live.size()) - 1));
-      wheel.remove(live[idx].second);
+      wheel.remove(live[idx].id);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (!wheel.empty()) {
+      out.clear();
+      pop_into(wheel, out);
+      ++pops;
+      for (const Popped& p : out) {
+        const auto it = std::find_if(
+            live.begin(), live.end(),
+            [&p](const Live& l) { return l.id == p.id; });
+        ASSERT_NE(it, live.end());
+        live.erase(it);
+        floor_at = std::max(floor_at, p.e.at);
+      }
     }
     Time true_min = kTimeNever;
-    for (const auto& [t, n] : live) true_min = std::min(true_min, t);
-    // The bound may be stale-low after removals, never high: a high bound
-    // would let the scheduler pop the heap past a wheel resident.
-    EXPECT_LE(wheel.min_at_bound(), true_min);
+    for (const Live& l : live) true_min = std::min(true_min, l.at);
+    ASSERT_EQ(wheel.size(), live.size());
+    EXPECT_LE(wheel.min_at_bound(), true_min) << "step " << i;
+    if (live.empty()) {
+      EXPECT_EQ(wheel.min_at_bound(), kTimeNever);
+    }
   }
+  EXPECT_GT(pops, 100);
 }
 
 TEST(TimingWheel, FarListRefillsWhenLevelsDrain) {
   // Granularity 1 ns: 64^5 ticks ~= 1.07 s, so seconds-scale deadlines
   // land in the far list and must re-bucket when the levels empty.
   TimingWheel wheel(1e-9);
-  wheel.insert({2.0, 0.0, 1, 1});
-  wheel.insert({5.0, 0.0, 2, 2});
-  wheel.insert({0.5, 0.0, 3, 3});  // in-level
-  std::vector<Entry> out;
-  wheel.pop_earliest(out);
+  wheel.insert(1, {2.0, 0.0, 1});
+  wheel.insert(2, {5.0, 0.0, 2});
+  wheel.insert(3, {0.5, 0.0, 3});  // in-level
+  std::vector<Popped> out;
+  pop_into(wheel, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].at, 0.5);
-  const std::vector<Entry> rest = drain(wheel);
+  EXPECT_DOUBLE_EQ(out[0].e.at, 0.5);
+  const std::vector<Popped> rest = drain(wheel);
   ASSERT_EQ(rest.size(), 2u);
-  EXPECT_DOUBLE_EQ(rest[0].at, 2.0);
-  EXPECT_DOUBLE_EQ(rest[1].at, 5.0);
+  EXPECT_DOUBLE_EQ(rest[0].e.at, 2.0);
+  EXPECT_DOUBLE_EQ(rest[1].e.at, 5.0);
 }
-
-// ---------------------------------------------------------------------------
-// Differential fuzz: heap-only vs wheel-routed scheduler.
-
-class HeapWheelDifferential : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(HeapWheelDifferential, IdenticalFireSequences) {
-  // Two schedulers, one script. `exact` routes everything to the heap;
-  // `soft` routes the same events through schedule_soft_at (wheel for
-  // far-future deadlines). Their pop sequences must match event for
-  // event, including same-instant FIFO ties.
-  Random rng(GetParam());
-  Scheduler exact;
-  Scheduler soft;
-  std::vector<std::pair<EventId, EventId>> ids;  // (exact, soft)
-  std::vector<std::pair<Time, int>> fired_exact;
-  std::vector<std::pair<Time, int>> fired_soft;
-  Time now = 0.0;
-  int next_label = 0;
-
-  for (int step = 0; step < 8000; ++step) {
-    const double op = rng.uniform();
-    if (op < 0.55) {
-      // Deadlines from sub-tick to far future; a burst of duplicates at
-      // the same instant exercises cross-structure FIFO ties.
-      Time at;
-      const double kind = rng.uniform();
-      if (kind < 0.2) {
-        at = now + rng.uniform(0.0, 1e-4);
-      } else if (kind < 0.9) {
-        at = now + rng.uniform(0.0, 5.0);
-      } else {
-        at = now + rng.uniform(0.0, 500.0);
-      }
-      const int reps = rng.uniform() < 0.1 ? 3 : 1;
-      for (int r = 0; r < reps; ++r) {
-        const int label = next_label++;
-        const EventId e = exact.schedule_at(
-            at, [&fired_exact, at, label] {
-              fired_exact.emplace_back(at, label);
-            },
-            now);
-        const EventId s = soft.schedule_soft_at(
-            at, [&fired_soft, at, label] {
-              fired_soft.emplace_back(at, label);
-            },
-            now);
-        ids.emplace_back(e, s);
-      }
-    } else if (op < 0.70 && !ids.empty()) {
-      const auto idx = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(ids.size()) - 1));
-      EXPECT_EQ(exact.pending(ids[idx].first), soft.pending(ids[idx].second));
-      exact.cancel(ids[idx].first);
-      soft.cancel(ids[idx].second);
-    } else if (!exact.empty()) {
-      ASSERT_FALSE(soft.empty());
-      const Time te = exact.next_time();
-      const Time ts = soft.next_time();
-      EXPECT_DOUBLE_EQ(te, ts);
-      now = te;
-      exact.take_next().fn();
-      soft.take_next().fn();
-      ASSERT_FALSE(fired_exact.empty());
-      ASSERT_FALSE(fired_soft.empty());
-      EXPECT_EQ(fired_exact.back(), fired_soft.back())
-          << "backends diverged at t=" << now;
-    }
-    EXPECT_EQ(exact.size(), soft.size());
-  }
-  while (!exact.empty()) {
-    ASSERT_FALSE(soft.empty());
-    exact.take_next().fn();
-    soft.take_next().fn();
-    EXPECT_EQ(fired_exact.back(), fired_soft.back());
-  }
-  EXPECT_TRUE(soft.empty());
-  EXPECT_EQ(fired_exact, fired_soft);
-  // The script must actually have exercised the wheel.
-  EXPECT_GT(soft.scheduled_count(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HeapWheelDifferential,
-                         ::testing::Values(11u, 27u, 301u, 4096u));
 
 }  // namespace
 }  // namespace burst

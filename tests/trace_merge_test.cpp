@@ -42,6 +42,7 @@ struct TracedRun {
   ExperimentResult result;
   std::string jsonl;
   std::string perfetto;
+  int early_drops = 0;  // RED early-drop records traced
 };
 
 TracedRun traced_run(const Scenario& sc, int lp_shards) {
@@ -56,6 +57,13 @@ TracedRun traced_run(const Scenario& sc, int lp_shards) {
   EXPECT_TRUE(sink.write_chrome_trace(p));
   out.jsonl = j.str();
   out.perfetto = p.str();
+  for (const TraceRecord& r : sink.ordered()) {
+    if (r.type == TraceEventType::kQueueDrop &&
+        (r.detail & (kTraceDropEarly | kTraceDropDisplaced)) ==
+            kTraceDropEarly) {
+      ++out.early_drops;
+    }
+  }
   return out;
 }
 
@@ -77,27 +85,43 @@ TEST(TraceMergeDifferential, Lp2ByteIdenticalAcrossProtocolGrid) {
   const struct {
     Transport t;
     GatewayQueue q;
+    double red_min_th;  // 0: the scenario's default thresholds
+    double red_max_th;
     const char* label;
     const char* jsonl_hash;
     const char* perfetto_hash;
   } grid[] = {
-      {Transport::kReno, GatewayQueue::kDropTail, "reno/fifo",
+      {Transport::kReno, GatewayQueue::kDropTail, 0, 0, "reno/fifo",
        "9cb3791bf057f340", "a3da3cd9f42564be"},
-      {Transport::kReno, GatewayQueue::kRed, "reno/red",
-       "9cb3791bf057f340", "a3da3cd9f42564be"},
-      {Transport::kVegas, GatewayQueue::kDropTail, "vegas/fifo",
+      // At the default 10/40 thresholds RED's average never reaches its
+      // minimum at N=10 and the cell traces reno/fifo's bytes; 2/6 makes
+      // it drop early, so the cell checks its own record mix.
+      {Transport::kReno, GatewayQueue::kRed, 2, 6, "reno/red",
+       "bea859ff40785700", "7bf9a5bb45b82cd5"},
+      {Transport::kVegas, GatewayQueue::kDropTail, 0, 0, "vegas/fifo",
        "d1e83c5849aea3d2", "4e9c64f2f33c480b"},
-      {Transport::kVegas, GatewayQueue::kRed, "vegas/red",
+      // Vegas holds the queue short and drops nothing at this load, even
+      // at thresholds 1/3, so this cell traces vegas/fifo's bytes.
+      {Transport::kVegas, GatewayQueue::kRed, 0, 0, "vegas/red",
        "d1e83c5849aea3d2", "4e9c64f2f33c480b"},
   };
   for (const auto& cell : grid) {
     SCOPED_TRACE(cell.label);
-    const TracedRun seq = traced_run(small_scenario(cell.t, cell.q), 1);
-    const TracedRun par = traced_run(small_scenario(cell.t, cell.q), 2);
+    Scenario sc = small_scenario(cell.t, cell.q);
+    if (cell.red_max_th > 0) {
+      sc.red_min_th = cell.red_min_th;
+      sc.red_max_th = cell.red_max_th;
+    }
+    const TracedRun seq = traced_run(sc, 1);
+    const TracedRun par = traced_run(sc, 2);
     ASSERT_EQ(par.result.lp_shards, 2) << "partitioner declined the split";
     EXPECT_GT(seq.jsonl.size(), 0u);
     EXPECT_EQ(hash_of(seq.jsonl), cell.jsonl_hash);
     EXPECT_EQ(hash_of(seq.perfetto), cell.perfetto_hash);
+    if (cell.red_max_th > 0) {
+      EXPECT_GT(seq.early_drops, 0);
+    }
+    EXPECT_EQ(seq.early_drops, par.early_drops);
     EXPECT_EQ(seq.jsonl, par.jsonl);
     EXPECT_EQ(seq.perfetto, par.perfetto);
     // Tracing must not have perturbed the dynamics either.
