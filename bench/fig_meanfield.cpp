@@ -13,7 +13,8 @@
 //   * the mean RED occupancy seen by arriving packets (PASTA), compared
 //     against the closed-form mean-field fixed point
 //     (src/stats/meanfield.hpp);
-//   * the flow-arena footprint in bytes per flow, reserved under a hard
+//   * the TCP agents' footprint in bytes per flow after the run (sender
+//     and sink objects plus each sender's send-time ring), against a hard
 //     per-flow budget so per-flow state can never silently regrow;
 //   * events and wall time, so scripts/check_meanfield.py can gate the
 //     perf trajectory (normalized by the calibration row).
@@ -37,16 +38,16 @@
 #include "bench/common.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/stats/meanfield.hpp"
-#include "src/transport/flow_arena.hpp"
 
 namespace {
 
 using namespace burst;
 using namespace burst::bench;
 
-// Hard per-flow arena budget (bytes). Sender SoA + sent-at ring + sink
-// lanes currently come to ~650 B/flow; the margin covers container
-// overhead without leaving room for an accidental per-flow heap object.
+// Hard per-flow budget (bytes) for the TCP agents: the sender and sink
+// objects plus the sender's send-time ring. scripts/check_meanfield.py
+// fails a row over it; the PoissonSource (its mt19937_64 state) is not
+// counted.
 constexpr std::size_t kBudgetPerFlowBytes = 2048;
 
 Scenario meanfield_scenario(int clients, Time duration) {
@@ -97,16 +98,9 @@ ProbeRow run_meanfield(int clients, int lp_shards = 1, bool flight = false,
   opts.lp_shards = lp_shards;
   opts.flight = fr.get();
 
-  // The budget knob is the point, not a formality: reserve under a hard
-  // per-flow ceiling so any per-flow state growth fails loudly here.
-  // Sharded builds split the reservation across per-LP arenas; the sum
-  // still has to respect the same per-flow budget.
-  FlowArena::set_default_budget_bytes(
-      (static_cast<std::size_t>(clients) + 1) * kBudgetPerFlowBytes);
   const ExperimentResult res = run_experiment(sc, opts);
-  FlowArena::set_default_budget_bytes(0);
 
-  // The recorder's whole budget must stay negligible next to the arena
+  // The recorder's whole budget must stay negligible next to the flows
   // it observes — the point of sampling instead of tracing.
   if (fr && fr->bytes_reserved() > kBudgetPerFlowBytes * 64) {
     std::cerr << "fig_meanfield: flight-recorder budget "
@@ -170,10 +164,16 @@ int main(int argc, char** argv) {
   std::vector<ProbeRow> rows;
   add_row(&rows, schedule_pop_row("calib_sched_pop_d64", 1'000'000, 64,
                                   args.repeat));
+  // Flight-recorder rows: the huge-N sampler on the same scenarios
+  // (sequential engine), each run right after its untraced twin so that
+  // scripts/check_parallel.py's wall comparison (<= 5% over the twin, the
+  // sample budget fixed) compares back-to-back runs on the same host
+  // speed: observability at mean-field scale must stay effectively free.
   std::vector<double> covs;  // the sequential sweep's, in grid order
   for (const int n : grid) {
     covs.push_back(0.0);
     add_row(&rows, run_meanfield(n, 1, false, &covs.back()));
+    if (n >= 10000) add_row(&rows, run_meanfield(n, 1, true));
   }
 
   // In-run sanity. The mean-field limit is a deterministic RED/TCP
@@ -195,14 +195,6 @@ int main(int argc, char** argv) {
   for (const int n : grid) {
     if (n < 10000) continue;
     for (const int lp : {2, 4}) add_row(&rows, run_meanfield(n, lp));
-  }
-
-  // Flight-recorder rows: the huge-N sampler on the same scenarios
-  // (sequential engine). scripts/check_parallel.py gates their wall clock
-  // at <= 5% over the matching untraced row and their sample budget
-  // fixed — observability at mean-field scale must stay effectively free.
-  for (const int n : grid) {
-    if (n >= 10000) add_row(&rows, run_meanfield(n, 1, true));
   }
 
   write_probe_json(

@@ -7,9 +7,9 @@ Checks, following the check_sched_events.py model:
 
 * Wall time (``ns_per_op``) per N row, normalized by the
   ``calib_sched_pop_d64`` calibration row, budget --threshold (default
-  25%) over the baseline's normalized ratio. This is the perf gate: the
-  struct-of-arrays flow arena exists so per-event cost stays flat as N
-  grows, and a regression here means per-flow state got hot again.
+  25%) over the baseline's normalized ratio. This is the perf gate: a
+  regression here means per-event cost grew with N, for example because
+  per-flow state got hot again.
 
 * Machine-independent physics checks on the current run alone:
 
@@ -30,7 +30,10 @@ Checks, following the check_sched_events.py model:
     at every N — the N-invariance is the mean-field prediction, the
     offset is the model error); catching a queue pinned at empty/full
     is the point.
-  - bytes_per_flow must not exceed the budget recorded in the file.
+  - bytes_per_flow must not exceed the budget recorded in the file. It
+    counts what the TCP agents hold after the run: each sender and sink
+    object plus the sender's send-time ring (~1.1 KB at every N against
+    a 2048 B budget); the per-flow PoissonSource is not counted.
 
 The baseline is full-mode; CI runs --smoke. Normalized ns/op and the
 physics checks are workload-size invariant, which is what makes the

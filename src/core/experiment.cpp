@@ -58,10 +58,9 @@ ExperimentResult run_experiment(const TopoSpec& spec,
   }
   if (options.flight != nullptr) {
     options.flight->observe_queue(&net->measured_queue());
-    // The cwnd histogram needs the arena of the measured link's LP; a
-    // sequential build has exactly one. Parallel runs skip it — scanning
-    // per-flow state owned by other LP threads would race.
-    if (rt == nullptr) options.flight->observe_arena(&net->flow_arena());
+    // Parallel runs skip the cwnd histogram: reading senders that other
+    // LP threads own would race.
+    if (rt == nullptr) options.flight->observe_senders(net->tcp_senders());
     options.flight->set_lp(net->measured_lp());
     options.flight->arm(net->measured_sim(), sc.duration);
   }

@@ -42,8 +42,8 @@ struct ExperimentOptions {
   /// cwnd_change records all come from the LP that runs its sender.
   int lp_shards = 1;
   /// Optional fixed-budget streaming sampler for huge-N runs (DESIGN.md
-  /// §14.3). When non-null it is wired to the measured queue, the flow
-  /// arena (sequential engine only) and the driving Simulator, and armed
+  /// §14.3). When non-null it is wired to the measured queue, the TCP
+  /// senders (sequential engine only) and the driving Simulator, and armed
   /// for the scenario duration. Unlike `trace` it schedules its own
   /// periodic sampling events, so a flight-recorded run is NOT
   /// event-count-identical to a bare one (wall overhead is gated ≤5%).
@@ -99,8 +99,9 @@ struct ExperimentResult {
   std::uint64_t sim_events = 0;    // events executed by the scheduler
   std::uint64_t peak_pending = 0;  // high-water mark of the event heap
   double sim_wall_s = 0.0;         // wall-clock seconds inside sim.run()
-  /// Bytes the flow arenas reserved (TopoNet::arena_bytes_reserved), for
-  /// the huge-N memory budget. Not persisted: a cache hit reports 0.
+  /// Bytes the TCP agents held at the end of the run
+  /// (TopoNet::arena_bytes_reserved), for the huge-N memory budget. Not
+  /// persisted: a cache hit reports 0.
   std::uint64_t arena_bytes = 0;
 
   /// Shard count the run actually used (1 when the partitioner declined

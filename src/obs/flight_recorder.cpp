@@ -4,7 +4,7 @@
 
 #include "src/net/red_queue.hpp"
 #include "src/obs/format.hpp"
-#include "src/transport/flow_arena.hpp"
+#include "src/transport/tcp_sender.hpp"
 
 namespace burst {
 
@@ -88,16 +88,15 @@ void FlightRecorder::take_sample(Simulator& sim) {
     }
   }
   s.cov = arrival_counts_.cov();
-  if (arena_ != nullptr) {
-    const std::size_t n = arena_->sender_count();
+  if (!senders_.empty()) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double w = arena_->cwnd(static_cast<std::uint32_t>(i));
+    for (const TcpSender* sender : senders_) {
+      const double w = sender->cwnd();
       sum += w;
       if (w > s.cwnd_max) s.cwnd_max = w;
       ++s.cwnd_hist[cwnd_bin(w)];
     }
-    if (n > 0) s.cwnd_mean = sum / static_cast<double>(n);
+    s.cwnd_mean = sum / static_cast<double>(senders_.size());
   }
   samples_.push_back(s);
   ++taken_;

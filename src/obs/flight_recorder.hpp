@@ -6,15 +6,16 @@
 // records for 6 simulated seconds). The flight recorder inverts the deal:
 // it wakes up once per sampling period, snapshots a handful of aggregates
 // (measured-queue occupancy and RED average, queue arrival/drop deltas,
-// scheduler event deltas, an aggregate cwnd histogram over the FlowArena,
-// and an online c.o.v. of per-period arrival counts via RunningStats), and
-// goes back to sleep. Cost per sample is O(1) + one O(flows) arena scan;
-// total memory is a hard budget fixed at arm() time.
+// scheduler event deltas, an aggregate cwnd histogram over the run's TCP
+// senders, and an online c.o.v. of per-period arrival counts via
+// RunningStats), and goes back to sleep. Cost per sample is O(1) + one
+// O(flows) scan of the senders' cwnd; total memory is a hard budget fixed
+// at arm() time.
 //
 // Budget discipline: the sample vector is reserved once, at
 // max_samples * sizeof(FlightSample) bytes (~200 B/sample, so the default
 // 4096-sample budget is under 1 MB — two orders of magnitude below the
-// N=10^5 FlowArena itself). A run that outlives the budget never grows it:
+// N=10^5 flows' TCP agents). A run that outlives the budget never grows it:
 // the recorder decimates (drops every other sample, doubles the period)
 // and keeps going, so any duration fits the same footprint at
 // correspondingly coarser resolution.
@@ -28,6 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "src/net/queue.hpp"
@@ -37,7 +39,7 @@
 
 namespace burst {
 
-class FlowArena;
+class TcpSender;
 
 struct FlightRecorderOptions {
   /// Sampling cadence in simulated seconds (doubles on each decimation).
@@ -59,7 +61,7 @@ struct FlightSample {
   /// Online c.o.v. of the per-interval arrival counts so far (restarts
   /// after a decimation — mixing cadences would corrupt the moments).
   double cov = 0.0;
-  double cwnd_mean = 0.0;  // aggregate over the observed FlowArena
+  double cwnd_mean = 0.0;  // aggregate over the observed senders
   double cwnd_max = 0.0;
   /// log2-binned cwnd histogram: bin i counts senders with cwnd in
   /// [2^i, 2^(i+1)), last bin open-ended.
@@ -75,10 +77,12 @@ class FlightRecorder {
   /// Points the recorder at the queue under study (occupancy, arrival and
   /// drop deltas, RED average). Optional; call before arm().
   void observe_queue(const Queue* q) { queue_ = q; }
-  /// Points the recorder at a flow arena for the aggregate cwnd histogram.
-  /// Optional — parallel runs skip it (scanning another LP's arena from
-  /// the sampler thread would race). Call before arm().
-  void observe_arena(const FlowArena* arena) { arena_ = arena; }
+  /// The TCP senders whose cwnd feeds the aggregate histogram. Optional —
+  /// parallel runs skip it (reading another LP's senders from the sampler
+  /// thread would race). Call before arm().
+  void observe_senders(std::vector<const TcpSender*> senders) {
+    senders_ = std::move(senders);
+  }
   /// LP id stamped on exported records (0 for sequential runs).
   void set_lp(int lp) { lp_ = lp; }
 
@@ -110,7 +114,7 @@ class FlightRecorder {
 
   FlightRecorderOptions opts_;
   const Queue* queue_ = nullptr;
-  const FlowArena* arena_ = nullptr;
+  std::vector<const TcpSender*> senders_;
   int lp_ = 0;
   Time period_ = 0.0;
   std::vector<FlightSample> samples_;

@@ -97,33 +97,6 @@ TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
   senders_.reserve(graph_.flows().size());
   sinks_.reserve(graph_.flows().size());
   sources_.reserve(graph_.flows().size());
-  // One contiguous struct-of-arrays block per LP for its TCP flows'
-  // mutable scalars; the agents constructed below are views over its
-  // slots. A sequential build has exactly one arena (bit-identical to the
-  // historical single-arena layout); a sharded build gives each LP its
-  // own so no per-flow container is ever written from two LP threads.
-  {
-    const int shards = rt_ != nullptr ? part_.shards : 1;
-    std::vector<std::size_t> tcp_senders(static_cast<std::size_t>(shards), 0);
-    std::vector<std::size_t> tcp_sinks(static_cast<std::size_t>(shards), 0);
-    for (const MemberFlow& f : graph_.flows()) {
-      if (spec_.flows[static_cast<std::size_t>(f.statement)].transport ==
-          Transport::kUdp) {
-        continue;
-      }
-      ++tcp_senders[static_cast<std::size_t>(part_.lp_of(f.src))];
-      ++tcp_sinks[static_cast<std::size_t>(part_.lp_of(f.dst))];
-    }
-    arenas_.reserve(static_cast<std::size_t>(shards));
-    for (int k = 0; k < shards; ++k) {
-      arenas_.push_back(std::make_unique<FlowArena>());
-      arenas_.back()->reserve(tcp_senders[static_cast<std::size_t>(k)],
-                              tcp_sinks[static_cast<std::size_t>(k)],
-                              FlowArena::ring_capacity_for(
-                                  sc.advertised_window));
-    }
-  }
-
   // --- Links, in expansion order. ---------------------------------------
   // Fork discipline: one sim.rng().fork() per member link with an
   // explicit queue, consumed here in expansion order; deterministic
@@ -192,16 +165,17 @@ TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
         ->reserve_handlers(static_cast<std::size_t>(spec_.node_count(f.src)));
   }
   const TcpConfig tcp_cfg = make_tcp_config(sc);
+  // Adds a TCP sender and counts its object's bytes (its dynamic type's).
+  const auto add_tcp_sender = [this](auto sender) {
+    tcp_agent_bytes_ += sizeof(*sender);
+    senders_.push_back(std::move(sender));
+  };
   for (const auto& [src, dst, statement] : graph_.flows()) {
     const TopoFlowSpec& f = spec_.flows[static_cast<std::size_t>(statement)];
     Node& src_node = *nodes_[static_cast<std::size_t>(src)];
     Node& dst_node = *nodes_[static_cast<std::size_t>(dst)];
     Simulator& ssim = nsim(src);
     Simulator& dsim = nsim(dst);
-    FlowArena* arena =
-        arenas_[static_cast<std::size_t>(part_.lp_of(src))].get();
-    FlowArena* dst_arena =
-        arenas_[static_cast<std::size_t>(part_.lp_of(dst))].get();
     const FlowId flow = static_cast<FlowId>(senders_.size());
     switch (f.transport) {
       case Transport::kUdp:
@@ -210,32 +184,33 @@ TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
         sinks_.push_back(std::make_unique<UdpSink>(dsim, dst_node, flow, src));
         break;
       case Transport::kTahoe:
-        senders_.push_back(std::make_unique<TcpTahoe>(
-            ssim, src_node, flow, dst, tcp_cfg, arena));
+        add_tcp_sender(std::make_unique<TcpTahoe>(ssim, src_node, flow, dst,
+                                                  tcp_cfg));
         break;
       case Transport::kReno:
-        senders_.push_back(std::make_unique<TcpReno>(
-            ssim, src_node, flow, dst, tcp_cfg, arena));
+        add_tcp_sender(std::make_unique<TcpReno>(ssim, src_node, flow, dst,
+                                                 tcp_cfg));
         break;
       case Transport::kNewReno:
-        senders_.push_back(std::make_unique<TcpNewReno>(
-            ssim, src_node, flow, dst, tcp_cfg, arena));
+        add_tcp_sender(std::make_unique<TcpNewReno>(ssim, src_node, flow,
+                                                    dst, tcp_cfg));
         break;
       case Transport::kVegas:
-        senders_.push_back(std::make_unique<TcpVegas>(
-            ssim, src_node, flow, dst, tcp_cfg, sc.vegas, arena));
+        add_tcp_sender(std::make_unique<TcpVegas>(ssim, src_node, flow, dst,
+                                                  tcp_cfg, sc.vegas));
         break;
       case Transport::kSack:
-        senders_.push_back(std::make_unique<TcpSack>(
-            ssim, src_node, flow, dst, tcp_cfg, arena));
+        add_tcp_sender(std::make_unique<TcpSack>(ssim, src_node, flow, dst,
+                                                 tcp_cfg));
         break;
     }
     if (f.transport != Transport::kUdp) {
       TcpSinkConfig sink_cfg;
       sink_cfg.delayed_ack = f.delayed_ack;
       sink_cfg.sack = f.transport == Transport::kSack;
-      sinks_.push_back(std::make_unique<TcpSink>(dsim, dst_node, flow, src,
-                                                 sink_cfg, dst_arena));
+      sinks_.push_back(
+          std::make_unique<TcpSink>(dsim, dst_node, flow, src, sink_cfg));
+      tcp_agent_bytes_ += sizeof(TcpSink);
     }
     sources_.push_back(std::make_unique<PoissonSource>(
         ssim, *senders_.back(), f.mean_interarrival, build_rng().fork()));
@@ -243,9 +218,20 @@ TopoNet::TopoNet(Simulator* sim, ParallelRuntime* rt, const LpPartition* part,
 }
 
 std::size_t TopoNet::arena_bytes_reserved() const {
-  std::size_t total = 0;
-  for (const auto& a : arenas_) total += a->bytes_reserved();
+  std::size_t total = tcp_agent_bytes_;
+  for (const TcpSender* s : tcp_senders()) total += s->send_ring_bytes();
   return total;
+}
+
+std::vector<const TcpSender*> TopoNet::tcp_senders() const {
+  std::vector<const TcpSender*> out;
+  out.reserve(senders_.size());
+  for (const auto& a : senders_) {
+    if (const auto* tcp = dynamic_cast<const TcpSender*>(a.get())) {
+      out.push_back(tcp);
+    }
+  }
+  return out;
 }
 
 void TopoNet::start_sources() {
@@ -396,20 +382,18 @@ void TopoNet::register_metrics(MetricsRegistry& registry,
 
 TcpSenderStats TopoNet::sender_totals() const {
   TcpSenderStats tx;
-  for (const auto& a : senders_) {
-    if (const auto* tcp = dynamic_cast<const TcpSender*>(a.get())) {
-      const TcpSenderStats& st = tcp->stats();
-      tx.app_packets += st.app_packets;
-      tx.data_pkts_sent += st.data_pkts_sent;
-      tx.retransmits += st.retransmits;
-      tx.timeouts += st.timeouts;
-      tx.fast_retransmits += st.fast_retransmits;
-      tx.dupacks += st.dupacks;
-      tx.new_acks += st.new_acks;
-      tx.rtt_samples += st.rtt_samples;
-      tx.ecn_echoes += st.ecn_echoes;
-      tx.ecn_reductions += st.ecn_reductions;
-    }
+  for (const TcpSender* tcp : tcp_senders()) {
+    const TcpSenderStats& st = tcp->stats();
+    tx.app_packets += st.app_packets;
+    tx.data_pkts_sent += st.data_pkts_sent;
+    tx.retransmits += st.retransmits;
+    tx.timeouts += st.timeouts;
+    tx.fast_retransmits += st.fast_retransmits;
+    tx.dupacks += st.dupacks;
+    tx.new_acks += st.new_acks;
+    tx.rtt_samples += st.rtt_samples;
+    tx.ecn_echoes += st.ecn_echoes;
+    tx.ecn_reductions += st.ecn_reductions;
   }
   return tx;
 }

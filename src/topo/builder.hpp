@@ -58,13 +58,12 @@ class TopoNet {
 
   /// Sharded build for the conservative parallel engine: every component
   /// lands on the Simulator of the LP that @p part assigns its node to,
-  /// links whose endpoints straddle the cut register with @p rt, and each
-  /// LP gets its own FlowArena (per-flow SoA state must never share
-  /// mutable containers across LP threads). Component RNG forks all come
-  /// from rt.build_rng() in the sequential build's global order, so every
-  /// queue discipline and Poisson source sees a value-identical stream
-  /// regardless of shard placement. @p part must have shards >= 2 and
-  /// must outlive only this constructor (it is copied).
+  /// and links whose endpoints straddle the cut register with @p rt.
+  /// Component RNG forks all come from rt.build_rng() in the sequential
+  /// build's global order, so every queue discipline and Poisson source
+  /// sees a value-identical stream regardless of shard placement. @p part
+  /// must have shards >= 2 and must outlive only this constructor (it is
+  /// copied).
   TopoNet(ParallelRuntime& rt, const LpPartition& part, const TopoSpec& spec);
 
   /// Starts every flow's traffic source.
@@ -127,10 +126,11 @@ class TopoNet {
 
   const TopoSpec& spec() const { return spec_; }
 
-  /// The first LP's per-flow state arena (the only one in a sequential
-  /// build); arena_bytes_reserved() totals all shards for the huge-N
-  /// memory-budget assertions.
-  const FlowArena& flow_arena() const { return *arenas_.front(); }
+  /// The TCP senders, in flow order (a UDP flow has none).
+  std::vector<const TcpSender*> tcp_senders() const;
+  /// Bytes the TCP agents hold: every sender and sink object plus each
+  /// sender's send-time ring, which grows with the window it has sent.
+  /// The huge-N per-flow memory budget reads it after a run.
   std::size_t arena_bytes_reserved() const;
 
   /// The Simulator owning the measured link's sending node — the clock
@@ -160,9 +160,6 @@ class TopoNet {
   LpPartition part_;           // shards == 1 when sequential
   TopoSpec spec_;
   TopoGraph graph_;            // spec_ expanded
-  // Declared before senders_/sinks_: the agents are views over arena
-  // slots and must be destroyed first (reverse declaration order).
-  std::vector<std::unique_ptr<FlowArena>> arenas_;  // one per LP
   std::vector<std::unique_ptr<Node>> nodes_;
   // Parallel to graph_.links().
   std::vector<std::unique_ptr<SimplexLink>> links_;
@@ -171,6 +168,7 @@ class TopoNet {
   std::vector<std::unique_ptr<Agent>> senders_;
   std::vector<std::unique_ptr<Agent>> sinks_;
   std::vector<std::unique_ptr<PoissonSource>> sources_;
+  std::size_t tcp_agent_bytes_ = 0;  // sizeof every TCP sender and sink
 
   std::vector<std::unique_ptr<TransportTracer>> tracers_;
   /// The ring the measured queue writes to and its site there; null until

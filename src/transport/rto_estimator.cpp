@@ -6,28 +6,26 @@
 namespace burst {
 
 void RtoEstimator::sample(Time rtt) {
-  RtoState& s = *st_;
-  if (!s.has_sample) {
-    s.srtt = rtt;
-    s.rttvar = rtt / 2.0;
-    s.has_sample = true;
+  if (!has_sample_) {
+    srtt_ = rtt;
+    rttvar_ = rtt / 2.0;
+    has_sample_ = true;
     return;
   }
   // RFC 6298 gains: beta = 1/4, alpha = 1/8 (variance updated first).
-  s.rttvar = 0.75 * s.rttvar + 0.25 * std::abs(s.srtt - rtt);
-  s.srtt = 0.875 * s.srtt + 0.125 * rtt;
+  rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - rtt);
+  srtt_ = 0.875 * srtt_ + 0.125 * rtt;
 }
 
 Time RtoEstimator::rto() const {
-  const RtoState& s = *st_;
-  Time base = s.has_sample ? s.srtt + 4.0 * s.rttvar : cfg_.initial_rto;
+  Time base = has_sample_ ? srtt_ + 4.0 * rttvar_ : cfg_.initial_rto;
   if (cfg_.granularity > 0.0) {
     base = std::ceil(base / cfg_.granularity) * cfg_.granularity;
   }
   base = std::clamp(base, cfg_.min_rto, cfg_.max_rto);
-  return std::min(base * s.backoff, cfg_.max_rto);
+  return std::min(base * backoff_, cfg_.max_rto);
 }
 
-void RtoEstimator::backoff() { st_->backoff = std::min(st_->backoff * 2, 64); }
+void RtoEstimator::backoff() { backoff_ = std::min(backoff_ * 2, 64); }
 
 }  // namespace burst

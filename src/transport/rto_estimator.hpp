@@ -17,37 +17,9 @@ struct RtoConfig {
   Time initial_rto = 3.0;  // before the first RTT sample
 };
 
-/// The estimator's mutable per-flow state, split out so a FlowArena can
-/// pack one RtoState per flow contiguously (huge-N mode) while the
-/// estimator keeps owning the arithmetic.
-struct RtoState {
-  Time srtt = 0.0;
-  Time rttvar = 0.0;
-  bool has_sample = false;
-  int backoff = 1;
-};
-
 class RtoEstimator {
  public:
-  /// Self-contained estimator (state lives inside the object).
-  explicit RtoEstimator(RtoConfig cfg = {}) : cfg_(cfg), st_(&own_) {}
-
-  /// Estimator over externally owned state (a FlowArena slot). @p state
-  /// must outlive the estimator and never move; null falls back to the
-  /// internal state.
-  RtoEstimator(RtoConfig cfg, RtoState* state)
-      : cfg_(cfg), st_(state != nullptr ? state : &own_) {}
-
-  // Copies snapshot the (possibly external) state into the new object's
-  // own storage: a copied estimator computes identically but detaches
-  // from the arena.
-  RtoEstimator(const RtoEstimator& o) : cfg_(o.cfg_), own_(*o.st_), st_(&own_) {}
-  RtoEstimator& operator=(const RtoEstimator& o) {
-    cfg_ = o.cfg_;
-    own_ = *o.st_;
-    st_ = &own_;
-    return *this;
-  }
+  explicit RtoEstimator(RtoConfig cfg = {}) : cfg_(cfg) {}
 
   /// Feeds one RTT measurement (from a non-retransmitted segment only —
   /// Karn's rule; callers enforce that).
@@ -60,17 +32,19 @@ class RtoEstimator {
   void backoff();
 
   /// Clears backoff once an ACK for new data arrives.
-  void reset_backoff() { st_->backoff = 1; }
+  void reset_backoff() { backoff_ = 1; }
 
-  bool has_sample() const { return st_->has_sample; }
-  Time srtt() const { return st_->srtt; }
-  Time rttvar() const { return st_->rttvar; }
-  int backoff_factor() const { return st_->backoff; }
+  bool has_sample() const { return has_sample_; }
+  Time srtt() const { return srtt_; }
+  Time rttvar() const { return rttvar_; }
+  int backoff_factor() const { return backoff_; }
 
  private:
   RtoConfig cfg_;
-  RtoState own_;
-  RtoState* st_;
+  Time srtt_ = 0.0;
+  Time rttvar_ = 0.0;
+  bool has_sample_ = false;
+  int backoff_ = 1;
 };
 
 }  // namespace burst

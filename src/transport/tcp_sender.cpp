@@ -5,27 +5,12 @@
 
 namespace burst {
 
-namespace {
-
-/// Standalone mode: a private one-slot arena so a sender constructed
-/// without a shared FlowArena behaves exactly as before the SoA refactor.
-std::unique_ptr<FlowArena> make_own_arena(const TcpConfig& cfg) {
-  auto arena = std::make_unique<FlowArena>();
-  arena->set_budget_bytes(0);  // a single slot never breaks a budget
-  arena->reserve(1, 0, FlowArena::ring_capacity_for(cfg.advertised_window));
-  return arena;
-}
-
-}  // namespace
-
 TcpSender::TcpSender(Simulator& sim, Node& node, FlowId flow, NodeId peer,
-                     TcpConfig cfg, FlowArena* arena)
+                     TcpConfig cfg)
     : Agent(sim, node, flow, peer),
       cfg_(cfg),
-      own_arena_(arena != nullptr ? nullptr : make_own_arena(cfg)),
-      arena_(arena != nullptr ? arena : own_arena_.get()),
-      slot_(arena_->allocate_sender(kInitialCwnd, cfg.initial_ssthresh)),
-      estimator_(cfg.rto, &arena_->rto_state(slot_)),
+      ssthresh_(cfg.initial_ssthresh),
+      estimator_(cfg.rto),
       // Every ACK pushes the RTO deadline forward: a soft-deadline move,
       // a field write with no scheduler traffic.
       rto_timer_(sim, [this] { on_rto(); }) {}
@@ -51,7 +36,7 @@ void TcpSender::notify(TcpSenderEvent::Kind kind, std::int64_t seq,
 
 void TcpSender::app_send(int packets) {
   stats_.app_packets += static_cast<std::uint64_t>(packets);
-  arena_->app_total(slot_) += packets;
+  app_total_ += packets;
   try_send();
 }
 
@@ -74,10 +59,10 @@ void TcpSender::standard_growth() {
 }
 
 void TcpSender::try_send() {
-  while (snd_nxt() < arena_->app_total(slot_) &&
+  while (snd_nxt_ < app_total_ &&
          static_cast<double>(flight()) < effective_window()) {
-    send_seq(snd_nxt());
-    ++arena_->snd_nxt(slot_);
+    send_seq(snd_nxt_);
+    ++snd_nxt_;
   }
 }
 
@@ -90,8 +75,7 @@ void TcpSender::send_seq(std::int64_t seq) {
   p.ts_echo = sim_.now();
   p.retransmit = seq < snd_max();
   p.ecn_capable = cfg_.ecn;
-  arena_->snd_max(slot_) = std::max(snd_max(), seq + 1);
-  arena_->ring_store(slot_, seq, sim_.now());
+  sent_.record(seq, sim_.now());
 
   ++stats_.data_pkts_sent;
   if (p.retransmit) ++stats_.retransmits;
@@ -105,9 +89,9 @@ void TcpSender::retransmit_una() { send_seq(snd_una()); }
 void TcpSender::send_segment(std::int64_t seq) { send_seq(seq); }
 
 bool TcpSender::send_new_segment() {
-  if (snd_nxt() >= arena_->app_total(slot_)) return false;
-  send_seq(snd_nxt());
-  ++arena_->snd_nxt(slot_);
+  if (snd_nxt_ >= app_total_) return false;
+  send_seq(snd_nxt_);
+  ++snd_nxt_;
   return true;
 }
 
@@ -130,9 +114,8 @@ void TcpSender::handle(const Packet& p) {
     ++stats_.ecn_echoes;
     // At most one window reduction per round-trip (like one loss event).
     const Time guard = estimator_.has_sample() ? estimator_.srtt() : 0.1;
-    Time& last_cut = arena_->last_ecn_cut(slot_);
-    if (last_cut < 0.0 || sim_.now() - last_cut > guard) {
-      last_cut = sim_.now();
+    if (last_ecn_cut_ < 0.0 || sim_.now() - last_ecn_cut_ > guard) {
+      last_ecn_cut_ = sim_.now();
       on_ecn_echo();
       notify(TcpSenderEvent::Kind::kEcnEcho, p.ack, false);
     }
@@ -140,13 +123,10 @@ void TcpSender::handle(const Packet& p) {
 
   if (p.ack > snd_una()) {
     const std::int64_t acked = p.ack - snd_una();
-    for (std::int64_t s = snd_una(); s < p.ack; ++s) {
-      arena_->ring_erase(slot_, s);
-    }
-    arena_->snd_una(slot_) = p.ack;
-    arena_->snd_nxt(slot_) = std::max(snd_nxt(), snd_una());
+    sent_.ack(p.ack);
+    snd_nxt_ = std::max(snd_nxt_, snd_una());
     ++stats_.new_acks;
-    arena_->dupacks(slot_) = 0;
+    dupacks_ = 0;
 
     // Karn's rule: only segments never retransmitted yield RTT samples.
     if (!p.retransmit) {
@@ -170,7 +150,7 @@ void TcpSender::handle(const Packet& p) {
   }
 
   if (p.ack == snd_una() && flight() > 0) {
-    ++arena_->dupacks(slot_);
+    ++dupacks_;
     ++stats_.dupacks;
     if (cfg_.limited_transmit && dupacks() <= 2 &&
         static_cast<double>(flight()) <
@@ -188,8 +168,8 @@ void TcpSender::on_rto() {
   estimator_.backoff();
   // Multiplicative decrease of the threshold, computed before the rewind.
   set_ssthresh(std::max(static_cast<double>(flight()) / 2.0, 2.0));
-  arena_->dupacks(slot_) = 0;
-  arena_->snd_nxt(slot_) = snd_una();  // go-back-N recovery from the hole
+  dupacks_ = 0;
+  snd_nxt_ = snd_una();  // go-back-N recovery from the hole
   on_timeout_window();
   rto_timer_.schedule(estimator_.rto());
   notify(TcpSenderEvent::Kind::kRto, snd_una(), false);

@@ -14,12 +14,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
 #include "src/transport/agent.hpp"
-#include "src/transport/flow_arena.hpp"
 #include "src/transport/rto_estimator.hpp"
+#include "src/transport/send_time_ring.hpp"
 #include "src/sim/timer.hpp"
 
 namespace burst {
@@ -97,32 +96,31 @@ class TcpSenderObserver {
 
 class TcpSender : public Agent {
  public:
-  /// @p arena: shared struct-of-arrays storage for the per-flow scalars
-  /// (huge-N mode; see flow_arena.hpp). Null self-hosts a one-slot arena,
-  /// so standalone construction behaves exactly as before.
   TcpSender(Simulator& sim, Node& node, FlowId flow, NodeId peer,
-            TcpConfig cfg = {}, FlowArena* arena = nullptr);
+            TcpConfig cfg = {});
 
   void app_send(int packets) override;
   void handle(const Packet& p) override;
 
   // --- Introspection --------------------------------------------------
-  double cwnd() const { return arena_->cwnd(slot_); }
-  double ssthresh() const { return arena_->ssthresh(slot_); }
-  std::int64_t snd_una() const { return arena_->snd_una(slot_); }
-  std::int64_t snd_nxt() const { return arena_->snd_nxt(slot_); }
+  double cwnd() const { return cwnd_; }
+  double ssthresh() const { return ssthresh_; }
+  std::int64_t snd_una() const { return sent_.snd_una(); }
+  std::int64_t snd_nxt() const { return snd_nxt_; }
   /// One past the highest sequence ever transmitted (>= snd_nxt; they
   /// differ after a go-back-N rewind).
-  std::int64_t snd_max() const { return arena_->snd_max(slot_); }
+  std::int64_t snd_max() const { return sent_.snd_max(); }
   /// Application packets buffered but not yet transmitted.
-  std::int64_t backlog() const {
-    return arena_->app_total(slot_) - snd_nxt();
-  }
+  std::int64_t backlog() const { return app_total_ - snd_nxt_; }
   /// Packets in flight (sent, not yet cumulatively acknowledged).
   std::int64_t flight() const { return snd_nxt() - snd_una(); }
   const TcpSenderStats& stats() const { return stats_; }
   const RtoEstimator& rto_estimator() const { return estimator_; }
   const TcpConfig& config() const { return cfg_; }
+  /// Bytes of the send-time ring's slots (its heap block).
+  std::size_t send_ring_bytes() const {
+    return sent_.capacity() * sizeof(Time);
+  }
 
   /// If set, every protocol event (send, ack, dup ack, timeout, ECN echo)
   /// is reported with a post-event state snapshot. Traced runs install a
@@ -154,8 +152,8 @@ class TcpSender : public Agent {
 
   // --- Services for subclasses -----------------------------------------
   /// Updates cwnd (floored at 1 packet).
-  void set_cwnd(double v) { arena_->cwnd(slot_) = std::max(1.0, v); }
-  void set_ssthresh(double v) { arena_->ssthresh(slot_) = v; }
+  void set_cwnd(double v) { cwnd_ = std::max(1.0, v); }
+  void set_ssthresh(double v) { ssthresh_ = v; }
   /// Standard slow-start / congestion-avoidance growth on a new ACK,
   /// honoring cwnd_validation. Used by the Reno-family policies.
   void standard_growth();
@@ -173,17 +171,15 @@ class TcpSender : public Agent {
   virtual void on_ack_info(const Packet& p) { (void)p; }
   /// Restarts the retransmission timer with the current RTO.
   void restart_rto_timer();
-  int dupacks() const { return arena_->dupacks(slot_); }
+  int dupacks() const { return dupacks_; }
   /// Time the given outstanding sequence was (last) transmitted. Defined
   /// for outstanding sequences (>= snd_una); acknowledged sequences have
   /// been forgotten and report kTimeNever.
-  Time sent_at(std::int64_t seq) const {
-    return arena_->ring_lookup(slot_, seq);
-  }
+  Time sent_at(std::int64_t seq) const { return sent_.sent_at(seq); }
   /// Sends as much buffered data as the window permits.
   void try_send();
   /// Rewinds snd_nxt to snd_una (go-back-N; Tahoe uses this on loss).
-  void rewind_to_una() { arena_->snd_nxt(slot_) = snd_una(); }
+  void rewind_to_una() { snd_nxt_ = snd_una(); }
   Time now() const { return sim_.now(); }
 
   TcpSenderStats stats_;
@@ -196,12 +192,13 @@ class TcpSender : public Agent {
   void notify(TcpSenderEvent::Kind kind, std::int64_t seq, bool retransmit);
 
   TcpConfig cfg_;
-  // Storage for the per-flow scalars. Shared arena in huge-N mode;
-  // self-hosted single-slot arena otherwise. Declared before estimator_:
-  // the estimator binds to the slot's RtoState.
-  std::unique_ptr<FlowArena> own_arena_;
-  FlowArena* arena_;
-  std::uint32_t slot_;
+  double cwnd_ = kInitialCwnd;
+  double ssthresh_;
+  std::int64_t snd_nxt_ = 0;
+  std::int64_t app_total_ = 0;  // packets the application has submitted
+  int dupacks_ = 0;
+  Time last_ecn_cut_ = -1.0;  // time of the last ECN window cut
+  SendTimeRing sent_;  // snd_una, snd_max and the outstanding send times
   RtoEstimator estimator_;
   Timer rto_timer_;
 

@@ -2,29 +2,15 @@
 
 namespace burst {
 
-namespace {
-
-std::unique_ptr<FlowArena> make_own_sink_arena() {
-  auto arena = std::make_unique<FlowArena>();
-  arena->set_budget_bytes(0);  // a single slot never breaks a budget
-  arena->reserve(0, 1, 8);
-  return arena;
-}
-
-}  // namespace
-
 TcpSink::TcpSink(Simulator& sim, Node& node, FlowId flow, NodeId peer,
-                 TcpSinkConfig cfg, FlowArena* arena)
+                 TcpSinkConfig cfg)
     : Agent(sim, node, flow, peer),
       cfg_(cfg),
-      own_arena_(arena != nullptr ? nullptr : make_own_sink_arena()),
-      arena_(arena != nullptr ? arena : own_arena_.get()),
-      slot_(arena_->allocate_sink()),
       // Armed and cancelled once per held segment; the cancel (the
       // common case: the second segment flushes the ACK) is a field
       // write, not a scheduler cancel.
       delack_timer_(sim, [this] {
-        arena_->set_delack_pending(slot_, false);
+        delack_pending_ = false;
         send_ack();
       }) {}
 
@@ -34,11 +20,11 @@ void TcpSink::send_ack() {
   a.type = PacketType::kAck;
   a.size_bytes = kAckBytes;
   a.ack = rcv_nxt();
-  a.ts_echo = arena_->echo_ts(slot_);
-  a.retransmit = arena_->echo_rexmit(slot_);
-  a.ece = arena_->echo_ece(slot_);
+  a.ts_echo = echo_ts_;
+  a.retransmit = echo_rexmit_;
+  a.ece = echo_ece_;
   // One echo per mark; the sender rate-limits cuts.
-  arena_->set_echo_ece(slot_, false);
+  echo_ece_ = false;
   if (cfg_.sack && !ooo_.empty()) {
     // Report up to kMaxSackBlocks contiguous runs of buffered data.
     std::int64_t run_lo = -1, prev = -2;
@@ -73,25 +59,24 @@ void TcpSink::send_ack() {
 
 void TcpSink::arm_or_flush_delack(const Packet& p) {
   if (!cfg_.delayed_ack) {
-    arena_->echo_ts(slot_) = p.ts_echo;
-    arena_->set_echo_rexmit(slot_, p.retransmit);
+    echo_ts_ = p.ts_echo;
+    echo_rexmit_ = p.retransmit;
     send_ack();
     return;
   }
-  if (arena_->delack_pending(slot_)) {
+  if (delack_pending_) {
     // Second in-order segment: ACK now, covering both.
     delack_timer_.cancel();
-    arena_->set_delack_pending(slot_, false);
+    delack_pending_ = false;
     // Keep the *older* echo timestamp (RFC 7323 rule for delayed ACKs);
     // the retransmit flag must taint the sample if either segment was a
     // retransmission.
-    arena_->set_echo_rexmit(slot_,
-                            arena_->echo_rexmit(slot_) || p.retransmit);
+    echo_rexmit_ = echo_rexmit_ || p.retransmit;
     send_ack();
   } else {
-    arena_->set_delack_pending(slot_, true);
-    arena_->echo_ts(slot_) = p.ts_echo;
-    arena_->set_echo_rexmit(slot_, p.retransmit);
+    delack_pending_ = true;
+    echo_ts_ = p.ts_echo;
+    echo_rexmit_ = p.retransmit;
     delack_timer_.schedule(cfg_.delack_interval);
   }
 }
@@ -101,16 +86,16 @@ void TcpSink::handle(const Packet& p) {
   ++stats_.data_arrivals;
   delay_.add(sim_.now() - p.ts_echo);
   if (p.ecn_marked) {
-    arena_->set_echo_ece(slot_, true);  // latch until the next ACK goes out
+    echo_ece_ = true;  // latch until the next ACK goes out
   }
 
   if (p.seq == rcv_nxt()) {
     ++stats_.unique_packets;
-    ++arena_->rcv_nxt(slot_);
+    ++rcv_nxt_;
     // Drain any buffered segments this arrival made contiguous.
     auto it = ooo_.begin();
     while (it != ooo_.end() && *it == rcv_nxt()) {
-      ++arena_->rcv_nxt(slot_);
+      ++rcv_nxt_;
       it = ooo_.erase(it);
     }
     if (!ooo_.empty()) {
@@ -135,19 +120,18 @@ void TcpSink::handle(const Packet& p) {
 }
 
 void TcpSink::flush_immediate(const Packet& p) {
-  if (arena_->delack_pending(slot_)) {
+  if (delack_pending_) {
     // The ACK going out also covers the segment whose ACK was being
     // delayed, so the RFC 7323 delayed-ACK rule applies: echo the *older*
     // timestamp (the held one), not @p p's — overwriting it with the new
     // arrival's timestamp yields optimistically small RTT samples. Karn's
     // taint is the conservative OR of both segments' retransmit flags.
     delack_timer_.cancel();
-    arena_->set_delack_pending(slot_, false);
-    arena_->set_echo_rexmit(slot_,
-                            arena_->echo_rexmit(slot_) || p.retransmit);
+    delack_pending_ = false;
+    echo_rexmit_ = echo_rexmit_ || p.retransmit;
   } else {
-    arena_->echo_ts(slot_) = p.ts_echo;
-    arena_->set_echo_rexmit(slot_, p.retransmit);
+    echo_ts_ = p.ts_echo;
+    echo_rexmit_ = p.retransmit;
   }
   send_ack();
 }

@@ -7,14 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <set>
 
 #include "src/obs/trace.hpp"
 #include "src/sim/timer.hpp"
 #include "src/stats/running_stats.hpp"
 #include "src/transport/agent.hpp"
-#include "src/transport/flow_arena.hpp"
 
 namespace burst {
 
@@ -35,16 +33,14 @@ struct TcpSinkStats {
 
 class TcpSink : public Agent {
  public:
-  /// @p arena: shared struct-of-arrays storage for the receiver cursors
-  /// (huge-N mode); null self-hosts a one-slot arena.
   TcpSink(Simulator& sim, Node& node, FlowId flow, NodeId peer,
-          TcpSinkConfig cfg = {}, FlowArena* arena = nullptr);
+          TcpSinkConfig cfg = {});
 
   void app_send(int) override {}  // sinks do not send data
   void handle(const Packet& p) override;
 
   /// Next in-order sequence expected (== packets delivered in order).
-  std::int64_t rcv_nxt() const { return arena_->rcv_nxt(slot_); }
+  std::int64_t rcv_nxt() const { return rcv_nxt_; }
   const TcpSinkStats& stats() const { return stats_; }
 
   /// One-way delay of arriving data packets (transmission timestamp to
@@ -66,12 +62,13 @@ class TcpSink : public Agent {
   void flush_immediate(const Packet& p);
 
   TcpSinkConfig cfg_;
-  // Receiver cursors + echo state (timestamp, Karn retransmit flag, ECN
-  // congestion-experienced mark) live in the arena; shared in huge-N
-  // mode, self-hosted single slot otherwise.
-  std::unique_ptr<FlowArena> own_arena_;
-  FlowArena* arena_;
-  std::uint32_t slot_;
+  std::int64_t rcv_nxt_ = 0;
+  // What the next ACK echoes: the data timestamp, Karn's retransmit taint
+  // and the ECN congestion-experienced mark.
+  Time echo_ts_ = 0.0;
+  bool echo_rexmit_ = false;
+  bool echo_ece_ = false;
+  bool delack_pending_ = false;  // an in-order segment awaits its ACK
   Timer delack_timer_;
   std::set<std::int64_t> ooo_;  // buffered out-of-order sequences
 

@@ -5,8 +5,8 @@
 namespace burst {
 
 TcpVegas::TcpVegas(Simulator& sim, Node& node, FlowId flow, NodeId peer,
-                   TcpConfig cfg, VegasConfig vegas, FlowArena* arena)
-    : TcpSender(sim, node, flow, peer, cfg, arena), vegas_(vegas) {}
+                   TcpConfig cfg, VegasConfig vegas)
+    : TcpSender(sim, node, flow, peer, cfg), vegas_(vegas) {}
 
 void TcpVegas::on_rtt_sample(Time rtt) {
   base_rtt_ = std::min(base_rtt_, rtt);

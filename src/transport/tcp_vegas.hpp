@@ -43,8 +43,7 @@ struct VegasConfig {
 class TcpVegas : public TcpSender {
  public:
   TcpVegas(Simulator& sim, Node& node, FlowId flow, NodeId peer,
-           TcpConfig cfg = {}, VegasConfig vegas = {},
-           FlowArena* arena = nullptr);
+           TcpConfig cfg = {}, VegasConfig vegas = {});
 
   double base_rtt() const { return base_rtt_; }
   bool in_slow_start() const { return in_ss_; }

@@ -8,6 +8,8 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -16,12 +18,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <new>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 
 #include "src/run/result_store.hpp"
-#include "src/transport/flow_arena.hpp"
 
 namespace burst {
 namespace {
@@ -491,35 +495,125 @@ TEST(CampaignPoints, LpTotalsSumThePerRunLpEvents) {
   EXPECT_TRUE(seq.lp_stats.empty());
 }
 
-TEST(CampaignPoints, ThrowingPointReleasesItsClaim) {
-  // A flow-arena budget far below any dumbbell's makes run_experiment
-  // throw once the point is claimed.
-  struct BudgetGuard {
-    BudgetGuard() { FlowArena::set_default_budget_bytes(64); }
-    ~BudgetGuard() { FlowArena::set_default_budget_bytes(0); }
-  };
-  const std::string cache = fresh_dir("campaign_points_throw");
-  const std::vector<CampaignPoint> points{
-      dumbbell_point(point_scenario(6, 61))};
+// Sanitizer runtimes reserve terabytes of address space for their shadow
+// memory, so an address-space cap cannot make one allocation fail.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// This process's virtual memory size in bytes (0 if unreadable).
+std::size_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  std::size_t kib = 0;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      status >> kib;
+      return kib * 1024;
+    }
+  }
+  return 0;
+}
+
+/// A CampaignOptions::log that, when the campaign reports its one point
+/// done, tries that point's claim lock through a second open file
+/// description. The campaign is still running then, so its store has not
+/// closed its claims yet: a lock still held means the failed point kept
+/// its claim, which would hang a farm worker waiting for it.
+class ClaimProbe : public std::stringbuf {
+ public:
+  explicit ClaimProbe(std::string claim_file)
+      : claim_file_(std::move(claim_file)) {}
+  bool probed() const { return probed_; }
+  bool was_free() const { return was_free_; }
+
+ protected:
+  int sync() override {
+    if (!probed_ && str().find("1/1 simulated") != std::string::npos) {
+      probed_ = true;
+      const int fd = ::open(claim_file_.c_str(), O_RDWR | O_CLOEXEC);
+      was_free_ = fd >= 0 && ::flock(fd, LOCK_EX | LOCK_NB) == 0;
+      if (fd >= 0) ::close(fd);
+    }
+    return 0;
+  }
+
+ private:
+  std::string claim_file_;
+  bool probed_ = false;
+  bool was_free_ = false;
+};
+
+/// What the forked child of ThrowingPointReleasesItsClaim found.
+enum ThrowChild : int {
+  kThrowChildOk = 0,
+  kThrowChildNoCap,       // could not cap its address space
+  kThrowChildNoThrow,     // the point ran to completion
+  kThrowChildWrongThrow,  // something other than std::bad_alloc escaped
+  kThrowChildNoProbe,     // the campaign never reported the point done
+  kThrowChildLockHeld,    // the failed point still held its claim
+  kThrowChildClaimFile,   // claim file missing or not empty afterwards
+  kThrowChildNoReclaim,   // the point could not be claimed again
+  kThrowChildPublished,   // a result was stored for the failed point
+};
+
+/// Caps this process's address space a little above its current size and
+/// runs @p point, whose build cannot fit, on one thread; then checks what
+/// the failure left behind.
+int run_throwing_point(const CampaignPoint& point, const std::string& cache) {
+  ClaimProbe probe(ResultStore(cache).claim_path(point.key));
+  std::ostream log(&probe);
   CampaignOptions opts;
   opts.cache_dir = cache;
-  CampaignStats stats;
-  {
-    BudgetGuard tiny;
-    EXPECT_THROW(run_campaign_points(points, opts, &stats), std::length_error);
+  opts.threads = 1;
+  opts.log = &log;
+  const std::size_t vm = vm_size_bytes();
+  const rlimit cap{vm + (256u << 20), vm + (256u << 20)};
+  if (vm == 0 || ::setrlimit(RLIMIT_AS, &cap) != 0) return kThrowChildNoCap;
+  try {
+    CampaignStats stats;
+    run_campaign_points({point}, opts, &stats);
+    return kThrowChildNoThrow;
+  } catch (const std::bad_alloc&) {
+  } catch (...) {
+    return kThrowChildWrongThrow;
   }
-  // The claim file stays, empty, and nobody holds its lock: this live
-  // process does not keep the point from the next worker.
+  if (!probe.probed()) return kThrowChildNoProbe;
+  if (!probe.was_free()) return kThrowChildLockHeld;
   ResultStore next(cache);
-  const std::string path = next.claim_path(points[0].key);
-  ASSERT_TRUE(fs::exists(path));
-  EXPECT_EQ(fs::file_size(path), 0u);
-  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-  ASSERT_GE(fd, 0);
-  EXPECT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0);
-  ::close(fd);
-  EXPECT_TRUE(next.claim(points[0].key));
-  EXPECT_FALSE(next.get(points[0].key).has_value());  // nothing published
+  const std::string path = next.claim_path(point.key);
+  std::error_code ec;
+  if (!fs::exists(path) || fs::file_size(path, ec) != 0 || ec) {
+    return kThrowChildClaimFile;
+  }
+  if (!next.claim(point.key)) return kThrowChildNoReclaim;
+  if (next.get(point.key).has_value()) return kThrowChildPublished;
+  return kThrowChildOk;
+}
+
+TEST(CampaignPoints, ThrowingPointReleasesItsClaim) {
+  // A forked child caps its address space, so building this point's
+  // 10^6-client dumbbell throws std::bad_alloc once the point is claimed;
+  // the child's exit code says what it found (enum ThrowChild).
+  if (kSanitized) GTEST_SKIP() << "address-space cap under a sanitizer";
+  const std::string cache = fresh_dir("campaign_points_throw");
+  const CampaignPoint point = dumbbell_point(point_scenario(1000000, 61));
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(run_throwing_point(point, cache));
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), kThrowChildOk);
+  EXPECT_FALSE(ResultStore(cache).get(point.key).has_value());
 }
 
 TEST(CampaignPoints, UncreatableCacheDirRunsUncached) {

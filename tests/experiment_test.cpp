@@ -40,19 +40,44 @@ TEST(Experiment, CollectsBasicMetrics) {
   EXPECT_GE(r.fairness, 0.9);
 }
 
-// arena_bytes is the built topology's flow-arena reservation, and like
-// the wall time it stays out of the store line.
-TEST(Experiment, ReportsTheFlowArenaReservation) {
+// arena_bytes is what the TCP agents hold at the end of the run, and
+// like the wall time it stays out of the store line.
+TEST(Experiment, ReportsTheAgentBytes) {
   const Scenario sc = quick(10);
   const ExperimentResult r = run_experiment(sc);
   Simulator sim(sc.seed);
-  const TopoNet net(sim, make_dumbbell_spec(sc));
-  EXPECT_GT(r.arena_bytes, 0u);
+  TopoNet net(sim, make_dumbbell_spec(sc));
+  // Before the run the send-time rings are empty: only the agent objects.
+  const std::size_t built = net.arena_bytes_reserved();
+  net.start_sources();
+  sim.run(sc.duration);
+  EXPECT_GT(r.arena_bytes, built);
   EXPECT_EQ(r.arena_bytes, net.arena_bytes_reserved());
   EXPECT_EQ(result_to_json(r).find("arena"), std::string::npos);
   ExperimentResult loaded;
   ASSERT_TRUE(result_from_json(result_to_json(r), &loaded));
   EXPECT_EQ(loaded.arena_bytes, 0u);
+}
+
+// A receiver window no flow can fill is simply unbounded: the send-time
+// ring is sized by what a sender put in flight, so any window this large
+// runs the same simulation in the same few bytes per flow.
+TEST(Experiment, UnreachableAdvertisedWindowsRunAlike) {
+  for (const Transport t : {Transport::kReno, Transport::kVegas}) {
+    std::string first;
+    for (const double window : {1e6, 1e12, 1e19, 1e300}) {
+      Scenario sc = quick(8, t);
+      sc.duration = 3.0;
+      sc.advertised_window = window;
+      const ExperimentResult r = run_experiment(sc);
+      EXPECT_GT(r.delivered, 0u);
+      EXPECT_LE(static_cast<double>(r.arena_bytes) / sc.num_clients, 2048.0)
+          << "window " << window;
+      const std::string json = result_to_json(r);
+      if (first.empty()) first = json;
+      EXPECT_EQ(json, first) << "window " << window;
+    }
+  }
 }
 
 TEST(Experiment, DeterministicForSameSeed) {

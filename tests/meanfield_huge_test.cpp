@@ -3,8 +3,8 @@
 // At N=10^4 the dumbbell must still conserve packets exactly (every
 // queue's arrivals split into drops + departures + still-queued) and
 // reproduce bit-identical results under the same seed. The N=10^5 smoke
-// run pins the struct-of-arrays memory story: bytes/flow stays under the
-// fig_meanfield budget and process RSS stays bounded.
+// run pins the per-flow memory story: the TCP agents' bytes/flow stay
+// under the fig_meanfield budget and process RSS stays bounded.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "src/sim/simulator.hpp"
 #include "src/topo/builder.hpp"
 #include "src/topo/spec.hpp"
-#include "src/transport/flow_arena.hpp"
 
 namespace burst {
 namespace {
@@ -110,28 +109,24 @@ TEST(MeanfieldHuge, SmokeAt100kStaysWithinMemoryBudget) {
   const int clients = 100000;
   const Scenario sc = huge_scenario(clients, 0.5);
 
-  // Same per-flow ceiling as fig_meanfield: if per-flow transport state
-  // grows past 2 KiB, construction must throw rather than creep.
+  // Same per-flow ceiling as fig_meanfield, read after the run: the
+  // send-time rings grow with the windows the flows actually sent.
   constexpr std::size_t kBudgetPerFlowBytes = 2048;
-  FlowArena::set_default_budget_bytes(
-      (static_cast<std::size_t>(clients) + 1) * kBudgetPerFlowBytes);
 
   Simulator sim(sc.seed);
   TopoNet net(sim, make_dumbbell_spec(sc));
-  FlowArena::set_default_budget_bytes(0);
-
-  const double bytes_per_flow =
-      static_cast<double>(net.flow_arena().bytes_reserved()) / clients;
-  EXPECT_GT(bytes_per_flow, 0.0);
-  EXPECT_LE(bytes_per_flow, static_cast<double>(kBudgetPerFlowBytes));
-
   net.start_sources();
   sim.run(sc.duration);
   EXPECT_GT(net.total_delivered(), 0u);
   EXPECT_EQ(net.routing_errors(), 0u);
 
+  const double bytes_per_flow =
+      static_cast<double>(net.arena_bytes_reserved()) / clients;
+  EXPECT_GT(bytes_per_flow, 0.0);
+  EXPECT_LE(bytes_per_flow, static_cast<double>(kBudgetPerFlowBytes));
+
 #ifdef __linux__
-  // Whole-process ceiling (arena + nodes + links + scheduler). The run
+  // Whole-process ceiling (agents + nodes + links + scheduler). The run
   // measures ~hundreds of MiB; 2 GiB flags an order-of-magnitude leak
   // without being machine-sensitive.
   const std::size_t rss = vm_rss_kib();

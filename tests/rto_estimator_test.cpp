@@ -97,5 +97,28 @@ TEST(RtoEstimator, BackoffFactorSaturates) {
   EXPECT_EQ(e.backoff_factor(), 64);
 }
 
+// The estimator is a plain value: a copy carries the state so far and
+// then evolves on its own, and assignment copies the state back.
+TEST(RtoEstimator, CopiesAreIndependentValues) {
+  RtoEstimator a(fine_config());
+  a.sample(0.5);
+  RtoEstimator b = a;
+  EXPECT_TRUE(b.has_sample());
+  EXPECT_DOUBLE_EQ(b.srtt(), 0.5);
+  EXPECT_DOUBLE_EQ(b.rttvar(), 0.25);
+  b.sample(1.0);
+  b.backoff();
+  EXPECT_DOUBLE_EQ(a.srtt(), 0.5);
+  EXPECT_DOUBLE_EQ(a.rttvar(), 0.25);
+  EXPECT_EQ(a.backoff_factor(), 1);
+  EXPECT_GT(b.srtt(), 0.5);
+  EXPECT_EQ(b.backoff_factor(), 2);
+  a = b;
+  EXPECT_DOUBLE_EQ(a.srtt(), b.srtt());
+  EXPECT_DOUBLE_EQ(a.rttvar(), b.rttvar());
+  EXPECT_EQ(a.backoff_factor(), 2);
+  EXPECT_DOUBLE_EQ(a.rto(), b.rto());
+}
+
 }  // namespace
 }  // namespace burst

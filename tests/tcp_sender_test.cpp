@@ -25,6 +25,45 @@ TEST(TcpSender, DeliversInOrderReliably) {
   EXPECT_EQ(s->stats().timeouts, 0u);
 }
 
+// A fresh sender is in slow start from one packet with nothing sent, no
+// RTT sample and no backoff, and its send-time ring holds no slots yet.
+TEST(TcpSender, StartsInSlowStartWithNothingOutstanding) {
+  TcpConfig cfg;
+  cfg.initial_ssthresh = 10.0;
+  TcpHarness h;
+  auto* s = h.make_sender<TcpReno>(cfg);
+  EXPECT_DOUBLE_EQ(s->cwnd(), kInitialCwnd);
+  EXPECT_DOUBLE_EQ(s->ssthresh(), 10.0);
+  EXPECT_EQ(s->snd_una(), 0);
+  EXPECT_EQ(s->snd_nxt(), 0);
+  EXPECT_EQ(s->snd_max(), 0);
+  EXPECT_EQ(s->backlog(), 0);
+  EXPECT_FALSE(s->rto_estimator().has_sample());
+  EXPECT_EQ(s->rto_estimator().backoff_factor(), 1);
+  EXPECT_EQ(s->send_ring_bytes(), 0u);
+  EXPECT_EQ(s->cc_state(), "slow-start");
+}
+
+// The send-time ring grows with the window the sender actually put in
+// flight. A receiver window of 20 keeps it at 32 slots; a window no flow
+// can fill (which once sized the ring up front and could not be
+// allocated) leaves it bounded by the 100 packets there were to send.
+TEST(TcpSender, SendRingFollowsTheFlightNotTheAdvertisedWindow) {
+  for (const double window : {20.0, 1e12, 1e19}) {
+    TcpConfig cfg;
+    cfg.advertised_window = window;
+    TcpHarness h;
+    auto* s = h.make_sender<TcpReno>(cfg);
+    s->app_send(100);
+    h.sim.run();
+    EXPECT_EQ(h.sink->rcv_nxt(), 100) << "window " << window;
+    const std::size_t slots = window < 100.0 ? 32 : 128;
+    EXPECT_GT(s->send_ring_bytes(), 0u) << "window " << window;
+    EXPECT_LE(s->send_ring_bytes(), slots * sizeof(Time))
+        << "window " << window;
+  }
+}
+
 TEST(TcpSender, InitialWindowSendsOnePacket) {
   TcpHarness h;
   auto* s = h.make_sender<TcpReno>();

@@ -141,6 +141,25 @@ TEST(TcpVegas, ReliableUnderHeavyLossProperty) {
   }
 }
 
+// A receiver window no flow can fill, behind a one-packet queue: Vegas's
+// fine retransmit reads the send-time ring while packets are lost and
+// resent, every packet arrives, and the ring stays sized by the flight.
+TEST(TcpVegas, UnfillableAdvertisedWindowUnderLoss) {
+  for (const double window : {1e12, 1e19}) {
+    TcpConfig cfg;
+    cfg.advertised_window = window;
+    LinkParams fwd;
+    fwd.queue_capacity = 1;
+    TcpHarness h(13, fwd);
+    auto* s = h.make_sender<TcpVegas>(cfg);
+    s->app_send(300);
+    h.sim.run(300.0);
+    EXPECT_EQ(h.sink->rcv_nxt(), 300) << "window " << window;
+    EXPECT_GT(s->stats().retransmits, 0u) << "window " << window;
+    EXPECT_LE(s->send_ring_bytes(), 512 * sizeof(Time)) << "window " << window;
+  }
+}
+
 TEST(TcpVegas, CustomAlphaBetaShiftEquilibrium) {
   // Larger alpha/beta -> more packets kept in the queue -> larger cwnd.
   LinkParams fwd;

@@ -9,6 +9,9 @@
 #include "src/run/result_store.hpp"
 #include "src/topo/parser.hpp"
 #include "src/topo/spec.hpp"
+#include "src/transport/tcp_reno.hpp"
+#include "src/transport/tcp_sink.hpp"
+#include "src/transport/tcp_vegas.hpp"
 
 namespace burst {
 namespace {
@@ -138,6 +141,27 @@ TEST(TopoBuilder, MeasuredLinkFollowsTheMeasureStatement) {
   // measure_link = 0 is the first bottleneck statement.
   EXPECT_EQ(&net.measured_link(), &net.link(0));
   EXPECT_EQ(&net.measured_queue(), &net.link(0).queue());
+}
+
+// Before a run no TCP sender holds a send-time slot, so a built network's
+// agent bytes are its sender and sink objects alone: the same for any
+// advertised window, 1e19 included, which once sized every ring up front.
+TEST(TopoBuilder, BuiltAgentBytesAreTheAgentObjects) {
+  for (const Transport t : {Transport::kReno, Transport::kVegas}) {
+    Scenario sc = small_scenario();
+    sc.transport = t;
+    const std::size_t sender =
+        t == Transport::kReno ? sizeof(TcpReno) : sizeof(TcpVegas);
+    const std::size_t flows = static_cast<std::size_t>(sc.num_clients);
+    for (const double window : {20.0, 1e12, 1e19}) {
+      sc.advertised_window = window;
+      Simulator sim(sc.seed);
+      const TopoNet net(sim, make_dumbbell_spec(sc));
+      ASSERT_EQ(net.tcp_senders().size(), flows);
+      EXPECT_EQ(net.arena_bytes_reserved(), flows * (sender + sizeof(TcpSink)))
+          << "window " << window;
+    }
+  }
 }
 
 }  // namespace

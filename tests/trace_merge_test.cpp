@@ -528,7 +528,7 @@ TEST(FlightRecorder, DoesNotPerturbDynamics) {
   EXPECT_GT(recorded.sim_events, bare.sim_events);
 
   ASSERT_GT(fr.samples().size(), 0u);
-  // Queue + arena were observed: arrivals accumulate and the cwnd
+  // Queue + senders were observed: arrivals accumulate and the cwnd
   // histogram counts every sender.
   std::uint64_t arrivals = 0;
   std::uint32_t last_hist = 0;
