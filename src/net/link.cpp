@@ -61,41 +61,22 @@ void SimplexLink::try_transmit(bool chained) {
   // (by a mid-transmission arrival) must still sort as if inserted here
   // or same-instant drains on sibling links fire in a different order.
   drain_order_ = sim_.reserve_order();
-  if (remote_ != nullptr) {
+  if (outbox_ != nullptr) {
     // Cut link: the receiver lives in another LP. Hand the packet off with
     // the exact key the fused delivery event below would have carried; the
     // consumer LP inserts the equivalent event at its next window merge.
     // The drain machinery stays local — the transmitter and its queue
     // belong to this side of the cut.
-    remote_->post(*this,
-                  RemoteKey{free_at_ + prop_delay_, free_at_, tx_start_,
-                            sim_.current_tie(), chain_start_, chain_cause_},
-                  *next);
+    outbox_->push_back(RemoteEvent{
+        RemoteKey{free_at_ + prop_delay_, free_at_, tx_start_,
+                  sim_.current_tie(), chain_start_, chain_cause_},
+        this, *next});
     if (!queue_->queue_empty()) schedule_drain();
     return;
   }
   const PacketSlab::Handle h = slab_.put(*next);
-  auto deliver = [this, h] {
-    const Packet pkt = slab_.take(h);
-    ++delivered_;
-    bytes_delivered_ += static_cast<std::uint64_t>(pkt.size_bytes);
-    if (trace_) {
-      // The trace pointer is a link member, not a capture, so the traced
-      // and untraced closures are the same size (SmallFn-inline).
-      TraceRecord r;
-      r.time = sim_.now();
-      r.type = TraceEventType::kLinkDeliver;
-      r.site = trace_site_;
-      r.flow = pkt.flow;
-      r.seq = pkt.type == PacketType::kAck ? pkt.ack : pkt.seq;
-      r.value = static_cast<double>(pkt.size_bytes);
-      r.detail = pkt.type == PacketType::kAck ? kTraceDetailAck : 0;
-      trace_->emit(r);
-    }
-    assert(receiver_ && "SimplexLink has no receiver attached");
-    receiver_(pkt);
-  };
-  static_assert(SmallFn::stores_inline<decltype(deliver)>(),
+  auto delivery = [this, h] { deliver(slab_.take(h), sim_.now()); };
+  static_assert(SmallFn::stores_inline<decltype(delivery)>(),
                 "the per-hop delivery closure must fit SmallFn's inline "
                 "buffer (park bulky state in the PacketSlab, not captures)");
   // Tie-break as of free_at_: the unfused design inserted the delivery
@@ -103,16 +84,18 @@ void SimplexLink::try_transmit(bool chained) {
   // (ubiquitous with uniform packet sizes) the fused event must sort as
   // if inserted there, not at transmission start.
   sim_.schedule_at_as_of(free_at_ + prop_delay_, free_at_,
-                         std::move(deliver));
+                         std::move(delivery));
   // A backlog at transmission start needs a drain event at tx end. (An
   // arrival during the transmission arms it from the busy branch above.)
   if (!queue_->queue_empty()) schedule_drain();
 }
 
-void SimplexLink::deliver_remote(const Packet& p, Time now) {
+void SimplexLink::deliver(const Packet& p, Time now) {
   ++delivered_;
   bytes_delivered_ += static_cast<std::uint64_t>(p.size_bytes);
   if (trace_) {
+    // The trace pointer is a link member, not a capture, so the traced
+    // and untraced delivery closures are the same size (SmallFn-inline).
     TraceRecord r;
     r.time = now;
     r.type = TraceEventType::kLinkDeliver;

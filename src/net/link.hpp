@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/net/channel.hpp"
 #include "src/net/packet_slab.hpp"
@@ -55,18 +56,13 @@ struct RemoteKey {
   Time chain_cause;  // `cause` as of the chain's first transmission
 };
 
-/// Egress hook for links whose endpoints live in different logical
-/// processes (src/sim/parallel). When installed, the link posts each
-/// transmitted packet — stamped with the full RemoteKey above — instead
-/// of scheduling the delivery locally; the receiving LP inserts an
-/// equivalent event at its next window merge, so the parallel run
-/// executes the same total event count in the same key order as the
-/// sequential one.
-class LinkRemoteEgress {
- public:
-  virtual ~LinkRemoteEgress() = default;
-  virtual void post(SimplexLink& link, const RemoteKey& key,
-                    const Packet& p) = 0;
+/// One cross-LP packet handoff: the key its delivery event would have
+/// carried had the link's endpoints shared an LP, the cut link it left,
+/// and the packet.
+struct RemoteEvent {
+  RemoteKey key;
+  SimplexLink* link;
+  Packet pkt;
 };
 
 class SimplexLink : public PacketChannel {
@@ -115,16 +111,18 @@ class SimplexLink : public PacketChannel {
   }
 
   /// Marks this link as a cut edge whose receiver lives in another LP:
-  /// every delivery is handed to @p egress instead of being scheduled on
-  /// this link's (producer-side) simulator. Build-time only.
-  void set_remote_egress(LinkRemoteEgress* egress) { remote_ = egress; }
+  /// each transmission is appended to @p outbox, stamped with its
+  /// RemoteKey, instead of being scheduled on this link's (producer-side)
+  /// simulator. The receiving LP takes the outbox at its next window
+  /// merge (src/sim/parallel). Build-time only.
+  void set_outbox(std::vector<RemoteEvent>* outbox) { outbox_ = outbox; }
 
-  /// Runs the delivery half of a cut link on the CONSUMER LP's thread at
-  /// simulated instant @p now (the consumer's clock — this link's own
-  /// sim_.now() belongs to the producer and must not be read here). With
-  /// a remote egress installed, the delivery counters below are touched
-  /// only by this method, i.e. only by the consumer thread.
-  void deliver_remote(const Packet& p, Time now);
+  /// Hands @p p to the receiver at simulated instant @p now, counting and
+  /// tracing the delivery. On a cut link this runs on the CONSUMER LP's
+  /// thread with the consumer's clock (this link's own sim_.now() belongs
+  /// to the producer and must not be read there), so the delivery
+  /// counters are touched only by the consumer thread.
+  void deliver(const Packet& p, Time now);
 
  private:
   /// Starts transmitting the head-of-line packet if the transmitter is
@@ -154,7 +152,7 @@ class SimplexLink : public PacketChannel {
   std::uint64_t bytes_delivered_ = 0;
   TraceSink* trace_ = nullptr;
   std::uint8_t trace_site_ = 0;
-  LinkRemoteEgress* remote_ = nullptr;  // non-null iff this is a cut link
+  std::vector<RemoteEvent>* outbox_ = nullptr;  // non-null iff cut link
 };
 
 }  // namespace burst

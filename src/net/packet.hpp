@@ -6,9 +6,7 @@
 // (ns-2 style), which is what the paper's simulations used.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "src/sim/time.hpp"
 
@@ -52,17 +50,6 @@ struct Packet {
   };
   SackBlock sack[kMaxSackBlocks] = {};
   int sack_count = 0;
-
-  /// Formats a one-line human-readable summary into @p buf (snprintf
-  /// semantics: always NUL-terminated, returns the would-be length).
-  /// Allocation-free, so tracing hooks can call it per packet without
-  /// perturbing the heap; kDescribeBufSize never truncates.
-  static constexpr std::size_t kDescribeBufSize = 160;
-  int describe_to(char* buf, std::size_t size) const;
-
-  /// Convenience wrapper for describe_to(). Builds a std::string — only
-  /// for diagnostics/tests, never on the packet hot path.
-  std::string describe() const;
 };
 
 /// Default wire sizes used throughout the reproduction (see DESIGN.md §3).

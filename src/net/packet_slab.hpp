@@ -1,7 +1,7 @@
 // PacketSlab: recycled storage for packets that are "on the wire".
 //
 // A SimplexLink's delivery closure used to capture the whole ~120-byte
-// Packet by value, which overflowed SmallFn's 48-byte inline buffer and
+// Packet by value, which did not fit SmallFn's 48-byte inline buffer and
 // heap-allocated on every hop. Instead the link parks the packet here and
 // captures a 4-byte handle; the slab reaches steady state after the first
 // few packets (its high-water mark is the number of deliveries in flight
@@ -44,10 +44,7 @@ class PacketSlab {
     return p;
   }
 
-  /// Packets currently parked (in-flight deliveries).
-  std::size_t in_flight() const { return store_.size() - free_.size(); }
-
-  /// Slots ever allocated (the high-water mark of in_flight()).
+  /// Slots ever allocated (the high-water mark of packets parked at once).
   std::size_t capacity() const { return store_.size(); }
 
  private:

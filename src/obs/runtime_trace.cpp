@@ -115,10 +115,6 @@ bool write_runtime_trace(
     append_i64(out, static_cast<std::int64_t>(p.msgs_out));
     out += ",\"merge_high_water\":";
     append_i64(out, static_cast<std::int64_t>(p.merge_high_water));
-    out += ",\"chan_overflows\":";
-    append_i64(out, static_cast<std::int64_t>(p.chan_overflows));
-    out += ",\"chan_high_water\":";
-    append_i64(out, static_cast<std::int64_t>(p.chan_high_water));
     out += ",\"horizon_advance_mean\":";
     append_double(out, horizon_advance_mean(p));
     out += ",\"run_s\":";

@@ -162,8 +162,6 @@ std::vector<ExperimentResult> run_campaign_points(
           // horizon_advance_mean(t) is the pooled per-window mean.
           t.peak_pending = std::max(t.peak_pending, p.peak_pending);
           t.merge_high_water = std::max(t.merge_high_water, p.merge_high_water);
-          t.chan_high_water = std::max(t.chan_high_water, p.chan_high_water);
-          t.chan_overflows += p.chan_overflows;
           t.horizon_advance += p.horizon_advance;
           t.run_s += p.run_s;
           t.wait_s += p.wait_s;
@@ -427,8 +425,6 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
            << ", \"msgs_in\": " << p.msgs_in
            << ", \"msgs_out\": " << p.msgs_out
            << ", \"merge_high_water\": " << p.merge_high_water
-           << ", \"chan_high_water\": " << p.chan_high_water
-           << ", \"chan_overflows\": " << p.chan_overflows
            << ", \"horizon_advance_mean\": " << horizon_advance_mean(p)
            << ", \"run_s\": " << p.run_s
            << ", \"wait_s\": " << p.wait_s << "}";

@@ -6,10 +6,10 @@
 // processing, so arrive_and_wait() returns the seconds this thread spent
 // blocked — and (b) a plain mutex/condvar implementation whose
 // happens-before edges ThreadSanitizer reasons about exactly. The
-// runtime's channels exploit (b): overflow vectors and per-channel
-// sequence counters are accessed by one side at a time, with ownership
-// handed across at barrier crossings, so the barrier's lock is the only
-// synchronization they need.
+// runtime's cross-LP outboxes rely on (b): each is touched by one side
+// at a time (its producer appends while running a window, its consumer
+// empties it while merging), with ownership handed across at barrier
+// crossings, so the barrier's lock is the only synchronization they need.
 //
 // Window counts are small (one window per lookahead interval of simulated
 // time — hundreds per run, not millions), so a blocking barrier costs

@@ -19,18 +19,17 @@ struct LpStats {
   std::uint64_t events = 0;        // events this LP executed
   std::uint64_t windows = 0;       // synchronization windows
   std::uint64_t msgs_in = 0;       // cross-LP packets merged in
-  std::uint64_t msgs_out = 0;      // cross-LP packets posted
+  std::uint64_t msgs_out = 0;      // cross-LP packets its consumers took
   std::uint64_t peak_pending = 0;  // local scheduler high-water mark
   std::uint64_t scheduled = 0;     // local events ever scheduled
   /// Most messages staged in one merge phase (inbound high-water mark).
   /// Deterministic: the window edges and message counts are pure
   /// functions of event timestamps.
   std::uint64_t merge_high_water = 0;
-  /// Cross-LP posts that spilled to a channel's overflow lane, and the
-  /// outbound ring high-water mark. Timing-dependent (they depend on how
-  /// fast the consumer drains), so profile-table only — never metrics.
+  /// Always 0: a cross-LP handoff goes into an unbounded outbox, so
+  /// there is no lane to overflow. Kept because perfbench/adapter.cpp
+  /// reports it as `sim.lp_chan_overflows`.
   std::uint64_t chan_overflows = 0;
-  std::uint64_t chan_high_water = 0;
   /// Sum of gmin increments over busy windows: horizon_advance / windows
   /// is the mean safe-horizon advance per window (deterministic).
   Time horizon_advance = 0.0;

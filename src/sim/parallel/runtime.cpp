@@ -37,44 +37,38 @@ ParallelRuntime::~ParallelRuntime() = default;
 void ParallelRuntime::register_cut_link(SimplexLink* link, int from_lp,
                                         int to_lp) {
   assert(from_lp != to_lp && "a cut link must cross LPs");
-  SpscChannel* chan = nullptr;
-  for (const auto& c : channels_) {
-    if (c->from_lp() == from_lp && c->to_lp() == to_lp) {
-      chan = c.get();
-      break;
-    }
+  auto& in = lps_[static_cast<std::size_t>(to_lp)]->in;
+  auto box = std::find_if(in.begin(), in.end(), [from_lp](const auto& o) {
+    return o->from_lp == from_lp;
+  });
+  if (box == in.end()) {
+    box = in.insert(in.end(), std::make_unique<Outbox>(from_lp));
   }
-  if (chan == nullptr) {
-    channels_.push_back(std::make_unique<SpscChannel>(
-        static_cast<int>(channels_.size()), from_lp, to_lp));
-    chan = channels_.back().get();
-    lps_[static_cast<std::size_t>(to_lp)]->in.push_back(chan);
-    lps_[static_cast<std::size_t>(from_lp)]->out.push_back(chan);
-  }
-  link->set_remote_egress(chan);
+  link->set_outbox(&(*box)->events);
 }
 
 std::size_t ParallelRuntime::merge_inbound(int id) {
   Lp& lp = *lps_[static_cast<std::size_t>(id)];
   std::vector<Staged>& staged = staged_[static_cast<std::size_t>(id)];
   staged.clear();
-  for (SpscChannel* chan : lp.in) {
-    const int cid = chan->id();
-    chan->drain([&staged, cid](const RemoteEvent& e) {
-      staged.push_back(Staged{e, cid});
-    });
+  for (const auto& box : lp.in) {
+    for (const RemoteEvent& e : box->events) {
+      staged.push_back(Staged{&e, staged.size()});
+    }
+    box->taken += box->events.size();
   }
   if (staged.empty()) return 0;
   // Canonical merge order: the scheduler key, then the producer-side
   // causality stamps that reproduce the sequential engine's same-instant
   // FIFO order across producer LPs (see RemoteKey in link.hpp), then the
-  // channel id, then the producer's execution order. Insertion below
-  // assigns local FIFO sequence numbers in exactly this order, so the
-  // local heap state is a pure function of the message keys.
+  // position in the inbound outboxes concatenated in creation order —
+  // outbox creation order, then the producer's execution order.
+  // Insertion below assigns local FIFO sequence numbers in exactly this
+  // order, so the local heap state is a pure function of the message keys.
   std::sort(staged.begin(), staged.end(),
             [](const Staged& a, const Staged& b) {
-              const RemoteKey& ka = a.e.key;
-              const RemoteKey& kb = b.e.key;
+              const RemoteKey& ka = a.e->key;
+              const RemoteKey& kb = b.e->key;
               if (ka.at != kb.at) return ka.at < kb.at;
               if (ka.tie_time != kb.tie_time) {
                 return ka.tie_time < kb.tie_time;
@@ -108,8 +102,7 @@ std::size_t ParallelRuntime::merge_inbound(int id) {
               if (ka.chain_cause != kb.chain_cause) {
                 return ka.chain_cause < kb.chain_cause;
               }
-              if (a.chan != b.chan) return a.chan < b.chan;
-              return a.e.seq < b.e.seq;
+              return a.pos < b.pos;
             });
   LpStats& st = stats_[static_cast<std::size_t>(id)];
   st.msgs_in += staged.size();
@@ -118,16 +111,18 @@ std::size_t ParallelRuntime::merge_inbound(int id) {
   Simulator* sim = &lp.sim;
   PacketSlab* slab = &lp.slab;
   for (const Staged& s : staged) {
-    const PacketSlab::Handle h = slab->put(s.e.pkt);
-    SimplexLink* link = s.e.link;
+    const PacketSlab::Handle h = slab->put(s.e->pkt);
+    SimplexLink* link = s.e->link;
     auto deliver = [link, slab, h, sim] {
-      link->deliver_remote(slab->take(h), sim->now());
+      link->deliver(slab->take(h), sim->now());
     };
     static_assert(SmallFn::stores_inline<decltype(deliver)>(),
                   "the remote-delivery closure must fit SmallFn's inline "
                   "buffer (park the packet in the LP's slab, not captures)");
-    sim->schedule_at_as_of(s.e.key.at, s.e.key.tie_time, std::move(deliver));
+    sim->schedule_at_as_of(s.e->key.at, s.e->key.tie_time,
+                           std::move(deliver));
   }
+  for (const auto& box : lp.in) box->events.clear();
   return staged.size();
 }
 
@@ -178,12 +173,6 @@ void ParallelRuntime::lp_main(int id, Time until) {
   st.events = lp.sim.events_run();
   st.peak_pending = lp.sim.scheduler().peak_pending();
   st.scheduled = lp.sim.scheduler().scheduled_count();
-  for (const SpscChannel* chan : lp.out) {
-    st.msgs_out += chan->posted();
-    st.chan_overflows += chan->overflowed();
-    st.chan_high_water = std::max(st.chan_high_water,
-                                  chan->ring_high_water());
-  }
 }
 
 void ParallelRuntime::run(Time until) {
@@ -197,6 +186,13 @@ void ParallelRuntime::run(Time until) {
   }
   lp_main(0, until);
   for (std::thread& w : workers) w.join();
+  // Every window ends with a merge, so what the consumers took is
+  // everything the producers posted.
+  for (const auto& lp : lps_) {
+    for (const auto& box : lp->in) {
+      stats_[static_cast<std::size_t>(box->from_lp)].msgs_out += box->taken;
+    }
+  }
 }
 
 std::uint64_t ParallelRuntime::total_events() const {

@@ -9,8 +9,9 @@
 //      safe = gmin + lookahead            (lookahead = min cut-link prop)
 //   3. run local events with time < safe (and <= horizon)
 //      -- barrier --
-//   4. drain my inbound channels, sort the messages by
-//      (at, tie_time, channel, seq), insert them as local events
+//   4. take my inbound outboxes, sort the handoffs by their RemoteKey,
+//      then outbox creation order, then producer execution order, and
+//      insert them as local events
 //
 // Safety: every cross-LP message a window generates carries
 // deliver_at = (dequeue + tx) + prop >= gmin + prop >= gmin + lookahead
@@ -21,10 +22,15 @@
 // advances by at least `lookahead` per busy window, bounding the barrier
 // count by duration / lookahead (hundreds, for the 20 ms dumbbell cuts).
 //
+// Handoffs: one plain outbox vector per ordered (producer, consumer) LP
+// pair. The producer appends in step 3 and the consumer empties it in
+// step 4; the barriers between those steps order every access, so the
+// barrier's mutex is the only synchronization an outbox needs.
+//
 // Determinism: all three inputs to the merge order — the window edges
-// (pure function of event timestamps), the per-channel sequence numbers
-// (producer execution order, single-threaded), and the channel ids
-// (construction order) — are independent of thread scheduling, so a
+// (pure function of event timestamps), each outbox's order (producer
+// execution order, single-threaded), and the order the outboxes were
+// created in (build order) — are independent of thread scheduling, so a
 // given (scenario, shard count) replays bit-identically. shards == 1
 // never constructs this class at all: the sequential engine is untouched.
 //
@@ -46,7 +52,6 @@
 #include "src/net/packet_slab.hpp"
 #include "src/sim/parallel/barrier.hpp"
 #include "src/sim/parallel/lp_stats.hpp"
-#include "src/sim/parallel/spsc_channel.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace burst {
@@ -62,7 +67,6 @@ class ParallelRuntime {
   ~ParallelRuntime();
 
   int shards() const { return static_cast<int>(lps_.size()); }
-  Time lookahead() const { return lookahead_; }
 
   Simulator& sim(int lp) { return lps_[static_cast<std::size_t>(lp)]->sim; }
 
@@ -72,7 +76,7 @@ class ParallelRuntime {
   Random& build_rng() { return sim(0).rng(); }
 
   /// Wires @p link as a cut edge from @p from_lp to @p to_lp. Build-time
-  /// (single-threaded) only; channels are created per ordered LP pair in
+  /// (single-threaded) only; outboxes are created per ordered LP pair in
   /// first-registration order.
   void register_cut_link(SimplexLink* link, int from_lp, int to_lp);
 
@@ -95,17 +99,26 @@ class ParallelRuntime {
   }
 
  private:
+  /// Every handoff from one LP to another, in the producer's execution
+  /// order. The producer appends in its run phase; the consumer takes the
+  /// whole outbox in its merge phase.
+  struct Outbox {
+    explicit Outbox(int from) : from_lp(from) {}
+    const int from_lp;
+    std::vector<RemoteEvent> events;
+    std::uint64_t taken = 0;  // consumer-only: handoffs merged so far
+  };
   struct Lp {
     explicit Lp(std::uint64_t seed) : sim(seed) {}
     Simulator sim;
-    PacketSlab slab;                 // storage for merged-in packets
-    std::vector<SpscChannel*> in;    // inbound channels (consumer side)
-    std::vector<SpscChannel*> out;   // outbound channels (stats only)
+    PacketSlab slab;  // storage for merged-in packets
+    std::vector<std::unique_ptr<Outbox>> in;  // inbound, in creation order
   };
-  /// One drained message plus its channel id — the full merge sort key.
+  /// One taken handoff plus its position in the concatenation of the
+  /// consumer's inbound outboxes: the merge sort's last tie-break.
   struct Staged {
-    RemoteEvent e;
-    int chan;
+    const RemoteEvent* e;
+    std::size_t pos;
   };
 
   void lp_main(int id, Time until);
@@ -114,7 +127,6 @@ class ParallelRuntime {
 
   const Time lookahead_;
   std::vector<std::unique_ptr<Lp>> lps_;
-  std::vector<std::unique_ptr<SpscChannel>> channels_;
   std::vector<LpStats> stats_;
   /// Published lower bounds, one slot per LP. Written by the owner before
   /// the publish barrier, read by everyone after it; the barrier provides

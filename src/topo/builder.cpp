@@ -284,8 +284,8 @@ void TopoNet::attach_trace(TraceSink& sink, const TopoTraceNames& names) {
   queue_trace_ = &measured_sink;
   queue_trace_site_ = queue_site;
   // A ring has one writer, its LP's thread. The measured link's deliveries
-  // run on the receiver's LP (a cut link hands each packet over,
-  // SimplexLink::deliver_remote), so its records go to that LP's ring.
+  // run on the receiver's LP (a cut link hands each packet over, and
+  // SimplexLink::deliver runs there), so its records go to that LP's ring.
   const MemberLink& measured_link = graph_.links()[static_cast<std::size_t>(
       graph_.first_member(spec_.measure_link))];
   measured_->set_trace(&sink_of_node(measured_link.to), link_site);

@@ -77,7 +77,7 @@ void TcpSink::arm_or_flush_delack(const Packet& p) {
     delack_pending_ = true;
     echo_ts_ = p.ts_echo;
     echo_rexmit_ = p.retransmit;
-    delack_timer_.schedule(cfg_.delack_interval);
+    delack_timer_.schedule(kDelackInterval);
   }
 }
 

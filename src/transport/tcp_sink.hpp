@@ -16,10 +16,13 @@
 
 namespace burst {
 
+/// The delayed-ACK cap: a lone in-order segment is acknowledged at most
+/// this long after it arrives (the standard 100 ms).
+inline constexpr Time kDelackInterval = 0.1;
+
 struct TcpSinkConfig {
   bool delayed_ack = false;
-  Time delack_interval = 0.1;  // standard 100 ms delayed-ACK cap
-  bool sack = false;           // attach SACK blocks to (dup) ACKs
+  bool sack = false;  // attach SACK blocks to (dup) ACKs
 };
 
 struct TcpSinkStats {

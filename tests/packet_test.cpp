@@ -13,30 +13,6 @@ TEST(Packet, DefaultsAreInert) {
   EXPECT_FALSE(p.retransmit);
 }
 
-TEST(Packet, DescribeMentionsKeyFields) {
-  Packet p;
-  p.uid = 9;
-  p.flow = 3;
-  p.src = 1;
-  p.dst = 2;
-  p.seq = 17;
-  p.size_bytes = 1040;
-  const std::string d = p.describe();
-  EXPECT_NE(d.find("DATA"), std::string::npos);
-  EXPECT_NE(d.find("seq=17"), std::string::npos);
-  EXPECT_NE(d.find("flow=3"), std::string::npos);
-  EXPECT_NE(d.find("1->2"), std::string::npos);
-}
-
-TEST(Packet, DescribeMarksAckAndRetransmit) {
-  Packet p;
-  p.type = PacketType::kAck;
-  p.retransmit = true;
-  const std::string d = p.describe();
-  EXPECT_NE(d.find("ACK"), std::string::npos);
-  EXPECT_NE(d.find("rexmt"), std::string::npos);
-}
-
 TEST(Packet, WireSizeConstants) {
   // The reproduction's header model (DESIGN.md §3).
   EXPECT_EQ(kHeaderBytes, 40);

@@ -1,11 +1,14 @@
 // Conservative parallel engine (src/sim/parallel, DESIGN.md §13).
 //
 // Test names all start with Parallel* on purpose: the sanitize CI job's
-// TSan step filters on that prefix to sweep the LP runtime, channels and
-// barrier under ThreadSanitizer.
+// TSan step filters on that prefix to sweep the LP runtime, its outbox
+// handoffs and barrier under ThreadSanitizer.
 //
 // The load-bearing guarantees checked here:
-//   * SpscChannel preserves producer order and survives ring overflow.
+//   * A cut link appends each transmission to its outbox, in order and
+//     stamped with its RemoteKey, and delivers nothing locally; the
+//     consumer delivers at its own clock, and handoffs whose keys tie
+//     exactly merge in outbox creation order, then producer order.
 //   * make_lp_partition cuts the dumbbell along its natural seams with
 //     the documented lookahead, and degrades to sequential when it must.
 //   * An lp>1 run of a dumbbell scenario reproduces the sequential run's
@@ -18,6 +21,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -31,7 +35,7 @@
 #include "src/obs/trace.hpp"
 #include "src/run/scenario_key.hpp"
 #include "src/sim/parallel/barrier.hpp"
-#include "src/sim/parallel/spsc_channel.hpp"
+#include "src/sim/parallel/runtime.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/topo/partition.hpp"
 #include "src/topo/spec.hpp"
@@ -40,78 +44,157 @@ namespace burst {
 namespace {
 
 // ---------------------------------------------------------------------
-// SpscChannel
+// Cut-link handoff
 
-TEST(ParallelChannel, PreservesProducerOrderAcrossOverflow) {
+TEST(ParallelHandoff, CutLinkAppendsEachTransmissionToItsOutbox) {
+  constexpr int kPackets = 5;
+  constexpr double kBandwidth = 1e6;
+  constexpr Time kProp = 0.01;
   Simulator sim(1);
-  SimplexLink link(sim, std::make_unique<DropTailQueue>(4), 1e6, 0.001);
-  SpscChannel chan(/*id=*/0, /*from_lp=*/0, /*to_lp=*/1);
+  SimplexLink link(sim, std::make_unique<DropTailQueue>(kPackets), kBandwidth,
+                   kProp);
+  int received = 0;
+  link.set_receiver([&received](const Packet&) { ++received; });
+  std::vector<RemoteEvent> outbox;
+  link.set_outbox(&outbox);
 
-  // 3x the ring capacity: the tail 2/3 must take the overflow lane.
-  const std::uint64_t n = 3 * SpscChannel::kCapacity;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Packet p;
-    p.uid = i;
-    const Time t = static_cast<Time>(i);
-    chan.post(link, RemoteKey{/*at=*/t, /*tie_time=*/t, /*tx_start=*/t,
-                              /*cause=*/0.0, /*chain_start=*/t,
-                              /*chain_cause=*/0.0},
-              p);
-  }
-  EXPECT_EQ(chan.posted(), n);
-
-  std::vector<RemoteEvent> got;
-  chan.drain([&](const RemoteEvent& e) { got.push_back(e); });
-  ASSERT_EQ(got.size(), n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(got[i].seq, i);
-    EXPECT_EQ(got[i].pkt.uid, i);
-    EXPECT_EQ(got[i].link, &link);
-  }
-
-  // Drained channel is empty and the ring is reusable.
-  int extra = 0;
-  chan.drain([&](const RemoteEvent&) { ++extra; });
-  EXPECT_EQ(extra, 0);
-  Packet p;
-  p.uid = 999;
-  chan.post(link, RemoteKey{1.0, 1.0, 1.0, 0.0, 1.0, 0.0}, p);
-  chan.drain([&](const RemoteEvent& e) {
-    EXPECT_EQ(e.pkt.uid, 999u);
-    EXPECT_EQ(e.seq, n);  // per-channel seq keeps counting across drains
-    ++extra;
+  // An event scheduled at t=0.25 sends a 5-packet burst at t=0.5: the
+  // first packet starts at once, the rest follow back to back, each
+  // started by the drain event of the one before.
+  sim.schedule_at(0.25, [&sim, &link] {
+    sim.schedule_at(0.5, [&link] {
+      for (int i = 0; i < kPackets; ++i) {
+        Packet p;
+        p.uid = static_cast<std::uint64_t>(i);
+        p.size_bytes = 1000;
+        link.send(p);
+      }
+    });
   });
-  EXPECT_EQ(extra, 1);
+  sim.run();
+
+  ASSERT_EQ(outbox.size(), static_cast<std::size_t>(kPackets));
+  const Time tx = transmission_time(1000, kBandwidth);
+  Time start = 0.5;
+  Time prev_start = 0.0;
+  for (int i = 0; i < kPackets; ++i) {
+    const RemoteEvent& e = outbox[static_cast<std::size_t>(i)];
+    const Time free_at = start + tx;
+    EXPECT_EQ(e.pkt.uid, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(e.link, &link);
+    // The key the local delivery event would have carried.
+    EXPECT_EQ(e.key.at, free_at + kProp) << "packet " << i;
+    EXPECT_EQ(e.key.tie_time, free_at) << "packet " << i;
+    EXPECT_EQ(e.key.tx_start, start) << "packet " << i;
+    // The send event (scheduled at 0.25) starts the burst; each later
+    // transmission is started by a drain ranked at the previous start.
+    EXPECT_EQ(e.key.cause, i == 0 ? 0.25 : prev_start) << "packet " << i;
+    EXPECT_EQ(e.key.chain_start, 0.5) << "packet " << i;
+    EXPECT_EQ(e.key.chain_cause, 0.25) << "packet " << i;
+    prev_start = start;
+    start = free_at;
+  }
+  // Nothing was delivered or scheduled locally: the two scheduling
+  // events and the four drains ran, and no delivery event.
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(link.delivered(), 0u);
+  EXPECT_EQ(sim.events_run(), static_cast<std::uint64_t>(2 + kPackets - 1));
 }
 
-TEST(ParallelChannel, ConcurrentPostAndDrainKeepOrder) {
-  // The ring's atomics must let a live producer and consumer run
-  // concurrently (the protocol only phase-separates the overflow lane).
-  Simulator sim(1);
-  SimplexLink link(sim, std::make_unique<DropTailQueue>(4), 1e6, 0.001);
-  SpscChannel chan(0, 0, 1);
-  constexpr std::uint64_t kMsgs = 200000;
+// The one delivery body runs on the consumer's thread for a cut link, so
+// it must count, trace and hand over at the instant it is given, never at
+// the producer-side simulator's clock.
+TEST(ParallelHandoff, DeliverStampsTheInstantItIsGiven) {
+  Simulator producer(1);  // its clock stays at 0
+  SimplexLink link(producer, std::make_unique<DropTailQueue>(4), 1e6, 0.01);
+  TraceSink sink;
+  link.set_trace(&sink, /*site=*/3);
+  std::vector<Packet> got;
+  link.set_receiver([&got](const Packet& p) { got.push_back(p); });
 
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kMsgs; ++i) {
+  Packet p;
+  p.flow = 7;
+  p.seq = 42;
+  p.size_bytes = 1040;
+  link.deliver(p, 2.5);
+
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].seq, 42);
+  EXPECT_EQ(link.delivered(), 1u);
+  EXPECT_EQ(link.bytes_delivered(), 1040u);
+  const std::vector<TraceRecord> records = sink.ordered();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, TraceEventType::kLinkDeliver);
+  EXPECT_EQ(records[0].time, 2.5);
+  EXPECT_EQ(records[0].site, 3);
+  EXPECT_EQ(records[0].flow, 7);
+  EXPECT_EQ(records[0].seq, 42);
+  EXPECT_EQ(records[0].value, 1040.0);
+}
+
+// Two links whose transmissions start at the same instant under events of
+// equal tie hand off under exactly equal keys. @p lps[i] is link i's LP;
+// both are cut to @p consumer, registered in index order, and sent on in
+// @p send_order by one event per LP at t=0.5. Returns the uids (the link
+// index) in the order the consumer delivered them.
+std::vector<std::uint64_t> tied_handoff_order(
+    int shards, const std::vector<int>& lps, int consumer,
+    const std::vector<int>& send_order, std::vector<LpStats>* stats) {
+  constexpr Time kProp = 0.01;
+  ParallelRuntime rt(shards, kProp, 1);
+  std::vector<std::uint64_t> order;  // written by the consumer's thread
+  std::vector<std::unique_ptr<SimplexLink>> links;
+  for (std::size_t i = 0; i < lps.size(); ++i) {
+    links.push_back(std::make_unique<SimplexLink>(
+        rt.sim(lps[i]), std::make_unique<DropTailQueue>(4), 1e6, kProp));
+    links.back()->set_receiver(
+        [&order](const Packet& p) { order.push_back(p.uid); });
+    rt.register_cut_link(links.back().get(), lps[i], consumer);
+  }
+  for (const int i : send_order) {
+    SimplexLink* link = links[static_cast<std::size_t>(i)].get();
+    rt.sim(lps[static_cast<std::size_t>(i)]).schedule_at(0.5, [link, i] {
       Packet p;
-      p.uid = i;
-      // Stay within the ring so both sides touch only the atomics: spin
-      // until the consumer frees a slot. (Real LPs never block — they
-      // spill to overflow — but this test targets the lock-free path.)
-      while (chan.ring_full()) std::this_thread::yield();
-      chan.post(link, RemoteKey{0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, p);
-    }
-  });
-  std::uint64_t next = 0;
-  while (next < kMsgs) {
-    chan.drain([&](const RemoteEvent& e) {
-      EXPECT_EQ(e.pkt.uid, next);
-      ++next;
+      p.uid = static_cast<std::uint64_t>(i);
+      p.size_bytes = 1000;
+      link->send(p);
     });
   }
-  producer.join();
-  EXPECT_EQ(next, kMsgs);
+  rt.run(1.0);
+  *stats = rt.stats();
+  return order;
+}
+
+// Across producers, exact key ties fall back to outbox creation order
+// (the order cut links were first registered per LP pair), not to LP
+// index or thread timing; each producer's msgs_out counts what the
+// consumer took.
+TEST(ParallelHandoff, FullKeyTiesMergeInOutboxCreationOrder) {
+  std::vector<LpStats> stats;
+  // Link 0 lives on LP 1 and is registered first; link 1 on LP 0.
+  const std::vector<std::uint64_t> order =
+      tied_handoff_order(3, {1, 0}, 2, {1, 0}, &stats);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1}));
+  ASSERT_EQ(stats.size(), 3u);
+  EXPECT_EQ(stats[0].msgs_out, 1u);
+  EXPECT_EQ(stats[1].msgs_out, 1u);
+  EXPECT_EQ(stats[2].msgs_in, 2u);
+  EXPECT_EQ(stats[2].msgs_out, 0u);
+}
+
+// Within one outbox (one producer LP, one consumer LP), exact key ties
+// keep the producer's execution order, whatever order the links were
+// registered in.
+TEST(ParallelHandoff, FullKeyTiesInOneOutboxKeepProducerOrder) {
+  std::vector<LpStats> stats;
+  // Both links live on LP 0; link 0 is registered first, link 1 sends
+  // first.
+  const std::vector<std::uint64_t> order =
+      tied_handoff_order(2, {0, 0}, 1, {1, 0}, &stats);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 0}));
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].msgs_out, 2u);
+  EXPECT_EQ(stats[1].msgs_in, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -285,8 +368,17 @@ TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
       EXPECT_EQ(a.sim_events, b.sim_events) << "lp=" << shards;
       EXPECT_EQ(static_cast<std::size_t>(shards), b.lp_stats.size());
       std::uint64_t lp_events = 0;
-      for (const LpStats& p : b.lp_stats) lp_events += p.events;
+      std::uint64_t msgs_in = 0;
+      std::uint64_t msgs_out = 0;
+      for (const LpStats& p : b.lp_stats) {
+        lp_events += p.events;
+        msgs_in += p.msgs_in;
+        msgs_out += p.msgs_out;
+      }
       EXPECT_EQ(lp_events, b.sim_events);
+      // Every handoff one LP posted, another LP took.
+      EXPECT_GT(msgs_out, 0u) << "lp=" << shards;
+      EXPECT_EQ(msgs_out, msgs_in) << "lp=" << shards;
     }
   }
 }

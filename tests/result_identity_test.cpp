@@ -186,7 +186,7 @@ std::pair<ExperimentResult, std::string> run_pin(const Pin& pin) {
   if (!pin.traced_clients.empty()) opts.trace = &sink;
   ExperimentResult r = run_experiment(pin.scenario, opts);
   const auto cwnd = client_cwnd_series(sink, pin.traced_clients);
-  EXPECT_TRUE(cwnd.has_value()) << pin.label << ": the trace ring overflowed";
+  EXPECT_TRUE(cwnd.has_value()) << pin.label << ": the trace ring overwrote records";
   std::string text =
       canonical_metrics(r, cwnd ? *cwnd : std::vector<TraceSeries>{});
   return {std::move(r), std::move(text)};

@@ -126,7 +126,6 @@ TEST(TcpSink, DelayedAckCoalescesPairs) {
 TEST(TcpSink, DelayedAckTimerFiresForLonePacket) {
   TcpSinkConfig cfg;
   cfg.delayed_ack = true;
-  cfg.delack_interval = 0.1;
   SinkHarness h(cfg);
   h.sink->handle(h.data(0));
   h.sim.run(0.05);

@@ -13,13 +13,14 @@
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/runtime_trace.hpp"
 #include "src/obs/trace.hpp"
+#include "src/topo/partition.hpp"
 #include "src/topo/spec.hpp"
 
 namespace {
 
 // Per-LP breakdown: where each logical process spent its wall clock
-// (processing events vs blocked at window barriers) plus the channel and
-// merge high-water marks. Sequential runs carry no lp_stats; with
+// (processing events vs blocked at window barriers) plus the merge
+// high-water mark. Sequential runs carry no lp_stats; with
 // --profile we synthesize the degenerate one-LP row (windows=0) so
 // scripts can parse the same table shape at any --lp.
 void print_lp_stats(std::ostream& os, const burst::ExperimentResult& r,
@@ -40,8 +41,6 @@ void print_lp_stats(std::ostream& os, const burst::ExperimentResult& r,
                     std::to_string(s.msgs_in) + " / " +
                         std::to_string(s.msgs_out),
                     std::to_string(s.merge_high_water),
-                    std::to_string(s.chan_high_water) + " / " +
-                        std::to_string(s.chan_overflows),
                     burst::fmt(burst::horizon_advance_mean(s), 4) + " s",
                     burst::fmt(s.run_s, 3) + " s",
                     burst::fmt(s.wait_s, 3) + " s"});
@@ -50,7 +49,7 @@ void print_lp_stats(std::ostream& os, const burst::ExperimentResult& r,
      << (r.lp_shards == 1 ? "" : "s") << "\n";
   burst::print_table(os,
                      {"process", "events", "windows", "msgs in/out",
-                      "merge hw", "chan hw/ovf", "horizon adv", "run",
+                      "merge hw", "horizon adv", "run",
                       "barrier"},
                      rows);
 }
@@ -120,6 +119,13 @@ int main(int argc, char** argv) {
     fopts.max_samples = static_cast<std::size_t>(request->fr_cap);
     flight = std::make_unique<FlightRecorder>(fopts);
     request->options.flight = flight.get();
+  }
+
+  // A partition that cannot honor --lp runs fewer LPs; say why.
+  if (request->options.lp_shards > 1) {
+    const std::string note =
+        make_lp_partition(spec, request->options.lp_shards).note;
+    if (!note.empty()) std::cerr << "burstsim: " << note << "\n";
   }
 
   const Scenario& sc = spec.scenario;
