@@ -158,9 +158,9 @@ ExperimentResult run_experiment(const TopoSpec& spec,
     // Parallel-runtime telemetry — deterministic subset only. Window
     // count, horizon advance, per-LP event/message splits and the merge
     // high-water mark are pure functions of event timestamps; wall-clock
-    // splits (run_s/wait_s) and ring-overflow placement depend on thread
-    // timing and stay in lp_stats / the profile table, never here (the
-    // registry's determinism contract backs the result cache).
+    // splits (run_s/wait_s) depend on thread timing and stay in lp_stats
+    // / the profile table, never here (the registry's determinism
+    // contract backs the result cache).
     registry.add_counter("parallel.shards",
                          static_cast<std::uint64_t>(part.shards));
     registry.add_gauge("parallel.lookahead", part.lookahead);

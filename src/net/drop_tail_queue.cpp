@@ -2,7 +2,7 @@
 
 namespace burst {
 
-bool DropTailQueue::do_enqueue(Packet& p, Time /*now*/) {
+bool DropTailQueue::do_enqueue(const Packet& p, Time /*now*/) {
   if (q_.size() >= capacity_) {
     ++stats_.forced_drops;
     return false;
@@ -11,12 +11,12 @@ bool DropTailQueue::do_enqueue(Packet& p, Time /*now*/) {
   return true;
 }
 
-std::optional<Packet> DropTailQueue::dequeue(Time /*now*/) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = q_.front();
+bool DropTailQueue::dequeue(Time /*now*/, Packet& out) {
+  if (q_.empty()) return false;
+  out = q_.front();
   q_.pop_front();
   count_departure();
-  return p;
+  return true;
 }
 
 }  // namespace burst

@@ -1,8 +1,7 @@
 // FIFO drop-tail queue: the paper's baseline gateway discipline.
 #pragma once
 
-#include <deque>
-
+#include "src/net/packet_fifo.hpp"
 #include "src/net/queue.hpp"
 
 namespace burst {
@@ -13,16 +12,16 @@ class DropTailQueue : public Queue {
   explicit DropTailQueue(std::size_t capacity_packets)
       : capacity_(capacity_packets) {}
 
-  std::optional<Packet> dequeue(Time now) override;
+  bool dequeue(Time now, Packet& out) override;
   std::size_t len() const override { return q_.size(); }
   std::size_t capacity() const { return capacity_; }
 
  protected:
-  bool do_enqueue(Packet& p, Time now) override;
+  bool do_enqueue(const Packet& p, Time now) override;
 
  private:
   std::size_t capacity_;
-  std::deque<Packet> q_;
+  PacketFifo q_;
 };
 
 }  // namespace burst

@@ -30,7 +30,7 @@ Packet DrrQueue::drop_from_longest() {
   return dropped;
 }
 
-bool DrrQueue::do_enqueue(Packet& p, Time now) {
+bool DrrQueue::do_enqueue(const Packet& p, Time now) {
   if (total_ >= cfg_.capacity) {
     // Longest-queue drop: penalize the most backlogged flow. If the
     // arriving flow would itself be (one of) the longest, reject the
@@ -56,7 +56,7 @@ bool DrrQueue::do_enqueue(Packet& p, Time now) {
   return true;
 }
 
-std::optional<Packet> DrrQueue::dequeue(Time /*now*/) {
+bool DrrQueue::dequeue(Time /*now*/, Packet& out) {
   while (!active_.empty()) {
     const FlowId id = active_.front();
     FlowState& f = flows_[id];
@@ -66,15 +66,15 @@ std::optional<Packet> DrrQueue::dequeue(Time /*now*/) {
       f.needs_quantum = false;
     }
     if (f.deficit >= f.q.front().size_bytes) {
-      Packet p = f.q.front();
+      out = f.q.front();
       f.q.pop_front();
-      f.deficit -= p.size_bytes;
+      f.deficit -= out.size_bytes;
       --total_;
       if (f.q.empty()) {
         deactivate(f, id);
       }
       count_departure();
-      return p;
+      return true;
     }
     // This round's credit is spent: move to the back of the round, keeping
     // the residual deficit (large packets accumulate credit over rounds).
@@ -82,7 +82,7 @@ std::optional<Packet> DrrQueue::dequeue(Time /*now*/) {
     active_.splice(active_.end(), active_, f.active_pos);
     f.active_pos = std::prev(active_.end());
   }
-  return std::nullopt;
+  return false;
 }
 
 }  // namespace burst

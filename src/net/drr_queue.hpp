@@ -7,10 +7,10 @@
 // identifies should weaken. The ablation bench measures exactly that.
 #pragma once
 
-#include <deque>
 #include <list>
 #include <unordered_map>
 
+#include "src/net/packet_fifo.hpp"
 #include "src/net/queue.hpp"
 
 namespace burst {
@@ -24,18 +24,18 @@ class DrrQueue : public Queue {
  public:
   explicit DrrQueue(DrrConfig cfg) : cfg_(cfg) {}
 
-  std::optional<Packet> dequeue(Time now) override;
+  bool dequeue(Time now, Packet& out) override;
   std::size_t len() const override { return total_; }
 
   /// Number of flows currently backlogged.
   std::size_t active_flows() const { return active_.size(); }
 
  protected:
-  bool do_enqueue(Packet& p, Time now) override;
+  bool do_enqueue(const Packet& p, Time now) override;
 
  private:
   struct FlowState {
-    std::deque<Packet> q;
+    PacketFifo q;
     long deficit = 0;
     bool needs_quantum = true;  // one quantum credit per round-robin visit
     bool in_active = false;

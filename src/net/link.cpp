@@ -1,7 +1,6 @@
 #include "src/net/link.hpp"
 
 #include <cassert>
-#include <optional>
 #include <utility>
 
 #include "src/sim/time.hpp"
@@ -39,9 +38,21 @@ void SimplexLink::try_transmit(bool chained) {
   // No ProfileScope here: head-of-line pops are trivial and this is the
   // hottest per-hop site — dequeue time reads as dispatch, while the
   // kQueue phase captures the discipline's accept/drop decisions.
-  std::optional<Packet> next = queue_->dequeue(now);
-  if (!next) return;
-  queue_->trace_dequeue(*next, now);
+  //
+  // The packet is dequeued straight into its next home: the outbox slot
+  // a cut link hands to the consumer LP, or else the in-flight FIFO
+  // whose front the delivery event pops.
+  Packet& next = outbox_ != nullptr ? outbox_->emplace_back().pkt
+                                    : in_flight_.emplace_back();
+  if (!queue_->dequeue(now, next)) {
+    if (outbox_ != nullptr) {
+      outbox_->pop_back();
+    } else {
+      in_flight_.pop_back();
+    }
+    return;
+  }
+  queue_->trace_dequeue(next, now);
   if (!chained) {
     // A transmission not continued by the drain roots a new back-to-back
     // burst: remember where (and under which parent event) the chain
@@ -49,7 +60,7 @@ void SimplexLink::try_transmit(bool chained) {
     chain_start_ = now;
     chain_cause_ = sim_.current_tie();
   }
-  const Time tx = transmission_time(next->size_bytes, bandwidth_bps_);
+  const Time tx = transmission_time(next.size_bytes, bandwidth_bps_);
   // Last bit leaves at now+tx; it arrives prop_delay later. Evaluated as
   // (now + tx) + prop_delay — the same association as the old tx-complete
   // -> propagate event pair — so delivery timestamps are bit-identical.
@@ -62,23 +73,27 @@ void SimplexLink::try_transmit(bool chained) {
   // or same-instant drains on sibling links fire in a different order.
   drain_order_ = sim_.reserve_order();
   if (outbox_ != nullptr) {
-    // Cut link: the receiver lives in another LP. Hand the packet off with
+    // Cut link: the receiver lives in another LP. Stamp the handoff with
     // the exact key the fused delivery event below would have carried; the
     // consumer LP inserts the equivalent event at its next window merge.
     // The drain machinery stays local — the transmitter and its queue
     // belong to this side of the cut.
-    outbox_->push_back(RemoteEvent{
-        RemoteKey{free_at_ + prop_delay_, free_at_, tx_start_,
-                  sim_.current_tie(), chain_start_, chain_cause_},
-        this, *next});
+    RemoteEvent& handoff = outbox_->back();
+    handoff.key = RemoteKey{free_at_ + prop_delay_, free_at_, tx_start_,
+                            sim_.current_tie(), chain_start_, chain_cause_};
+    handoff.link = this;
     if (!queue_->queue_empty()) schedule_drain();
     return;
   }
-  const PacketSlab::Handle h = slab_.put(*next);
-  auto delivery = [this, h] { deliver(slab_.take(h), sim_.now()); };
+  // The delivery pops the in-flight FIFO's front, which is this packet:
+  // a link's deliveries fire in transmission order, because each one's
+  // scheduler key (at, tie_time, FIFO rank) tops the one before — free_at_
+  // never decreases, neither does free_at_ + prop_delay_ (IEEE addition
+  // is monotone), and the rank is fresh.
+  auto delivery = [this] { deliver_next(sim_.now()); };
   static_assert(SmallFn::stores_inline<decltype(delivery)>(),
                 "the per-hop delivery closure must fit SmallFn's inline "
-                "buffer (park bulky state in the PacketSlab, not captures)");
+                "buffer (the packet waits in the in-flight FIFO)");
   // Tie-break as of free_at_: the unfused design inserted the delivery
   // from a tx-complete event at free_at_, so among same-instant arrivals
   // (ubiquitous with uniform packet sizes) the fused event must sort as
@@ -90,7 +105,11 @@ void SimplexLink::try_transmit(bool chained) {
   if (!queue_->queue_empty()) schedule_drain();
 }
 
-void SimplexLink::deliver(const Packet& p, Time now) {
+void SimplexLink::deliver_next(Time now) {
+  // Copied out before the receiver runs: it may send on this link again,
+  // and a push can regrow the FIFO under a reference to its front.
+  const Packet p = in_flight_.front();
+  in_flight_.pop_front();
   ++delivered_;
   bytes_delivered_ += static_cast<std::uint64_t>(p.size_bytes);
   if (trace_) {

@@ -10,8 +10,11 @@
 // `free_at_` timestamp checked in try_transmit(); a separate drain event
 // at tx end exists only while the queue is backlogged, so an idle-queue
 // link (the whole ACK direction of the dumbbell) runs 1 event/packet and
-// a saturated one 2. In-flight packets are parked in a PacketSlab so the
-// delivery closure is 16 bytes and never heap-allocates.
+// a saturated one 2. The transmitter dequeues each packet straight into
+// the link's in-flight FIFO: a link's deliveries carry strictly
+// increasing scheduler keys, so they fire in transmission order and each
+// delivery event simply pops the front. The delivery closure captures
+// only `this` and never heap-allocates.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +23,7 @@
 #include <vector>
 
 #include "src/net/channel.hpp"
-#include "src/net/packet_slab.hpp"
+#include "src/net/packet_fifo.hpp"
 #include "src/net/queue.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -111,18 +114,24 @@ class SimplexLink : public PacketChannel {
   }
 
   /// Marks this link as a cut edge whose receiver lives in another LP:
-  /// each transmission is appended to @p outbox, stamped with its
-  /// RemoteKey, instead of being scheduled on this link's (producer-side)
-  /// simulator. The receiving LP takes the outbox at its next window
-  /// merge (src/sim/parallel). Build-time only.
+  /// each transmission is dequeued straight into a RemoteEvent appended
+  /// to @p outbox, stamped with its RemoteKey, instead of being scheduled
+  /// on this link's (producer-side) simulator. The receiving LP takes the
+  /// outbox at its next window merge (src/sim/parallel). Build-time only.
   void set_outbox(std::vector<RemoteEvent>* outbox) { outbox_ = outbox; }
 
-  /// Hands @p p to the receiver at simulated instant @p now, counting and
-  /// tracing the delivery. On a cut link this runs on the CONSUMER LP's
-  /// thread with the consumer's clock (this link's own sim_.now() belongs
-  /// to the producer and must not be read there), so the delivery
-  /// counters are touched only by the consumer thread.
-  void deliver(const Packet& p, Time now);
+  /// Packets transmitted and not yet delivered, oldest first. On a cut
+  /// link this FIFO belongs to the CONSUMER LP: its merge parks each
+  /// taken packet here, and the producer never touches it.
+  PacketFifo& in_flight() { return in_flight_; }
+
+  /// Pops the oldest in-flight packet and hands it to the receiver at
+  /// simulated instant @p now, counting and tracing the delivery. On a
+  /// cut link this runs on the CONSUMER LP's thread with the consumer's
+  /// clock (this link's own sim_.now() belongs to the producer and must
+  /// not be read there), so the FIFO and the delivery counters are
+  /// touched only by the consumer thread.
+  void deliver_next(Time now);
 
  private:
   /// Starts transmitting the head-of-line packet if the transmitter is
@@ -139,7 +148,7 @@ class SimplexLink : public PacketChannel {
   double bandwidth_bps_;
   Time prop_delay_;
   std::function<void(const Packet&)> receiver_;
-  PacketSlab slab_;            // packets between dequeue and delivery
+  PacketFifo in_flight_;       // packets between dequeue and delivery
   Time tx_start_ = 0.0;        // when the current transmission began
   Time free_at_ = 0.0;         // transmitter is busy until this instant
   Time chain_start_ = 0.0;     // tx_start_ of the current burst's first tx

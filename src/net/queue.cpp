@@ -8,11 +8,10 @@ bool Queue::enqueue(const Packet& p, Time now) {
   ProfileScope prof(ProfilePhase::kQueue);
   ++stats_.arrivals;
   taps_.notify_arrival(p, now);
-  Packet mutable_copy = p;  // disciplines may mark ECN before storing
   // One branch keeps every traced-only load (the early-drop snapshot,
   // the record build) off the untraced per-packet path.
-  if (trace_ != nullptr) return enqueue_traced(mutable_copy, p, now);
-  const bool accepted = do_enqueue(mutable_copy, now);
+  if (trace_ != nullptr) return enqueue_traced(p, now);
+  const bool accepted = do_enqueue(p, now);
   if (!accepted) {
     ++stats_.drops;
     taps_.notify_drop(p, now);
@@ -20,9 +19,9 @@ bool Queue::enqueue(const Packet& p, Time now) {
   return accepted;
 }
 
-bool Queue::enqueue_traced(Packet& stored, const Packet& p, Time now) {
+bool Queue::enqueue_traced(const Packet& p, Time now) {
   const std::uint64_t early_before = stats_.early_drops;
-  const bool accepted = do_enqueue(stored, now);
+  const bool accepted = do_enqueue(p, now);
   if (!accepted) {
     ++stats_.drops;
     taps_.notify_drop(p, now);

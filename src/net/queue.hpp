@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "src/net/packet.hpp"
@@ -58,8 +57,9 @@ class Queue {
   /// Offers a packet. Returns true if accepted, false if dropped.
   bool enqueue(const Packet& p, Time now);
 
-  /// Removes the head-of-line packet, or nullopt if empty.
-  virtual std::optional<Packet> dequeue(Time now) = 0;
+  /// Moves the head-of-line packet into @p out and returns true, or
+  /// returns false and leaves @p out alone if the queue is empty.
+  virtual bool dequeue(Time now, Packet& out) = 0;
 
   /// Packets currently buffered.
   virtual std::size_t len() const = 0;
@@ -85,9 +85,10 @@ class Queue {
 
  protected:
   /// Discipline-specific accept/reject decision. Implementations must
-  /// store the packet themselves when accepting, and may mutate it first
-  /// (ECN-capable gateways mark instead of dropping).
-  virtual bool do_enqueue(Packet& p, Time now) = 0;
+  /// store the packet themselves when accepting. An ECN-capable gateway
+  /// that marks instead of dropping sets the mark on its stored copy, so
+  /// @p p — what the taps and the trace report — stays as offered.
+  virtual bool do_enqueue(const Packet& p, Time now) = 0;
 
   void count_departure() { ++stats_.departures; }
 
@@ -108,7 +109,7 @@ class Queue {
   /// The trace-enabled tail of enqueue(): runs the discipline decision
   /// with the drop-reason snapshot and record emission that the untraced
   /// path must not pay for.
-  bool enqueue_traced(Packet& stored, const Packet& p, Time now);
+  bool enqueue_traced(const Packet& p, Time now);
 
   /// Shared slow-path emission (out of line; callers have already null-
   /// checked trace_).

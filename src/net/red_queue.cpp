@@ -45,7 +45,7 @@ double RedQueue::drop_probability(double avg, std::int64_t count) const {
   return denom <= 0.0 ? 1.0 : std::min(1.0, pb / denom);
 }
 
-bool RedQueue::do_enqueue(Packet& p, Time now) {
+bool RedQueue::do_enqueue(const Packet& p, Time now) {
   update_avg(now);
   maybe_adapt(now);
 
@@ -61,6 +61,7 @@ bool RedQueue::do_enqueue(Packet& p, Time now) {
     count_ = 0;
     return false;
   }
+  bool mark = false;
   if (avg_ >= cfg_.min_th) {
     // Floyd–Jacobson: `count` is the number of packets enqueued since the
     // last drop, *excluding* the arriving one — the first candidate after
@@ -71,7 +72,7 @@ bool RedQueue::do_enqueue(Packet& p, Time now) {
     ++count_;
     if (rng_.bernoulli(pa)) {
       if (cfg_.ecn && p.ecn_capable) {
-        p.ecn_marked = true;  // mark-instead-of-drop
+        mark = true;  // mark-instead-of-drop
         ++marks_;
         count_ = 0;
       } else {
@@ -84,19 +85,22 @@ bool RedQueue::do_enqueue(Packet& p, Time now) {
     count_ = -1;
   }
   q_.push_back(p);
+  // The mark goes on the stored copy: the offered packet, which the taps
+  // and the trace report, stays unmarked.
+  if (mark) q_.back().ecn_marked = true;
   return true;
 }
 
-std::optional<Packet> RedQueue::dequeue(Time now) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = q_.front();
+bool RedQueue::dequeue(Time now, Packet& out) {
+  if (q_.empty()) return false;
+  out = q_.front();
   q_.pop_front();
   count_departure();
   if (q_.empty()) {
     idle_ = true;
     idle_since_ = now;
   }
-  return p;
+  return true;
 }
 
 }  // namespace burst

@@ -17,8 +17,7 @@
 //  * The physical buffer bound still applies (forced drop when full).
 #pragma once
 
-#include <deque>
-
+#include "src/net/packet_fifo.hpp"
 #include "src/net/queue.hpp"
 #include "src/sim/random.hpp"
 
@@ -52,7 +51,7 @@ class RedQueue : public Queue {
   RedQueue(RedConfig cfg, Random rng)
       : cfg_(cfg), rng_(rng), max_p_(cfg.max_p) {}
 
-  std::optional<Packet> dequeue(Time now) override;
+  bool dequeue(Time now, Packet& out) override;
   std::size_t len() const override { return q_.size(); }
 
   /// Current EWMA of the queue length (exposed for tests/analysis).
@@ -71,7 +70,7 @@ class RedQueue : public Queue {
   double drop_probability(double avg, std::int64_t count) const;
 
  protected:
-  bool do_enqueue(Packet& p, Time now) override;
+  bool do_enqueue(const Packet& p, Time now) override;
 
  private:
   void update_avg(Time now);
@@ -79,7 +78,7 @@ class RedQueue : public Queue {
 
   RedConfig cfg_;
   Random rng_;
-  std::deque<Packet> q_;
+  PacketFifo q_;
   double avg_ = 0.0;
   double max_p_;             // live value; cfg_.max_p is the initial one
   std::uint64_t marks_ = 0;

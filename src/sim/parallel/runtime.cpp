@@ -108,17 +108,19 @@ std::size_t ParallelRuntime::merge_inbound(int id) {
   st.msgs_in += staged.size();
   st.merge_high_water = std::max(st.merge_high_water,
                                  static_cast<std::uint64_t>(staged.size()));
+  // Each packet waits in its cut link's in-flight FIFO, which only this
+  // (consumer) LP touches. One link's handoffs carry strictly increasing
+  // keys in transmission order, within a window and across windows, so
+  // they are parked — and their deliveries fire — in that order, and each
+  // delivery pops its own packet.
   Simulator* sim = &lp.sim;
-  PacketSlab* slab = &lp.slab;
   for (const Staged& s : staged) {
-    const PacketSlab::Handle h = slab->put(s.e->pkt);
     SimplexLink* link = s.e->link;
-    auto deliver = [link, slab, h, sim] {
-      link->deliver(slab->take(h), sim->now());
-    };
+    link->in_flight().push_back(s.e->pkt);
+    auto deliver = [link, sim] { link->deliver_next(sim->now()); };
     static_assert(SmallFn::stores_inline<decltype(deliver)>(),
                   "the remote-delivery closure must fit SmallFn's inline "
-                  "buffer (park the packet in the LP's slab, not captures)");
+                  "buffer (the packet waits in the link's FIFO)");
     sim->schedule_at_as_of(s.e->key.at, s.e->key.tie_time,
                            std::move(deliver));
   }

@@ -10,8 +10,9 @@
 //   3. run local events with time < safe (and <= horizon)
 //      -- barrier --
 //   4. take my inbound outboxes, sort the handoffs by their RemoteKey,
-//      then outbox creation order, then producer execution order, and
-//      insert them as local events
+//      then outbox creation order, then producer execution order, park
+//      each packet in its cut link's in-flight FIFO and insert its
+//      delivery as a local event
 //
 // Safety: every cross-LP message a window generates carries
 // deliver_at = (dequeue + tx) + prop >= gmin + prop >= gmin + lookahead
@@ -23,9 +24,12 @@
 // count by duration / lookahead (hundreds, for the 20 ms dumbbell cuts).
 //
 // Handoffs: one plain outbox vector per ordered (producer, consumer) LP
-// pair. The producer appends in step 3 and the consumer empties it in
-// step 4; the barriers between those steps order every access, so the
-// barrier's mutex is the only synchronization an outbox needs.
+// pair. The producer dequeues each packet straight into an outbox slot
+// in step 3 and the consumer empties the outbox in step 4; the barriers
+// between those steps order every access, so the barrier's mutex is the
+// only synchronization an outbox needs. A cut link's in-flight FIFO is
+// the consumer's alone: only its merge pushes and only its delivery
+// events pop, so the producer never touches it.
 //
 // Determinism: all three inputs to the merge order — the window edges
 // (pure function of event timestamps), each outbox's order (producer
@@ -49,7 +53,6 @@
 #include <vector>
 
 #include "src/net/link.hpp"
-#include "src/net/packet_slab.hpp"
 #include "src/sim/parallel/barrier.hpp"
 #include "src/sim/parallel/lp_stats.hpp"
 #include "src/sim/simulator.hpp"
@@ -111,7 +114,6 @@ class ParallelRuntime {
   struct Lp {
     explicit Lp(std::uint64_t seed) : sim(seed) {}
     Simulator sim;
-    PacketSlab slab;  // storage for merged-in packets
     std::vector<std::unique_ptr<Outbox>> in;  // inbound, in creation order
   };
   /// One taken handoff plus its position in the concatenation of the

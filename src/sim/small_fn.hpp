@@ -20,9 +20,10 @@ class SmallFn {
  public:
   /// Callables at most this large (and nothrow-move-constructible) are
   /// stored inline. 48 bytes = 6 captured pointers, which covers every
-  /// timer/packet event in the simulator (links park in-flight packets in
-  /// a PacketSlab and capture a 4-byte handle instead of the ~120-byte
-  /// Packet, precisely so their closures stay under this limit).
+  /// timer/packet event in the simulator (a link keeps its in-flight
+  /// packets in a FIFO that each delivery event pops, so the closure
+  /// captures the link, never the ~120-byte Packet, and stays under
+  /// this limit).
   static constexpr std::size_t kInlineSize = 48;
 
   /// True if callables of type @p F live in the inline buffer (no heap).

@@ -23,9 +23,10 @@ RedConfig adaptive_config() {
 TEST(AdaptiveRed, MaxPDecreasesWhenQueueTooEmpty) {
   RedQueue q(adaptive_config(), Random(1));
   // Light load: queue always ~0, avg < min_th.
+  Packet out;
   for (int i = 0; i < 100; ++i) {
     q.enqueue(Packet{.size_bytes = 1040}, i * 0.05);
-    q.dequeue(i * 0.05);
+    q.dequeue(i * 0.05, out);
   }
   EXPECT_LT(q.max_p(), 0.1);
   EXPECT_GE(q.max_p(), adaptive_config().min_max_p);
@@ -49,9 +50,10 @@ TEST(AdaptiveRed, StaticRedKeepsMaxP) {
   RedConfig cfg = adaptive_config();
   cfg.adaptive = false;
   RedQueue q(cfg, Random(1));
+  Packet out;
   for (int i = 0; i < 100; ++i) {
     q.enqueue(Packet{.size_bytes = 1040}, i * 0.05);
-    q.dequeue(i * 0.05);
+    q.dequeue(i * 0.05, out);
   }
   EXPECT_DOUBLE_EQ(q.max_p(), 0.1);
 }
@@ -60,9 +62,10 @@ TEST(AdaptiveRed, AdjustmentRespectsInterval) {
   RedConfig cfg = adaptive_config();
   cfg.adapt_interval = 10.0;  // no adjustment inside the test horizon
   RedQueue q(cfg, Random(1));
+  Packet out;
   for (int i = 0; i < 100; ++i) {
     q.enqueue(Packet{.size_bytes = 1040}, i * 0.01);
-    q.dequeue(i * 0.01);
+    q.dequeue(i * 0.01, out);
   }
   EXPECT_DOUBLE_EQ(q.max_p(), 0.1);
 }

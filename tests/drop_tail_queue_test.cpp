@@ -15,12 +15,12 @@ Packet pkt(std::int64_t seq) {
 TEST(DropTailQueue, FifoOrder) {
   DropTailQueue q(10);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.enqueue(pkt(i), 0.0));
+  Packet out;
   for (int i = 0; i < 5; ++i) {
-    auto p = q.dequeue(0.0);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->seq, i);
+    ASSERT_TRUE(q.dequeue(0.0, out));
+    EXPECT_EQ(out.seq, i);
   }
-  EXPECT_FALSE(q.dequeue(0.0).has_value());
+  EXPECT_FALSE(q.dequeue(0.0, out));
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
@@ -39,7 +39,8 @@ TEST(DropTailQueue, DequeueFreesCapacity) {
   DropTailQueue q(1);
   EXPECT_TRUE(q.enqueue(pkt(0), 0.0));
   EXPECT_FALSE(q.enqueue(pkt(1), 0.0));
-  EXPECT_TRUE(q.dequeue(0.0).has_value());
+  Packet out;
+  EXPECT_TRUE(q.dequeue(0.0, out));
   EXPECT_TRUE(q.enqueue(pkt(2), 0.0));
 }
 
@@ -47,7 +48,8 @@ TEST(DropTailQueue, StatsCountDepartures) {
   DropTailQueue q(10);
   q.enqueue(pkt(0), 0.0);
   q.enqueue(pkt(1), 0.0);
-  q.dequeue(0.0);
+  Packet out;
+  q.dequeue(0.0, out);
   EXPECT_EQ(q.stats().departures, 1u);
   EXPECT_EQ(q.len(), 1u);
 }

@@ -37,8 +37,51 @@ TEST(Ecn, RedMarksCapablePacketsInsteadOfDropping) {
   EXPECT_GT(q.marks(), 0u);
   // Marked packets come out marked.
   bool saw_mark = false;
-  while (auto p = q.dequeue(0.0)) saw_mark |= p->ecn_marked;
+  for (Packet p; q.dequeue(0.0, p);) saw_mark |= p.ecn_marked;
   EXPECT_TRUE(saw_mark);
+}
+
+// The mark goes on the stored copy only: the packet leaves the queue
+// marked, while the arrival tap, the drop tap and the queue_enqueue trace
+// records report it as it was offered.
+TEST(Ecn, RedMarksTheStoredCopyAndReportsThePacketAsOffered) {
+  RedConfig cfg = marking_config();
+  cfg.capacity = 30;  // the last 20 of 50 arrivals are forced drops
+  RedQueue q(cfg, Random(1));
+  TraceSink sink;
+  q.set_trace(&sink, /*site=*/2);
+  int tap_marked = 0;
+  int drops_seen = 0;
+  q.taps().add_arrival_listener(
+      [&](const Packet& p, Time) { tap_marked += p.ecn_marked; });
+  q.taps().add_drop_listener([&](const Packet& p, Time) {
+    ++drops_seen;
+    tap_marked += p.ecn_marked;
+  });
+  for (int i = 0; i < 50; ++i) {
+    Packet p = data(true);
+    p.seq = i;
+    q.enqueue(p, 0.0);
+  }
+  ASSERT_GT(q.marks(), 0u);
+  EXPECT_EQ(drops_seen, 20);
+  EXPECT_EQ(tap_marked, 0);
+
+  // One queue_enqueue record per accepted packet, built from the packet
+  // as offered: its seq, no detail bits, the occupancy after storing it.
+  std::int64_t next_seq = 0;
+  for (const TraceRecord& r : sink.ordered()) {
+    if (r.type != TraceEventType::kQueueEnqueue) continue;
+    EXPECT_EQ(r.seq, next_seq);
+    EXPECT_EQ(r.detail, 0);
+    EXPECT_EQ(r.value, static_cast<double>(next_seq + 1));
+    ++next_seq;
+  }
+  EXPECT_EQ(next_seq, 30);
+
+  std::uint64_t left_marked = 0;
+  for (Packet p; q.dequeue(0.0, p);) left_marked += p.ecn_marked;
+  EXPECT_EQ(left_marked, q.marks());
 }
 
 TEST(Ecn, RedStillDropsNonCapablePackets) {

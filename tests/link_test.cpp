@@ -162,5 +162,37 @@ TEST(SimplexLink, DeliveryOrderIsFifoEvenWithZeroPropDelay) {
   }
 }
 
+TEST(SimplexLink, InFlightFifoGrowsWithTheWireNotTheQueueBound) {
+  Harness h(8e6, 0.010, /*cap=*/1000);  // tx(1000B) = 1 ms, prop = 10 ms
+  EXPECT_EQ(h.link->in_flight().capacity(), 0u);  // never saw a packet
+  for (int i = 0; i < 40; ++i) h.link->send(pkt(1000, i));
+  h.sim.run();
+  ASSERT_EQ(h.delivered.size(), 40u);
+  EXPECT_TRUE(h.link->in_flight().empty());
+  // At most prop/tx + 1 = 11 packets are ever on the wire at once.
+  EXPECT_EQ(h.link->in_flight().capacity(), 16u);
+}
+
+TEST(SimplexLink, ReceiverMaySendOnItsOwnLink) {
+  // Each delivery pops its packet before the receiver runs, so a receiver
+  // that sends back into the same link finds a free slot in the ring and
+  // still holds an intact packet after its send.
+  Simulator sim(1);
+  SimplexLink link(sim, std::make_unique<DropTailQueue>(100), 8e6, 0.010);
+  std::vector<std::int64_t> order;
+  link.set_receiver([&](const Packet& p) {
+    const std::int64_t seq = p.seq;
+    order.push_back(seq);
+    if (seq < 20) link.send(pkt(1000, seq + 4));
+    EXPECT_EQ(p.seq, seq);
+  });
+  for (int i = 0; i < 4; ++i) link.send(pkt(1000, i));
+  sim.run();
+  std::vector<std::int64_t> expected(24);
+  for (int i = 0; i < 24; ++i) expected[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(link.in_flight().capacity(), 4u);  // never more than 4 in flight
+}
+
 }  // namespace
 }  // namespace burst

@@ -99,11 +99,15 @@ TEST(ParallelHandoff, CutLinkAppendsEachTransmissionToItsOutbox) {
   EXPECT_EQ(received, 0);
   EXPECT_EQ(link.delivered(), 0u);
   EXPECT_EQ(sim.events_run(), static_cast<std::uint64_t>(2 + kPackets - 1));
+  // The producer dequeued straight into the outbox: nothing ever landed
+  // in the link's in-flight FIFO, which belongs to the consumer LP.
+  EXPECT_TRUE(link.in_flight().empty());
+  EXPECT_EQ(link.in_flight().capacity(), 0u);
 }
 
 // The one delivery body runs on the consumer's thread for a cut link, so
-// it must count, trace and hand over at the instant it is given, never at
-// the producer-side simulator's clock.
+// it must pop, count, trace and hand over at the instant it is given,
+// never at the producer-side simulator's clock.
 TEST(ParallelHandoff, DeliverStampsTheInstantItIsGiven) {
   Simulator producer(1);  // its clock stays at 0
   SimplexLink link(producer, std::make_unique<DropTailQueue>(4), 1e6, 0.01);
@@ -116,9 +120,11 @@ TEST(ParallelHandoff, DeliverStampsTheInstantItIsGiven) {
   p.flow = 7;
   p.seq = 42;
   p.size_bytes = 1040;
-  link.deliver(p, 2.5);
+  link.in_flight().push_back(p);  // as the consumer's merge parks it
+  link.deliver_next(2.5);
 
   ASSERT_EQ(got.size(), 1u);
+  EXPECT_TRUE(link.in_flight().empty());
   EXPECT_EQ(got[0].seq, 42);
   EXPECT_EQ(link.delivered(), 1u);
   EXPECT_EQ(link.bytes_delivered(), 1040u);
@@ -130,6 +136,86 @@ TEST(ParallelHandoff, DeliverStampsTheInstantItIsGiven) {
   EXPECT_EQ(records[0].flow, 7);
   EXPECT_EQ(records[0].seq, 42);
   EXPECT_EQ(records[0].value, 1040.0);
+}
+
+// Arrival (uid, consumer instant) pairs of the two links below.
+struct CutArrivals {
+  std::vector<std::pair<std::uint64_t, Time>> long_link;
+  std::vector<std::pair<std::uint64_t, Time>> short_link;
+};
+
+// A 55 ms link from LP 0 and a 10 ms link from LP 1, both into LP 2; the
+// short one sets the 10 ms lookahead, so the long one has handoffs from
+// about six windows in flight at once. Bursts of three 4 ms packets every
+// 7 ms keep the long link backlogged. @p lps == 1 runs the same links on
+// one sequential Simulator, the oracle.
+CutArrivals run_two_cut_links(int lps) {
+  constexpr Time kLookahead = 0.01;
+  constexpr Time kLongProp = 0.055;
+  std::unique_ptr<ParallelRuntime> rt;
+  std::unique_ptr<Simulator> seq;
+  if (lps > 1) {
+    rt = std::make_unique<ParallelRuntime>(lps, kLookahead, 1);
+  } else {
+    seq = std::make_unique<Simulator>(1);
+  }
+  auto sim = [&](int lp) -> Simulator& { return rt ? rt->sim(lp) : *seq; };
+  Simulator& consumer = sim(2 % lps);
+  CutArrivals got;  // written by the consumer's thread
+  SimplexLink long_link(sim(0), std::make_unique<DropTailQueue>(100), 1e6,
+                        kLongProp);
+  SimplexLink short_link(sim(1 % lps), std::make_unique<DropTailQueue>(100),
+                         1e6, kLookahead);
+  long_link.set_receiver([&](const Packet& p) {
+    got.long_link.emplace_back(p.uid, consumer.now());
+  });
+  short_link.set_receiver([&](const Packet& p) {
+    got.short_link.emplace_back(p.uid, consumer.now());
+  });
+  if (rt) {
+    rt->register_cut_link(&long_link, 0, 2);
+    rt->register_cut_link(&short_link, 1, 2);
+  }
+  auto send_at = [](Simulator& s, SimplexLink& link, Time at,
+                    std::uint64_t uid) {
+    s.schedule_at(at, [&link, uid] {
+      Packet p;
+      p.uid = uid;
+      p.size_bytes = 500;  // 4 ms at 1 Mb/s
+      link.send(p);
+    });
+  };
+  for (int i = 0; i < 60; ++i) {
+    send_at(sim(0), long_link, 0.007 * (i / 3), static_cast<std::uint64_t>(i));
+  }
+  for (int i = 0; i < 20; ++i) {
+    send_at(sim(1 % lps), short_link, 0.005 * i,
+            static_cast<std::uint64_t>(1000 + i));
+  }
+  if (rt) {
+    rt->run(1.0);
+  } else {
+    seq->run(1.0);
+  }
+  EXPECT_TRUE(long_link.in_flight().empty());
+  EXPECT_TRUE(short_link.in_flight().empty());
+  return got;
+}
+
+// Remote deliveries through one cut link arrive in transmission order and
+// at the sequential instants across windows: the consumer's merge parks
+// each window's handoffs in the link's FIFO in key order, and each
+// delivery pops its own packet.
+TEST(ParallelHandoff, CutLinkDeliversInTransmissionOrderAcrossWindows) {
+  const CutArrivals oracle = run_two_cut_links(1);
+  const CutArrivals got = run_two_cut_links(3);
+  ASSERT_EQ(oracle.long_link.size(), 60u);
+  for (std::size_t i = 0; i < oracle.long_link.size(); ++i) {
+    EXPECT_EQ(oracle.long_link[i].first, i);
+  }
+  EXPECT_EQ(got.long_link, oracle.long_link);
+  EXPECT_EQ(got.short_link, oracle.short_link);
+  EXPECT_EQ(got.short_link.size(), 20u);
 }
 
 // Two links whose transmissions start at the same instant under events of

@@ -41,9 +41,10 @@ TEST(RedQueue, AverageTracksPersistentQueue) {
   RedQueue q(cfg, Random(1));
   // Hold the instantaneous queue at 10 by balancing arrivals/departures.
   for (int i = 0; i < 10; ++i) q.enqueue(pkt(), 0.0);
+  Packet out;
   for (int i = 0; i < 5000; ++i) {
     q.enqueue(pkt(), 0.0);
-    q.dequeue(0.0);
+    q.dequeue(0.0, out);
   }
   EXPECT_NEAR(q.avg(), 10.0, 1.5);
 }
@@ -53,9 +54,10 @@ TEST(RedQueue, DropsEverythingAboveMaxTh) {
   RedQueue q(cfg, Random(1));
   // Saturate the EWMA well above max_th.
   for (int i = 0; i < 40; ++i) q.enqueue(pkt(), 0.0);
+  Packet out;
   for (int i = 0; i < 20000 && q.avg() < cfg.max_th; ++i) {
     q.enqueue(pkt(), 0.0);
-    q.dequeue(0.0);
+    q.dequeue(0.0, out);
     q.enqueue(pkt(), 0.0);
   }
   ASSERT_GE(q.avg(), cfg.max_th);
@@ -87,13 +89,14 @@ TEST_P(RedDropProbTest, DropRateIncreasesWithOccupancy) {
   RedQueue q(cfg, Random(42));
   for (int i = 0; i < hold; ++i) q.enqueue(pkt(), 0.0);
   // Warm the EWMA to ~hold.
+  Packet out;
   for (int i = 0; i < 5000; ++i) {
-    if (q.enqueue(pkt(), 0.0)) q.dequeue(0.0);
+    if (q.enqueue(pkt(), 0.0)) q.dequeue(0.0, out);
   }
   std::uint64_t drops0 = q.stats().drops;
   std::uint64_t arrivals0 = q.stats().arrivals;
   for (int i = 0; i < 20000; ++i) {
-    if (q.enqueue(pkt(), 0.0)) q.dequeue(0.0);
+    if (q.enqueue(pkt(), 0.0)) q.dequeue(0.0, out);
   }
   const double rate =
       static_cast<double>(q.stats().drops - drops0) /
@@ -144,9 +147,10 @@ TEST(RedQueue, InterDropGapBoundedByInversePb) {
   const std::uint64_t early0 = q.stats().early_drops;
   int accepted = 0, run_len = 0, max_run = 0;
   const int kArrivals = 2000;
+  Packet out;
   for (int i = 0; i < kArrivals; ++i) {
     if (q.enqueue(pkt(), 0.0)) {
-      q.dequeue(0.0);  // hold occupancy at 10
+      q.dequeue(0.0, out);  // hold occupancy at 10
       ++accepted;
       max_run = std::max(max_run, ++run_len);
     } else {
@@ -167,14 +171,15 @@ TEST(RedQueue, IdleDecayReducesAverage) {
   cfg.max_th = 200;
   RedQueue q(cfg, Random(1));
   for (int i = 0; i < 20; ++i) q.enqueue(pkt(), 0.0);
+  Packet out;
   for (int i = 0; i < 3000; ++i) {
     q.enqueue(pkt(), static_cast<Time>(i) * 1e-4);
-    q.dequeue(static_cast<Time>(i) * 1e-4);
+    q.dequeue(static_cast<Time>(i) * 1e-4, out);
   }
   const double avg_busy = q.avg();
   ASSERT_GT(avg_busy, 2.0);
   // Drain and go idle for a long time.
-  while (q.dequeue(1.0).has_value()) {
+  while (q.dequeue(1.0, out)) {
   }
   q.enqueue(pkt(), 10.0);  // arrival after 9 idle seconds
   EXPECT_LT(q.avg(), 0.1 * avg_busy);
@@ -203,7 +208,8 @@ TEST(RedQueue, WakeFromIdleAppliesPureDecay) {
   }
   ASSERT_DOUBLE_EQ(q.avg(), expected);
   // Drain to empty at t = 0.01; the queue books idle_since there.
-  while (q.dequeue(0.01).has_value()) {
+  Packet out;
+  while (q.dequeue(0.01, out)) {
   }
   // Wake at t = 0.015: m = idle/mean_tx = 5 "virtual departures".
   const Time wake = 0.015;
@@ -227,7 +233,8 @@ TEST(RedQueue, WakeWithoutIdleEstimateFallsBackToEwma) {
   for (int i = 0; i < 5; ++i) q.enqueue(pkt(), 0.0);
   const double avg_busy = q.avg();
   ASSERT_GT(avg_busy, 0.0);
-  while (q.dequeue(0.0).has_value()) {
+  Packet out;
+  while (q.dequeue(0.0, out)) {
   }
   q.enqueue(pkt(), 1.0);
   EXPECT_DOUBLE_EQ(q.avg(), (1.0 - cfg.weight) * avg_busy);
@@ -236,10 +243,10 @@ TEST(RedQueue, WakeWithoutIdleEstimateFallsBackToEwma) {
 TEST(RedQueue, FifoOrderPreserved) {
   RedQueue q(small_config(), Random(1));
   for (int i = 0; i < 4; ++i) q.enqueue(pkt(i), 0.0);
+  Packet out;
   for (int i = 0; i < 4; ++i) {
-    auto p = q.dequeue(0.0);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->seq, i);
+    ASSERT_TRUE(q.dequeue(0.0, out));
+    EXPECT_EQ(out.seq, i);
   }
 }
 
